@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 from .accountant import (DEFAULT_SEED, AccountantConfig, AccountResult,
                          CompositionLedger, DiscretePRV, ErrorBounds,
                          PrivacyCurve, account, compose, convolve_direct,
-                         delta_of_epsilon, derive_rng, discretize_from_cdf,
-                         discretize_from_samples, epsilon_of_delta,
-                         error_bounds, self_compose)
+                         derive_rng, discretize_from_cdf,
+                         discretize_from_samples, error_bounds, self_compose)
 from .calibrate import (FamilyPoint, FamilyResult, PrivacyTarget, SolveResult,
                         TailWeightPoint, TailWeightResult, equivalent_family,
                         family_from_csv, family_to_csv, solve_sigma,
@@ -43,4 +42,37 @@ from .simulate import (PateAccuracy, ResultRow, SimConfig, UtilityPoint,
                        make_histograms, normalized_auc, pate_label_accuracy,
                        results_to_csv)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # accountant
+    "DEFAULT_SEED", "AccountantConfig", "AccountResult", "CompositionLedger",
+    "DiscretePRV", "ErrorBounds", "PrivacyCurve", "account", "compose",
+    "convolve_direct", "derive_rng", "discretize_from_cdf",
+    "discretize_from_samples", "error_bounds", "self_compose",
+    # calibrate
+    "FamilyPoint", "FamilyResult", "PrivacyTarget", "SolveResult",
+    "TailWeightPoint", "TailWeightResult", "equivalent_family",
+    "family_from_csv", "family_to_csv", "solve_sigma", "tail_weight",
+    "tail_weights_to_csv",
+    # errors
+    "AccountingInconsistencyError", "BudgetExhaustedError", "ConfigError",
+    "ConstructionError", "GGPrivacyError", "GridMismatchError",
+    "IngestionError", "InputError", "ParameterError", "RangeError",
+    "SolverError", "TruncationError",
+    # ggdist
+    "GGParams", "absolute_moment", "cdf", "from_sigma_power", "pdf",
+    "quantile", "sample", "sample_inverse_cdf", "sigma_power",
+    # mechanisms
+    "LogisticModel", "MLPModel", "TrainConfig", "TrainResult", "clip_rows",
+    "gg_mechanism", "ggnmax", "lbeta_clip", "load_dataset_csv", "make_blobs",
+    "sgg_mechanism", "train_noisy_sgd",
+    # prv
+    "LossDirection", "MechanismSpec", "directions_for", "gaussian_prv_cdf",
+    "laplace_prv_cdf", "loss_function", "multidim_prv_sample",
+    "reference_prv_cdf", "sample_prv", "subsampled_loss_function",
+    # simulate
+    "PateAccuracy", "ResultRow", "SimConfig", "UtilityPoint", "VoteHistogram",
+    "auc_over_runner_up", "build_histogram", "exact_two_class_utility",
+    "hardmax_utility", "histograms_from_csv", "histograms_to_csv",
+    "make_histograms", "normalized_auc", "pate_label_accuracy",
+    "results_to_csv",
+]

@@ -265,16 +265,6 @@ class DiscretePRV:
         return hi
 
 
-def delta_of_epsilon(prv: DiscretePRV, epsilon):
-    """Module-level alias for `DiscretePRV.delta_at`."""
-    return prv.delta_at(epsilon)
-
-
-def epsilon_of_delta(prv: DiscretePRV, delta: float) -> float:
-    """Module-level alias for `DiscretePRV.epsilon_at`."""
-    return prv.epsilon_at(delta)
-
-
 # ---------------------------------------------------------------------------
 # Discretization
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Every run is reproducible: the effective seed comes from ``--seed``, else the
 ``GG_PRIVACY_SEED`` environment variable, else the documented default
 (61803398), and every file-producing run writes a ``<output>.manifest.json``
 next to its artifact recording the subcommand, the fully resolved arguments,
-and that seed.  ``replay <manifest>`` re-executes a manifest and reproduces
-the outputs byte for byte.
+that seed, and the SHA-256 of each output.  ``replay <manifest>`` re-executes
+a manifest and checks that every output reproduces those hashes.
 
 Grids are written either as comma lists (``1,1.5,2``) or as
 ``start:stop:count`` (``1:4:13``).  A ``--config FILE`` of ``key = value``
@@ -16,6 +16,7 @@ win.  Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -76,20 +77,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return DEFAULT_SEED
 
 
-def _apply_threads(args: argparse.Namespace) -> None:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        return
-    if threads < 1:
-        raise ParameterError(f"--threads must be >= 1, got {threads}")
-    try:  # only meaningful on the JIT path; harmless otherwise
-        import numba
-
-        numba.set_num_threads(min(threads, numba.config.NUMBA_NUM_THREADS))
-    except ImportError:
-        pass
-
-
 def _require(args: argparse.Namespace, parser: argparse.ArgumentParser,
              *names: str) -> None:
     for name in names:
@@ -97,8 +84,14 @@ def _require(args: argparse.Namespace, parser: argparse.ArgumentParser,
             parser.error(f"--{name} is required (flag or config file)")
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
                     seed: int, outputs: list[str]) -> str:
+    """Write ``<out_path>.manifest.json``; ``outputs`` are the written paths."""
     arguments = {k: v for k, v in sorted(vars(args).items())
                  if not k.startswith("_") and k not in ("config", "command")}
     arguments["seed"] = seed
@@ -107,7 +100,8 @@ def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
         "arguments": arguments,
         "seed": seed,
         "version": __version__,
-        "outputs": outputs,
+        "outputs": [{"name": os.path.basename(p), "sha256": _sha256(p)}
+                    for p in outputs],
     }
     path = f"{out_path}.manifest.json"
     with open(path, "w") as fh:
@@ -124,7 +118,7 @@ def _emit(text: str, out: str | None, command: str, args: argparse.Namespace,
         return
     with open(out, "w") as fh:
         fh.write(text)
-    manifest = _write_manifest(out, command, args, seed, [os.path.basename(out)])
+    manifest = _write_manifest(out, command, args, seed, [out])
     print(f"wrote {out} (manifest: {manifest})")
 
 
@@ -179,8 +173,6 @@ def _add_common(sub: argparse.ArgumentParser, with_out: bool = True) -> None:
                           f"else {DEFAULT_SEED})")
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="key = value file of flag defaults")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads for the JIT kernels")
     if with_out:
         sub.add_argument("--out", default=None, metavar="PATH",
                          help="write the result here (plus a .manifest.json)")
@@ -516,8 +508,19 @@ def _cmd_train(args, sub) -> int:
 
 
 def _cmd_replay(args, sub) -> int:
+    """Re-run a manifest, then check each output against its recorded hash.
+
+    On a mismatch the recorded manifest is written back, so the re-run
+    cannot overwrite the hashes it failed to reproduce.
+    """
     with open(args.manifest) as fh:
-        manifest = json.load(fh)
+        recorded = fh.read()
+    manifest = json.loads(recorded)
+    expected = {}
+    for entry in manifest.get("outputs", []):
+        if isinstance(entry, str):  # a bare name: no hash was recorded
+            entry = {"name": entry}
+        expected[entry["name"]] = entry.get("sha256")
     command = manifest["command"]
     if command not in _SUBCOMMANDS:
         raise ParameterError(f"manifest names unknown subcommand {command!r}")
@@ -541,7 +544,25 @@ def _cmd_replay(args, sub) -> int:
                 argv.extend([flag, _argtext(item)])
         else:
             argv.extend([flag, _argtext(value)])
-    return main(argv)
+    if not expected:
+        raise ParameterError(f"manifest {args.manifest} records no outputs")
+    rc = main(argv)
+    if rc != 0:
+        return rc
+    out_dir = os.path.dirname(stored.get("out") or "")
+    for name, digest in expected.items():
+        path = os.path.join(out_dir, name)
+        if digest is None:
+            problem = "has no recorded SHA-256"
+        elif not os.path.isfile(path) or _sha256(path) != digest:
+            problem = f"does not reproduce its recorded SHA-256 {digest}"
+        else:
+            continue
+        with open(args.manifest, "w") as fh:
+            fh.write(recorded)
+        print(f"error: replayed output {path} {problem}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _argtext(value) -> str:
@@ -578,7 +599,6 @@ def main(argv: list[str] | None = None) -> int:
         if not hasattr(args, "_handler"):
             parser.print_help()
             return 2
-        _apply_threads(args)
         return args._handler(args, _SUBCOMMANDS[args._name][0])
     except GGPrivacyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,36 +1,15 @@
-"""Hot numerical kernels, JIT-compiled when numba is available.
+"""Hot numerical kernels: the elementwise loops of the accountant, in numpy.
 
-Every kernel has a pure-NumPy implementation; the numba version is a
-straight transliteration.  Selection happens once at import time:
-
-* ``GG_PRIVACY_DISABLE_NUMBA=1`` (or ``true``) forces the NumPy path,
-* otherwise numba is used when it can be imported.
-
-``BACKEND`` records which path is active.  ``IMPLEMENTATIONS`` exposes both
-paths (when present) so tests and ``benchmarks/bench_kernels.py`` can compare
-them in a single process.  Within one backend all kernels are deterministic
-bit-for-bit; across backends the transcendental kernels may differ in the
-last ulp (vectorized pow/exp versus libm), which callers must not rely on.
+Callers look the kernels up as ``kernels.<name>`` at call time, never through
+``from .kernels import ...``, so a profiler can wrap them in place.  All
+kernels are deterministic bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-_ENV_FLAG = os.environ.get("GG_PRIVACY_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _ENV_FLAG not in ("", "0", "false", "no")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via GG_PRIVACY_DISABLE_NUMBA")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
 
 # Crossover for the stable evaluation of log(1 - q + q*exp(x)): above this,
 # expm1(x) starts to dwarf 1/q for any q >= 1e-12 and we switch to the
@@ -38,19 +17,14 @@ except ImportError:
 _MIX_SWITCH = 33.0
 
 
-# ---------------------------------------------------------------------------
-# NumPy reference implementations
-# ---------------------------------------------------------------------------
-
-
-def _gg_loss_numpy(t: np.ndarray, mu: float, beta: float, sigma_beta: float) -> np.ndarray:
+def gg_loss(t: np.ndarray, mu: float, beta: float, sigma_beta: float) -> np.ndarray:
     """(|t - mu|**beta - |t|**beta) / sigma_beta, elementwise."""
     a = np.abs(t - mu) ** beta
     b = np.abs(t) ** beta
     return (a - b) / sigma_beta
 
 
-def _mixture_log_ratio_numpy(ell: np.ndarray, q: float) -> np.ndarray:
+def mixture_log_ratio(ell: np.ndarray, q: float) -> np.ndarray:
     """log(1 - q + q*exp(-ell)), elementwise, stable for large |ell|."""
     x = -ell
     out = np.empty_like(x)
@@ -62,7 +36,7 @@ def _mixture_log_ratio_numpy(ell: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def _bin_counts_numpy(y: np.ndarray, h: float, m: int) -> np.ndarray:
+def bin_counts(y: np.ndarray, h: float, m: int) -> np.ndarray:
     """Counts over the 2m+1 bins ((i - 1/2)h, (i + 1/2)h], i in [-m, m].
 
     Inputs must already lie in [-(m + 1/2)h, (m + 1/2)h]; the exact upper
@@ -73,112 +47,25 @@ def _bin_counts_numpy(y: np.ndarray, h: float, m: int) -> np.ndarray:
     return np.bincount(idx + m, minlength=2 * m + 1)
 
 
-def _signed_power_scale_numpy(g: np.ndarray, signs: np.ndarray, sigma: float,
-                              inv_beta: float) -> np.ndarray:
+def signed_power_scale(g: np.ndarray, signs: np.ndarray, sigma: float,
+                       inv_beta: float) -> np.ndarray:
     """signs * sigma * g**inv_beta, elementwise (gamma -> GG transform)."""
     return signs * (sigma * g ** inv_beta)
 
 
-def _lbeta_norms_numpy(rows: np.ndarray, beta: float) -> np.ndarray:
-    """Row-wise l_beta norms of a 2-d array.
-
-    Accumulates left to right (cumulative sum) so the summation order matches
-    the numba loop exactly.
-    """
-    powered = np.abs(rows) ** beta
-    totals = np.cumsum(powered, axis=1)[:, -1]
-    return totals ** (1.0 / beta)
+def lbeta_norms(rows: np.ndarray, beta: float) -> np.ndarray:
+    """Row-wise l_beta norms of a 2-d array."""
+    return np.sum(np.abs(rows) ** beta, axis=1) ** (1.0 / beta)
 
 
-# ---------------------------------------------------------------------------
-# numba transliterations
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gg_loss_nb(t, mu, beta, sigma_beta):  # pragma: no cover - jitted
-        out = np.empty_like(t)
-        for i in range(t.shape[0]):
-            a = abs(t[i] - mu) ** beta
-            b = abs(t[i]) ** beta
-            out[i] = (a - b) / sigma_beta
-        return out
-
-    @njit(cache=True)
-    def _mixture_log_ratio_nb(ell, q):  # pragma: no cover - jitted
-        out = np.empty_like(ell)
-        log_q = math.log(q)
-        ratio = (1.0 - q) / q
-        for i in range(ell.shape[0]):
-            x = -ell[i]
-            if x > _MIX_SWITCH:
-                out[i] = x + log_q + math.log1p(ratio * math.exp(-x))
-            else:
-                out[i] = math.log1p(q * math.expm1(x))
-        return out
-
-    @njit(cache=True)
-    def _bin_counts_nb(y, h, m):  # pragma: no cover - jitted
-        counts = np.zeros(2 * m + 1, dtype=np.int64)
-        for i in range(y.shape[0]):
-            idx = int(math.floor(y[i] / h + 0.5))
-            if idx < -m:
-                idx = -m
-            elif idx > m:
-                idx = m
-            counts[idx + m] += 1
-        return counts
-
-    @njit(cache=True)
-    def _signed_power_scale_nb(g, signs, sigma, inv_beta):  # pragma: no cover
-        out = np.empty_like(g)
-        for i in range(g.shape[0]):
-            out[i] = signs[i] * (sigma * g[i] ** inv_beta)
-        return out
-
-    @njit(cache=True)
-    def _lbeta_norms_nb(rows, beta):  # pragma: no cover - jitted
-        n = rows.shape[0]
-        d = rows.shape[1]
-        out = np.empty(n, dtype=np.float64)
-        inv_beta = 1.0 / beta
-        for i in range(n):
-            acc = 0.0
-            for j in range(d):
-                acc += abs(rows[i, j]) ** beta
-            out[i] = acc ** inv_beta
-        return out
-
-    BACKEND = "numba"
-    gg_loss = _gg_loss_nb
-    mixture_log_ratio = _mixture_log_ratio_nb
-    bin_counts = _bin_counts_nb
-    signed_power_scale = _signed_power_scale_nb
-    lbeta_norms = _lbeta_norms_nb
-else:
-    BACKEND = "numpy"
-    gg_loss = _gg_loss_numpy
-    mixture_log_ratio = _mixture_log_ratio_numpy
-    bin_counts = _bin_counts_numpy
-    signed_power_scale = _signed_power_scale_numpy
-    lbeta_norms = _lbeta_norms_numpy
-
-
+# perfbench/envinfo.py reads these two names; drop them with that reader.
+BACKEND = "numpy"
 IMPLEMENTATIONS: dict[str, dict[str, object]] = {
     "numpy": {
-        "gg_loss": _gg_loss_numpy,
-        "mixture_log_ratio": _mixture_log_ratio_numpy,
-        "bin_counts": _bin_counts_numpy,
-        "signed_power_scale": _signed_power_scale_numpy,
-        "lbeta_norms": _lbeta_norms_numpy,
+        "gg_loss": gg_loss,
+        "mixture_log_ratio": mixture_log_ratio,
+        "bin_counts": bin_counts,
+        "signed_power_scale": signed_power_scale,
+        "lbeta_norms": lbeta_norms,
     }
 }
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "gg_loss": _gg_loss_nb,
-        "mixture_log_ratio": _mixture_log_ratio_nb,
-        "bin_counts": _bin_counts_nb,
-        "signed_power_scale": _signed_power_scale_nb,
-        "lbeta_norms": _lbeta_norms_nb,
-    }

@@ -229,7 +229,8 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     them, adds one GG noise vector, and scales by the *expected* batch size.
     An empty batch still takes a (noise-only) step.  When a target epsilon is
     set, the step budget is fixed up front from the composition ledger and
-    the loop halts there.
+    the loop halts there.  Accounting (a target epsilon or a ``ledger``)
+    requires ``beta <= 2``; unaccounted training accepts any shape.
     """
     X, y = train_data
     X = np.asarray(X, dtype=np.float64)
@@ -244,6 +245,12 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     steps_per_epoch = max(1, round(n / cfg.batch_size))
     planned = cfg.epochs * steps_per_epoch
 
+    accounted = cfg.target_epsilon is not None or ledger is not None
+    if accounted and cfg.noise.beta > 2.0:
+        raise ParameterError(
+            f"cannot account training with beta={cfg.noise.beta:g} > 2: the "
+            "ledger reduces the d-dimensional l_beta-clipped update to one "
+            "dimension, and that dimension reduction only holds for beta <= 2")
     spec = MechanismSpec(cfg.noise, cfg.clip_norm,
                          None if q == 1.0 else q, 1)
     if cfg.target_epsilon is not None and ledger is None:

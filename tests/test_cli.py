@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -68,14 +69,6 @@ def test_domain_error_exits_one(capsys):
     rc = main(["sample", "--beta", "0.5", "--sigma", "1", "-n", "3"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
-
-
-def test_threads_flag_validated(capsys):
-    assert main(["sample", "--beta", "2", "--sigma", "1", "-n", "2",
-                 "--threads", "0"]) == 1
-    capsys.readouterr()
-    assert main(["sample", "--beta", "2", "--sigma", "1", "-n", "2",
-                 "--threads", "1"]) == 0
 
 
 # -- sample ----------------------------------------------------------------------
@@ -181,7 +174,9 @@ def test_epsilon_out_writes_curve_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "curve.json.manifest.json").read_text())
     assert manifest["command"] == "epsilon"
     assert manifest["seed"] == 5
-    assert manifest["outputs"] == ["curve.json"]
+    assert manifest["outputs"] == [{
+        "name": "curve.json",
+        "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}]
     assert manifest["arguments"]["sigma"] == 1.5
 
 
@@ -197,6 +192,26 @@ def test_replay_reproduces_outputs_bytewise(tmp_path, capsys):
     assert main(["replay", str(manifest_path)]) == 0
     assert out.read_bytes() == original
     assert manifest_path.read_bytes() == original_manifest
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (lambda entry: {**entry, "sha256": "0" * 64}, "does not reproduce"),
+    (lambda entry: entry["name"], "has no recorded SHA-256"),
+])
+def test_replay_fails_on_hash_mismatch(tmp_path, capsys, edit, problem):
+    out = tmp_path / "curve.json"
+    assert main(["epsilon", "--beta", "2", "--sigma", "1.5", "--delta", "1e-4",
+                 "--seed", "5", "--out", str(out), *FAST_ACCT]) == 0
+    manifest_path = tmp_path / "curve.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"] = [edit(manifest["outputs"][0])]
+    manifest_path.write_text(json.dumps(manifest))
+    edited = manifest_path.read_bytes()
+    capsys.readouterr()
+    assert main(["replay", str(manifest_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and problem in err
+    assert manifest_path.read_bytes() == edited
 
 
 def test_replay_rejects_unknown_command(tmp_path, capsys):
@@ -308,6 +323,15 @@ def test_train_synthetic_logistic(capsys):
     assert record["epoch"] == 1 and record["epsilon"] is None
     assert 0.0 <= record["test_acc"] <= 1.0
     assert "finished after 3 steps" in lines[-1]
+
+
+def test_train_refuses_accounting_beta_above_two(capsys):
+    rc = main(["train", "--beta", "3", "--target-epsilon", "8",
+               "--train-size", "60", "--test-size", "20", "--dim", "3",
+               "--batch-size", "20", "--epochs", "1", "--seed", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "beta=3" in err and "dimension reduction" in err
 
 
 def test_train_from_csv_dataset(tmp_path, capsys, rng):

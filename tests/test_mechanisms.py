@@ -308,6 +308,23 @@ def test_train_halts_at_budget(rng):
     assert result.epsilon <= cfg.target_epsilon
 
 
+def test_train_refuses_to_account_beta_above_two(rng):
+    # The ledger's 1-D loss under-states a d-dimensional beta > 2 release.
+    model, data = small_problem(rng)
+    noise = GGParams(3.0, 0.5)
+    with pytest.raises(ParameterError, match=r"beta=3 .*dimension reduction"):
+        train_noisy_sgd(model, data, TrainConfig(noise=noise, batch_size=30,
+                                                 target_epsilon=8.0), rng)
+    ledger = CompositionLedger(MechanismSpec(noise, 1.0, 30 / 120, 1), k_cap=2,
+                               samples_n=30_000, bins=2 ** 12)
+    with pytest.raises(ParameterError, match=r"beta=3 .*dimension reduction"):
+        train_noisy_sgd(model, data, TrainConfig(noise=noise, batch_size=30),
+                        rng, ledger=ledger)
+    result = train_noisy_sgd(model, data, TrainConfig(noise=noise, batch_size=30),
+                             rng)
+    assert result.steps == 4 * 5 and result.epsilon is None
+
+
 def test_train_survives_empty_batches(rng):
     model, data = small_problem(rng, n=50)
     cfg = TrainConfig(batch_size=1, epochs=1, learning_rate=0.1)
