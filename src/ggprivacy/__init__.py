@@ -16,7 +16,7 @@ from .accountant import (DEFAULT_SEED, AccountantConfig, AccountResult,
                          CompositionLedger, DiscretePRV, ErrorBounds,
                          PrivacyCurve, account, compose, convolve_direct,
                          derive_rng, discretize_from_cdf,
-                         discretize_from_samples, error_bounds, self_compose)
+                         discretize_from_samples, error_bounds)
 from .calibrate import (FamilyPoint, FamilyResult, PrivacyTarget, SolveResult,
                         TailWeightPoint, TailWeightResult, equivalent_family,
                         family_from_csv, family_to_csv, solve_sigma,
@@ -33,8 +33,7 @@ from .mechanisms import (LogisticModel, MLPModel, TrainConfig, TrainResult,
                          train_noisy_sgd)
 from .prv import (LossDirection, MechanismSpec, directions_for,
                   gaussian_prv_cdf, laplace_prv_cdf, loss_function,
-                  multidim_prv_sample, reference_prv_cdf, sample_prv,
-                  subsampled_loss_function)
+                  multidim_prv_sample, sample_prv, subsampled_loss_function)
 from .simulate import (PateAccuracy, ResultRow, SimConfig, UtilityPoint,
                        VoteHistogram, auc_over_runner_up, build_histogram,
                        exact_two_class_utility, hardmax_utility,
@@ -47,7 +46,7 @@ __all__ = [
     "DEFAULT_SEED", "AccountantConfig", "AccountResult", "CompositionLedger",
     "DiscretePRV", "ErrorBounds", "PrivacyCurve", "account", "compose",
     "convolve_direct", "derive_rng", "discretize_from_cdf",
-    "discretize_from_samples", "error_bounds", "self_compose",
+    "discretize_from_samples", "error_bounds",
     # calibrate
     "FamilyPoint", "FamilyResult", "PrivacyTarget", "SolveResult",
     "TailWeightPoint", "TailWeightResult", "equivalent_family",
@@ -67,8 +66,8 @@ __all__ = [
     "sgg_mechanism", "train_noisy_sgd",
     # prv
     "LossDirection", "MechanismSpec", "directions_for", "gaussian_prv_cdf",
-    "laplace_prv_cdf", "loss_function", "multidim_prv_sample",
-    "reference_prv_cdf", "sample_prv", "subsampled_loss_function",
+    "laplace_prv_cdf", "loss_function", "multidim_prv_sample", "sample_prv",
+    "subsampled_loss_function",
     # simulate
     "PateAccuracy", "ResultRow", "SimConfig", "UtilityPoint", "VoteHistogram",
     "auc_over_runner_up", "build_histogram", "exact_two_class_utility",

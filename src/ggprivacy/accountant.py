@@ -5,6 +5,8 @@ The pipeline: draw single-shot loss values, keep those inside a window
 ``L = (m + 1/2) h``, estimate a sub-cell offset, self-compose the binned
 distribution with FFT powers (circular, i.e. modulo the window), and read
 ``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.
+`account` and `CompositionLedger` share that path: both discretize through
+`_discretize_directions` and compose through `compose`.
 
 Alongside the point estimates the accountant evaluates a finite-sample error
 certificate ``(eta, tau)``: the true delta at ``epsilon (+/-) tau`` lies
@@ -27,7 +29,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -62,13 +64,12 @@ def derive_rng(seed: int | None, *context) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _resolve_rng(rng, *context) -> tuple[np.random.Generator, int | None]:
-    """Map the public ``rng`` argument to (generator, seed-or-None)."""
+def _generator(rng, *context) -> np.random.Generator:
+    """The caller's Generator as is, else `derive_rng` of the int/None seed."""
     if isinstance(rng, np.random.Generator):
-        return rng, None
+        return rng
     if rng is None or isinstance(rng, (int, np.integer)):
-        seed = None if rng is None else int(rng)
-        return derive_rng(seed, *context), (DEFAULT_SEED if seed is None else seed)
+        return derive_rng(rng, *context)
     raise ParameterError(f"rng must be a Generator, int seed, or None; got {rng!r}")
 
 
@@ -171,6 +172,7 @@ class DiscretePRV:
     acceptance: float | None = None
     source: str = ""
     _tables: tuple | None = field(default=None, repr=False, compare=False)
+    _rfft: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.probs, dtype=np.float64)
@@ -204,6 +206,13 @@ class DiscretePRV:
     def support(self) -> np.ndarray:
         m = self.half_bins
         return np.arange(-m, m + 1, dtype=np.float64) * self.mesh_h + self.offset
+
+    def _spectrum(self) -> np.ndarray:
+        """rFFT of the probabilities with index 0 at loss 0, cached."""
+        if self._rfft is None:
+            object.__setattr__(self, "_rfft",
+                               sp_fft.rfft(np.fft.ifftshift(self.probs)))
+        return self._rfft
 
     # -- delta / epsilon queries -------------------------------------------
 
@@ -280,7 +289,7 @@ def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.n
     ``mu_hat = clamp(mean - grid_mean, [0, h/2])``.  Raises
     `TruncationError` when fewer than 10% of draws land inside the window.
     """
-    gen, _ = _resolve_rng(rng, "discretize", cfg.to_dict(), source)
+    gen = _generator(rng, "discretize", cfg.to_dict(), source)
     n = cfg.samples_n
     need = 2 * n
     L, h, m = cfg.trunc_L, cfg.mesh_h, cfg.half_bins
@@ -357,23 +366,6 @@ def discretize_from_cdf(cdf_fn: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 
-def _spectrum(prv: DiscretePRV) -> np.ndarray:
-    return sp_fft.rfft(np.fft.ifftshift(prv.probs))
-
-
-def _from_spectrum(spectrum: np.ndarray, size: int, mesh_h: float, offset: float,
-                   compositions: int, tail_upper, acceptance, source: str) -> DiscretePRV:
-    probs = np.fft.fftshift(sp_fft.irfft(spectrum, n=size))
-    total = float(probs.sum())
-    if abs(total - 1.0) > _MASS_DRIFT_TOL:
-        raise AccountingInconsistencyError(
-            f"FFT composition lost probability mass: sum = {total!r}")
-    probs = np.maximum(probs, 0.0)
-    return DiscretePRV(probs=probs / probs.sum(), mesh_h=mesh_h, offset=offset,
-                       compositions=compositions, tail_upper=tail_upper,
-                       acceptance=acceptance, source=source)
-
-
 def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     """Compose grid-aligned PRVs with multiplicities via FFT powers.
 
@@ -403,22 +395,24 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     tails = []
     accs = []
     for prv, k in entries:
-        spectrum *= _spectrum(prv) ** k
+        spectrum *= prv._spectrum() ** k
         offset += k * prv.offset
         total_k += k * prv.compositions
         if prv.tail_upper is not None:
             tails.append(prv.tail_upper)
         if prv.acceptance is not None:
             accs.append(prv.acceptance)
+    probs = np.fft.fftshift(sp_fft.irfft(spectrum, n=first.probs.size))
+    total = float(probs.sum())
+    if abs(total - 1.0) > _MASS_DRIFT_TOL:
+        raise AccountingInconsistencyError(
+            f"FFT composition lost probability mass: sum = {total!r}")
+    probs = np.maximum(probs, 0.0)
     label = " * ".join(f"{prv.source or 'prv'}^{k}" for prv, k in entries)
-    return _from_spectrum(spectrum, first.probs.size, first.mesh_h, offset,
-                          total_k, max(tails) if tails else None,
-                          min(accs) if accs else None, label)
-
-
-def self_compose(prv: DiscretePRV, compositions: int) -> DiscretePRV:
-    """`compose` with a single repeated mechanism."""
-    return compose([(prv, compositions)])
+    return DiscretePRV(probs=probs / probs.sum(), mesh_h=first.mesh_h,
+                       offset=offset, compositions=total_k,
+                       tail_upper=max(tails) if tails else None,
+                       acceptance=min(accs) if accs else None, source=label)
 
 
 def convolve_direct(prv_a: DiscretePRV, prv_b: DiscretePRV) -> DiscretePRV:
@@ -565,21 +559,35 @@ def _loss_range(spec: MechanismSpec, direction: LossDirection) -> tuple[float, f
     return lo, hi
 
 
-def _auto_config(spec: MechanismSpec, seed: int | None,
-                 gen: np.random.Generator | None,
-                 samples_n: int, bins: int) -> AccountantConfig:
+def _auto_config(spec: MechanismSpec, rng, samples_n: int,
+                 bins: int) -> AccountantConfig:
     """Size the window from a pilot run: L = |k mean| + 12 sqrt(k) std."""
     k = spec.compositions
     L = 0.0
     for direction in directions_for(spec):
-        rng = gen if gen is not None else derive_rng(
-            seed, "pilot", spec.to_dict(), direction.value)
-        pilot = sample_prv(spec, direction, rng, PILOT_SAMPLES)
+        pilot = sample_prv(spec, direction,
+                           _generator(rng, "pilot", spec.to_dict(),
+                                      direction.value), PILOT_SAMPLES)
         L_dir = abs(k * float(np.mean(pilot))) \
             + _PILOT_SPREAD * math.sqrt(k) * float(np.std(pilot))
         L = max(L, L_dir)
     L = max(L, 1e-6)
     return AccountantConfig.from_bins(L, bins=bins, samples_n=samples_n)
+
+
+def _discretize_directions(spec: MechanismSpec, cfg: AccountantConfig, rng,
+                           purpose: str) -> dict[LossDirection, DiscretePRV]:
+    """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction.
+
+    An int/None ``rng`` seeds each direction's draw from ``(purpose, spec,
+    cfg, direction)``; a Generator is drawn from in direction order.
+    """
+    return {direction: discretize_from_samples(
+                lambda r, c: sample_prv(spec, direction, r, c), cfg,
+                _generator(rng, purpose, spec.to_dict(), cfg.to_dict(),
+                           direction.value),
+                source=f"{purpose}:{direction.value}")
+            for direction in directions_for(spec)}
 
 
 def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
@@ -600,25 +608,16 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
     if epsilon is not None and (not math.isfinite(epsilon) or epsilon < 0):
         raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
 
-    gen = rng if isinstance(rng, np.random.Generator) else None
-    seed = None
-    if gen is None:
-        _, seed = _resolve_rng(rng, "account")
-
     if cfg is None:
-        cfg = _auto_config(spec, rng if gen is None else None, gen, samples_n, bins)
+        cfg = _auto_config(spec, rng, samples_n, bins)
 
     k = spec.compositions
     t = cfg.resolved_t()
     composed: dict[LossDirection, DiscretePRV] = {}
     bounds: dict[LossDirection, ErrorBounds] = {}
-    for direction in directions_for(spec):
-        draw_rng = gen if gen is not None else derive_rng(
-            seed, "account", spec.to_dict(), cfg.to_dict(), direction.value)
-        one = discretize_from_samples(
-            lambda r, c: sample_prv(spec, direction, r, c), cfg, draw_rng,
-            source=f"{direction.value}:{spec.to_dict()}")
-        full = self_compose(one, k)
+    for direction, one in _discretize_directions(spec, cfg, rng,
+                                                 "account").items():
+        full = compose([(one, k)])
         composed[direction] = full
 
         lo, hi = _loss_range(spec, direction)
@@ -653,7 +652,8 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
         epsilon_conservative=eps_est + tau,
         delta_conservative=min(1.0, delta_est + eta),
         eta=eta, tau=tau, curve=curve, config=cfg, composed=composed,
-        seed=seed)
+        seed=None if isinstance(rng, np.random.Generator)
+        else DEFAULT_SEED if rng is None else int(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +664,9 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
 class CompositionLedger:
     """Cheap ``epsilon(k)`` over many composition counts of one mechanism.
 
-    Discretizes the one-step loss once, caches its FFT spectrum, and answers
-    each ``k`` with a spectrum power + inverse transform.  Built for training
-    loops that need "how many more steps fit in the budget".
+    Discretizes the one-step loss once, as `account` does, and answers each
+    ``k`` with `compose` (the single's rFFT is cached on it).  Built for
+    training loops that need "how many more steps fit in the budget".
     """
 
     def __init__(self, spec: MechanismSpec, cfg: AccountantConfig | None = None,
@@ -676,38 +676,19 @@ class CompositionLedger:
             spec = MechanismSpec(spec.noise, spec.sensitivity, spec.sample_rate, 1)
         self.spec = spec
         self.k_cap = int(k_cap)
-        gen = rng if isinstance(rng, np.random.Generator) else None
-        seed = None
-        if gen is None:
-            _, seed = _resolve_rng(rng, "ledger")
         if cfg is None:
             probe = MechanismSpec(spec.noise, spec.sensitivity, spec.sample_rate,
                                   self.k_cap)
-            cfg = _auto_config(probe, seed if gen is None else None, gen,
-                               samples_n, bins)
+            cfg = _auto_config(probe, rng, samples_n, bins)
         self.cfg = cfg
-        self._singles: dict[LossDirection, DiscretePRV] = {}
-        self._spectra: dict[LossDirection, np.ndarray] = {}
-        for direction in directions_for(spec):
-            draw_rng = gen if gen is not None else derive_rng(
-                seed, "ledger", spec.to_dict(), cfg.to_dict(), direction.value)
-            one = discretize_from_samples(
-                lambda r, c: sample_prv(spec, direction, r, c), cfg, draw_rng,
-                source=f"ledger:{direction.value}")
-            self._singles[direction] = one
-            self._spectra[direction] = _spectrum(one)
+        self._singles = _discretize_directions(spec, cfg, rng, "ledger")
         self._eps_cache: dict[tuple[int, float], float] = {}
 
     def composed(self, k: int) -> dict[LossDirection, DiscretePRV]:
         if not 1 <= k <= self.k_cap:
             raise ParameterError(f"k must lie in [1, {self.k_cap}], got {k}")
-        out = {}
-        for direction, one in self._singles.items():
-            out[direction] = _from_spectrum(
-                self._spectra[direction] ** k, one.probs.size, one.mesh_h,
-                k * one.offset, k, one.tail_upper, one.acceptance,
-                f"ledger:{direction.value}^{k}")
-        return out
+        return {direction: compose([(one, k)])
+                for direction, one in self._singles.items()}
 
     def epsilon_at(self, k: int, delta: float) -> float:
         key = (int(k), float(delta))

@@ -10,7 +10,8 @@ a manifest and checks that every output reproduces those hashes.
 Grids are written either as comma lists (``1,1.5,2``) or as
 ``start:stop:count`` (``1:4:13``).  A ``--config FILE`` of ``key = value``
 lines (keys matching the long flag names) supplies defaults; explicit flags
-win.  Exit codes: 0 on success, 1 on domain errors, 2 on usage errors.
+win.  Exit codes: 0 on success, 1 on domain errors and unreadable files,
+2 on usage errors.
 """
 
 from __future__ import annotations
@@ -47,20 +48,31 @@ _SUBCOMMANDS: dict[str, tuple[argparse.ArgumentParser, object]] = {}
 # ---------------------------------------------------------------------------
 
 
+def _convert(kind, token: str, what: str):
+    """``kind(token)``, or a `ParameterError` naming ``what`` and the token."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise ParameterError(f"{what}: {token!r} is not a valid "
+                             f"{kind.__name__}") from None
+
+
 def parse_grid(text: str) -> list[float]:
     """'1,1.5,2' -> that list; '1:4:13' -> 13 evenly spaced points."""
     text = text.strip()
+    where = f"grid {text!r}"
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ParameterError(f"grid {text!r} must be start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+            raise ParameterError(f"{where} must be start:stop:count")
+        start, stop = (_convert(float, p, where) for p in parts[:2])
+        count = _convert(int, parts[2], where)
         if count < 1:
             raise ParameterError("grid count must be >= 1")
         return [float(v) for v in np.linspace(start, stop, count)]
-    values = [float(p) for p in text.split(",") if p.strip()]
+    values = [_convert(float, p, where) for p in text.split(",") if p.strip()]
     if not values:
-        raise ParameterError(f"grid {text!r} is empty")
+        raise ParameterError(f"{where} is empty")
     return values
 
 
@@ -153,10 +165,11 @@ def _apply_config_defaults(sub: argparse.ArgumentParser,
         if isinstance(action, (argparse._StoreTrueAction,)):
             defaults[dest] = raw.lower() in ("1", "true", "yes", "on")
         elif isinstance(action, argparse._AppendAction):
-            one = action.type(raw) if action.type else raw
+            one = _convert(action.type, raw, f"config key {key!r}") \
+                if action.type else raw
             defaults[dest] = [one]
         elif action.type is not None:
-            defaults[dest] = action.type(raw)
+            defaults[dest] = _convert(action.type, raw, f"config key {key!r}")
         else:
             defaults[dest] = raw
     sub.set_defaults(**defaults)
@@ -600,7 +613,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return 2
         return args._handler(args, _SUBCOMMANDS[args._name][0])
-    except GGPrivacyError as exc:
+    except (GGPrivacyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

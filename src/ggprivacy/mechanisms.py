@@ -230,7 +230,9 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     An empty batch still takes a (noise-only) step.  When a target epsilon is
     set, the step budget is fixed up front from the composition ledger and
     the loop halts there.  Accounting (a target epsilon or a ``ledger``)
-    requires ``beta <= 2``; unaccounted training accepts any shape.
+    requires ``beta <= 2``; unaccounted training accepts any shape.  A
+    passed ``ledger`` must account the noise added, ``MechanismSpec(
+    GGParams(beta, sigma * clip_norm), clip_norm, q, 1)``.
     """
     X, y = train_data
     X = np.asarray(X, dtype=np.float64)
@@ -251,8 +253,14 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
             f"cannot account training with beta={cfg.noise.beta:g} > 2: the "
             "ledger reduces the d-dimensional l_beta-clipped update to one "
             "dimension, and that dimension reduction only holds for beta <= 2")
-    spec = MechanismSpec(cfg.noise, cfg.clip_norm,
+    # Account the noise actually added: GG(beta, sigma * C) on a sum whose
+    # sensitivity is C, i.e. ratio 1/sigma whatever the clip norm C.
+    noise_params = GGParams(cfg.noise.beta, cfg.noise.sigma * cfg.clip_norm)
+    spec = MechanismSpec(noise_params, cfg.clip_norm,
                          None if q == 1.0 else q, 1)
+    if ledger is not None and ledger.spec != spec:
+        raise ParameterError(
+            f"ledger accounts {ledger.spec}, but this run releases {spec}")
     if cfg.target_epsilon is not None and ledger is None:
         ledger = CompositionLedger(spec, rng=None,
                                    k_cap=max(1, planned),
@@ -264,7 +272,6 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     total = planned if budget is None else min(planned, budget)
 
     params = model.init_params(rng)
-    noise_params = GGParams(cfg.noise.beta, cfg.noise.sigma * cfg.clip_norm)
     history: list[dict] = []
     steps = 0
     for epoch in range(1, cfg.epochs + 1):

@@ -226,12 +226,3 @@ def laplace_prv_cdf(x, scale: float, sensitivity: float):
     t0 = (delta - b * arr[mid]) / 2.0
     out[mid] = 0.5 * np.exp(-t0 / b)
     return float(out[0]) if np.ndim(x) == 0 else out
-
-
-def reference_prv_cdf(kind: str, x, **params):
-    """Dispatch to a named closed-form PRV CDF ('gaussian' or 'laplace')."""
-    if kind == "gaussian":
-        return gaussian_prv_cdf(x, **params)
-    if kind == "laplace":
-        return laplace_prv_cdf(x, **params)
-    raise ParameterError(f"unknown reference mechanism {kind!r}")

@@ -31,7 +31,6 @@ from ggprivacy import (
     discretize_from_cdf,
     discretize_from_samples,
     error_bounds,
-    self_compose,
 )
 from ggprivacy.prv import gaussian_prv_cdf, laplace_prv_cdf
 
@@ -230,7 +229,7 @@ def test_compose_point_masses_and_offsets():
     a = np.zeros(size)
     a[3] = 1.0       # support index +1
     prv = DiscretePRV(probs=a, mesh_h=1.0, offset=0.25, source="pt")
-    two = self_compose(prv, 2)
+    two = compose([(prv, 2)])
     expected = np.zeros(size)
     expected[4] = 1.0  # +1 twice = +2
     npt.assert_allclose(two.probs, expected, atol=1e-12)
@@ -243,7 +242,7 @@ def test_compose_wraps_circularly():
     a = np.zeros(size)
     a[4] = 1.0       # support index +2 on a grid of halfwidth 2
     prv = DiscretePRV(probs=a, mesh_h=1.0, source="pt")
-    two = self_compose(prv, 2)
+    two = compose([(prv, 2)])
     # +2 + 2 = +4 = -1 (mod 5 cells): wraparound is charged to the
     # certificate, never redistributed.
     expected = np.zeros(size)
@@ -388,3 +387,20 @@ def test_ledger_budget_exhausted():
     tiny = CompositionLedger(spec, k_cap=4, samples_n=30_000, bins=2 ** 12)
     with pytest.raises(BudgetExhaustedError, match="single step"):
         tiny.max_steps(0.5, 1e-5)
+
+
+def test_ledger_shares_account_discretization():
+    # The ledger and account draw and compose through one path, so from the
+    # same generator they produce the same composed PRVs bit for bit.
+    cfg = AccountantConfig.from_bins(6.0, bins=2 ** 12, samples_n=30_000)
+    noise = GGParams(1.5, 2.0)
+    k = 7
+    ledger = CompositionLedger(MechanismSpec(noise, 1.0, 0.05, 1), cfg,
+                               rng=np.random.default_rng(4), k_cap=k)
+    direct = account(MechanismSpec(noise, 1.0, 0.05, k), cfg,
+                     rng=np.random.default_rng(4), delta=1e-5).composed
+    got = ledger.composed(k)
+    assert set(got) == set(direct) == {LossDirection.REMOVE, LossDirection.ADD}
+    for direction, prv in got.items():
+        assert prv.probs.tobytes() == direct[direction].probs.tobytes()
+        assert prv.offset.hex() == direct[direction].offset.hex()

@@ -31,6 +31,10 @@ def test_parse_grid_forms():
         parse_grid("1:2:0")
     with pytest.raises(ParameterError):
         parse_grid(",")
+    with pytest.raises(ParameterError, match="'x'"):
+        parse_grid("1,x")
+    with pytest.raises(ParameterError, match="'x'"):
+        parse_grid("1:2:x")
 
 
 @pytest.mark.parametrize("name", SUBCOMMANDS)
@@ -123,6 +127,20 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert main(["sample", "--config", str(cfg), "--beta", "2",
                  "--sigma", "1", "-n", "2"]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_bad_config_value_and_missing_file_exit_one(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("tolerance = abc\n")
+    assert main(["solve-sigma", "--config", str(cfg), "--beta", "2",
+                 "--epsilon", "1", "--delta", "1e-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'tolerance'" in err and "'abc'" in err
+    missing = tmp_path / "absent.csv"
+    assert main(["pate-label", "--histograms", str(missing), "--betas", "2",
+                 "--sigmas", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "absent.csv" in err
 
 
 def test_config_without_subcommand_is_usage_error(tmp_path):

@@ -308,6 +308,35 @@ def test_train_halts_at_budget(rng):
     assert result.epsilon <= cfg.target_epsilon
 
 
+def test_train_accounts_the_noise_it_adds_at_any_clip_norm(rng):
+    # Clip norm C adds GG(beta, sigma * C) to a sum of sensitivity C, so the
+    # ledger must account that spec, not (sigma, C).
+    model, data = small_problem(rng)
+    cfg = TrainConfig(batch_size=30, epochs=2, clip_norm=0.25,
+                      noise=GGParams(2.0, 3.0), target_epsilon=50.0,
+                      ledger_samples=30_000, ledger_bins=2 ** 12)
+    result = train_noisy_sgd(model, data, cfg, np.random.default_rng(3))
+    assert result.steps == 2 * 4
+    kwargs = dict(k_cap=2 * 4, samples_n=30_000, bins=2 ** 12)
+    released = CompositionLedger(
+        MechanismSpec(GGParams(2.0, 3.0 * 0.25), 0.25, 30 / 120, 1), **kwargs)
+    assert result.epsilon == released.epsilon_at(result.steps, cfg.target_delta)
+    mislabelled = CompositionLedger(
+        MechanismSpec(cfg.noise, 0.25, 30 / 120, 1), **kwargs)
+    assert mislabelled.epsilon_at(result.steps, cfg.target_delta) \
+        < result.epsilon
+
+
+def test_train_rejects_a_ledger_for_other_noise(rng):
+    model, data = small_problem(rng)
+    cfg = TrainConfig(batch_size=30, clip_norm=0.25, noise=GGParams(2.0, 3.0))
+    ledger = CompositionLedger(MechanismSpec(cfg.noise, 0.25, 30 / 120, 1),
+                               k_cap=2, samples_n=30_000, bins=2 ** 12)
+    with pytest.raises(ParameterError,
+                       match=r"ledger accounts .*sigma=3\.0.*releases .*sigma=0\.75"):
+        train_noisy_sgd(model, data, cfg, rng, ledger=ledger)
+
+
 def test_train_refuses_to_account_beta_above_two(rng):
     # The ledger's 1-D loss under-states a d-dimensional beta > 2 release.
     model, data = small_problem(rng)

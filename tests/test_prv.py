@@ -26,7 +26,6 @@ from ggprivacy.prv import (
     laplace_prv_cdf,
     loss_function,
     multidim_prv_sample,
-    reference_prv_cdf,
     sample_prv,
     subsampled_loss_function,
 )
@@ -259,11 +258,3 @@ def test_laplace_prv_cdf_matches_sampled_law(rng):
     # beta=1 losses land within rounding of the edge, not exactly on it).
     assert abs(np.mean(np.abs(y - 1.0) < 1e-9) - 0.5) < 0.01
     assert abs(np.mean(np.abs(y + 1.0) < 1e-9) - 0.5 * math.exp(-1.0)) < 0.01
-
-
-def test_reference_prv_cdf_dispatch():
-    assert reference_prv_cdf("gaussian", 0.5, noise_std=1.0, sensitivity=1.0) == 0.5
-    got = reference_prv_cdf("laplace", 1.0, scale=1.0, sensitivity=1.0)
-    assert got == 1.0
-    with pytest.raises(ParameterError):
-        reference_prv_cdf("cauchy", 0.0)
