@@ -6,7 +6,9 @@ jitter; because probes are deterministic functions of (mechanism, config,
 seed), a given solve is exactly reproducible.  Observed non-monotonicity
 beyond half the solve tolerance aborts with
 `AccountingInconsistencyError` rather than returning a sigma the evidence
-does not support.
+does not support.  `equivalent_family` solves one sigma per shape at a
+shared target, and `tail_weight` reads the tail masses of such a solved
+family.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from scipy.signal import savgol_filter
 
 from . import ggdist
-from .accountant import AccountantConfig, account
+from .accountant import (DEFAULT_BINS, DEFAULT_SAMPLES, AccountantConfig,
+                         account)
 from .errors import AccountingInconsistencyError, ParameterError, SolverError
 from .ggdist import GGParams
 from .prv import MechanismSpec
@@ -84,8 +87,8 @@ def solve_sigma(beta: float, target: PrivacyTarget,
                 cfg: AccountantConfig | None = None, rng=None, *,
                 tolerance: float = DEFAULT_TOLERANCE,
                 sensitivity: float = 1.0,
-                samples_n: int | None = None,
-                bins: int | None = None) -> SolveResult:
+                samples_n: int = DEFAULT_SAMPLES,
+                bins: int = DEFAULT_BINS) -> SolveResult:
     """Smallest noise scale meeting ``target``, to within ``tolerance`` in
     epsilon.
 
@@ -98,19 +101,14 @@ def solve_sigma(beta: float, target: PrivacyTarget,
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ParameterError(f"tolerance must be positive, got {tolerance!r}")
-    extra = {}
-    if samples_n is not None:
-        extra["samples_n"] = samples_n
-    if bins is not None:
-        extra["bins"] = bins
-
     evals: dict[float, float] = {}
 
     def probe(sigma: float) -> float:
         if sigma not in evals:
             spec = MechanismSpec(GGParams(beta, sigma), sensitivity,
                                  target.sample_rate, target.compositions)
-            result = account(spec, cfg, delta=target.delta, rng=rng, **extra)
+            result = account(spec, cfg, delta=target.delta, rng=rng,
+                             samples_n=samples_n, bins=bins)
             evals[sigma] = result.epsilon
             _check_monotone(evals, 0.5 * tolerance)
         return evals[sigma]
@@ -133,11 +131,13 @@ def solve_sigma(beta: float, target: PrivacyTarget,
             f"no sigma in [1, {sigma_max:g}] brings epsilon below "
             f"{target.epsilon:g}; target may be out of range")
 
+    stopped_by = f"the {_MAX_BISECT_STEPS}-step bisection limit"
     for _ in range(_MAX_BISECT_STEPS):
         if abs(evals[sigma_max] - target.epsilon) <= 0.5 * tolerance:
             break
         mid = 0.5 * (sigma_min + sigma_max)
-        if mid in (sigma_min, sigma_max):  # bracket exhausted float resolution
+        if mid in (sigma_min, sigma_max):
+            stopped_by = "the bracket reaching float resolution"
             break
         if probe(mid) > target.epsilon:
             sigma_min = mid
@@ -146,8 +146,9 @@ def solve_sigma(beta: float, target: PrivacyTarget,
     if abs(evals[sigma_max] - target.epsilon) > 0.5 * tolerance:
         raise SolverError(
             f"bisection did not land within {0.5 * tolerance:g} of "
-            f"epsilon = {target.epsilon:g} after {_MAX_BISECT_STEPS} probes; "
-            f"closest was {evals[sigma_max]:.6g} at sigma = {sigma_max:.6g}")
+            f"epsilon = {target.epsilon:g} after {len(evals)} probes, stopped "
+            f"by {stopped_by}; closest was {evals[sigma_max]:.6g} at "
+            f"sigma = {sigma_max:.6g}")
 
     return SolveResult(sigma=sigma_max, bracket=(sigma_min, sigma_max),
                        epsilon=evals[sigma_max], probes=len(evals),
@@ -173,8 +174,8 @@ class FamilyResult:
 def equivalent_family(betas, target: PrivacyTarget,
                       cfg: AccountantConfig | None = None, rng=None, *,
                       tolerance: float = DEFAULT_TOLERANCE,
-                      samples_n: int | None = None,
-                      bins: int | None = None) -> FamilyResult:
+                      samples_n: int = DEFAULT_SAMPLES,
+                      bins: int = DEFAULT_BINS) -> FamilyResult:
     """Solve sigma for every shape in ``betas`` at one shared target."""
     beta_list = [float(b) for b in np.atleast_1d(np.asarray(betas, dtype=np.float64))]
     if not beta_list:
@@ -205,27 +206,24 @@ class TailWeightResult:
     family: FamilyResult
 
 
-def tail_weight(betas, target: PrivacyTarget, cutoffs,
-                cfg: AccountantConfig | None = None, rng=None, *,
-                family: FamilyResult | None = None, smooth: bool = False,
-                tolerance: float = DEFAULT_TOLERANCE,
-                samples_n: int | None = None,
-                bins: int | None = None) -> TailWeightResult:
-    """Two-sided tail mass w = 2 (1 - F(tau)) of each equivalent-privacy
-    noise at each cutoff.
+def _cutoff_list(cutoffs) -> list[float]:
+    values = [float(c) for c in np.atleast_1d(np.asarray(cutoffs, dtype=np.float64))]
+    if not values or any(c <= 0 or not math.isfinite(c) for c in values):
+        raise ParameterError("cutoffs must be positive and finite")
+    return values
+
+
+def tail_weight(family: FamilyResult, cutoffs, *,
+                smooth: bool = False) -> TailWeightResult:
+    """Two-sided tail mass w = 2 (1 - F(tau)) of each noise of a solved
+    ``family`` (see `equivalent_family`) at each cutoff.
 
     For beta = 2 this reduces to erfc(tau / sigma).  With ``smooth=True`` a
     Savitzky-Golay pass (order 2, window 5) over the beta axis is attached
     per cutoff; raw weights are always reported.
     """
-    cutoff_list = [float(c) for c in np.atleast_1d(np.asarray(cutoffs, dtype=np.float64))]
-    if not cutoff_list or any(c <= 0 or not math.isfinite(c) for c in cutoff_list):
-        raise ParameterError("cutoffs must be positive and finite")
-    if family is None:
-        family = equivalent_family(betas, target, cfg, rng, tolerance=tolerance,
-                                   samples_n=samples_n, bins=bins)
     points: list[TailWeightPoint] = []
-    for tau in cutoff_list:
+    for tau in _cutoff_list(cutoffs):
         raw = []
         for fp in family.points:
             w = 2.0 * (1.0 - ggdist.cdf(GGParams(fp.beta, fp.sigma), tau))

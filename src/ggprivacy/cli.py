@@ -28,7 +28,8 @@ import numpy as np
 from . import __version__, ggdist
 from .accountant import (DEFAULT_BINS, DEFAULT_SAMPLES, DEFAULT_SEED,
                          AccountantConfig, account, derive_rng)
-from .calibrate import (PrivacyTarget, equivalent_family, family_from_csv,
+from .calibrate import (DEFAULT_TOLERANCE, FamilyResult, PrivacyTarget,
+                        _cutoff_list, equivalent_family, family_from_csv,
                         family_to_csv, solve_sigma, tail_weight,
                         tail_weights_to_csv)
 from .errors import GGPrivacyError, ParameterError
@@ -152,6 +153,10 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+_FLAG_TRUE = ("1", "true", "yes", "on")
+_FLAG_FALSE = ("0", "false", "no", "off")
+
+
 def _apply_config_defaults(sub: argparse.ArgumentParser,
                            values: dict[str, str]) -> None:
     by_dest = {a.dest: a for a in sub._actions}
@@ -162,8 +167,13 @@ def _apply_config_defaults(sub: argparse.ArgumentParser,
         if action is None:
             raise ParameterError(f"config key {key!r} matches no flag of this "
                                  "subcommand")
-        if isinstance(action, (argparse._StoreTrueAction,)):
-            defaults[dest] = raw.lower() in ("1", "true", "yes", "on")
+        if isinstance(action, argparse._StoreTrueAction):
+            word = raw.lower()
+            if word not in _FLAG_TRUE + _FLAG_FALSE:
+                raise ParameterError(
+                    f"config key {key!r}: {raw!r} is not a flag value "
+                    f"(one of {', '.join(_FLAG_TRUE + _FLAG_FALSE)})")
+            defaults[dest] = word in _FLAG_TRUE
         elif isinstance(action, argparse._AppendAction):
             one = _convert(action.type, raw, f"config key {key!r}") \
                 if action.type else raw
@@ -208,6 +218,13 @@ def _add_target_args(sub: argparse.ArgumentParser) -> None:
                      help="Poisson inclusion probability (omit: no subsampling)")
 
 
+def _add_calibration_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                     help="solver tolerance in epsilon (default %(default)s)")
+    _add_target_args(sub)
+    _add_accountant_args(sub)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ggprivacy",
@@ -241,17 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = register("solve-sigma", "invert the accountant in sigma", _cmd_solve_sigma)
     sub.add_argument("--beta", type=float, default=None)
     sub.add_argument("--sensitivity", type=float, default=1.0)
-    sub.add_argument("--tolerance", type=float, default=0.05)
-    _add_target_args(sub)
-    _add_accountant_args(sub)
+    _add_calibration_args(sub)
     _add_common(sub)
 
     sub = register("family", "equal-privacy noise family over shapes", _cmd_family)
     sub.add_argument("--betas", default=None,
                      help="shape grid, '1,1.5,2' or start:stop:count")
-    sub.add_argument("--tolerance", type=float, default=0.05)
-    _add_target_args(sub)
-    _add_accountant_args(sub)
+    _add_calibration_args(sub)
     _add_common(sub)
 
     sub = register("tail-weight", "tail mass of equal-privacy noises",
@@ -261,9 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="tail cutoff (repeatable)")
     sub.add_argument("--smooth", action="store_true",
                      help="attach a Savitzky-Golay smoothed column")
-    sub.add_argument("--tolerance", type=float, default=0.05)
-    _add_target_args(sub)
-    _add_accountant_args(sub)
+    _add_calibration_args(sub)
     _add_common(sub)
 
     sub = register("simulate-argmax", "hardmax utility sweep over gap ratios",
@@ -274,9 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--histograms-per-r", type=int, default=500)
     sub.add_argument("--trials", type=int, default=50)
     sub.add_argument("--r-grid", default="0.001:0.2:20")
-    sub.add_argument("--tolerance", type=float, default=0.05)
-    _add_target_args(sub)
-    _add_accountant_args(sub)
+    _add_calibration_args(sub)
     _add_common(sub)
 
     sub = register("pate-label", "label accuracy over teacher-vote histograms",
@@ -345,6 +354,18 @@ def _config_from(args) -> AccountantConfig | None:
                                       samples_n=args.samples)
 
 
+def _target_from(args) -> PrivacyTarget:
+    return PrivacyTarget(args.epsilon, args.delta, args.compositions,
+                         args.sample_rate)
+
+
+def _family_from(args, seed: int) -> FamilyResult:
+    return equivalent_family(parse_grid(args.betas), _target_from(args),
+                             _config_from(args), rng=seed,
+                             tolerance=args.tolerance, samples_n=args.samples,
+                             bins=args.bins)
+
+
 def _cmd_epsilon(args, sub) -> int:
     _require(args, sub, "beta", "sigma")
     if (args.epsilon is None) == (args.delta is None):
@@ -370,8 +391,7 @@ def _cmd_epsilon(args, sub) -> int:
 def _cmd_solve_sigma(args, sub) -> int:
     _require(args, sub, "beta", "epsilon", "delta")
     seed = _resolve_seed(args)
-    target = PrivacyTarget(args.epsilon, args.delta, args.compositions,
-                           args.sample_rate)
+    target = _target_from(args)
     result = solve_sigma(args.beta, target, _config_from(args), rng=seed,
                          tolerance=args.tolerance, sensitivity=args.sensitivity,
                          samples_n=args.samples, bins=args.bins)
@@ -390,12 +410,7 @@ def _cmd_solve_sigma(args, sub) -> int:
 def _cmd_family(args, sub) -> int:
     _require(args, sub, "betas", "epsilon", "delta")
     seed = _resolve_seed(args)
-    target = PrivacyTarget(args.epsilon, args.delta, args.compositions,
-                           args.sample_rate)
-    result = equivalent_family(parse_grid(args.betas), target,
-                               _config_from(args), rng=seed,
-                               tolerance=args.tolerance,
-                               samples_n=args.samples, bins=args.bins)
+    result = _family_from(args, seed)
     print(f"sigma monotone in beta: {result.sigma_monotone}")
     _emit(family_to_csv(result), args.out, "family", args, seed)
     return 0
@@ -404,12 +419,9 @@ def _cmd_family(args, sub) -> int:
 def _cmd_tail_weight(args, sub) -> int:
     _require(args, sub, "betas", "epsilon", "delta", "cutoff")
     seed = _resolve_seed(args)
-    target = PrivacyTarget(args.epsilon, args.delta, args.compositions,
-                           args.sample_rate)
-    result = tail_weight(parse_grid(args.betas), target, args.cutoff,
-                         _config_from(args), rng=seed, smooth=args.smooth,
-                         tolerance=args.tolerance, samples_n=args.samples,
-                         bins=args.bins)
+    _cutoff_list(args.cutoff)  # fail before the family is solved
+    result = tail_weight(_family_from(args, seed), args.cutoff,
+                         smooth=args.smooth)
     _emit(tail_weights_to_csv(result), args.out, "tail-weight", args, seed)
     return 0
 
@@ -417,12 +429,8 @@ def _cmd_tail_weight(args, sub) -> int:
 def _cmd_simulate_argmax(args, sub) -> int:
     _require(args, sub, "betas", "epsilon", "delta")
     seed = _resolve_seed(args)
-    target = PrivacyTarget(args.epsilon, args.delta, args.compositions,
-                           args.sample_rate)
-    family = equivalent_family(parse_grid(args.betas), target,
-                               _config_from(args), rng=seed,
-                               tolerance=args.tolerance,
-                               samples_n=args.samples, bins=args.bins)
+    family = _family_from(args, seed)
+    target = family.target
     sim_cfg = SimConfig(num_classes=args.classes, total_votes=args.total_votes,
                         runner_up_grid=tuple(parse_grid(args.r_grid)),
                         histograms_per_r=args.histograms_per_r,
@@ -528,17 +536,8 @@ def _cmd_replay(args, sub) -> int:
     """
     with open(args.manifest) as fh:
         recorded = fh.read()
-    manifest = json.loads(recorded)
-    expected = {}
-    for entry in manifest.get("outputs", []):
-        if isinstance(entry, str):  # a bare name: no hash was recorded
-            entry = {"name": entry}
-        expected[entry["name"]] = entry.get("sha256")
-    command = manifest["command"]
-    if command not in _SUBCOMMANDS:
-        raise ParameterError(f"manifest names unknown subcommand {command!r}")
+    command, stored, expected = _read_manifest(args.manifest, recorded)
     parser, _ = _SUBCOMMANDS[command]
-    stored = dict(manifest["arguments"])
     argv = [command]
     for action in parser._actions:
         if not action.option_strings or action.dest in ("help", "config"):
@@ -557,12 +556,10 @@ def _cmd_replay(args, sub) -> int:
                 argv.extend([flag, _argtext(item)])
         else:
             argv.extend([flag, _argtext(value)])
-    if not expected:
-        raise ParameterError(f"manifest {args.manifest} records no outputs")
     rc = main(argv)
     if rc != 0:
         return rc
-    out_dir = os.path.dirname(stored.get("out") or "")
+    out_dir = os.path.dirname(stored["out"])
     for name, digest in expected.items():
         path = os.path.join(out_dir, name)
         if digest is None:
@@ -576,6 +573,41 @@ def _cmd_replay(args, sub) -> int:
         print(f"error: replayed output {path} {problem}", file=sys.stderr)
         return 1
     return 0
+
+
+def _read_manifest(path: str, text: str) -> tuple[str, dict, dict]:
+    """``(command, arguments, {output name: SHA-256 or None})`` of a
+    manifest, or a `ParameterError` naming the field that is malformed."""
+    def bad(problem: str) -> ParameterError:
+        return ParameterError(f"manifest {path}: {problem}")
+
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise bad(f"not JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise bad("not a JSON object")
+    command = manifest.get("command")
+    if not isinstance(command, str) or command not in _SUBCOMMANDS \
+            or command == "replay":
+        raise bad(f"'command' names unknown subcommand {command!r}")
+    stored = manifest.get("arguments")
+    if not isinstance(stored, dict) or not isinstance(stored.get("out"), str):
+        raise bad("'arguments' must be an object holding the 'out' path")
+    outputs = manifest.get("outputs")
+    if not isinstance(outputs, list) or not outputs:
+        raise bad(f"'outputs' must be a non-empty list, got {outputs!r}")
+    expected = {}
+    for entry in outputs:
+        if isinstance(entry, str):  # a bare name: no hash was recorded
+            expected[entry] = None
+        elif isinstance(entry, dict) and set(entry) == {"name", "sha256"} \
+                and all(isinstance(v, str) for v in entry.values()):
+            expected[entry["name"]] = entry["sha256"]
+        else:
+            raise bad(f"'outputs' entry {entry!r} is neither a name nor a "
+                      "{'name', 'sha256'} object")
+    return command, stored, expected
 
 
 def _argtext(value) -> str:

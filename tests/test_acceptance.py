@@ -276,8 +276,7 @@ def test_criterion_08_tail_weights():
     fam = equivalent_family([1.0, 1.5, 2.0, 2.5, 3.0], target,
                             tolerance=0.05, **ACCT)
     cutoffs = (1.0, 2.0, 4.0)
-    tw = tail_weight([p.beta for p in fam.points], target, cutoffs,
-                     family=fam)
+    tw = tail_weight(fam, cutoffs)
     for tau in cutoffs:
         rows = [p for p in tw.points if p.tau == tau]
         gauss = next(p for p in rows if p.beta == 2.0)

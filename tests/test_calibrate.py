@@ -98,13 +98,20 @@ def test_solve_sigma_gap_at_target_is_reported(monkeypatch):
 
     from ggprivacy import calibrate
 
+    calls = []
+
     def fake_account(spec, cfg=None, **kwargs):
+        calls.append(spec.noise.sigma)
         eps = 2.5 if spec.noise.sigma < 2.0 else 1.5
         return SimpleNamespace(epsilon=eps)
 
     monkeypatch.setattr(calibrate, "account", fake_account)
-    with pytest.raises(SolverError, match="did not land within"):
+    with pytest.raises(SolverError, match="did not land within") as exc:
         solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), tolerance=0.05)
+    # The message counts the probes that actually ran and names the stop.
+    assert f"after {len(calls)} probes" in str(exc.value)
+    assert len(calls) < 200
+    assert "float resolution" in str(exc.value)
 
 
 def test_solve_sigma_validation():
@@ -164,7 +171,7 @@ def synthetic_family(betas, sigmas) -> FamilyResult:
 
 def test_tail_weight_gaussian_closed_form():
     fam = synthetic_family([1.0, 2.0], [1.3, 2.1])
-    result = tail_weight([1.0, 2.0], fam.target, [1.0, 2.0, 4.0], family=fam)
+    result = tail_weight(fam, [1.0, 2.0, 4.0])
     for p in result.points:
         if p.beta == 2.0:
             assert p.weight == pytest.approx(
@@ -177,9 +184,9 @@ def test_tail_weight_gaussian_closed_form():
 def test_tail_weight_smoothing_column():
     betas = [1.0, 1.5, 2.0, 2.5, 3.0]
     fam = synthetic_family(betas, [1.0, 1.2, 1.4, 1.6, 1.8])
-    smooth = tail_weight(betas, fam.target, [1.0], family=fam, smooth=True)
+    smooth = tail_weight(fam, [1.0], smooth=True)
     assert all(p.weight_smoothed is not None for p in smooth.points)
-    rough = tail_weight(betas, fam.target, [1.0], family=fam, smooth=False)
+    rough = tail_weight(fam, [1.0], smooth=False)
     assert all(p.weight_smoothed is None for p in rough.points)
     text = tail_weights_to_csv(smooth)
     header = text.strip().splitlines()[0]
@@ -190,6 +197,6 @@ def test_tail_weight_smoothing_column():
 def test_tail_weight_validates_cutoffs():
     fam = synthetic_family([2.0], [1.0])
     with pytest.raises(ParameterError):
-        tail_weight([2.0], fam.target, [], family=fam)
+        tail_weight(fam, [])
     with pytest.raises(ParameterError):
-        tail_weight([2.0], fam.target, [-1.0], family=fam)
+        tail_weight(fam, [-1.0])

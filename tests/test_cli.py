@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from ggprivacy.cli import main, parse_grid
+from ggprivacy.cli import (_SUBCOMMANDS, _apply_config_defaults,
+                           build_parser, main, parse_grid)
 from ggprivacy.errors import ParameterError
 from ggprivacy.simulate import histograms_to_csv, build_histogram
 
@@ -143,6 +144,25 @@ def test_bad_config_value_and_missing_file_exit_one(tmp_path, capsys):
     assert err.startswith("error:") and "absent.csv" in err
 
 
+def test_config_misspelt_flag_value_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "tails.cfg"
+    cfg.write_text("smooth = ture\n")
+    assert main(["tail-weight", "--config", str(cfg), "--betas", "1,2",
+                 "--cutoff", "1", "--epsilon", "2", "--delta", "1e-3",
+                 *FAST_ACCT]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'smooth'" in err and "'ture'" in err
+
+
+@pytest.mark.parametrize("word,value", [("TRUE", True), ("On", True),
+                                        ("NO", False), ("0", False)])
+def test_config_flag_values(word, value):
+    build_parser()
+    sub = _SUBCOMMANDS["tail-weight"][0]
+    _apply_config_defaults(sub, {"smooth": word})
+    assert sub.get_default("smooth") is value
+
+
 def test_config_without_subcommand_is_usage_error(tmp_path):
     cfg = tmp_path / "x.cfg"
     cfg.write_text("beta = 2\n")
@@ -238,6 +258,29 @@ def test_replay_rejects_unknown_command(tmp_path, capsys):
                                "seed": 1, "outputs": []}))
     assert main(["replay", str(bad)]) == 1
     assert "frobnicate" in capsys.readouterr().err
+
+
+SAMPLE_ARGS = {"beta": 2.0, "sigma": 1.0, "count": 3, "seed": 1, "out": "o.txt"}
+
+
+@pytest.mark.parametrize("manifest,field", [
+    ("{not json", "JSON"),
+    ({"outputs": [{"name": "a"}]}, "'command'"),
+    ({"command": "sample", "arguments": SAMPLE_ARGS, "outputs": "o.txt"},
+     "'outputs'"),
+    ({"command": "sample", "arguments": [], "outputs": ["o.txt"]},
+     "'arguments'"),
+], ids=["not-json", "no-command", "outputs-string", "arguments-list"])
+def test_replay_rejects_malformed_manifest_before_running(
+        tmp_path, capsys, monkeypatch, manifest, field):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "o.txt.manifest.json"
+    bad.write_text(manifest if isinstance(manifest, str)
+                   else json.dumps(manifest))
+    assert main(["replay", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(bad) in err and field in err
+    assert [p.name for p in tmp_path.iterdir()] == [bad.name]
 
 
 # -- calibration commands -------------------------------------------------------------
