@@ -607,6 +607,9 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
         raise ParameterError("provide exactly one of epsilon= or delta=")
     if epsilon is not None and (not math.isfinite(epsilon) or epsilon < 0):
         raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if not isinstance(curve_points, (int, np.integer)) or curve_points < 2:
+        raise ParameterError(
+            f"curve_points must be an integer >= 2, got {curve_points!r}")
 
     if cfg is None:
         cfg = _auto_config(spec, rng, samples_n, bins)

@@ -255,13 +255,22 @@ def family_from_csv(text: str) -> list[FamilyPoint]:
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "beta,sigma":
         raise ParameterError("family CSV must start with header 'beta,sigma'")
+    if len(lines) == 1:
+        raise ParameterError("family CSV has a header but no data rows")
     points = []
     for idx, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 2:
             raise ParameterError(f"family CSV row {idx}: expected 2 columns")
-        points.append(FamilyPoint(beta=float(parts[0]), sigma=float(parts[1]),
-                                  epsilon=math.nan))
+        values = {}
+        for column, cell in zip(("beta", "sigma"), parts):
+            try:
+                values[column] = float(cell)
+            except ValueError:
+                raise ParameterError(
+                    f"family CSV row {idx}: {column} {cell.strip()!r} is not "
+                    "a number") from None
+        points.append(FamilyPoint(**values, epsilon=math.nan))
     return points
 
 

@@ -4,14 +4,17 @@ Every run is reproducible: the effective seed comes from ``--seed``, else the
 ``GG_PRIVACY_SEED`` environment variable, else the documented default
 (61803398), and every file-producing run writes a ``<output>.manifest.json``
 next to its artifact recording the subcommand, the fully resolved arguments,
-that seed, and the SHA-256 of each output.  ``replay <manifest>`` re-executes
-a manifest and checks that every output reproduces those hashes.
+that seed, and the SHA-256 of each output.
 
 Grids are written either as comma lists (``1,1.5,2``) or as
 ``start:stop:count`` (``1:4:13``).  A ``--config FILE`` of ``key = value``
 lines (keys matching the long flag names) supplies defaults; explicit flags
-win.  Exit codes: 0 on success, 1 on domain errors and unreadable files,
-2 on usage errors.
+win.  ``replay <manifest>`` applies a manifest's recorded arguments the way a
+config file applies its values, so both are checked the same way; it then
+re-runs the subcommand and checks that every output reproduces its recorded
+hash.
+Exit codes: 0 on success, 1 on domain errors, bad config or manifest values
+and unreadable files, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .simulate import (ResultRow, SimConfig, hardmax_utility, histograms_from_cs
                        make_histograms, normalized_auc, pate_label_accuracy,
                        results_to_csv)
 
-_SUBCOMMANDS: dict[str, tuple[argparse.ArgumentParser, object]] = {}
+_SUBCOMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -102,37 +105,34 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, args: argparse.Namespace,
-                    seed: int, outputs: list[str]) -> str:
-    """Write ``<out_path>.manifest.json``; ``outputs`` are the written paths."""
+def _write_manifest(args: argparse.Namespace, outputs: list[str]) -> str:
+    """Write ``<args.out>.manifest.json`` listing the written ``outputs``."""
     arguments = {k: v for k, v in sorted(vars(args).items())
                  if not k.startswith("_") and k not in ("config", "command")}
-    arguments["seed"] = seed
     manifest = {
-        "command": command,
+        "command": args.command,
         "arguments": arguments,
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
         "outputs": [{"name": os.path.basename(p), "sha256": _sha256(p)}
                     for p in outputs],
     }
-    path = f"{out_path}.manifest.json"
+    path = f"{args.out}.manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
 
-def _emit(text: str, out: str | None, command: str, args: argparse.Namespace,
-          seed: int) -> None:
+def _emit(text: str, args: argparse.Namespace) -> None:
     """Print, or write plus manifest when --out was given."""
-    if out is None:
+    if args.out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
         return
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write(text)
-    manifest = _write_manifest(out, command, args, seed, [out])
-    print(f"wrote {out} (manifest: {manifest})")
+    manifest = _write_manifest(args, [args.out])
+    print(f"wrote {args.out} (manifest: {manifest})")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -157,32 +157,53 @@ _FLAG_TRUE = ("1", "true", "yes", "on")
 _FLAG_FALSE = ("0", "false", "no", "off")
 
 
+def _config_value(action: argparse.Action, raw: str, what: str):
+    """One config text converted the way ``action``'s flag converts it."""
+    if isinstance(action, argparse._StoreTrueAction):
+        word = raw.lower()
+        if word not in _FLAG_TRUE + _FLAG_FALSE:
+            raise ParameterError(
+                f"{what}: {raw!r} is not a flag value "
+                f"(one of {', '.join(_FLAG_TRUE + _FLAG_FALSE)})")
+        return word in _FLAG_TRUE
+    value = raw if action.type is None else _convert(action.type, raw, what)
+    if action.choices is not None and value not in action.choices:
+        raise ParameterError(f"{what}: {raw!r} is not one of "
+                             f"{', '.join(map(str, action.choices))}")
+    return value
+
+
 def _apply_config_defaults(sub: argparse.ArgumentParser,
-                           values: dict[str, str]) -> None:
+                           values: dict[str, str | list[str]],
+                           source: str = "config") -> None:
+    """Set ``sub``'s defaults from ``{key: text}``; a list holds the repeated
+    values of an append flag.  ``source`` labels the error messages."""
     by_dest = {a.dest: a for a in sub._actions}
     defaults = {}
     for key, raw in values.items():
+        what = f"{source} key {key!r}"
         dest = key.replace("-", "_")
         action = by_dest.get(dest)
         if action is None:
-            raise ParameterError(f"config key {key!r} matches no flag of this "
-                                 "subcommand")
-        if isinstance(action, argparse._StoreTrueAction):
-            word = raw.lower()
-            if word not in _FLAG_TRUE + _FLAG_FALSE:
-                raise ParameterError(
-                    f"config key {key!r}: {raw!r} is not a flag value "
-                    f"(one of {', '.join(_FLAG_TRUE + _FLAG_FALSE)})")
-            defaults[dest] = word in _FLAG_TRUE
-        elif isinstance(action, argparse._AppendAction):
-            one = _convert(action.type, raw, f"config key {key!r}") \
-                if action.type else raw
-            defaults[dest] = [one]
-        elif action.type is not None:
-            defaults[dest] = _convert(action.type, raw, f"config key {key!r}")
+            raise ParameterError(f"{what} matches no flag of this subcommand")
+        if isinstance(action, argparse._AppendAction):
+            defaults[dest] = [_config_value(action, text, what) for text in
+                              (raw if isinstance(raw, list) else [raw])]
+        elif isinstance(raw, list):
+            raise ParameterError(f"{what}: {raw!r} is a list, but the flag "
+                                 "takes one value")
         else:
-            defaults[dest] = raw
+            defaults[dest] = _config_value(action, raw, what)
     sub.set_defaults(**defaults)
+
+
+def _config_text(value) -> str | list[str]:
+    """A recorded argument as the text a config file would hold."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return [repr(v) if isinstance(v, float) else str(v) for v in value]
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +211,14 @@ def _apply_config_defaults(sub: argparse.ArgumentParser,
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, with_out: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="integer seed (default: GG_PRIVACY_SEED env var, "
                           f"else {DEFAULT_SEED})")
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="key = value file of flag defaults")
-    if with_out:
-        sub.add_argument("--out", default=None, metavar="PATH",
-                         help="write the result here (plus a .manifest.json)")
+    sub.add_argument("--out", default=None, metavar="PATH",
+                     help="write the result here (plus a .manifest.json)")
 
 
 def _add_accountant_args(sub: argparse.ArgumentParser) -> None:
@@ -235,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def register(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(_handler=handler, _name=name)
-        _SUBCOMMANDS[name] = (sub, handler)
+        sub.set_defaults(_handler=handler, command=name)
+        _SUBCOMMANDS[name] = sub
         return sub
 
     sub = register("sample", "draw noise variates", _cmd_sample)
@@ -332,13 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sample(args, sub) -> int:
     _require(args, sub, "beta", "sigma", "count")
-    seed = _resolve_seed(args)
     params = GGParams(args.beta, args.sigma)
-    rng = derive_rng(seed, "cli-sample", params.beta, params.sigma,
+    rng = derive_rng(args.seed, "cli-sample", params.beta, params.sigma,
                      args.center, args.count)
     values = args.center + ggdist.sample(params, rng, args.count)
     text = "\n".join(repr(float(v)) for v in values) + "\n"
-    _emit(text, args.out, "sample", args, seed)
+    _emit(text, args)
     return 0
 
 
@@ -359,9 +378,9 @@ def _target_from(args) -> PrivacyTarget:
                          args.sample_rate)
 
 
-def _family_from(args, seed: int) -> FamilyResult:
+def _family_from(args) -> FamilyResult:
     return equivalent_family(parse_grid(args.betas), _target_from(args),
-                             _config_from(args), rng=seed,
+                             _config_from(args), rng=args.seed,
                              tolerance=args.tolerance, samples_n=args.samples,
                              bins=args.bins)
 
@@ -370,11 +389,11 @@ def _cmd_epsilon(args, sub) -> int:
     _require(args, sub, "beta", "sigma")
     if (args.epsilon is None) == (args.delta is None):
         sub.error("provide exactly one of --epsilon / --delta")
-    seed = _resolve_seed(args)
     spec = _mechanism_from(args)
     result = account(spec, _config_from(args), epsilon=args.epsilon,
-                     delta=args.delta, rng=seed, curve_points=args.curve_points,
-                     samples_n=args.samples, bins=args.bins)
+                     delta=args.delta, rng=args.seed,
+                     curve_points=args.curve_points, samples_n=args.samples,
+                     bins=args.bins)
     if args.delta is not None:
         print(f"epsilon = {result.epsilon:.6f} at delta = {args.delta:g}")
     else:
@@ -383,17 +402,16 @@ def _cmd_epsilon(args, sub) -> int:
           f"delta <= {result.delta_conservative:.6e} "
           f"(eta = {result.eta:.3e}, tau = {result.tau:.3f})")
     if args.out is not None:
-        _emit(result.curve.to_json(indent=2) + "\n", args.out, "epsilon",
-              args, seed)
+        _emit(result.curve.to_json(indent=2) + "\n", args)
     return 0
 
 
 def _cmd_solve_sigma(args, sub) -> int:
     _require(args, sub, "beta", "epsilon", "delta")
-    seed = _resolve_seed(args)
     target = _target_from(args)
-    result = solve_sigma(args.beta, target, _config_from(args), rng=seed,
-                         tolerance=args.tolerance, sensitivity=args.sensitivity,
+    result = solve_sigma(args.beta, target, _config_from(args),
+                         rng=args.seed, tolerance=args.tolerance,
+                         sensitivity=args.sensitivity,
                          samples_n=args.samples, bins=args.bins)
     print(f"sigma = {result.sigma:.9g}")
     print(f"bracket = [{result.bracket[0]:.9g}, {result.bracket[1]:.9g}]")
@@ -402,51 +420,44 @@ def _cmd_solve_sigma(args, sub) -> int:
     if args.out is not None:
         payload = {"sigma": result.sigma, "bracket": list(result.bracket),
                    "epsilon": result.epsilon, "probes": result.probes}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out, "solve-sigma",
-              args, seed)
+        _emit(json.dumps(payload, indent=2) + "\n", args)
     return 0
 
 
 def _cmd_family(args, sub) -> int:
     _require(args, sub, "betas", "epsilon", "delta")
-    seed = _resolve_seed(args)
-    result = _family_from(args, seed)
+    result = _family_from(args)
     print(f"sigma monotone in beta: {result.sigma_monotone}")
-    _emit(family_to_csv(result), args.out, "family", args, seed)
+    _emit(family_to_csv(result), args)
     return 0
 
 
 def _cmd_tail_weight(args, sub) -> int:
     _require(args, sub, "betas", "epsilon", "delta", "cutoff")
-    seed = _resolve_seed(args)
     _cutoff_list(args.cutoff)  # fail before the family is solved
-    result = tail_weight(_family_from(args, seed), args.cutoff,
-                         smooth=args.smooth)
-    _emit(tail_weights_to_csv(result), args.out, "tail-weight", args, seed)
+    result = tail_weight(_family_from(args), args.cutoff, smooth=args.smooth)
+    _emit(tail_weights_to_csv(result), args)
     return 0
 
 
 def _cmd_simulate_argmax(args, sub) -> int:
     _require(args, sub, "betas", "epsilon", "delta")
-    seed = _resolve_seed(args)
-    family = _family_from(args, seed)
+    family = _family_from(args)
     target = family.target
     sim_cfg = SimConfig(num_classes=args.classes, total_votes=args.total_votes,
                         runner_up_grid=tuple(parse_grid(args.r_grid)),
                         histograms_per_r=args.histograms_per_r,
                         trials=args.trials)
-    hists = make_histograms(sim_cfg, derive_rng(seed, "simulate-hists",
-                                                sim_cfg.num_classes,
-                                                sim_cfg.total_votes,
-                                                sim_cfg.runner_up_grid,
-                                                sim_cfg.histograms_per_r))
+    hists = make_histograms(sim_cfg, derive_rng(
+        args.seed, "simulate-hists", sim_cfg.num_classes, sim_cfg.total_votes,
+        sim_cfg.runner_up_grid, sim_cfg.histograms_per_r))
     rows: list[ResultRow] = []
     curves = {}
     for point in family.points:
         noise = GGParams(point.beta, point.sigma)
         utility = hardmax_utility(hists, noise, sim_cfg.trials,
-                                  derive_rng(seed, "simulate-noise",
-                                             point.beta, point.sigma))
+                                  derive_rng(args.seed, "simulate-noise",
+                                                  point.beta, point.sigma))
         curves[point.beta] = utility
         for u in sorted(utility, key=lambda p: p.runner_up):
             rows.append(ResultRow(point.beta, point.sigma, target.epsilon,
@@ -458,13 +469,12 @@ def _cmd_simulate_argmax(args, sub) -> int:
         rows.append(ResultRow(beta, sigma, target.epsilon, target.delta,
                               "hardmax_auc_normalized", auc, None))
         print(f"beta {beta:g}: normalized AUC = {auc:.4f}")
-    _emit(results_to_csv(rows), args.out, "simulate-argmax", args, seed)
+    _emit(results_to_csv(rows), args)
     return 0
 
 
 def _cmd_pate_label(args, sub) -> int:
     _require(args, sub, "histograms")
-    seed = _resolve_seed(args)
     hists = histograms_from_csv(args.histograms)
     if args.family is not None:
         with open(args.family) as fh:
@@ -477,21 +487,20 @@ def _cmd_pate_label(args, sub) -> int:
         pairs = list(zip(betas, sigmas))
     noises = [GGParams(b, s) for b, s in pairs]
     rows_out = pate_label_accuracy(hists, noises, args.trials,
-                                   derive_rng(seed, "pate", tuple(pairs),
-                                              args.trials))
+                                   derive_rng(args.seed, "pate",
+                                              tuple(pairs), args.trials))
     rows = [ResultRow(r.beta, r.sigma, args.epsilon, args.delta,
                       "pate_label_accuracy", r.mean, r.stderr)
             for r in rows_out]
     for r in rows_out:
         print(f"beta {r.beta:g} sigma {r.sigma:g}: accuracy "
               f"{r.mean:.4f} +/- {r.std:.4f}")
-    _emit(results_to_csv(rows), args.out, "pate-label", args, seed)
+    _emit(results_to_csv(rows), args)
     return 0
 
 
 def _cmd_train(args, sub) -> int:
-    seed = _resolve_seed(args)
-    rng = derive_rng(seed, "train", args.dataset, args.model)
+    rng = derive_rng(args.seed, "train", args.dataset, args.model)
     if args.dataset == "synthetic":
         X, y = make_blobs(args.train_size + args.test_size, args.dim,
                           args.separation, rng)
@@ -512,11 +521,7 @@ def _cmd_train(args, sub) -> int:
     lines = [json.dumps({k: rec[k] for k in
                          ("epoch", "epsilon", "delta", "train_acc", "test_acc")})
              for rec in result.history]
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        _emit(text, args.out, "train", args, seed)
+    _emit("\n".join(lines) + "\n", args)
     last = result.history[-1]
     print(f"finished after {result.steps} steps"
           + (" (halted by privacy budget)" if result.halted else "")
@@ -531,34 +536,19 @@ def _cmd_train(args, sub) -> int:
 def _cmd_replay(args, sub) -> int:
     """Re-run a manifest, then check each output against its recorded hash.
 
-    On a mismatch the recorded manifest is written back, so the re-run
-    cannot overwrite the hashes it failed to reproduce.
+    The recorded arguments become the subcommand's defaults exactly as a
+    config file's values would.  On a mismatch the recorded manifest is
+    written back, so the re-run cannot overwrite the hashes it failed to
+    reproduce.
     """
     with open(args.manifest) as fh:
         recorded = fh.read()
     command, stored, expected = _read_manifest(args.manifest, recorded)
-    parser, _ = _SUBCOMMANDS[command]
-    argv = [command]
-    for action in parser._actions:
-        if not action.option_strings or action.dest in ("help", "config"):
-            continue
-        if action.dest not in stored:
-            continue
-        value = stored[action.dest]
-        if value is None:
-            continue
-        flag = action.option_strings[-1]
-        if isinstance(action, argparse._StoreTrueAction):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, list):
-            for item in value:
-                argv.extend([flag, _argtext(item)])
-        else:
-            argv.extend([flag, _argtext(value)])
-    rc = main(argv)
-    if rc != 0:
-        return rc
+    run = _SUBCOMMANDS[command]
+    _apply_config_defaults(run, {k: _config_text(v) for k, v in stored.items()
+                                 if v is not None},
+                           f"manifest {args.manifest}")
+    _run(run.parse_args([]))
     out_dir = os.path.dirname(stored["out"])
     for name, digest in expected.items():
         path = os.path.join(out_dir, name)
@@ -610,41 +600,31 @@ def _read_manifest(path: str, text: str) -> tuple[str, dict, dict]:
     return command, stored, expected
 
 
-def _argtext(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
+def _run(args: argparse.Namespace) -> int:
+    """Resolve the seed into ``args.seed``, then run the subcommand."""
+    if hasattr(args, "seed"):
+        args.seed = _resolve_seed(args)
+    return args._handler(args, _SUBCOMMANDS[args.command])
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
-    # Config files act as per-subcommand defaults, so they must be applied
-    # before the real parse; find the subcommand and --config by scanning.
-    command = next((a for a in argv if not a.startswith("-")), None)
-    config_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            config_path = argv[i + 1]
-        elif token.startswith("--config="):
-            config_path = token.split("=", 1)[1]
     try:
-        if config_path is not None:
-            if command not in _SUBCOMMANDS:
-                parser.error("--config requires a subcommand")
-            _apply_config_defaults(_SUBCOMMANDS[command][0],
-                                   _load_config_file(config_path))
         args = parser.parse_args(argv)
-        if not hasattr(args, "_handler"):
+        if args.command is None:
             parser.print_help()
             return 2
-        return args._handler(args, _SUBCOMMANDS[args._name][0])
+        if getattr(args, "config", None) is not None:
+            # Config values are subcommand defaults, so explicit flags win.
+            _apply_config_defaults(_SUBCOMMANDS[args.command],
+                                   _load_config_file(args.config))
+            args = parser.parse_args(argv)
+        return _run(args)
     except (GGPrivacyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

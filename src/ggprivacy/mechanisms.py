@@ -240,9 +240,14 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     n = X.shape[0]
     if n < 1:
         raise ParameterError("training set is empty")
+    if y.shape[:1] != (n,):
+        raise ParameterError(f"training data has {n} rows but labels of "
+                             f"shape {y.shape}")
     if not 1 <= cfg.batch_size <= n:
         raise ParameterError(
             f"batch_size must lie in [1, {n}], got {cfg.batch_size}")
+    if cfg.epochs < 1:
+        raise ParameterError(f"epochs must be >= 1, got {cfg.epochs}")
     q = cfg.batch_size / n
     steps_per_epoch = max(1, round(n / cfg.batch_size))
     planned = cfg.epochs * steps_per_epoch

@@ -328,6 +328,15 @@ def test_account_requires_exactly_one_target():
         account(GAUSS, epsilon=-1.0)
 
 
+@pytest.mark.parametrize("points", [1, 0, 2.5, True])
+def test_account_checks_curve_points_before_sampling(points):
+    gen = np.random.default_rng(3)
+    state = gen.bit_generator.state
+    with pytest.raises(ParameterError, match="curve_points"):
+        account(GAUSS, delta=1e-5, rng=gen, curve_points=points)
+    assert gen.bit_generator.state == state
+
+
 def test_account_gaussian_close_to_analytic():
     result = account(GAUSS, delta=1e-5, samples_n=100_000, bins=2 ** 15)
     assert result.epsilon == pytest.approx(gauss_epsilon(1e-5), abs=0.12)

@@ -155,6 +155,16 @@ def test_family_csv_round_trip(small_family):
         [p.sigma for p in small_family.points], rel=1e-10)
 
 
+@pytest.mark.parametrize("text,problem", [
+    ("beta,sigma\nabc,1\n", "row 2: beta 'abc'"),
+    ("beta,sigma\n1,2\n2, x\n", "row 3: sigma 'x'"),
+    ("beta,sigma\n", "no data rows"),
+], ids=["bad-beta", "bad-sigma", "header-only"])
+def test_family_from_csv_rejects_bad_cells_and_no_rows(text, problem):
+    with pytest.raises(ParameterError, match=problem):
+        family_from_csv(text)
+
+
 def test_equivalent_family_rejects_empty():
     with pytest.raises(ParameterError):
         equivalent_family([], PrivacyTarget(2.0, 1e-5), **FAST)

@@ -158,9 +158,17 @@ def test_config_misspelt_flag_value_exits_one(tmp_path, capsys):
                                         ("NO", False), ("0", False)])
 def test_config_flag_values(word, value):
     build_parser()
-    sub = _SUBCOMMANDS["tail-weight"][0]
+    sub = _SUBCOMMANDS["tail-weight"]
     _apply_config_defaults(sub, {"smooth": word})
     assert sub.get_default("smooth") is value
+
+
+def test_config_value_outside_choices_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("model = svm\n")
+    assert main(["train", "--config", str(cfg), "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'model'" in err and "'svm'" in err
 
 
 def test_config_without_subcommand_is_usage_error(tmp_path):
@@ -192,6 +200,13 @@ def test_epsilon_requires_exactly_one_target(capsys):
         main(["epsilon", "--beta", "2", "--sigma", "1",
               "--epsilon", "1", "--delta", "1e-5"])
     assert exc.value.code == 2
+
+
+def test_epsilon_curve_points_below_two_exits_one(capsys):
+    assert main(["epsilon", "--beta", "2", "--sigma", "1", "--delta", "1e-5",
+                 "--curve-points", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "curve_points" in err
 
 
 def test_epsilon_explicit_truncation_flag(capsys):
@@ -252,6 +267,22 @@ def test_replay_fails_on_hash_mismatch(tmp_path, capsys, edit, problem):
     assert manifest_path.read_bytes() == edited
 
 
+def test_replay_reproduces_repeated_flag_and_switch(tmp_path, capsys):
+    out = tmp_path / "tails.csv"
+    assert main(["tail-weight", "--betas", "1,2", "--cutoff", "1",
+                 "--cutoff", "2", "--smooth", "--epsilon", "2",
+                 "--delta", "1e-3", "--tolerance", "0.2", "--seed", "3",
+                 "--out", str(out), *FAST_ACCT]) == 0
+    manifest_path = tmp_path / "tails.csv.manifest.json"
+    arguments = json.loads(manifest_path.read_text())["arguments"]
+    assert arguments["cutoff"] == [1.0, 2.0] and arguments["smooth"] is True
+    original, original_manifest = out.read_bytes(), manifest_path.read_bytes()
+    out.unlink()
+    assert main(["replay", str(manifest_path)]) == 0
+    assert out.read_bytes() == original
+    assert manifest_path.read_bytes() == original_manifest
+
+
 def test_replay_rejects_unknown_command(tmp_path, capsys):
     bad = tmp_path / "weird.manifest.json"
     bad.write_text(json.dumps({"command": "frobnicate", "arguments": {},
@@ -270,7 +301,16 @@ SAMPLE_ARGS = {"beta": 2.0, "sigma": 1.0, "count": 3, "seed": 1, "out": "o.txt"}
      "'outputs'"),
     ({"command": "sample", "arguments": [], "outputs": ["o.txt"]},
      "'arguments'"),
-], ids=["not-json", "no-command", "outputs-string", "arguments-list"])
+    ({"command": "sample", "arguments": {**SAMPLE_ARGS, "count": "abc"},
+      "outputs": ["o.txt"]}, "'count'"),
+    ({"command": "sample", "arguments": {**SAMPLE_ARGS, "count": 3.0},
+      "outputs": ["o.txt"]}, "'count'"),
+    ({"command": "sample", "arguments": {**SAMPLE_ARGS, "bogus": 1},
+      "outputs": ["o.txt"]}, "'bogus'"),
+    ({"command": "sample", "arguments": {**SAMPLE_ARGS, "beta": [2.0, 3.0]},
+      "outputs": ["o.txt"]}, "'beta'"),
+], ids=["not-json", "no-command", "outputs-string", "arguments-list",
+        "text-for-int", "float-for-int", "unknown-key", "list-for-one"])
 def test_replay_rejects_malformed_manifest_before_running(
         tmp_path, capsys, monkeypatch, manifest, field):
     monkeypatch.chdir(tmp_path)
@@ -371,6 +411,24 @@ def test_pate_label_with_family_csv(tmp_path, capsys, rng):
     assert "beta 1" in out and "beta 2" in out
 
 
+@pytest.mark.parametrize("rows,problem", [
+    ("beta,sigma\nabc,1\n", "'abc'"),
+    ("beta,sigma\n", "no data rows"),
+], ids=["bad-cell", "header-only"])
+def test_pate_label_bad_family_csv_exits_one(tmp_path, capsys, rng, rows,
+                                             problem):
+    hists = tmp_path / "hists.csv"
+    hists.write_text(histograms_to_csv([build_histogram(2, 300, 0.2, rng)]))
+    family = tmp_path / "family.csv"
+    family.write_text(rows)
+    out = tmp_path / "pate.csv"
+    assert main(["pate-label", "--histograms", str(hists), "--family",
+                 str(family), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and problem in err
+    assert not out.exists()
+
+
 # -- training -----------------------------------------------------------------------------
 
 def test_train_synthetic_logistic(capsys):
@@ -384,6 +442,13 @@ def test_train_synthetic_logistic(capsys):
     assert record["epoch"] == 1 and record["epsilon"] is None
     assert 0.0 <= record["test_acc"] <= 1.0
     assert "finished after 3 steps" in lines[-1]
+
+
+def test_train_zero_epochs_exits_one(capsys):
+    assert main(["train", "--epochs", "0", "--train-size", "60",
+                 "--test-size", "20", "--dim", "3", "--batch-size", "20"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epochs" in err
 
 
 def test_train_refuses_accounting_beta_above_two(capsys):

@@ -269,6 +269,12 @@ def test_train_validates_batch_size(rng):
     with pytest.raises(ParameterError):
         train_noisy_sgd(model, (data[0][:0], data[1][:0]),
                         TrainConfig(batch_size=1), rng)
+    for epochs in (0, -1):
+        with pytest.raises(ParameterError, match="epochs"):
+            train_noisy_sgd(model, data, TrainConfig(epochs=epochs), rng)
+    with pytest.raises(ParameterError, match="labels"):
+        train_noisy_sgd(model, (data[0], data[1][:-1]),
+                        TrainConfig(batch_size=30), rng)
 
 
 def test_train_runs_to_plan_without_target(rng):
