@@ -39,7 +39,8 @@ from . import kernels
 from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, GridMismatchError, ParameterError,
                      RangeError, TruncationError)
-from .prv import LossDirection, MechanismSpec, directions_for, sample_prv
+from .prv import (LossDirection, MechanismSpec, directions_for, loss_range,
+                  sample_prv)
 
 DEFAULT_SEED = 61803398
 DEFAULT_BINS = 2 ** 19
@@ -77,16 +78,15 @@ def _generator(rng, *context) -> np.random.Generator:
 class AccountantConfig:
     """Grid and sampling sizes for the discretized accountant.
 
-    ``trunc_L`` must sit half a cell beyond the outermost grid point:
-    ``trunc_L = (m + 1/2) * mesh_h`` for an integer ``m >= 1``.  Build
-    configurations with `from_bins` to get that alignment for free.
+    The grid has ``2m + 1`` cells with ``m = bins // 2``, spanning
+    [-trunc_L, trunc_L], so ``trunc_L = (m + 1/2) * mesh_h``.
     ``hoeffding_s`` / ``sampling_t`` are the free parameters of the error
     certificate; ``None`` resolves them at accounting time to
     ``10 h sqrt(k)`` and ``10 L / sqrt(n)``.
     """
 
     trunc_L: float
-    mesh_h: float
+    bins: int = DEFAULT_BINS
     samples_n: int = DEFAULT_SAMPLES
     hoeffding_s: float | None = None
     sampling_t: float | None = None
@@ -94,15 +94,9 @@ class AccountantConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.trunc_L) and self.trunc_L > 0):
             raise ConfigError(f"trunc_L must be positive, got {self.trunc_L!r}")
-        if not (math.isfinite(self.mesh_h) and self.mesh_h > 0):
-            raise ConfigError(f"mesh_h must be positive, got {self.mesh_h!r}")
-        m_float = self.trunc_L / self.mesh_h - 0.5
-        m = round(m_float)
-        if m < 1 or abs(m_float - m) > 1e-6:
-            raise ConfigError(
-                "trunc_L must equal (m + 1/2) * mesh_h for integer m >= 1; "
-                f"got trunc_L/mesh_h - 1/2 = {m_float!r}")
-        if 2 * m + 1 > 2 ** 26:
+        if not isinstance(self.bins, (int, np.integer)) or self.bins < 2:
+            raise ConfigError(f"bins must be an integer >= 2, got {self.bins!r}")
+        if 2 * (self.bins // 2) + 1 > 2 ** 26:
             raise ConfigError("grid would exceed 2**26 cells")
         if not isinstance(self.samples_n, (int, np.integer)) or self.samples_n < 10_000:
             raise ConfigError(
@@ -111,28 +105,17 @@ class AccountantConfig:
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive when given, got {v!r}")
+        object.__setattr__(self, "trunc_L", float(self.trunc_L))
+        object.__setattr__(self, "bins", int(self.bins))
         object.__setattr__(self, "samples_n", int(self.samples_n))
-
-    @classmethod
-    def from_bins(cls, trunc_L: float, bins: int = DEFAULT_BINS,
-                  samples_n: int = DEFAULT_SAMPLES,
-                  hoeffding_s: float | None = None,
-                  sampling_t: float | None = None) -> "AccountantConfig":
-        """Config with ``bins // 2 * 2 + 1`` cells spanning [-trunc_L, trunc_L]."""
-        if not isinstance(bins, (int, np.integer)) or bins < 2:
-            raise ConfigError(f"bins must be an integer >= 2, got {bins!r}")
-        m = int(bins) // 2
-        h = 2.0 * float(trunc_L) / (2 * m + 1)
-        return cls(trunc_L=float(trunc_L), mesh_h=h, samples_n=samples_n,
-                   hoeffding_s=hoeffding_s, sampling_t=sampling_t)
 
     @property
     def half_bins(self) -> int:
-        return round(self.trunc_L / self.mesh_h - 0.5)
+        return self.bins // 2
 
     @property
-    def num_bins(self) -> int:
-        return 2 * self.half_bins + 1
+    def mesh_h(self) -> float:
+        return 2.0 * self.trunc_L / (2 * self.half_bins + 1)
 
     def resolved_s(self, compositions: int) -> float:
         if self.hoeffding_s is not None:
@@ -538,27 +521,6 @@ class AccountResult:
     seed: int | None
 
 
-def _loss_range(spec: MechanismSpec, direction: LossDirection) -> tuple[float, float]:
-    """Exact range of the single-shot loss, for spotting bounded cases."""
-    beta = spec.noise.beta
-    edge = spec.sensitivity ** beta / spec.noise.sigma ** beta
-    if beta == 1.0:
-        base_lo, base_hi = -edge, edge
-    else:
-        base_lo, base_hi = -math.inf, math.inf
-    q = spec.sample_rate
-    if q is None or q == 1.0:
-        return base_lo, base_hi
-    # remove-direction values log(1 - q + q e^{-ell}) with ell in [lo, hi]
-    lo = math.log(1.0 - q + q * math.exp(-base_hi)) if base_hi < math.inf \
-        else math.log1p(-q)
-    hi = math.log(1.0 - q + q * math.exp(-base_lo)) if base_lo > -math.inf \
-        else math.inf
-    if direction is LossDirection.ADD:
-        lo, hi = -hi, -lo
-    return lo, hi
-
-
 def _auto_config(spec: MechanismSpec, rng, samples_n: int,
                  bins: int) -> AccountantConfig:
     """Size the window from a pilot run: L = |k mean| + 12 sqrt(k) std."""
@@ -572,7 +534,7 @@ def _auto_config(spec: MechanismSpec, rng, samples_n: int,
             + _PILOT_SPREAD * math.sqrt(k) * float(np.std(pilot))
         L = max(L, L_dir)
     L = max(L, 1e-6)
-    return AccountantConfig.from_bins(L, bins=bins, samples_n=samples_n)
+    return AccountantConfig(L, bins=bins, samples_n=samples_n)
 
 
 def _discretize_directions(spec: MechanismSpec, cfg: AccountantConfig, rng,
@@ -623,7 +585,7 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
         full = compose([(one, k)])
         composed[direction] = full
 
-        lo, hi = _loss_range(spec, direction)
+        lo, hi = loss_range(spec, direction)
         if lo >= -cfg.trunc_L and hi <= cfg.trunc_L:
             tail_single = 0.0
         else:

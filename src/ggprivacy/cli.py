@@ -11,8 +11,8 @@ Grids are written either as comma lists (``1,1.5,2``) or as
 lines (keys matching the long flag names) supplies defaults; explicit flags
 win.  ``replay <manifest>`` applies a manifest's recorded arguments the way a
 config file applies its values, so both are checked the same way; it then
-re-runs the subcommand and checks that every output reproduces its recorded
-hash.
+re-runs the subcommand, writing its outputs next to the manifest, and checks
+that every output reproduces its recorded hash.
 Exit codes: 0 on success, 1 on domain errors, bad config or manifest values
 and unreadable files, 2 on usage errors.
 """
@@ -97,7 +97,8 @@ def _require(args: argparse.Namespace, parser: argparse.ArgumentParser,
              *names: str) -> None:
     for name in names:
         if getattr(args, name.replace("-", "_")) is None:
-            parser.error(f"--{name} is required (flag or config file)")
+            parser.error(f"--{name} is required (as a flag, config key "
+                         "or manifest key)")
 
 
 def _sha256(path: str) -> str:
@@ -369,8 +370,7 @@ def _mechanism_from(args) -> MechanismSpec:
 def _config_from(args) -> AccountantConfig | None:
     if args.trunc_l is None:
         return None
-    return AccountantConfig.from_bins(args.trunc_l, bins=args.bins,
-                                      samples_n=args.samples)
+    return AccountantConfig(args.trunc_l, bins=args.bins, samples_n=args.samples)
 
 
 def _target_from(args) -> PrivacyTarget:
@@ -537,19 +537,28 @@ def _cmd_replay(args, sub) -> int:
     """Re-run a manifest, then check each output against its recorded hash.
 
     The recorded arguments become the subcommand's defaults exactly as a
-    config file's values would.  On a mismatch the recorded manifest is
-    written back, so the re-run cannot overwrite the hashes it failed to
-    reproduce.
+    config file's values would, and a usage error of the re-run names the
+    manifest.  Outputs are written and checked next to the manifest,
+    whatever the working directory.  The recorded manifest is written back
+    afterwards, so the re-run cannot overwrite the hashes it is checked
+    against.
     """
     with open(args.manifest) as fh:
         recorded = fh.read()
     command, stored, expected = _read_manifest(args.manifest, recorded)
+    label = f"manifest {args.manifest}"
+    out_dir = os.path.dirname(args.manifest)
+    values = {k: _config_text(v) for k, v in stored.items() if v is not None}
+    values["out"] = os.path.join(out_dir, os.path.basename(stored["out"]))
     run = _SUBCOMMANDS[command]
-    _apply_config_defaults(run, {k: _config_text(v) for k, v in stored.items()
-                                 if v is not None},
-                           f"manifest {args.manifest}")
+    _apply_config_defaults(run, values, label)
+
+    def refuse(message: str):
+        raise ParameterError(f"{label}: {message}")
+    run.error = refuse
     _run(run.parse_args([]))
-    out_dir = os.path.dirname(stored["out"])
+    with open(args.manifest, "w") as fh:
+        fh.write(recorded)
     for name, digest in expected.items():
         path = os.path.join(out_dir, name)
         if digest is None:
@@ -558,8 +567,6 @@ def _cmd_replay(args, sub) -> int:
             problem = f"does not reproduce its recorded SHA-256 {digest}"
         else:
             continue
-        with open(args.manifest, "w") as fh:
-            fh.write(recorded)
         print(f"error: replayed output {path} {problem}", file=sys.stderr)
         return 1
     return 0

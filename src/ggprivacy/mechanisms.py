@@ -220,19 +220,18 @@ def _accuracy(model, params, X, y) -> float:
 
 
 def train_noisy_sgd(model, train_data, cfg: TrainConfig,
-                    rng: np.random.Generator, test_data=None,
-                    ledger: CompositionLedger | None = None) -> TrainResult:
+                    rng: np.random.Generator, test_data=None) -> TrainResult:
     """Clipped-and-noised SGD with Poisson batches and a privacy halt.
 
     Each step Poisson-samples a batch at rate ``batch_size / n``, clips
     per-example gradients to the l_beta ball of radius ``clip_norm``, sums
     them, adds one GG noise vector, and scales by the *expected* batch size.
     An empty batch still takes a (noise-only) step.  When a target epsilon is
-    set, the step budget is fixed up front from the composition ledger and
-    the loop halts there.  Accounting (a target epsilon or a ``ledger``)
-    requires ``beta <= 2``; unaccounted training accepts any shape.  A
-    passed ``ledger`` must account the noise added, ``MechanismSpec(
-    GGParams(beta, sigma * clip_norm), clip_norm, q, 1)``.
+    set, the run accounts the noise it adds, ``MechanismSpec(GGParams(beta,
+    sigma * clip_norm), clip_norm, q, 1)``, on a `CompositionLedger` sized by
+    ``ledger_samples`` and ``ledger_bins``; the step budget is fixed up front
+    from it and the loop halts there.  Accounting requires ``beta <= 2``;
+    unaccounted training accepts any shape.
     """
     X, y = train_data
     X = np.asarray(X, dtype=np.float64)
@@ -252,8 +251,7 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     steps_per_epoch = max(1, round(n / cfg.batch_size))
     planned = cfg.epochs * steps_per_epoch
 
-    accounted = cfg.target_epsilon is not None or ledger is not None
-    if accounted and cfg.noise.beta > 2.0:
+    if cfg.target_epsilon is not None and cfg.noise.beta > 2.0:
         raise ParameterError(
             f"cannot account training with beta={cfg.noise.beta:g} > 2: the "
             "ledger reduces the d-dimensional l_beta-clipped update to one "
@@ -263,18 +261,15 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     noise_params = GGParams(cfg.noise.beta, cfg.noise.sigma * cfg.clip_norm)
     spec = MechanismSpec(noise_params, cfg.clip_norm,
                          None if q == 1.0 else q, 1)
-    if ledger is not None and ledger.spec != spec:
-        raise ParameterError(
-            f"ledger accounts {ledger.spec}, but this run releases {spec}")
-    if cfg.target_epsilon is not None and ledger is None:
+    ledger = None
+    total = planned
+    if cfg.target_epsilon is not None:
         ledger = CompositionLedger(spec, rng=None,
                                    k_cap=max(1, planned),
                                    samples_n=cfg.ledger_samples,
                                    bins=cfg.ledger_bins)
-    budget = None
-    if cfg.target_epsilon is not None:
-        budget = ledger.max_steps(cfg.target_epsilon, cfg.target_delta)
-    total = planned if budget is None else min(planned, budget)
+        total = min(planned, ledger.max_steps(cfg.target_epsilon,
+                                              cfg.target_delta))
 
     params = model.init_params(rng)
     history: list[dict] = []

@@ -15,10 +15,11 @@ Conventions, fixed once here and relied on everywhere else:
 
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
-  noise, which equals the remove-direction loss draw bit-for-bit (reflection
-  through ``Delta/2`` is exact in IEEE arithmetic).  Setting ``q = 1`` takes
-  the same shortcut, so subsampled draws at ``q = 1`` coincide bitwise with
-  plain draws from the same generator state.
+  noise.  By reflection through ``Delta/2`` that is equal in law to the
+  remove-direction loss ``-ell(Delta - z)``; pointwise the two agree to a few
+  ulp, not bitwise.  Setting ``q = 1`` takes the same shortcut, so subsampled
+  draws at ``q = 1`` coincide bitwise with plain draws from the same
+  generator state.
 """
 
 from __future__ import annotations
@@ -90,6 +91,14 @@ def _base_loss(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
     return kernels.gg_loss(t, spec.sensitivity, spec.noise.beta, sigma_beta)
 
 
+def _directed_loss(ell: np.ndarray, q: float,
+                   direction: LossDirection) -> np.ndarray:
+    """The subsampled loss at base log ratios ``ell``: ``log(M/Q)`` for
+    REMOVE (``-ell`` at ``q = 1``), its negation for ADD."""
+    removed = -ell if q == 1.0 else kernels.mixture_log_ratio(ell, q)
+    return removed if direction is LossDirection.REMOVE else -removed
+
+
 def loss_function(spec: MechanismSpec, t):
     """Base log ratio ``ell(t)`` for a mechanism without subsampling."""
     if spec.sample_rate is not None:
@@ -110,13 +119,8 @@ def subsampled_loss_function(spec: MechanismSpec, t,
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise InputError("t must be finite")
-    ell = _base_loss(spec, arr)
-    q = float(spec.sample_rate)
-    if q == 1.0:
-        removed = -ell
-    else:
-        removed = kernels.mixture_log_ratio(ell, q)
-    out = removed if direction is LossDirection.REMOVE else -removed
+    out = _directed_loss(_base_loss(spec, arr), float(spec.sample_rate),
+                         direction)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -138,16 +142,31 @@ def sample_prv(spec: MechanismSpec, direction: LossDirection,
 
     if q is None or q == 1.0:
         # REMOVE draws t = mu - z from the shifted density, and the loss
-        # -ell(mu - z) collapses to ell(z) bitwise; ADD draws t = z from Q
-        # with loss ell(z).  Both directions therefore share this line.
+        # -ell(mu - z) equals ell(z) in law (pointwise to a few ulp); ADD
+        # draws t = z from Q with loss ell(z).  Both directions therefore
+        # share this line.
         return _base_loss(spec, z)
 
-    if direction is LossDirection.REMOVE:
+    if direction is LossDirection.REMOVE:  # t ~ M: shifted with probability q
         keep = rng.random(int(count)) < q
-        t = np.where(keep, mu - z, z)
-        return kernels.mixture_log_ratio(_base_loss(spec, t), q)
-    # ADD: base draw from Q, negated mixture ratio.
-    return -kernels.mixture_log_ratio(_base_loss(spec, z), q)
+        z = np.where(keep, mu - z, z)
+    return _directed_loss(_base_loss(spec, z), q, direction)
+
+
+def loss_range(spec: MechanismSpec,
+               direction: LossDirection) -> tuple[float, float]:
+    """Exact range of the single-shot loss in ``direction``.
+
+    The base loss lies in ``[-Delta/sigma, Delta/sigma]`` at ``beta = 1``
+    and is unbounded on both sides otherwise; subsampling maps that range
+    through the same loss as `sample_prv`.
+    """
+    edge = spec.sensitivity / spec.noise.sigma \
+        if spec.noise.beta == 1.0 else math.inf
+    if spec.sample_rate is None:
+        return -edge, edge
+    ends = _directed_loss(np.array([-edge, edge]), spec.sample_rate, direction)
+    return float(ends.min()), float(ends.max())
 
 
 def directions_for(spec: MechanismSpec) -> tuple[LossDirection, ...]:

@@ -89,7 +89,7 @@ def test_criterion_02_gaussian_composed():
     """k=100 sampled accounting within +-0.1 of the sample-free (CDF
     discretized) composition; the composed grid is the discretized
     N(50, 10^2) within total variation 1e-3."""
-    cfg = AccountantConfig.from_bins(170.0, 2 ** 19, samples_n=5_000_000)
+    cfg = AccountantConfig(170.0, 2 ** 19, samples_n=5_000_000)
     one = discretize_from_cdf(lambda e: gaussian_prv_cdf(e, 1.0, 1.0), cfg)
     composed = compose([(one, 100)])
     eps_ref = composed.epsilon_at(1e-5)
@@ -182,8 +182,8 @@ def test_criterion_05_error_bound_oracle():
     recomputation agrees to the same tolerance."""
     for (L, bins, n, k, s_in, t_in, t_single, t_sum,
          eta_frozen, tau_frozen) in CERTIFICATE_CASES:
-        cfg = AccountantConfig.from_bins(L, bins, samples_n=n,
-                                         hoeffding_s=s_in, sampling_t=t_in)
+        cfg = AccountantConfig(L, bins, samples_n=n,
+                               hoeffding_s=s_in, sampling_t=t_in)
         got = error_bounds(cfg, k, t_single, t_sum)
         eta_mp, tau_mp = certificate_mp(cfg, k, t_single, t_sum)
         assert got.eta == pytest.approx(eta_frozen, rel=1e-12)

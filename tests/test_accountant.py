@@ -64,24 +64,22 @@ def test_derive_rng_is_deterministic_and_context_sensitive():
 # -- config --------------------------------------------------------------------
 
 def test_config_grid_alignment_enforced():
-    cfg = AccountantConfig.from_bins(10.0, 2 ** 10)
+    cfg = AccountantConfig(10.0, 2 ** 10)
     m = cfg.half_bins
     assert m == 2 ** 9
     assert (m + 0.5) * cfg.mesh_h == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(ConfigError):
-        AccountantConfig(trunc_L=10.0, mesh_h=0.3, samples_n=20_000)
+        AccountantConfig(10.0, 2 ** 10, samples_n=100)
     with pytest.raises(ConfigError):
-        AccountantConfig.from_bins(10.0, 2 ** 10, samples_n=100)
-    with pytest.raises(ConfigError):
-        AccountantConfig.from_bins(10.0, bins=1)
+        AccountantConfig(10.0, bins=1)
 
 
 def test_config_resolved_free_parameters():
-    cfg = AccountantConfig.from_bins(30.0, 2 ** 15, samples_n=10 ** 6)
+    cfg = AccountantConfig(30.0, 2 ** 15, samples_n=10 ** 6)
     assert cfg.resolved_s(4) == pytest.approx(10.0 * cfg.mesh_h * 2.0, rel=1e-15)
     assert cfg.resolved_t() == pytest.approx(0.3, rel=1e-15)
-    explicit = AccountantConfig.from_bins(30.0, 2 ** 15, samples_n=10 ** 6,
-                                          hoeffding_s=0.1, sampling_t=0.2)
+    explicit = AccountantConfig(30.0, 2 ** 15, samples_n=10 ** 6,
+                                hoeffding_s=0.1, sampling_t=0.2)
     assert explicit.resolved_s(4) == 0.1 and explicit.resolved_t() == 0.2
 
 
@@ -164,7 +162,7 @@ def test_epsilon_at_inverts_delta_at():
 # -- discretization ------------------------------------------------------------
 
 def test_discretize_from_samples_normal_oracle():
-    cfg = AccountantConfig.from_bins(12.0, 2 ** 12, samples_n=20_000)
+    cfg = AccountantConfig(12.0, 2 ** 12, samples_n=20_000)
     prv = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
                                   derive_rng(1, "disc"), source="normal")
     assert prv.probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -177,7 +175,7 @@ def test_discretize_from_samples_normal_oracle():
 
 
 def test_discretize_from_samples_is_deterministic():
-    cfg = AccountantConfig.from_bins(8.0, 2 ** 10, samples_n=15_000)
+    cfg = AccountantConfig(8.0, 2 ** 10, samples_n=15_000)
     a = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
                                 derive_rng(2, "disc"), source="normal")
     b = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
@@ -187,14 +185,14 @@ def test_discretize_from_samples_is_deterministic():
 
 
 def test_discretize_rejects_hopeless_truncation():
-    cfg = AccountantConfig.from_bins(0.05, 2 ** 3, samples_n=20_000)
+    cfg = AccountantConfig(0.05, 2 ** 3, samples_n=20_000)
     with pytest.raises(TruncationError):
         discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
                                 derive_rng(3, "disc"), source="normal")
 
 
 def test_discretize_from_cdf_gaussian():
-    cfg = AccountantConfig.from_bins(12.0, 2 ** 14, samples_n=20_000)
+    cfg = AccountantConfig(12.0, 2 ** 14, samples_n=20_000)
     prv = discretize_from_cdf(lambda x: gaussian_prv_cdf(x, 1.0, 1.0), cfg,
                               source="gauss-cdf")
     assert prv.probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -205,7 +203,7 @@ def test_discretize_from_cdf_gaussian():
 
 
 def test_discretize_from_cdf_laplace_atoms():
-    cfg = AccountantConfig.from_bins(2.0, 2 ** 12, samples_n=20_000)
+    cfg = AccountantConfig(2.0, 2 ** 12, samples_n=20_000)
     prv = discretize_from_cdf(lambda x: laplace_prv_cdf(x, 1.0, 1.0), cfg,
                               source="lap-cdf")
     y = prv.support()
@@ -281,7 +279,7 @@ def test_compose_matches_direct_convolution(rng):
 # -- certificate ---------------------------------------------------------------
 
 def test_error_bounds_basic_shape():
-    cfg = AccountantConfig.from_bins(30.0, 2 ** 15, samples_n=10 ** 6)
+    cfg = AccountantConfig(30.0, 2 ** 15, samples_n=10 ** 6)
     small = error_bounds(cfg, 1, 0.0, 1e-6)
     assert 0.0 < small.eta <= 1.0 and small.tau > 0.0
     assert small.hoeffding_s == cfg.resolved_s(1)
@@ -401,7 +399,7 @@ def test_ledger_budget_exhausted():
 def test_ledger_shares_account_discretization():
     # The ledger and account draw and compose through one path, so from the
     # same generator they produce the same composed PRVs bit for bit.
-    cfg = AccountantConfig.from_bins(6.0, bins=2 ** 12, samples_n=30_000)
+    cfg = AccountantConfig(6.0, bins=2 ** 12, samples_n=30_000)
     noise = GGParams(1.5, 2.0)
     k = 7
     ledger = CompositionLedger(MechanismSpec(noise, 1.0, 0.05, 1), cfg,
@@ -413,3 +411,34 @@ def test_ledger_shares_account_discretization():
     for direction, prv in got.items():
         assert prv.probs.tobytes() == direct[direction].probs.tobytes()
         assert prv.offset.hex() == direct[direction].offset.hex()
+
+
+# -- frozen random streams -----------------------------------------------------
+
+# Results recorded on small grids.  rel=1e-9 absorbs platform FFT ulps but
+# not a change of any random stream (draw order, seeding or sample layout);
+# a change that alters a stream on purpose updates these values.
+FROZEN_ACCOUNT = {  # (beta, q): (epsilon, eta, tau), sigma = 2, k = 5
+    (1.0, None): (2.4845238267528504, 1.0, 90.09981995297706),
+    (1.0, 0.1): (0.31154914820820667, 1.0, 7.113381750666477),
+    (2.0, None): (7.536811320581245, 1.0, 188.59456702230364),
+    (2.0, 0.1): (1.0864719857616796, 1.0, 10.835777098438058),
+    (3.0, None): (14.255419471926345, 1.0, 326.9244551576315),
+    (3.0, 0.1): (3.5135714913806906, 1.0, 21.823264063452033),
+}
+
+
+@pytest.mark.parametrize("beta,q", list(FROZEN_ACCOUNT))
+def test_account_frozen_results(beta, q):
+    spec = MechanismSpec(GGParams(beta, 2.0), 1.0, q, 5)
+    got = account(spec, delta=1e-5, rng=1, samples_n=30_000, bins=2 ** 12)
+    assert (got.epsilon, got.eta, got.tau) == pytest.approx(
+        FROZEN_ACCOUNT[beta, q], rel=1e-9)
+
+
+def test_ledger_frozen_max_steps():
+    ledger = CompositionLedger(MechanismSpec(GGParams(2.0, 3.0), 1.0, 0.25, 1),
+                               k_cap=256, samples_n=30_000, bins=2 ** 12)
+    assert ledger.max_steps(4.0, 1e-5) == 47
+    assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.9611740912834876,
+                                                        rel=1e-9)

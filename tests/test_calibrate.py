@@ -210,3 +210,12 @@ def test_tail_weight_validates_cutoffs():
         tail_weight(fam, [])
     with pytest.raises(ParameterError):
         tail_weight(fam, [-1.0])
+
+
+def test_solve_sigma_frozen_result():
+    # Recorded on a small grid; see FROZEN_ACCOUNT in test_accountant.py.
+    got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), rng=1, tolerance=0.2,
+                      samples_n=30_000, bins=2 ** 12)
+    assert got.sigma == pytest.approx(2.875, rel=1e-9)
+    assert got.epsilon == pytest.approx(1.9756313970076778, rel=1e-9)
+    assert got.probes == 6

@@ -283,6 +283,40 @@ def test_replay_reproduces_repeated_flag_and_switch(tmp_path, capsys):
     assert manifest_path.read_bytes() == original_manifest
 
 
+def test_replay_writes_next_to_the_manifest(tmp_path, capsys, monkeypatch):
+    record = tmp_path / "sub"
+    record.mkdir()
+    monkeypatch.chdir(record)
+    assert main(["sample", "--beta", "2", "--sigma", "1", "-n", "5",
+                 "--seed", "4", "--out", "o.txt"]) == 0
+    original = (record / "o.txt").read_bytes()
+    original_manifest = (record / "o.txt.manifest.json").read_bytes()
+    (record / "o.txt").unlink()
+    monkeypatch.chdir(tmp_path)
+    assert main(["replay", "sub/o.txt.manifest.json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+    assert (record / "o.txt").read_bytes() == original
+    assert (record / "o.txt.manifest.json").read_bytes() == original_manifest
+
+
+def test_replay_names_the_manifest_missing_a_required_key(tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--beta", "2", "--sigma", "1", "-n", "5",
+                 "--out", "o.txt"]) == 0
+    manifest_path = tmp_path / "o.txt.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest["arguments"]["beta"]
+    manifest_path.write_text(json.dumps(manifest))
+    (tmp_path / "o.txt").unlink()
+    capsys.readouterr()
+    assert main(["replay", str(manifest_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {manifest_path}:")
+    assert "--beta is required" in err
+    assert [p.name for p in tmp_path.iterdir()] == [manifest_path.name]
+
+
 def test_replay_rejects_unknown_command(tmp_path, capsys):
     bad = tmp_path / "weird.manifest.json"
     bad.write_text(json.dumps({"command": "frobnicate", "arguments": {},

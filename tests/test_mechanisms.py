@@ -299,15 +299,15 @@ def test_train_halts_at_budget(rng):
     model, data = small_problem(rng)
     cfg = TrainConfig(batch_size=30, epochs=4,
                       noise=GGParams(2.0, 3 * math.sqrt(2.0)),
-                      target_epsilon=1.0, target_delta=1e-5)
+                      target_epsilon=1.0, target_delta=1e-5,
+                      ledger_samples=30_000, ledger_bins=2 ** 12)
     planned = 4 * 4
     spec = MechanismSpec(cfg.noise, cfg.clip_norm, 30 / 120, 1)
     ledger = CompositionLedger(spec, k_cap=planned, samples_n=30_000,
                                bins=2 ** 12)
     budget = ledger.max_steps(cfg.target_epsilon, cfg.target_delta)
     assert budget < planned  # otherwise this test would not exercise the halt
-    result = train_noisy_sgd(model, data, cfg, np.random.default_rng(9),
-                             ledger=ledger)
+    result = train_noisy_sgd(model, data, cfg, np.random.default_rng(9))
     assert result.steps == budget
     assert result.halted is True
     assert result.epsilon == ledger.epsilon_at(budget, cfg.target_delta)
@@ -333,16 +333,6 @@ def test_train_accounts_the_noise_it_adds_at_any_clip_norm(rng):
         < result.epsilon
 
 
-def test_train_rejects_a_ledger_for_other_noise(rng):
-    model, data = small_problem(rng)
-    cfg = TrainConfig(batch_size=30, clip_norm=0.25, noise=GGParams(2.0, 3.0))
-    ledger = CompositionLedger(MechanismSpec(cfg.noise, 0.25, 30 / 120, 1),
-                               k_cap=2, samples_n=30_000, bins=2 ** 12)
-    with pytest.raises(ParameterError,
-                       match=r"ledger accounts .*sigma=3\.0.*releases .*sigma=0\.75"):
-        train_noisy_sgd(model, data, cfg, rng, ledger=ledger)
-
-
 def test_train_refuses_to_account_beta_above_two(rng):
     # The ledger's 1-D loss under-states a d-dimensional beta > 2 release.
     model, data = small_problem(rng)
@@ -350,11 +340,6 @@ def test_train_refuses_to_account_beta_above_two(rng):
     with pytest.raises(ParameterError, match=r"beta=3 .*dimension reduction"):
         train_noisy_sgd(model, data, TrainConfig(noise=noise, batch_size=30,
                                                  target_epsilon=8.0), rng)
-    ledger = CompositionLedger(MechanismSpec(noise, 1.0, 30 / 120, 1), k_cap=2,
-                               samples_n=30_000, bins=2 ** 12)
-    with pytest.raises(ParameterError, match=r"beta=3 .*dimension reduction"):
-        train_noisy_sgd(model, data, TrainConfig(noise=noise, batch_size=30),
-                        rng, ledger=ledger)
     result = train_noisy_sgd(model, data, TrainConfig(noise=noise, batch_size=30),
                              rng)
     assert result.steps == 4 * 5 and result.epsilon is None

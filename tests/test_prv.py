@@ -25,6 +25,7 @@ from ggprivacy.prv import (
     gaussian_prv_cdf,
     laplace_prv_cdf,
     loss_function,
+    loss_range,
     multidim_prv_sample,
     sample_prv,
     subsampled_loss_function,
@@ -103,6 +104,37 @@ def test_base_loss_range_laplace():
     t = np.linspace(-50.0, 50.0, 10001)
     vals = loss_function(LAP, t)
     assert vals.max() <= 1.0 + 1e-12 and vals.min() >= -1.0 - 1e-12
+    for direction in LossDirection:
+        assert loss_range(LAP, direction) == (-1.0, 1.0)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.01])
+@pytest.mark.parametrize("direction", list(LossDirection))
+def test_subsampled_loss_range_matches_dense_extremes(q, direction):
+    # At beta = 1 the base loss is flat beyond [0, Delta], so a dense grid
+    # over a wider interval attains both ends of the range.
+    spec = MechanismSpec(GGParams(1.0, 2.0), 1.5, q)
+    vals = subsampled_loss_function(spec, np.linspace(-4.0, 5.5, 20001),
+                                    direction)
+    lo, hi = loss_range(spec, direction)
+    npt.assert_allclose([lo, hi], [vals.min(), vals.max()], rtol=1e-14)
+
+
+@pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("q", [None, 1.0, 0.3])
+def test_loss_range_unbounded_above_beta_one(beta, q):
+    spec = MechanismSpec(GGParams(beta, 2.0), 1.0, q)
+    for direction in LossDirection:
+        lo, hi = loss_range(spec, direction)
+        if q is None or q == 1.0:
+            assert (lo, hi) == (-math.inf, math.inf)
+        elif direction is LossDirection.REMOVE:
+            # log(M/Q) >= log(1 - q) and is unbounded above
+            assert lo == pytest.approx(math.log1p(-q), rel=1e-15)
+            assert hi == math.inf
+        else:
+            assert lo == -math.inf
+            assert hi == pytest.approx(-math.log1p(-q), rel=1e-15)
 
 
 # -- sampled losses -----------------------------------------------------------
