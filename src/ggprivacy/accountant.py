@@ -15,12 +15,14 @@ certificate is dominated by its worst-case discretization terms and is much
 looser than the observed accuracy; both the raw estimate and the
 conservative (estimate + certificate) values are reported.
 
-Determinism: every sampling entry point accepts ``rng`` as a
-``numpy.random.Generator`` (caller-controlled stream), an ``int`` seed, or
-``None``.  For ``int``/``None`` the actual generator is derived by hashing
-the seed together with the mechanism, configuration, and purpose of the
-draw, so repeated calls with identical arguments reproduce results
-bit-for-bit.  ``None`` means the documented default seed ``DEFAULT_SEED``.
+Determinism: `account`, `CompositionLedger` and the calibration built on
+them take ``rng`` as an ``int`` seed or ``None`` (the documented default
+``DEFAULT_SEED``).  Each draw's generator is derived by hashing that seed
+with the draw's purpose (window pilot or discretization), the spec's
+`MechanismSpec.loss_key` ``(beta, Delta/sigma, q)``, the grid (for the
+discretization) and the direction.  Repeated calls with identical arguments
+therefore reproduce results bit for bit, and two specs with one loss key, or
+a ledger and `account` at the same grid, draw the same single-shot loss.
 """
 
 from __future__ import annotations
@@ -65,13 +67,13 @@ def derive_rng(seed: int | None, *context) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _generator(rng, *context) -> np.random.Generator:
-    """The caller's Generator as is, else `derive_rng` of the int/None seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if rng is None or isinstance(rng, (int, np.integer)):
-        return derive_rng(rng, *context)
-    raise ParameterError(f"rng must be a Generator, int seed, or None; got {rng!r}")
+def _seed(rng) -> int:
+    """The int seed that ``rng`` (an int or None) names."""
+    if rng is None:
+        return DEFAULT_SEED
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
+        return int(rng)
+    raise ParameterError(f"rng must be an int seed or None, got {rng!r}")
 
 
 @dataclass(frozen=True)
@@ -243,9 +245,8 @@ class DiscretePRV:
                 f"got {delta!r}")
         if self.delta_at(0.0) <= delta:
             return 0.0
+        # delta_at(support()[-1]) is 0: no grid mass lies above the top cell.
         lo, hi = 0.0, float(self.support()[-1])
-        if self.delta_at(hi) > delta:  # all representable mass above hi is gone
-            return hi
         for _ in range(200):
             if hi - lo <= 1e-12 * max(1.0, hi):
                 break
@@ -263,16 +264,18 @@ class DiscretePRV:
 
 
 def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.ndarray],
-                            cfg: AccountantConfig, rng,
+                            cfg: AccountantConfig, rng: np.random.Generator,
                             source: str = "sampled") -> DiscretePRV:
     """Estimate a `DiscretePRV` from ``2 * samples_n`` accepted draws.
 
-    Rejection-samples into [-L, L]; the first ``samples_n`` accepted values
-    feed the bin masses, the second half estimates the sub-cell offset
-    ``mu_hat = clamp(mean - grid_mean, [0, h/2])``.  Raises
-    `TruncationError` when fewer than 10% of draws land inside the window.
+    Rejection-samples ``sample_fn(rng, count)`` into [-L, L]; the first
+    ``samples_n`` accepted values feed the bin masses, the second half
+    estimates the sub-cell offset ``mu_hat = clamp(mean - grid_mean,
+    [0, h/2])``.  Raises `TruncationError` when fewer than 10% of draws land
+    inside the window.
     """
-    gen = _generator(rng, "discretize", cfg.to_dict(), source)
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy Generator, got {rng!r}")
     n = cfg.samples_n
     need = 2 * n
     L, h, m = cfg.trunc_L, cfg.mesh_h, cfg.half_bins
@@ -282,7 +285,7 @@ def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.n
     accepted = 0
     drawn = 0
     while accepted < need:
-        values = np.asarray(sample_fn(gen, chunk), dtype=np.float64)
+        values = np.asarray(sample_fn(rng, chunk), dtype=np.float64)
         drawn += values.size
         kept = values[np.abs(values) <= L]
         accepted += kept.size
@@ -518,17 +521,17 @@ class AccountResult:
     curve: PrivacyCurve
     config: AccountantConfig
     composed: dict[LossDirection, DiscretePRV]
-    seed: int | None
+    seed: int
 
 
-def _auto_config(spec: MechanismSpec, rng, samples_n: int,
+def _auto_config(spec: MechanismSpec, k: int, seed: int, samples_n: int,
                  bins: int) -> AccountantConfig:
-    """Size the window from a pilot run: L = |k mean| + 12 sqrt(k) std."""
-    k = spec.compositions
+    """Size the window for ``k`` compositions from a pilot run of the
+    single-shot loss: L = |k mean| + 12 sqrt(k) std."""
     L = 0.0
     for direction in directions_for(spec):
         pilot = sample_prv(spec, direction,
-                           _generator(rng, "pilot", spec.to_dict(),
+                           derive_rng(seed, "pilot", spec.loss_key,
                                       direction.value), PILOT_SAMPLES)
         L_dir = abs(k * float(np.mean(pilot))) \
             + _PILOT_SPREAD * math.sqrt(k) * float(np.std(pilot))
@@ -537,18 +540,15 @@ def _auto_config(spec: MechanismSpec, rng, samples_n: int,
     return AccountantConfig(L, bins=bins, samples_n=samples_n)
 
 
-def _discretize_directions(spec: MechanismSpec, cfg: AccountantConfig, rng,
-                           purpose: str) -> dict[LossDirection, DiscretePRV]:
-    """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction.
-
-    An int/None ``rng`` seeds each direction's draw from ``(purpose, spec,
-    cfg, direction)``; a Generator is drawn from in direction order.
-    """
+def _discretize_directions(spec: MechanismSpec, cfg: AccountantConfig,
+                           seed: int) -> dict[LossDirection, DiscretePRV]:
+    """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction,
+    each drawn from a stream seeded by ``(seed, loss key, grid, direction)``."""
     return {direction: discretize_from_samples(
                 lambda r, c: sample_prv(spec, direction, r, c), cfg,
-                _generator(rng, purpose, spec.to_dict(), cfg.to_dict(),
+                derive_rng(seed, "discretize", spec.loss_key, cfg.to_dict(),
                            direction.value),
-                source=f"{purpose}:{direction.value}")
+                source=f"sampled:{direction.value}")
             for direction in directions_for(spec)}
 
 
@@ -572,16 +572,15 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
     if not isinstance(curve_points, (int, np.integer)) or curve_points < 2:
         raise ParameterError(
             f"curve_points must be an integer >= 2, got {curve_points!r}")
-
-    if cfg is None:
-        cfg = _auto_config(spec, rng, samples_n, bins)
+    seed = _seed(rng)
 
     k = spec.compositions
+    if cfg is None:
+        cfg = _auto_config(spec, k, seed, samples_n, bins)
     t = cfg.resolved_t()
     composed: dict[LossDirection, DiscretePRV] = {}
     bounds: dict[LossDirection, ErrorBounds] = {}
-    for direction, one in _discretize_directions(spec, cfg, rng,
-                                                 "account").items():
+    for direction, one in _discretize_directions(spec, cfg, seed).items():
         full = compose([(one, k)])
         composed[direction] = full
 
@@ -617,8 +616,7 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
         epsilon_conservative=eps_est + tau,
         delta_conservative=min(1.0, delta_est + eta),
         eta=eta, tau=tau, curve=curve, config=cfg, composed=composed,
-        seed=None if isinstance(rng, np.random.Generator)
-        else DEFAULT_SEED if rng is None else int(rng))
+        seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -630,23 +628,27 @@ class CompositionLedger:
     """Cheap ``epsilon(k)`` over many composition counts of one mechanism.
 
     Discretizes the one-step loss once, as `account` does, and answers each
-    ``k`` with `compose` (the single's rFFT is cached on it).  Built for
-    training loops that need "how many more steps fit in the budget".
+    ``k`` with `compose` (the single's rFFT is cached on it); the spec's
+    ``compositions`` is not read.  The auto window is sized for ``k_cap``, so
+    ``composed(k_cap)`` is `account`'s result at ``k_cap`` compositions and
+    the same seed and sizes.  Built for training loops that need "how many
+    more steps fit in the budget".
     """
 
     def __init__(self, spec: MechanismSpec, cfg: AccountantConfig | None = None,
                  rng=None, k_cap: int = 4096,
                  samples_n: int = 400_000, bins: int = 2 ** 16):
-        if spec.compositions != 1:
-            spec = MechanismSpec(spec.noise, spec.sensitivity, spec.sample_rate, 1)
+        if (not isinstance(k_cap, (int, np.integer)) or isinstance(k_cap, bool)
+                or k_cap < 1):
+            raise ParameterError(
+                f"k_cap must be an integer >= 1, got {k_cap!r}")
+        seed = _seed(rng)
         self.spec = spec
         self.k_cap = int(k_cap)
         if cfg is None:
-            probe = MechanismSpec(spec.noise, spec.sensitivity, spec.sample_rate,
-                                  self.k_cap)
-            cfg = _auto_config(probe, rng, samples_n, bins)
+            cfg = _auto_config(spec, self.k_cap, seed, samples_n, bins)
         self.cfg = cfg
-        self._singles = _discretize_directions(spec, cfg, rng, "ledger")
+        self._singles = _discretize_directions(spec, cfg, seed)
         self._eps_cache: dict[tuple[int, float], float] = {}
 
     def composed(self, k: int) -> dict[LossDirection, DiscretePRV]:

@@ -2,7 +2,7 @@
 
 `solve_sigma` inverts the accountant in sigma by bracketed bisection.  The
 accountant's epsilon(sigma) is monotone non-increasing up to Monte-Carlo
-jitter; because probes are deterministic functions of (mechanism, config,
+jitter; because probes are deterministic functions of (loss key, config,
 seed), a given solve is exactly reproducible.  Observed non-monotonicity
 beyond half the solve tolerance aborts with
 `AccountingInconsistencyError` rather than returning a sigma the evidence
@@ -92,13 +92,19 @@ def solve_sigma(beta: float, target: PrivacyTarget,
     """Smallest noise scale meeting ``target``, to within ``tolerance`` in
     epsilon.
 
-    Doubles/halves an initial bracket around sigma = 1 until
+    Doubles/halves an initial bracket around sigma = sensitivity until
     ``eps(sigma_min) > target.epsilon > eps(sigma_max)``, then bisects,
     keeping that invariant, until the kept (sigma_max) side is within
-    ``tolerance / 2`` of the target.  Each probe re-runs the accountant with
-    a seed derived from its own sigma, so the returned sigma re-accounts to
-    exactly the epsilon reported here.
+    ``tolerance / 2`` of the target.  Each probe re-runs the accountant,
+    whose draws are seeded by the probe's own ``sensitivity / sigma``, so the
+    returned sigma re-accounts to exactly the epsilon reported here.  The
+    probes at sensitivity ``c`` are ``c`` times those at sensitivity 1, with
+    the same ratios; bitwise so when ``c`` is a power of two.
     """
+    if not (isinstance(sensitivity, (int, float))
+            and math.isfinite(sensitivity) and sensitivity > 0):
+        raise ParameterError(
+            f"sensitivity must be positive and finite, got {sensitivity!r}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ParameterError(f"tolerance must be positive, got {tolerance!r}")
     evals: dict[float, float] = {}
@@ -113,22 +119,22 @@ def solve_sigma(beta: float, target: PrivacyTarget,
             _check_monotone(evals, 0.5 * tolerance)
         return evals[sigma]
 
-    sigma_min = sigma_max = 1.0
+    sigma_min = sigma_max = float(sensitivity)
     for _ in range(_MAX_BRACKET_STEPS):
         if probe(sigma_min) > target.epsilon:
             break
         sigma_min /= 2.0
     else:
         raise SolverError(
-            f"no sigma in [{sigma_min:g}, 1] pushes epsilon above "
-            f"{target.epsilon:g}; target may be out of range")
+            f"no sigma in [{sigma_min:g}, {sensitivity:g}] pushes epsilon "
+            f"above {target.epsilon:g}; target may be out of range")
     for _ in range(_MAX_BRACKET_STEPS):
         if probe(sigma_max) < target.epsilon:
             break
         sigma_max *= 2.0
     else:
         raise SolverError(
-            f"no sigma in [1, {sigma_max:g}] brings epsilon below "
+            f"no sigma in [{sensitivity:g}, {sigma_max:g}] brings epsilon below "
             f"{target.epsilon:g}; target may be out of range")
 
     stopped_by = f"the {_MAX_BISECT_STEPS}-step bisection limit"

@@ -500,7 +500,10 @@ def _cmd_pate_label(args, sub) -> int:
 
 
 def _cmd_train(args, sub) -> int:
-    rng = derive_rng(args.seed, "train", args.dataset, args.model)
+    # A CSV seeds by its content, so every spelling of its path agrees.
+    dataset_key = ("synthetic" if args.dataset == "synthetic"
+                   else _sha256(args.dataset))
+    rng = derive_rng(args.seed, "train", dataset_key, args.model)
     if args.dataset == "synthetic":
         X, y = make_blobs(args.train_size + args.test_size, args.dim,
                           args.separation, rng)

@@ -13,6 +13,10 @@ Conventions, fixed once here and relied on everywhere else:
   sampled under ``t ~ M``; the ADD direction is ``log(Q/M)(t)`` (its exact
   negation pointwise) sampled under ``t ~ Q``.
 
+* At ``t = sigma * u`` the loss is ``|u - Delta/sigma|**beta - |u|**beta``,
+  so every loss here is evaluated in units of ``sigma`` and depends on a
+  spec only through `MechanismSpec.loss_key`, ``(beta, Delta/sigma, q)``.
+
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
   noise.  By reflection through ``Delta/2`` that is equal in law to the
@@ -76,6 +80,14 @@ class MechanismSpec:
         object.__setattr__(self, "sensitivity", float(self.sensitivity))
         object.__setattr__(self, "compositions", int(self.compositions))
 
+    @property
+    def loss_key(self) -> tuple[float, float, float | None]:
+        """``(beta, Delta/sigma, q)``: everything the privacy loss depends on
+        besides the number of compositions.  ``q = 1`` includes every record,
+        so it keys as ``None``."""
+        q = None if self.sample_rate == 1.0 else self.sample_rate
+        return (self.noise.beta, self.sensitivity / self.noise.sigma, q)
+
     def to_dict(self) -> dict:
         return {
             "beta": self.noise.beta,
@@ -86,9 +98,10 @@ class MechanismSpec:
         }
 
 
-def _base_loss(spec: MechanismSpec, t: np.ndarray) -> np.ndarray:
-    sigma_beta = spec.noise.sigma ** spec.noise.beta
-    return kernels.gg_loss(t, spec.sensitivity, spec.noise.beta, sigma_beta)
+def _base_loss(spec: MechanismSpec, u: np.ndarray) -> np.ndarray:
+    """``ell(sigma * u)``: the base log ratio at outputs in units of sigma."""
+    beta, ratio, _ = spec.loss_key
+    return kernels.gg_loss(u, ratio, beta, 1.0)
 
 
 def _directed_loss(ell: np.ndarray, q: float,
@@ -107,7 +120,7 @@ def loss_function(spec: MechanismSpec, t):
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise InputError("t must be finite")
-    out = _base_loss(spec, arr)
+    out = _base_loss(spec, arr / spec.noise.sigma)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -119,8 +132,8 @@ def subsampled_loss_function(spec: MechanismSpec, t,
     arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise InputError("t must be finite")
-    out = _directed_loss(_base_loss(spec, arr), float(spec.sample_rate),
-                         direction)
+    out = _directed_loss(_base_loss(spec, arr / spec.noise.sigma),
+                         float(spec.sample_rate), direction)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
@@ -128,28 +141,28 @@ def sample_prv(spec: MechanismSpec, direction: LossDirection,
                rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` iid single-shot loss values in the given direction.
 
-    Generator consumption order: noise block first, then (only when
-    ``0 < q < 1`` and direction is REMOVE) one uniform block for the
-    Bernoulli inclusions.
+    The noise is drawn in units of sigma, ``z ~ GG(beta, 1)``, so the draws
+    depend on the spec only through `MechanismSpec.loss_key`.  Generator
+    consumption order: noise block first, then (only when ``0 < q < 1`` and
+    direction is REMOVE) one uniform block for the Bernoulli inclusions.
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ParameterError(f"count must be a positive integer, got {count!r}")
-    z = ggdist.sample(spec.noise, rng, int(count))
-    mu = spec.sensitivity
-    q = spec.sample_rate
+    beta, ratio, q = spec.loss_key
+    z = ggdist.sample(GGParams(beta, 1.0), rng, int(count))
 
-    if q is None or q == 1.0:
-        # REMOVE draws t = mu - z from the shifted density, and the loss
-        # -ell(mu - z) equals ell(z) in law (pointwise to a few ulp); ADD
-        # draws t = z from Q with loss ell(z).  Both directions therefore
-        # share this line.
+    if q is None:
+        # REMOVE draws u = Delta/sigma - z from the shifted density, and the
+        # loss -ell(Delta/sigma - z) equals ell(z) in law (pointwise to a few
+        # ulp); ADD draws u = z from Q with loss ell(z).  Both directions
+        # therefore share this line.
         return _base_loss(spec, z)
 
-    if direction is LossDirection.REMOVE:  # t ~ M: shifted with probability q
+    if direction is LossDirection.REMOVE:  # u ~ M: shifted with probability q
         keep = rng.random(int(count)) < q
-        z = np.where(keep, mu - z, z)
+        z = np.where(keep, ratio - z, z)
     return _directed_loss(_base_loss(spec, z), q, direction)
 
 
@@ -161,17 +174,17 @@ def loss_range(spec: MechanismSpec,
     and is unbounded on both sides otherwise; subsampling maps that range
     through the same loss as `sample_prv`.
     """
-    edge = spec.sensitivity / spec.noise.sigma \
-        if spec.noise.beta == 1.0 else math.inf
-    if spec.sample_rate is None:
+    beta, ratio, q = spec.loss_key
+    edge = ratio if beta == 1.0 else math.inf
+    if q is None:
         return -edge, edge
-    ends = _directed_loss(np.array([-edge, edge]), spec.sample_rate, direction)
+    ends = _directed_loss(np.array([-edge, edge]), q, direction)
     return float(ends.min()), float(ends.max())
 
 
 def directions_for(spec: MechanismSpec) -> tuple[LossDirection, ...]:
     """Directions that need separate accounting for this spec."""
-    if spec.sample_rate is None or spec.sample_rate == 1.0:
+    if spec.loss_key[2] is None:
         return (LossDirection.REMOVE,)
     return (LossDirection.REMOVE, LossDirection.ADD)
 

@@ -159,6 +159,22 @@ def test_epsilon_at_inverts_delta_at():
             prv.epsilon_at(bad)
 
 
+def test_delta_vanishes_at_the_top_of_the_support(rng):
+    # epsilon_at bisects on [0, support()[-1]] and needs no other upper
+    # bracket: no grid mass lies above the top cell, fresh or composed.
+    for _ in range(60):
+        size = 2 * int(rng.integers(1, 40)) + 1
+        probs = rng.random(size) ** 4
+        mesh_h = float(rng.uniform(0.01, 3.0))
+        prv = DiscretePRV(probs=probs / probs.sum(), mesh_h=mesh_h,
+                          offset=float(rng.uniform(0.0, mesh_h / 2.0)))
+        for item in (prv, compose([(prv, int(rng.integers(2, 50)))])):
+            top = float(item.support()[-1])
+            assert item.delta_at(top) == 0.0
+            eps = item.epsilon_at(1e-300)
+            assert 0.0 <= eps <= top and item.delta_at(eps) <= 1e-300
+
+
 # -- discretization ------------------------------------------------------------
 
 def test_discretize_from_samples_normal_oracle():
@@ -189,6 +205,13 @@ def test_discretize_rejects_hopeless_truncation():
     with pytest.raises(TruncationError):
         discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
                                 derive_rng(3, "disc"), source="normal")
+
+
+@pytest.mark.parametrize("rng", [None, 3])
+def test_discretize_from_samples_takes_only_a_generator(rng):
+    cfg = AccountantConfig(8.0, 2 ** 10, samples_n=15_000)
+    with pytest.raises(ParameterError, match="rng"):
+        discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg, rng)
 
 
 def test_discretize_from_cdf_gaussian():
@@ -327,12 +350,29 @@ def test_account_requires_exactly_one_target():
 
 
 @pytest.mark.parametrize("points", [1, 0, 2.5, True])
-def test_account_checks_curve_points_before_sampling(points):
-    gen = np.random.default_rng(3)
-    state = gen.bit_generator.state
+def test_account_checks_curve_points_before_sampling(points, monkeypatch):
+    from ggprivacy import accountant
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking curve_points")
+
+    monkeypatch.setattr(accountant, "sample_prv", no_sampling)
     with pytest.raises(ParameterError, match="curve_points"):
-        account(GAUSS, delta=1e-5, rng=gen, curve_points=points)
-    assert gen.bit_generator.state == state
+        account(GAUSS, delta=1e-5, curve_points=points)
+
+
+@pytest.mark.parametrize("rng", [np.random.default_rng(3), 2.0, "7", True])
+def test_account_and_ledger_take_only_an_int_seed(rng):
+    with pytest.raises(ParameterError, match="rng"):
+        account(GAUSS, delta=1e-5, rng=rng)
+    with pytest.raises(ParameterError, match="rng"):
+        CompositionLedger(GAUSS, rng=rng)
+
+
+def test_account_reports_its_int_seed():
+    small = dict(samples_n=30_000, bins=2 ** 12)
+    assert account(GAUSS, delta=1e-5, **small).seed == 61803398
+    assert account(GAUSS, delta=1e-5, rng=np.int64(5), **small).seed == 5
 
 
 def test_account_gaussian_close_to_analytic():
@@ -358,6 +398,33 @@ def test_account_epsilon_target_mode():
     result = account(GAUSS, epsilon=eps_star, samples_n=100_000, bins=2 ** 15)
     assert result.epsilon == eps_star
     assert result.delta == pytest.approx(1e-5, abs=3e-5)
+
+
+@pytest.mark.parametrize("q", [None, 0.1])
+def test_account_depends_on_the_spec_only_through_its_loss_key(q):
+    # GG(1.5, 2) at sensitivity 1 and GG(1.5, 0.5) at 0.25 share the loss
+    # key (1.5, 0.5, q): one accounting, bit for bit, also on the ledger.
+    small = dict(samples_n=30_000, bins=2 ** 12)
+    specs = [MechanismSpec(GGParams(1.5, sigma), sens, q, 10)
+             for sigma, sens in ((2.0, 1.0), (0.5, 0.25))]
+    assert specs[0].loss_key == specs[1].loss_key == (1.5, 0.5, q)
+    a, b = (account(spec, delta=1e-5, rng=3, **small) for spec in specs)
+    assert a.epsilon.hex() == b.epsilon.hex()
+    assert (a.eta, a.tau, a.config) == (b.eta, b.tau, b.config)
+    ledgers = [CompositionLedger(spec, rng=3, k_cap=10, **small).composed(10)
+               for spec in specs]
+    for direction, prv in a.composed.items():
+        for got in (b.composed[direction], *(led[direction] for led in ledgers)):
+            assert got.probs.tobytes() == prv.probs.tobytes()
+            assert got.offset.hex() == prv.offset.hex()
+
+
+def test_account_at_rate_one_is_the_plain_account():
+    small = dict(samples_n=30_000, bins=2 ** 12)
+    plain, full = (account(MechanismSpec(GGParams(2.0, 2.0), 1.0, q, 5),
+                           delta=1e-5, rng=1, **small) for q in (None, 1.0))
+    assert full.epsilon.hex() == plain.epsilon.hex()
+    assert full.config == plain.config
 
 
 def test_account_subsampled_uses_both_directions():
@@ -389,6 +456,14 @@ def test_ledger_max_steps_brackets_target(ledger):
         ledger.epsilon_at(33, 1e-5)
 
 
+@pytest.mark.parametrize("k_cap", [0, -3, 2.7, 4.0, "8", True, None])
+def test_ledger_validates_k_cap(k_cap):
+    cfg = AccountantConfig(6.0, bins=2 ** 12, samples_n=30_000)
+    for given in (None, cfg):
+        with pytest.raises(ParameterError, match="k_cap"):
+            CompositionLedger(GAUSS, given, k_cap=k_cap)
+
+
 def test_ledger_budget_exhausted():
     spec = MechanismSpec(GGParams(2.0, 0.5), 1.0)
     tiny = CompositionLedger(spec, k_cap=4, samples_n=30_000, bins=2 ** 12)
@@ -397,15 +472,16 @@ def test_ledger_budget_exhausted():
 
 
 def test_ledger_shares_account_discretization():
-    # The ledger and account draw and compose through one path, so from the
-    # same generator they produce the same composed PRVs bit for bit.
-    cfg = AccountantConfig(6.0, bins=2 ** 12, samples_n=30_000)
+    # The ledger and account draw and compose through one path, and a ledger
+    # capped at k sizes its window for k, so at one seed and size they
+    # produce the same composed PRVs bit for bit.
+    small = dict(samples_n=30_000, bins=2 ** 12)
     noise = GGParams(1.5, 2.0)
     k = 7
-    ledger = CompositionLedger(MechanismSpec(noise, 1.0, 0.05, 1), cfg,
-                               rng=np.random.default_rng(4), k_cap=k)
-    direct = account(MechanismSpec(noise, 1.0, 0.05, k), cfg,
-                     rng=np.random.default_rng(4), delta=1e-5).composed
+    ledger = CompositionLedger(MechanismSpec(noise, 1.0, 0.05, 1), rng=4,
+                               k_cap=k, **small)
+    direct = account(MechanismSpec(noise, 1.0, 0.05, k), rng=4, delta=1e-5,
+                     **small).composed
     got = ledger.composed(k)
     assert set(got) == set(direct) == {LossDirection.REMOVE, LossDirection.ADD}
     for direction, prv in got.items():
@@ -419,12 +495,12 @@ def test_ledger_shares_account_discretization():
 # not a change of any random stream (draw order, seeding or sample layout);
 # a change that alters a stream on purpose updates these values.
 FROZEN_ACCOUNT = {  # (beta, q): (epsilon, eta, tau), sigma = 2, k = 5
-    (1.0, None): (2.4845238267528504, 1.0, 90.09981995297706),
-    (1.0, 0.1): (0.31154914820820667, 1.0, 7.113381750666477),
-    (2.0, None): (7.536811320581245, 1.0, 188.59456702230364),
-    (2.0, 0.1): (1.0864719857616796, 1.0, 10.835777098438058),
-    (3.0, None): (14.255419471926345, 1.0, 326.9244551576315),
-    (3.0, 0.1): (3.5135714913806906, 1.0, 21.823264063452033),
+    (1.0, None): (2.5084394126220007, 1.0, 89.71842088881232),
+    (1.0, 0.1): (0.3124867099372912, 1.0, 7.111663041674623),
+    (2.0, None): (7.5753092486108455, 1.0, 184.077948660897),
+    (2.0, 0.1): (1.0336250318381206, 1.0, 10.748690817252388),
+    (3.0, None): (14.310148436619869, 1.0, 329.91865260099746),
+    (3.0, 0.1): (3.0466063099397194, 1.0, 17.908613443754586),
 }
 
 
@@ -439,6 +515,6 @@ def test_account_frozen_results(beta, q):
 def test_ledger_frozen_max_steps():
     ledger = CompositionLedger(MechanismSpec(GGParams(2.0, 3.0), 1.0, 0.25, 1),
                                k_cap=256, samples_n=30_000, bins=2 ** 12)
-    assert ledger.max_steps(4.0, 1e-5) == 47
-    assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.9611740912834876,
+    assert ledger.max_steps(4.0, 1e-5) == 48
+    assert ledger.epsilon_at(48, 1e-5) == pytest.approx(3.9857020981581095,
                                                         rel=1e-9)

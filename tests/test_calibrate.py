@@ -87,7 +87,17 @@ def test_solve_sigma_scales_with_sensitivity():
     target = PrivacyTarget(**TARGET)
     one = solve_sigma(2.0, target, tolerance=TOL, **FAST)
     two = solve_sigma(2.0, target, tolerance=TOL, sensitivity=2.0, **FAST)
-    assert two.sigma == pytest.approx(2.0 * one.sigma, rel=0.1)
+    # Doubling sigma and the sensitivity keeps every probe's loss key.
+    assert two.sigma == 2.0 * one.sigma
+    assert two.epsilon == one.epsilon
+
+
+def test_calibration_takes_only_an_int_seed():
+    gen = np.random.default_rng(0)
+    with pytest.raises(ParameterError, match="rng"):
+        solve_sigma(2.0, PrivacyTarget(**TARGET), rng=gen, **FAST)
+    with pytest.raises(ParameterError, match="rng"):
+        equivalent_family([1.0, 2.0], PrivacyTarget(**TARGET), rng=gen, **FAST)
 
 
 def test_solve_sigma_gap_at_target_is_reported(monkeypatch):
@@ -117,6 +127,11 @@ def test_solve_sigma_gap_at_target_is_reported(monkeypatch):
 def test_solve_sigma_validation():
     with pytest.raises(ParameterError):
         solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), tolerance=0.0, **FAST)
+    # The bracket starts at sigma = sensitivity, so that is checked first.
+    for sensitivity in (0.0, -1.0, math.inf, "1"):
+        with pytest.raises(ParameterError, match="sensitivity"):
+            solve_sigma(2.0, PrivacyTarget(2.0, 1e-5),
+                        sensitivity=sensitivity, **FAST)
 
 
 def test_monotone_guard_trips_on_real_rise():
@@ -216,6 +231,6 @@ def test_solve_sigma_frozen_result():
     # Recorded on a small grid; see FROZEN_ACCOUNT in test_accountant.py.
     got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), rng=1, tolerance=0.2,
                       samples_n=30_000, bins=2 ** 12)
-    assert got.sigma == pytest.approx(2.875, rel=1e-9)
-    assert got.epsilon == pytest.approx(1.9756313970076778, rel=1e-9)
-    assert got.probes == 6
+    assert got.sigma == pytest.approx(2.6875, rel=1e-9)
+    assert got.epsilon == pytest.approx(1.983081785918739, rel=1e-9)
+    assert got.probes == 7

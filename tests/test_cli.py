@@ -507,3 +507,19 @@ def test_train_from_csv_dataset(tmp_path, capsys, rng):
     out = capsys.readouterr().out
     assert "finished after 3 steps" in out
     assert "test_acc" not in out.strip().splitlines()[-1]
+
+
+def test_train_seeds_from_dataset_content_not_path(tmp_path, monkeypatch, rng):
+    rows = ["f1,f2,label"]
+    for i in range(40):  # overlapping classes, so accuracy shows the stream
+        x = rng.normal(size=2) + (0.3 if i % 2 else -0.3)
+        rows.append(f"{x[0]},{x[1]},{i % 2}")
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    written = []
+    for i, path in enumerate(("data.csv", "./data.csv",
+                              str(tmp_path / "data.csv"))):
+        assert main(["train", "--dataset", path, "--batch-size", "4",
+                     "--epochs", "2", "--seed", "5", "--out", f"r{i}.jsonl"]) == 0
+        written.append((tmp_path / f"r{i}.jsonl").read_bytes())
+    assert written[0] == written[1] == written[2]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pkgutil
+import re
+from pathlib import Path
 
 import ggprivacy
 
@@ -14,3 +16,20 @@ def test_all_lists_resolvable_public_api_only():
         assert getattr(ggprivacy, name) is not None
     assert "annotations" not in ggprivacy.__all__
     assert not submodules & set(ggprivacy.__all__)
+
+
+def test_readme_quick_start_prints_what_it_says(capsys):
+    # The first block of the README's quick start runs as written; its
+    # printed epsilon rounds to the annotated value, and tau and
+    # epsilon_conservative round to the figures in the text below it.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    quick = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = quick.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md quick start", "exec"), {})
+    epsilon, (_, tau), conservative = (
+        line.split() for line in capsys.readouterr().out.splitlines())
+    want = re.search(r"-> ([0-9.]+)", block).group(1)
+    decimals = len(want.split(".")[1])
+    assert f"{float(epsilon[0]):.{decimals}f}" == want
+    assert f"`τ ≈ {round(float(tau))}`" in quick
+    assert f"`ε_conservative ≈ {round(float(conservative[0]))}`" in quick

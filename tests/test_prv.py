@@ -60,11 +60,20 @@ def test_spec_to_dict_round_trip_fields():
     assert d["beta"] == 2.0 and d["sample_rate"] == 0.01
 
 
+def test_spec_loss_key():
+    assert GAUSS_Q.loss_key == (2.0, 1.0 / math.sqrt(2.0), 0.01)
+    assert MechanismSpec(GGParams(3.0, 4.0), 2.0, None, 9).loss_key \
+        == (3.0, 0.5, None)
+    # Poisson sampling at rate 1 is the plain mechanism.
+    assert MechanismSpec(GGParams(3.0, 4.0), 2.0, 1.0).loss_key \
+        == (3.0, 0.5, None)
+
+
 # -- point losses -------------------------------------------------------------
 
 def test_loss_function_exact_points():
-    # (|t - 1|^2 - |t|^2) / sqrt(2)^2; the denominator rounds to
-    # 2.0000000000000004, so the endpoints are exact only to one ulp.
+    # (|u - 1/sqrt(2)|^2 - |u|^2) at u = t / sqrt(2); 1/sqrt(2) squares to
+    # 0.4999999999999999, so the endpoints are exact only to one ulp.
     assert loss_function(GAUSS, 0.0) == pytest.approx(0.5, rel=1e-15)
     assert loss_function(GAUSS, 0.5) == 0.0
     assert loss_function(GAUSS, 1.0) == pytest.approx(-0.5, rel=1e-15)
@@ -160,6 +169,17 @@ def test_q1_bitwise_equals_plain():
     npt.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("q", [None, 0.3])
+@pytest.mark.parametrize("direction", list(LossDirection))
+def test_sample_prv_depends_only_on_the_loss_key(q, direction):
+    # GG(1.5, 3) at sensitivity 1.5 and GG(1.5, 0.6) at 0.3: ratio 1/2.
+    a = sample_prv(MechanismSpec(GGParams(1.5, 3.0), 1.5, q), direction,
+                   derive_rng(6, "k"), 1000)
+    b = sample_prv(MechanismSpec(GGParams(1.5, 0.6), 0.3, q), direction,
+                   derive_rng(6, "k"), 1000)
+    npt.assert_array_equal(a, b)
+
+
 def test_reflection_identity(rng):
     # -ell(mu - z) = ell(z): exact in real arithmetic; in floats the test
     # itself rounds mu - z once before the loss, so allow a few ulp.
@@ -178,26 +198,29 @@ def test_plain_gaussian_loss_law(rng):
 
 
 def test_subsampled_remove_replicates_by_hand():
-    # Noise block first, then one uniform block for the inclusion draws.
+    # Noise block in units of sigma first, then one uniform block for the
+    # inclusion draws; the loss is evaluated at ratio = Delta/sigma.
     spec = GAUSS_Q
-    n, q = 2000, spec.sample_rate
+    n = 2000
+    beta, ratio, q = spec.loss_key
     got = sample_prv(spec, LossDirection.REMOVE, derive_rng(3, "h"), n)
     r = derive_rng(3, "h")
-    z = ggdist.sample(spec.noise, r, n)
+    z = ggdist.sample(GGParams(beta, 1.0), r, n)
     keep = r.random(n) < q
-    t = np.where(keep, spec.sensitivity - z, z)
-    ell = loss_function(MechanismSpec(spec.noise, spec.sensitivity), t)
+    u = np.where(keep, ratio - z, z)
+    ell = kernels.gg_loss(u, ratio, beta, 1.0)
     expected = kernels.mixture_log_ratio(ell, q)
     npt.assert_array_equal(got, expected)
 
 
 def test_subsampled_add_replicates_by_hand():
     spec = GAUSS_Q
-    n, q = 2000, spec.sample_rate
+    n = 2000
+    beta, ratio, q = spec.loss_key
     got = sample_prv(spec, LossDirection.ADD, derive_rng(4, "h"), n)
     r = derive_rng(4, "h")
-    z = ggdist.sample(spec.noise, r, n)
-    ell = loss_function(MechanismSpec(spec.noise, spec.sensitivity), z)
+    z = ggdist.sample(GGParams(beta, 1.0), r, n)
+    ell = kernels.gg_loss(z, ratio, beta, 1.0)
     expected = -kernels.mixture_log_ratio(ell, q)
     npt.assert_array_equal(got, expected)
 
