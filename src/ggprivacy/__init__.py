@@ -1,8 +1,9 @@
-"""Generalized Gaussian mechanisms with a sampled privacy-loss accountant.
+"""Generalized Gaussian mechanisms with a numerical privacy-loss accountant.
 
 The package covers the full loop: the noise family itself (`ggdist`), its
-privacy-loss random variables (`prv`), a discretized Monte-Carlo accountant
-with FFT composition and finite-sample error certificates (`accountant`),
+privacy-loss random variables and their exact CDFs (`prv`), an accountant
+that discretizes those CDFs and composes them with FFTs, reporting the
+paper's finite-sample error certificates alongside (`accountant`),
 calibration of noise scales to privacy targets (`calibrate`), ready-made
 mechanisms including private argmax and clipped noisy SGD (`mechanisms`),
 vote-histogram utility studies (`simulate`), and a CLI (`ggprivacy ...`).
@@ -32,7 +33,7 @@ from .mechanisms import (LogisticModel, MLPModel, TrainConfig, TrainResult,
                          load_dataset_csv, make_blobs, sgg_mechanism,
                          train_noisy_sgd)
 from .prv import (LossDirection, MechanismSpec, directions_for,
-                  gaussian_prv_cdf, laplace_prv_cdf, loss_function,
+                  gaussian_prv_cdf, laplace_prv_cdf, loss_cdf, loss_function,
                   multidim_prv_sample, sample_prv, subsampled_loss_function)
 from .simulate import (PateAccuracy, ResultRow, SimConfig, UtilityPoint,
                        VoteHistogram, auc_over_runner_up, build_histogram,
@@ -66,8 +67,8 @@ __all__ = [
     "sgg_mechanism", "train_noisy_sgd",
     # prv
     "LossDirection", "MechanismSpec", "directions_for", "gaussian_prv_cdf",
-    "laplace_prv_cdf", "loss_function", "multidim_prv_sample", "sample_prv",
-    "subsampled_loss_function",
+    "laplace_prv_cdf", "loss_cdf", "loss_function", "multidim_prv_sample",
+    "sample_prv", "subsampled_loss_function",
     # simulate
     "PateAccuracy", "ResultRow", "SimConfig", "UtilityPoint", "VoteHistogram",
     "auc_over_runner_up", "build_histogram", "exact_two_class_utility",

@@ -1,28 +1,33 @@
-"""Sampled discrete privacy-loss accounting.
+"""Discretized privacy-loss accounting.
 
-The pipeline: draw single-shot loss values, keep those inside a window
-[-L, L], bin them onto a uniform grid of ``2m + 1`` cells with
-``L = (m + 1/2) h``, estimate a sub-cell offset, self-compose the binned
-distribution with FFT powers (circular, i.e. modulo the window), and read
-``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.
-`account` and `CompositionLedger` share that path: both discretize through
-`_discretize_directions` and compose through `compose`.
+The pipeline: take the exact CDF of the single-shot loss (`prv.loss_cdf`),
+bin it onto a uniform grid of ``2m + 1`` cells spanning a window [-L, L]
+with ``L = (m + 1/2) h``, conditioned on the window, with a sub-cell offset
+from the exact conditional mean; self-compose the binned distribution with
+FFT powers (circular, i.e. modulo the window), and read
+``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.  The window
+is sized from the exact loss moments (`prv.loss_moments`).  `account` and
+`CompositionLedger` share that path: both discretize through
+`_discretize_directions` and compose through `compose`.  Nothing on it
+samples.  The paper's sampled estimator, `discretize_from_samples` fed by
+`prv.sample_prv`, stays as its reproduction and as a cross-check.
 
-Alongside the point estimates the accountant evaluates a finite-sample error
-certificate ``(eta, tau)``: the true delta at ``epsilon (+/-) tau`` lies
-within ``eta`` of the reported curve.  With the default window the
-certificate is dominated by its worst-case discretization terms and is much
-looser than the observed accuracy; both the raw estimate and the
-conservative (estimate + certificate) values are reported.
+Alongside the point estimates the accountant evaluates the paper's
+finite-sample error certificate ``(eta, tau)``: the true delta at
+``epsilon (+/-) tau`` lies within ``eta`` of the reported curve.  Its
+formula is unchanged and still charges the sampling terms for
+``samples_n`` draws, which the exact discretization does not make, so it
+only errs on the conservative side.  With the default window it is
+dominated by its worst-case discretization terms and is much looser than
+the observed accuracy; both the raw estimate and the conservative
+(estimate + certificate) values are reported.
 
 Determinism: `account`, `CompositionLedger` and the calibration built on
-them take ``rng`` as an ``int`` seed or ``None`` (the documented default
-``DEFAULT_SEED``).  Each draw's generator is derived by hashing that seed
-with the draw's purpose (window pilot or discretization), the spec's
-`MechanismSpec.loss_key` ``(beta, Delta/sigma, q)``, the grid (for the
-discretization) and the direction.  Repeated calls with identical arguments
-therefore reproduce results bit for bit, and two specs with one loss key, or
-a ledger and `account` at the same grid, draw the same single-shot loss.
+them are deterministic functions of their spec and sizes; they depend on
+the spec only through `MechanismSpec.loss_key` ``(beta, Delta/sigma, q)``.
+They still take ``rng`` as an ``int`` seed or ``None`` (the documented
+default ``DEFAULT_SEED``), validate it and report it as
+`AccountResult.seed`, but no result depends on it.
 """
 
 from __future__ import annotations
@@ -41,14 +46,15 @@ from . import kernels
 from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, GridMismatchError, ParameterError,
                      RangeError, TruncationError)
-from .prv import (LossDirection, MechanismSpec, directions_for, loss_range,
-                  sample_prv)
+from .prv import (LossDirection, MechanismSpec, directions_for, loss_cdf,
+                  loss_moments, loss_range)
+# perfbench/spans.py patches sample_prv and discretize_from_samples here.
+from .prv import sample_prv  # noqa: F401
 
 DEFAULT_SEED = 61803398
 DEFAULT_BINS = 2 ** 19
 DEFAULT_SAMPLES = 5_000_000
-PILOT_SAMPLES = 10_000
-_PILOT_SPREAD = 12.0
+_WINDOW_SPREAD = 12.0
 _SAMPLE_CHUNK = 2_500_000
 _MIN_ACCEPTANCE = 0.10
 _MASS_DRIFT_TOL = 1e-9
@@ -78,11 +84,13 @@ def _seed(rng) -> int:
 
 @dataclass(frozen=True)
 class AccountantConfig:
-    """Grid and sampling sizes for the discretized accountant.
+    """Grid and certificate sizes for the discretized accountant.
 
     The grid has ``2m + 1`` cells with ``m = bins // 2``, spanning
     [-trunc_L, trunc_L], so ``trunc_L = (m + 1/2) * mesh_h``.
-    ``hoeffding_s`` / ``sampling_t`` are the free parameters of the error
+    ``samples_n`` is the sample count of the paper's sampled estimator
+    (`discretize_from_samples`) and of the error certificate, which assumes
+    it.  ``hoeffding_s`` / ``sampling_t`` are the free parameters of the
     certificate; ``None`` resolves them at accounting time to
     ``10 h sqrt(k)`` and ``10 L / sqrt(n)``.
     """
@@ -524,31 +532,23 @@ class AccountResult:
     seed: int
 
 
-def _auto_config(spec: MechanismSpec, k: int, seed: int, samples_n: int,
+def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
                  bins: int) -> AccountantConfig:
-    """Size the window for ``k`` compositions from a pilot run of the
-    single-shot loss: L = |k mean| + 12 sqrt(k) std."""
-    L = 0.0
+    """Size the window for ``k`` compositions from the exact moments of the
+    single-shot loss: L = |k mean| + 12 sqrt(k) std, the widest direction."""
+    L = 1e-6
     for direction in directions_for(spec):
-        pilot = sample_prv(spec, direction,
-                           derive_rng(seed, "pilot", spec.loss_key,
-                                      direction.value), PILOT_SAMPLES)
-        L_dir = abs(k * float(np.mean(pilot))) \
-            + _PILOT_SPREAD * math.sqrt(k) * float(np.std(pilot))
-        L = max(L, L_dir)
-    L = max(L, 1e-6)
+        mean, var = loss_moments(spec, direction)
+        L = max(L, abs(k * mean) + _WINDOW_SPREAD * math.sqrt(k * var))
     return AccountantConfig(L, bins=bins, samples_n=samples_n)
 
 
-def _discretize_directions(spec: MechanismSpec, cfg: AccountantConfig,
-                           seed: int) -> dict[LossDirection, DiscretePRV]:
+def _discretize_directions(spec: MechanismSpec,
+                           cfg: AccountantConfig) -> dict[LossDirection, DiscretePRV]:
     """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction,
-    each drawn from a stream seeded by ``(seed, loss key, grid, direction)``."""
-    return {direction: discretize_from_samples(
-                lambda r, c: sample_prv(spec, direction, r, c), cfg,
-                derive_rng(seed, "discretize", spec.loss_key, cfg.to_dict(),
-                           direction.value),
-                source=f"sampled:{direction.value}")
+    discretized from its exact CDF."""
+    return {direction: discretize_from_cdf(loss_cdf(spec, direction), cfg,
+                                           source=f"cdf:{direction.value}")
             for direction in directions_for(spec)}
 
 
@@ -560,10 +560,12 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
     """Account a mechanism spec end to end.
 
     Exactly one of ``epsilon`` / ``delta`` must be given; the other is
-    computed.  With ``cfg=None`` the window is auto-sized from a pilot run
-    (``samples_n`` and ``bins`` feed that construction; they are ignored when
-    an explicit config is supplied).  Subsampled mechanisms are accounted in
-    both adjacency directions and the worse direction is reported.
+    computed.  With ``cfg=None`` the window is auto-sized from the exact loss
+    moments (``samples_n`` and ``bins`` feed that construction; they are
+    ignored when an explicit config is supplied).  Subsampled mechanisms are
+    accounted in both adjacency directions and the worse direction is
+    reported.  ``rng`` is validated and reported as `AccountResult.seed`;
+    the result does not depend on it.
     """
     if (epsilon is None) == (delta is None):
         raise ParameterError("provide exactly one of epsilon= or delta=")
@@ -576,11 +578,11 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
 
     k = spec.compositions
     if cfg is None:
-        cfg = _auto_config(spec, k, seed, samples_n, bins)
+        cfg = _auto_config(spec, k, samples_n, bins)
     t = cfg.resolved_t()
     composed: dict[LossDirection, DiscretePRV] = {}
     bounds: dict[LossDirection, ErrorBounds] = {}
-    for direction, one in _discretize_directions(spec, cfg, seed).items():
+    for direction, one in _discretize_directions(spec, cfg).items():
         full = compose([(one, k)])
         composed[direction] = full
 
@@ -631,8 +633,9 @@ class CompositionLedger:
     ``k`` with `compose` (the single's rFFT is cached on it); the spec's
     ``compositions`` is not read.  The auto window is sized for ``k_cap``, so
     ``composed(k_cap)`` is `account`'s result at ``k_cap`` compositions and
-    the same seed and sizes.  Built for training loops that need "how many
-    more steps fit in the budget".
+    the same sizes.  ``rng`` is validated as in `account` and otherwise
+    unused.  Built for training loops that need "how many more steps fit in
+    the budget".
     """
 
     def __init__(self, spec: MechanismSpec, cfg: AccountantConfig | None = None,
@@ -642,13 +645,13 @@ class CompositionLedger:
                 or k_cap < 1):
             raise ParameterError(
                 f"k_cap must be an integer >= 1, got {k_cap!r}")
-        seed = _seed(rng)
+        _seed(rng)
         self.spec = spec
         self.k_cap = int(k_cap)
         if cfg is None:
-            cfg = _auto_config(spec, self.k_cap, seed, samples_n, bins)
+            cfg = _auto_config(spec, self.k_cap, samples_n, bins)
         self.cfg = cfg
-        self._singles = _discretize_directions(spec, cfg, seed)
+        self._singles = _discretize_directions(spec, cfg)
         self._eps_cache: dict[tuple[int, float], float] = {}
 
     def composed(self, k: int) -> dict[LossDirection, DiscretePRV]:

@@ -1,12 +1,12 @@
 """Calibration: noise scales for privacy targets, families, tail weights.
 
 `solve_sigma` inverts the accountant in sigma by bracketed bisection.  The
-accountant's epsilon(sigma) is monotone non-increasing up to Monte-Carlo
-jitter; because probes are deterministic functions of (loss key, config,
-seed), a given solve is exactly reproducible.  Observed non-monotonicity
-beyond half the solve tolerance aborts with
-`AccountingInconsistencyError` rather than returning a sigma the evidence
-does not support.  `equivalent_family` solves one sigma per shape at a
+accountant discretizes the exact loss CDF, so each probe is a deterministic
+function of the loss key and the grid, and epsilon(sigma) is monotone
+non-increasing up to discretization error; a given solve is exactly
+reproducible.  Observed non-monotonicity beyond half the solve tolerance
+aborts with `AccountingInconsistencyError` rather than returning a sigma
+the evidence does not support.  `equivalent_family` solves one sigma per shape at a
 shared target, and `tail_weight` reads the tail masses of such a solved
 family.
 """
@@ -63,7 +63,7 @@ class SolveResult:
 
 
 # Probes closer than this ratio are not compared for monotonicity: their
-# true epsilon gap is inside the accountant's Monte-Carlo jitter and any
+# true epsilon gap can be inside the accountant's grid error, and any
 # apparent reversal is uninformative.
 _MONOTONE_MIN_RATIO = 1.05
 
@@ -95,11 +95,11 @@ def solve_sigma(beta: float, target: PrivacyTarget,
     Doubles/halves an initial bracket around sigma = sensitivity until
     ``eps(sigma_min) > target.epsilon > eps(sigma_max)``, then bisects,
     keeping that invariant, until the kept (sigma_max) side is within
-    ``tolerance / 2`` of the target.  Each probe re-runs the accountant,
-    whose draws are seeded by the probe's own ``sensitivity / sigma``, so the
-    returned sigma re-accounts to exactly the epsilon reported here.  The
-    probes at sensitivity ``c`` are ``c`` times those at sensitivity 1, with
-    the same ratios; bitwise so when ``c`` is a power of two.
+    ``tolerance / 2`` of the target.  Each probe re-runs the deterministic
+    accountant, so the returned sigma re-accounts to exactly the epsilon
+    reported here.  The probes at sensitivity ``c`` are ``c`` times those at
+    sensitivity 1: their ratios ``sensitivity / sigma`` agree to an ulp
+    (bitwise when ``c`` is a power of two), and so do their epsilons.
     """
     if not (isinstance(sensitivity, (int, float))
             and math.isfinite(sensitivity) and sensitivity > 0):

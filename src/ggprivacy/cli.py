@@ -224,11 +224,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_accountant_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                     help="loss samples per discretization (default %(default)s)")
+                     help="sample count the error certificate assumes "
+                          "(default %(default)s)")
     sub.add_argument("--bins", type=int, default=DEFAULT_BINS,
                      help="grid cells (default %(default)s)")
     sub.add_argument("--trunc-l", type=float, default=None,
-                     help="window half-width (default: auto from a pilot run)")
+                     help="window half-width (default: auto from the loss moments)")
 
 
 def _add_target_args(sub: argparse.ArgumentParser) -> None:
@@ -249,7 +250,7 @@ def _add_calibration_args(sub: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ggprivacy",
-        description="Generalized Gaussian mechanisms and their sampled "
+        description="Generalized Gaussian mechanisms and their numerical "
                     "privacy-loss accountant")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", metavar="SUBCOMMAND")

@@ -10,12 +10,19 @@ Conventions, fixed once here and relied on everywhere else:
 
 * With Poisson sample rate ``q`` the mixture is ``M = (1-q) Q + q P``.
   The REMOVE direction is the loss ``log(M/Q)(t) = log(1 - q + q e^{-ell(t)})``
-  sampled under ``t ~ M``; the ADD direction is ``log(Q/M)(t)`` (its exact
-  negation pointwise) sampled under ``t ~ Q``.
+  under ``t ~ M``; the ADD direction is ``log(Q/M)(t)`` (its exact negation
+  pointwise) under ``t ~ Q``.
 
 * At ``t = sigma * u`` the loss is ``|u - Delta/sigma|**beta - |u|**beta``,
   so every loss here is evaluated in units of ``sigma`` and depends on a
   spec only through `MechanismSpec.loss_key`, ``(beta, Delta/sigma, q)``.
+
+* For ``beta >= 1`` the base loss is non-increasing in ``t``, so the law of
+  the single-shot loss in either direction is known exactly: `loss_cdf`
+  returns its CDF (one root-find in ``t`` plus GG tail probabilities) and
+  `loss_moments` its mean and variance.  The accountant discretizes these.
+  `sample_prv` draws from the same law; it is the paper's Monte-Carlo
+  estimator and the cross-check of `loss_cdf`.
 
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
@@ -31,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -40,6 +48,11 @@ from .errors import InputError, ParameterError
 from .ggdist import GGParams
 
 MAX_DIMENSIONS = 64
+_ROOT_TOL = 32.0 * float(np.finfo(np.float64).eps)
+_ROOT_STEPS = 100      # Newton/bisection cap of `_half_gap_root`
+_QUAD_NODES = 16       # Gauss-Legendre nodes per panel of `loss_moments`
+_QUAD_PANEL = 0.5      # panel width times beta, in units of sigma
+_QUAD_REACH = 60.0     # integrate where |u - shift|**beta <= this
 
 
 class LossDirection(enum.Enum):
@@ -180,6 +193,175 @@ def loss_range(spec: MechanismSpec,
         return -edge, edge
     ends = _directed_loss(np.array([-edge, edge]), q, direction)
     return float(ends.min()), float(ends.max())
+
+
+def _upper_tail(x: np.ndarray, beta: float) -> np.ndarray:
+    """``P(Z >= x)`` for ``Z ~ GG(beta, 1)``.  The regularized upper
+    incomplete gamma gives the tail beyond ``|x|``, so small tail masses keep
+    their relative precision."""
+    if beta == 2.0:                   # GG(2, 1) is normal with variance 1/2
+        return 0.5 * special.erfc(x)
+    half = 0.5 * special.gammaincc(1.0 / beta, np.abs(x) ** beta)
+    return np.where(x >= 0.0, half, 1.0 - half)
+
+
+def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
+    """``w >= 0`` with ``(w + c)**beta - |w - c|**beta = a``, elementwise,
+    for ``beta > 1``, ``c > 0`` and ``a >= 0`` (infinite ``a`` gives infinite
+    ``w``).
+
+    ``a / (2 beta c)`` is the mean of the increasing ``sign(x) |x|**(beta
+    - 1)`` over ``x`` in ``[w - c, w + c]``, so ``w`` lies in the bracket
+    ``[g - c, g + c]`` with ``g = (a / (2 beta c))**(1 / (beta - 1))``.
+    Newton steps start there, at the next-order estimate
+    ``g - (beta - 2) c**2 / (6 g)`` once ``g > c``, and fall back to
+    bisection whenever they leave the shrinking bracket; only entries that
+    have not converged are iterated.
+    """
+    with np.errstate(over="ignore"):
+        g = (a / (2.0 * beta * c)) ** (1.0 / (beta - 1.0))
+    lo = np.maximum(g - c, 0.0)
+    hi = g + c
+    with np.errstate(all="ignore"):   # the estimate is discarded where g <= c
+        w = np.where(g > c, np.clip(g - (beta - 2.0) * c * c / (6.0 * g), lo, hi), g)
+    active = np.flatnonzero(np.isfinite(g) & (a > 0.0))
+    for _ in range(_ROOT_STEPS):
+        if active.size == 0:
+            break
+        wa, la, ha, aa = w[active], lo[active], hi[active], a[active]
+        s = wa + c
+        with np.errstate(divide="ignore"):  # log(0) at w = c is wanted
+            t = np.log1p(-2.0 * np.minimum(wa, c) / s)   # log(|w - c| / s)
+        power = s ** beta
+        res = -power * np.expm1(beta * t) - aa
+        # d/dw: beta (s**(beta-1) - sign(w - c) |w - c|**(beta-1))
+        slope = beta * power / s * (
+            1.0 - np.copysign(np.exp((beta - 1.0) * t), wa - c))
+        above = res > 0.0
+        ha = np.where(above, wa, ha)
+        la = np.where(above, la, wa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = wa - res / slope   # a flat slope fails `inside` below
+        inside = (newton >= la) & (newton <= ha)
+        nxt = np.where(inside, newton, la + 0.5 * (ha - la))
+        # Rounding in the residual moves the root by about eps (w + c) /
+        # (beta - 1); stop well above that noise.
+        tol = _ROOT_TOL / (beta - 1.0) * (wa + c)
+        done = (inside & (np.abs(newton - wa) <= tol)) | (ha - la <= tol)
+        w[active], lo[active], hi[active] = nxt, la, ha
+        active = active[~done]
+    return w
+
+
+def _crossing(beta: float, ratio: float, theta: np.ndarray,
+              upper: bool) -> np.ndarray:
+    """Where the base loss ``ell(z) = |z - ratio|**beta - |z|**beta``
+    crosses ``theta``.  ``ell`` is non-increasing, so ``{ell <= theta}`` is
+    ``{z >= z*}`` and ``{ell >= theta}`` (``upper``) is ``{z <= z*}``.
+
+    At ``beta = 1`` the loss is flat at ``+-ratio`` outside ``[0, ratio]``,
+    and the two level sets differ at those atoms, as in `laplace_prv_cdf`.
+    """
+    if beta == 1.0:
+        z = (ratio - theta) / 2.0
+        empty = theta > ratio if upper else theta < -ratio
+        full = theta <= -ratio if upper else theta >= ratio
+        return np.where(empty, -np.inf if upper else np.inf,
+                        np.where(full, np.inf if upper else -np.inf, z))
+    if beta == 2.0:
+        return (ratio * ratio - theta) / (2.0 * ratio)
+    # ell is odd about ratio/2: ell(ratio/2 + u) = -ell(ratio/2 - u).
+    c = 0.5 * ratio
+    return c - np.sign(theta) * _half_gap_root(beta, c, np.abs(theta))
+
+
+def _unmix(x: np.ndarray, q: float) -> np.ndarray:
+    """``s`` with ``log(1 - q + q e**s) = x``, the inverse of the map in
+    `_directed_loss`; ``-inf`` at and below ``x = log(1 - q)``."""
+    out = np.full(x.shape, -np.inf)
+    big = x > 1.0
+    xb = x[big]
+    out[big] = xb - math.log(q) + np.log1p(-(1.0 - q) * np.exp(-xb))
+    mid = ~big & (x > math.log1p(-q))
+    out[mid] = np.log1p(np.expm1(x[mid]) / q)
+    return out
+
+
+def loss_cdf(spec: MechanismSpec,
+             direction: LossDirection) -> Callable:
+    """The exact CDF of the single-shot loss in ``direction``: the law that
+    `sample_prv` draws from, read off through `MechanismSpec.loss_key`.  The
+    returned function takes loss values (a scalar or an array).
+
+    The base loss is non-increasing in the noise, so with ``Z ~ GG(beta, 1)``
+    and ``G`` its distribution function:
+
+    * no subsampling: ``P(ell(Z) <= y) = P(Z >= z*)`` at ``ell(z*) = y``;
+    * REMOVE: ``(1 - q) G(t*) + q G(t* - Delta/sigma)`` at
+      ``ell(t*) = -log((e**y - 1 + q) / q)``, zero at and below
+      ``log(1 - q)``;
+    * ADD: ``P(ell(Z) <= theta)`` at ``theta = -log((e**-y - 1 + q) / q)``,
+      one at and above ``-log(1 - q)``.
+    """
+    if not isinstance(direction, LossDirection):
+        raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
+    beta, ratio, q = spec.loss_key
+
+    def values(y: np.ndarray) -> np.ndarray:
+        if q is None:
+            return _upper_tail(_crossing(beta, ratio, y, upper=False), beta)
+        if direction is LossDirection.ADD:
+            theta = -_unmix(-y, q)
+            return _upper_tail(_crossing(beta, ratio, theta, upper=False), beta)
+        z = _crossing(beta, ratio, -_unmix(y, q), upper=True)
+        return (1.0 - q) * _upper_tail(-z, beta) \
+            + q * _upper_tail(ratio - z, beta)
+
+    def cdf(y):
+        out = values(np.atleast_1d(np.asarray(y, dtype=np.float64)))
+        return float(out[0]) if np.ndim(y) == 0 else out
+
+    return cdf
+
+
+def loss_moments(spec: MechanismSpec,
+                 direction: LossDirection) -> tuple[float, float]:
+    """Mean and variance of the single-shot loss in ``direction``.
+
+    Gauss-Legendre quadrature against the GG density, in units of sigma, on
+    panels that break at the loss's kinks ``0`` and ``Delta/sigma`` and that
+    stop where the density falls below ``exp(-_QUAD_REACH)``.
+    """
+    if not isinstance(direction, LossDirection):
+        raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
+    beta, ratio, q = spec.loss_key
+    if q is None or direction is LossDirection.ADD:
+        parts = ((1.0, 0.0),)               # outputs drawn from Q
+    else:
+        parts = ((1.0 - q, 0.0), (q, ratio))   # from M = (1 - q) Q + q P
+    reach = _QUAD_REACH ** (1.0 / beta)
+    log_norm = math.log(beta / 2.0) - float(special.gammaln(1.0 / beta))
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
+    us, ws = [], []
+    for share, shift in parts:
+        cuts = sorted({shift - reach, shift + reach}
+                      | {p for p in (0.0, ratio)
+                         if shift - reach < p < shift + reach})
+        edges = np.concatenate([
+            np.linspace(a, b, 1 + math.ceil((b - a) * beta / _QUAD_PANEL))[:-1]
+            for a, b in zip(cuts, cuts[1:])] + [cuts[-1:]])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        u = (mid[:, None] + half[:, None] * nodes).ravel()
+        dens = np.exp(log_norm - np.abs(u - shift) ** beta)
+        us.append(u)
+        ws.append(share * dens * (half[:, None] * weights).ravel())
+    u, w = np.concatenate(us), np.concatenate(ws)
+    y = _base_loss(spec, u)
+    if q is not None:
+        y = _directed_loss(y, q, direction)
+    mean = float(w @ y)
+    return mean, float(w @ (y - mean) ** 2)
 
 
 def directions_for(spec: MechanismSpec) -> tuple[LossDirection, ...]:

@@ -2,8 +2,9 @@
 
 Each test pins its tolerances inline and drives the public API the way a
 user would; conftest prints one PASS/FAIL line per criterion at the end of
-the run.  Every Monte-Carlo step seeds deterministically (content-derived
-generators), so the whole module is bitwise reproducible run to run.
+the run.  The accountant is deterministic and every Monte-Carlo step seeds
+deterministically (content-derived generators), so the whole module is
+bitwise reproducible run to run.
 """
 
 from __future__ import annotations
@@ -51,10 +52,8 @@ from ggprivacy.simulate import (
 
 SEED = 61803398
 
-# Solver runs share these accountant settings.  At 2M draws the per-probe
-# epsilon jitter at delta = 1e-5 stays around +-0.012, safely below the
-# solver's monotonicity slack (tolerance / 2 = 0.025) while keeping each
-# probe well under a second.
+# Solver runs share these accountant settings: a 2^16-bin grid keeps each
+# probe well under a second, and samples_n sizes the reported certificate.
 ACCT = dict(samples_n=2_000_000, bins=2 ** 16)
 
 
@@ -86,9 +85,9 @@ def test_criterion_01_gaussian_single_shot():
 
 
 def test_criterion_02_gaussian_composed():
-    """k=100 sampled accounting within +-0.1 of the sample-free (CDF
-    discretized) composition; the composed grid is the discretized
-    N(50, 10^2) within total variation 1e-3."""
+    """k=100 accounting of GG(2, sqrt(2)) within +-0.1 of the composed
+    Gaussian PRV CDF discretized on the same grid; that composed grid is
+    the discretized N(50, 10^2) within total variation 1e-3."""
     cfg = AccountantConfig(170.0, 2 ** 19, samples_n=5_000_000)
     one = discretize_from_cdf(lambda e: gaussian_prv_cdf(e, 1.0, 1.0), cfg)
     composed = compose([(one, 100)])

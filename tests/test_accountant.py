@@ -238,6 +238,59 @@ def test_discretize_from_cdf_laplace_atoms():
     assert prv.delta_at(0.0) == pytest.approx(1.0 - math.exp(-0.5), abs=5e-3)
 
 
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("q", [None, 0.1])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
+def test_sampled_and_cdf_discretizations_agree(beta, q, k):
+    # The paper's sampled estimator and the exact CDF, binned on one grid:
+    # the CDF's epsilon lies within the Monte-Carlo spread of one sampled
+    # run (eight seeds at 50k draws; the spread covers the estimator's noise
+    # and its upward bias from clamping a noisy offset at 0).
+    from ggprivacy.accountant import _auto_config
+    from ggprivacy.prv import directions_for, loss_cdf, sample_prv
+
+    spec = MechanismSpec(GGParams(beta, 2.0), 1.0, q, k)
+    cfg = _auto_config(spec, k, 50_000, 2 ** 12)
+
+    def epsilon(singles):
+        return max(compose([(one, k)]).epsilon_at(1e-3) for one in singles)
+
+    exact = epsilon(discretize_from_cdf(loss_cdf(spec, d), cfg)
+                    for d in directions_for(spec))
+    sampled = [epsilon(discretize_from_samples(
+                   lambda r, c: sample_prv(spec, d, r, c), cfg,
+                   derive_rng(seed, "cross-check", d.value))
+                   for d in directions_for(spec))
+               for seed in range(8)]
+    assert abs(exact - np.mean(sampled)) <= 4.0 * np.std(sampled, ddof=1)
+
+
+@pytest.mark.parametrize("sigma,k,bins", [
+    (math.sqrt(2.0), 1, 2 ** 16), (2.0, 10, 2 ** 16), (4.0, 100, 2 ** 16),
+    (4.0, 100, 2 ** 19),   # the account benchmark's beta = 2 op: 20.67551
+])
+def test_account_gaussian_oracle(sigma, k, bins):
+    # GG(2, sigma) is Gaussian with std sigma / sqrt(2); k releases compose
+    # to one with std sigma / sqrt(2 k).
+    spec = MechanismSpec(GGParams(2.0, sigma), 1.0, None, k)
+    want = gauss_epsilon(1e-5, sigma / math.sqrt(2.0 * k))
+    assert account(spec, delta=1e-5, bins=bins).epsilon == pytest.approx(
+        want, abs=1e-4)
+
+
+@pytest.mark.parametrize("q", [None, 1.0])
+def test_account_laplace_matches_laplace_prv_cdf(q):
+    spec = MechanismSpec(GGParams(1.0, 4.0), 1.0, q, 100)
+    got = account(spec, delta=1e-5, bins=2 ** 14)
+    one = discretize_from_cdf(lambda x: laplace_prv_cdf(x, 4.0, 1.0),
+                              got.config)
+    prv = got.composed[LossDirection.REMOVE]
+    ref = compose([(one, 100)])
+    npt.assert_allclose(prv.probs, ref.probs, rtol=0.0, atol=1e-9)
+    assert prv.offset == pytest.approx(ref.offset, abs=1e-9)
+    assert got.epsilon == pytest.approx(ref.epsilon_at(1e-5), abs=1e-9)
+
+
 # -- composition ---------------------------------------------------------------
 
 def test_compose_single_identity():
@@ -353,12 +406,32 @@ def test_account_requires_exactly_one_target():
 def test_account_checks_curve_points_before_sampling(points, monkeypatch):
     from ggprivacy import accountant
 
-    def no_sampling(*args):
-        raise AssertionError("sampled before checking curve_points")
+    def no_work(*args):
+        raise AssertionError("discretized before checking curve_points")
 
-    monkeypatch.setattr(accountant, "sample_prv", no_sampling)
+    for name in ("loss_moments", "loss_cdf", "sample_prv"):
+        monkeypatch.setattr(accountant, name, no_work)
     with pytest.raises(ParameterError, match="curve_points"):
         account(GAUSS, delta=1e-5, curve_points=points)
+
+
+def test_accounting_draws_nothing(monkeypatch):
+    # account, the ledger and calibration discretize the exact loss CDF: no
+    # noise is drawn, and the seed changes nothing.
+    from ggprivacy import accountant, calibrate, ggdist
+
+    def no_draws(*args):
+        raise AssertionError("the accountant drew noise")
+
+    monkeypatch.setattr(ggdist, "sample", no_draws)
+    monkeypatch.setattr(accountant, "sample_prv", no_draws)
+    small = dict(samples_n=30_000, bins=2 ** 12)
+    spec = MechanismSpec(GGParams(1.5, 2.0), 1.0, 0.1, 5)
+    a, b = (account(spec, delta=1e-5, rng=seed, **small) for seed in (1, 2))
+    assert a.epsilon.hex() == b.epsilon.hex() and (a.seed, b.seed) == (1, 2)
+    CompositionLedger(spec, k_cap=5, **small).max_steps(1.0, 1e-5)
+    calibrate.solve_sigma(2.0, calibrate.PrivacyTarget(2.0, 1e-5), tolerance=0.2,
+                          **small)
 
 
 @pytest.mark.parametrize("rng", [np.random.default_rng(3), 2.0, "7", True])
@@ -491,16 +564,17 @@ def test_ledger_shares_account_discretization():
 
 # -- frozen random streams -----------------------------------------------------
 
-# Results recorded on small grids.  rel=1e-9 absorbs platform FFT ulps but
-# not a change of any random stream (draw order, seeding or sample layout);
-# a change that alters a stream on purpose updates these values.
+# Results recorded on small grids.  The discretization is exact and
+# deterministic; rel=1e-9 absorbs platform ulps (FFT, special functions) but
+# not a change of the window, the grid or the loss CDF.  A change that moves
+# them on purpose updates these values.
 FROZEN_ACCOUNT = {  # (beta, q): (epsilon, eta, tau), sigma = 2, k = 5
-    (1.0, None): (2.5084394126220007, 1.0, 89.71842088881232),
-    (1.0, 0.1): (0.3124867099372912, 1.0, 7.111663041674623),
-    (2.0, None): (7.5753092486108455, 1.0, 184.077948660897),
-    (2.0, 0.1): (1.0336250318381206, 1.0, 10.748690817252388),
-    (3.0, None): (14.310148436619869, 1.0, 329.91865260099746),
-    (3.0, 0.1): (3.0466063099397194, 1.0, 17.908613443754586),
+    (1.0, None): (2.512768442473925, 1.0, 89.94963296537681),
+    (1.0, 0.1): (0.30997305866793246, 1.0, 7.139086260936116),
+    (2.0, None): (7.51132358489372, 1.0, 185.4237914081901),
+    (2.0, 0.1): (1.1513063379818131, 1.0, 10.909812164293044),
+    (3.0, None): (14.325084046161995, 1.0, 325.60334007453406),
+    (3.0, 0.1): (3.437186159498803, 1.0, 18.54353390787306),
 }
 
 
@@ -515,6 +589,6 @@ def test_account_frozen_results(beta, q):
 def test_ledger_frozen_max_steps():
     ledger = CompositionLedger(MechanismSpec(GGParams(2.0, 3.0), 1.0, 0.25, 1),
                                k_cap=256, samples_n=30_000, bins=2 ** 12)
-    assert ledger.max_steps(4.0, 1e-5) == 48
-    assert ledger.epsilon_at(48, 1e-5) == pytest.approx(3.9857020981581095,
+    assert ledger.max_steps(4.0, 1e-5) == 47
+    assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.9726037461860777,
                                                         rel=1e-9)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
@@ -33,3 +34,24 @@ def test_readme_quick_start_prints_what_it_says(capsys):
     assert f"{float(epsilon[0]):.{decimals}f}" == want
     assert f"`τ ≈ {round(float(tau))}`" in quick
     assert f"`ε_conservative ≈ {round(float(conservative[0]))}`" in quick
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # perfbench/spans.py patches functions and methods by name, reading each
+    # from its owner's __dict__; a name dropped from the package would crash
+    # every traced benchmark run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        assert patched
+        assert all(getattr(owner, attr) is not original
+                   for owner, attr, original in patched)
+    finally:
+        tracer.restore()
+    assert all(owner.__dict__[attr] is original
+               for owner, attr, original in patched)

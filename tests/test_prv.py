@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from ggprivacy import (
     GGParams,
@@ -24,7 +24,9 @@ from ggprivacy.prv import (
     directions_for,
     gaussian_prv_cdf,
     laplace_prv_cdf,
+    loss_cdf,
     loss_function,
+    loss_moments,
     loss_range,
     multidim_prv_sample,
     sample_prv,
@@ -313,3 +315,113 @@ def test_laplace_prv_cdf_matches_sampled_law(rng):
     # beta=1 losses land within rounding of the edge, not exactly on it).
     assert abs(np.mean(np.abs(y - 1.0) < 1e-9) - 0.5) < 0.01
     assert abs(np.mean(np.abs(y + 1.0) < 1e-9) - 0.5 * math.exp(-1.0)) < 0.01
+
+
+# -- exact single-shot loss CDF and moments ------------------------------------
+
+def test_loss_cdf_closed_forms():
+    # beta = 2 is the Gaussian PRV and beta = 1 the Laplace PRV, atoms and all.
+    y = np.concatenate([np.linspace(-6.0, 6.0, 241), [-1.0, 1.0]])
+    npt.assert_allclose(loss_cdf(GAUSS, LossDirection.REMOVE)(y),
+                        gaussian_prv_cdf(y, 1.0, 1.0), rtol=1e-12, atol=1e-300)
+    for direction in LossDirection:
+        npt.assert_allclose(loss_cdf(LAP, direction)(y),
+                            laplace_prv_cdf(y, 1.0, 1.0), rtol=1e-12)
+    # A scalar loss gives a float, as the reference CDFs do.
+    got = loss_cdf(GAUSS, LossDirection.REMOVE)(0.5)
+    assert isinstance(got, float) and got == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [1.01, 1.5, 3.0, 8.0])
+def test_loss_cdf_inverts_the_loss(beta):
+    # ell is non-increasing in t, so P(ell(T) <= ell(t)) = P(T >= t), for t
+    # on both sides of the kinks 0 and Delta and far into both tails.
+    spec = MechanismSpec(GGParams(beta, 0.8), 0.3)
+    t = np.concatenate([np.linspace(-3.0, 3.0, 601), [-1e-9, 1e-9, 0.3]])
+    got = loss_cdf(spec, LossDirection.REMOVE)(loss_function(spec, t))
+    npt.assert_allclose(got, 1.0 - ggdist.cdf(spec.noise, t), rtol=1e-9,
+                        atol=1e-13)
+
+
+@pytest.mark.parametrize("q", [None, 0.1])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 3.0])
+def test_loss_cdf_matches_sampled_law(beta, q, rng):
+    spec = MechanismSpec(GGParams(beta, 2.0), 1.0, q)
+    for direction in directions_for(spec):
+        # Between the extremes: at beta = 1 the atoms at the ends of the
+        # range are drawn only to within rounding.
+        y = np.sort(sample_prv(spec, direction, rng, 200_000))
+        grid = np.linspace(y[0], y[-1], 403)[1:-1]
+        empirical = np.searchsorted(y, grid, side="right") / y.size
+        cdf = loss_cdf(spec, direction)(grid)
+        assert np.all(np.diff(cdf) >= 0.0)
+        assert np.max(np.abs(empirical - cdf)) < 0.005
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+def test_subsampled_loss_cdf_support(beta):
+    # REMOVE losses lie at or above log(1 - q), ADD losses at or below
+    # -log(1 - q); the CDF is exactly 0 and 1 there and tends to the other
+    # limit far out.
+    q = 0.3
+    spec = MechanismSpec(GGParams(beta, 1.0), 1.0, q)
+    edge = math.log1p(-q)
+    remove = loss_cdf(spec, LossDirection.REMOVE)
+    add = loss_cdf(spec, LossDirection.ADD)
+    npt.assert_array_equal(remove(np.array([-50.0, edge])), [0.0, 0.0])
+    npt.assert_array_equal(add(np.array([-edge, 50.0])), [1.0, 1.0])
+    assert remove(np.array([200.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert add(np.array([-200.0]))[0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_loss_cdf_depends_only_on_the_loss_key():
+    y = np.linspace(-3.0, 3.0, 61)
+    for direction in LossDirection:
+        a = loss_cdf(MechanismSpec(GGParams(1.5, 3.0), 1.5, 0.3), direction)(y)
+        b = loss_cdf(MechanismSpec(GGParams(1.5, 0.6), 0.3, 0.3), direction)(y)
+        npt.assert_array_equal(a, b)
+    with pytest.raises(ParameterError):
+        loss_cdf(GAUSS, "remove")
+
+
+def test_loss_moments_gaussian_closed_form():
+    # The Gaussian PRV at noise std sigma / sqrt(2) is N(r**2, 2 r**2) with
+    # r = Delta / sigma.
+    for sigma in (0.2, 1.0, 8.0):
+        r = 1.0 / sigma
+        mean, var = loss_moments(MechanismSpec(GGParams(2.0, sigma), 1.0),
+                                 LossDirection.REMOVE)
+        assert mean == pytest.approx(r * r, rel=1e-10)
+        assert var == pytest.approx(2.0 * r * r, rel=1e-10)
+
+
+@pytest.mark.parametrize("beta,sigma,q", [
+    (1.0, 2.0, None), (1.5, 0.5, None), (3.0, 4.0, None), (1.5, 2.0, 0.1),
+    (2.5, 1.0, 0.3), (1.0, 1.0, 0.05),
+])
+def test_loss_moments_match_adaptive_quadrature(beta, sigma, q):
+    spec = MechanismSpec(GGParams(beta, sigma), 1.0, q)
+    ratio = 1.0 / sigma
+    unit = GGParams(beta, 1.0)
+    for direction in directions_for(spec):
+        shifts = ((1.0, 0.0),) if q is None or direction is LossDirection.ADD \
+            else ((1.0 - q, 0.0), (q, ratio))
+
+        def loss(u):
+            t = sigma * u
+            if q is None:
+                return loss_function(spec, t)
+            return subsampled_loss_function(spec, t, direction)
+
+        def moment(power):
+            return sum(w * integrate.quad(
+                lambda u: loss(u) ** power * ggdist.pdf(unit, u, shift),
+                -60.0, 60.0,
+                points=(0.0, ratio), limit=400, epsabs=0.0,
+                epsrel=1e-11)[0] for w, shift in shifts)
+
+        # The fixed panels converge algebraically at the kinks; a window
+        # sized from these moments needs far fewer digits than this.
+        mean, var = loss_moments(spec, direction)
+        assert mean == pytest.approx(moment(1), rel=1e-7)
+        assert var == pytest.approx(moment(2) - moment(1) ** 2, rel=1e-7)
