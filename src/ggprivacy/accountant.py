@@ -5,12 +5,16 @@ bin it onto a uniform grid of ``2m + 1`` cells spanning a window [-L, L]
 with ``L = (m + 1/2) h``, conditioned on the window, with a sub-cell offset
 from the exact conditional mean; self-compose the binned distribution with
 FFT powers (circular, i.e. modulo the window), and read
-``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.  The window
-is sized from the exact loss moments (`prv.loss_moments`).  `account` and
-`CompositionLedger` share that path: both discretize through
-`_discretize_directions` and compose through `compose`.  Nothing on it
-samples.  The paper's sampled estimator, `discretize_from_samples` fed by
-`prv.sample_prv`, stays as its reproduction and as a cross-check.
+``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.  The cell
+count is rounded up to a fast FFT length, an odd number whose prime
+factors all lie in {3, 5, 7}, and powers are taken by repeated squaring,
+so composing ``k`` copies costs ``O(log k)`` spectrum products and one
+inverse FFT.  The window is sized from the exact loss moments
+(`prv.loss_moments`).  `account` and `CompositionLedger` share that path:
+both discretize through `_discretize_directions` and compose through
+`compose`.  Nothing on it samples.  The paper's sampled estimator,
+`discretize_from_samples` fed by `prv.sample_prv`, stays as its
+reproduction and as a cross-check.
 
 Alongside the point estimates the accountant evaluates the paper's
 finite-sample error certificate ``(eta, tau)``: the true delta at
@@ -82,12 +86,39 @@ def _seed(rng) -> int:
     raise ParameterError(f"rng must be an int seed or None, got {rng!r}")
 
 
+def _fast_fft_cells(n: int) -> int:
+    """Smallest odd count >= ``n`` whose prime factors all lie in {3, 5, 7}.
+
+    pocketfft transforms such lengths with its radix-3/5/7 passes; a length
+    with a large prime factor (2^16 + 1 is prime, 2^19 + 1 = 3 * 174763)
+    falls back to Bluestein's algorithm, several times slower.
+    """
+    best = 1
+    while best < n:
+        best *= 3
+    p7 = 1
+    while p7 < best:
+        p57 = p7
+        while p57 < best:
+            p = p57
+            while p < n:
+                p *= 3
+            best = min(best, p)
+            p57 *= 5
+        p7 *= 7
+    return best
+
+
 @dataclass(frozen=True)
 class AccountantConfig:
     """Grid and certificate sizes for the discretized accountant.
 
-    The grid has ``2m + 1`` cells with ``m = bins // 2``, spanning
-    [-trunc_L, trunc_L], so ``trunc_L = (m + 1/2) * mesh_h``.
+    A request of ``bins`` asks for ``2 (bins // 2) + 1`` cells; the grid
+    built has the smallest odd count at least that large whose prime
+    factors all lie in {3, 5, 7} (a fast FFT length: 2^19 -> 3^12 =
+    531441), and ``bins`` stores that count, so ``AccountantConfig(L,
+    cfg.bins)`` builds the same grid.  With ``m = bins // 2`` the ``2m + 1``
+    cells span [-trunc_L, trunc_L], so ``trunc_L = (m + 1/2) * mesh_h``.
     ``samples_n`` is the sample count of the paper's sampled estimator
     (`discretize_from_samples`) and of the error certificate, which assumes
     it.  ``hoeffding_s`` / ``sampling_t`` are the free parameters of the
@@ -106,8 +137,12 @@ class AccountantConfig:
             raise ConfigError(f"trunc_L must be positive, got {self.trunc_L!r}")
         if not isinstance(self.bins, (int, np.integer)) or self.bins < 2:
             raise ConfigError(f"bins must be an integer >= 2, got {self.bins!r}")
-        if 2 * (self.bins // 2) + 1 > 2 ** 26:
-            raise ConfigError("grid would exceed 2**26 cells")
+        requested = 2 * (int(self.bins) // 2) + 1
+        cells = _fast_fft_cells(requested)
+        if cells > 2 ** 26:
+            raise ConfigError(
+                f"bins={self.bins!r} asks for {requested} cells, which round "
+                f"up to the fast FFT length {cells}, over the 2**26-cell cap")
         if not isinstance(self.samples_n, (int, np.integer)) or self.samples_n < 10_000:
             raise ConfigError(
                 f"samples_n must be an integer >= 10000, got {self.samples_n!r}")
@@ -116,7 +151,7 @@ class AccountantConfig:
             if v is not None and not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be positive when given, got {v!r}")
         object.__setattr__(self, "trunc_L", float(self.trunc_L))
-        object.__setattr__(self, "bins", int(self.bins))
+        object.__setattr__(self, "bins", cells)
         object.__setattr__(self, "samples_n", int(self.samples_n))
 
     @property
@@ -125,7 +160,7 @@ class AccountantConfig:
 
     @property
     def mesh_h(self) -> float:
-        return 2.0 * self.trunc_L / (2 * self.half_bins + 1)
+        return 2.0 * self.trunc_L / self.bins
 
     def resolved_s(self, compositions: int) -> float:
         if self.hoeffding_s is not None:
@@ -140,6 +175,7 @@ class AccountantConfig:
     def to_dict(self) -> dict:
         return {
             "trunc_L": self.trunc_L,
+            "cells": self.bins,
             "mesh_h": self.mesh_h,
             "samples_n": self.samples_n,
             "hoeffding_s": self.hoeffding_s,
@@ -360,6 +396,23 @@ def discretize_from_cdf(cdf_fn: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 
+def _power(base: np.ndarray, k: int) -> np.ndarray:
+    """``base ** k`` for an integer ``k >= 1`` by repeated squaring.
+
+    numpy's complex power multiplies only for ``k < 100`` and goes through
+    ``exp(k log z)`` above; this takes ``O(log k)`` products at any ``k``.
+    ``base`` is not modified.
+    """
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
+
+
 def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     """Compose grid-aligned PRVs with multiplicities via FFT powers.
 
@@ -389,7 +442,7 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     tails = []
     accs = []
     for prv, k in entries:
-        spectrum *= prv._spectrum() ** k
+        spectrum *= _power(prv._spectrum(), k)
         offset += k * prv.offset
         total_k += k * prv.compositions
         if prv.tail_upper is not None:

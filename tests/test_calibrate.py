@@ -214,6 +214,16 @@ def test_tail_weight_gaussian_closed_form():
     assert len(result.points) == 6
 
 
+def test_tail_weight_keeps_precision_in_the_far_tail():
+    fam = synthetic_family([1.0, 2.0], [1.0, 1.0])
+    result = tail_weight(fam, [4.0, 6.0, 7.0, 9.0])
+    for p in result.points:
+        want = special.erfc(p.tau) if p.beta == 2.0 else math.exp(-p.tau)
+        # abs=0: pytest.approx would otherwise pass anything below 1e-12.
+        assert p.weight == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert len(result.points) == 8
+
+
 def test_tail_weight_smoothing_column():
     betas = [1.0, 1.5, 2.0, 2.5, 3.0]
     fam = synthetic_family(betas, [1.0, 1.2, 1.4, 1.6, 1.8])
@@ -241,5 +251,5 @@ def test_solve_sigma_frozen_result():
     got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), rng=1, tolerance=0.2,
                       samples_n=30_000, bins=2 ** 12)
     assert got.sigma == pytest.approx(2.875, rel=1e-9)
-    assert got.epsilon == pytest.approx(1.9570890311432843, rel=1e-9)
+    assert got.epsilon == pytest.approx(1.957086947002123, rel=1e-9)
     assert got.probes == 6
