@@ -5,16 +5,26 @@ bin it onto a uniform grid of ``2m + 1`` cells spanning a window [-L, L]
 with ``L = (m + 1/2) h``, conditioned on the window, with a sub-cell offset
 from the exact conditional mean; self-compose the binned distribution with
 FFT powers (circular, i.e. modulo the window), and read
-``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.  The cell
-count is rounded up to a fast FFT length, an odd number whose prime
-factors all lie in {3, 5, 7}, and powers are taken by repeated squaring,
-so composing ``k`` copies costs ``O(log k)`` spectrum products and one
-inverse FFT.  The window is sized from the exact loss moments
-(`prv.loss_moments`).  `account` and `CompositionLedger` share that path:
-both discretize through `_discretize_directions` and compose through
-`compose`.  Nothing on it samples.  The paper's sampled estimator,
-`discretize_from_samples` fed by `prv.sample_prv`, stays as its
-reproduction and as a cross-check.
+``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.
+
+* The cell edges ``(i - 1/2) h`` are bitwise symmetric about 0, so
+  `prv.loss_cdfs_on_grid` evaluates every direction's CDF there from one
+  root solve (on half the edges for a plain spec; REMOVE's solve, reversed,
+  serves ADD) and skips the edges whose tails float64 saturates at 0.0 or
+  1.0.  The values are bitwise those of `prv.loss_cdf`.
+* The cell count is rounded up to a fast FFT length, an odd number whose
+  prime factors all lie in {3, 5, 7}, and powers are taken by repeated
+  squaring, so composing ``k`` copies costs ``O(log k)`` spectrum products
+  and one inverse FFT.
+* The window is sized from the exact loss moments (`prv.loss_moments`),
+  then widened until ``k`` times the exact single-shot mass outside it is
+  at most 1e-12 in each direction, so a rare inclusion with a large loss
+  is not renormalized away.
+
+`account` and `CompositionLedger` share that path: both discretize through
+`_discretize_directions` and compose through `compose`.  Nothing on it
+samples.  The paper's sampled estimator, `discretize_from_samples` fed by
+`prv.sample_prv`, stays as its reproduction and as a cross-check.
 
 Alongside the point estimates the accountant evaluates the paper's
 finite-sample error certificate ``(eta, tau)``: the true delta at
@@ -51,7 +61,7 @@ from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, GridMismatchError, ParameterError,
                      RangeError, TruncationError)
 from .prv import (LossDirection, MechanismSpec, directions_for, loss_cdf,
-                  loss_moments, loss_range)
+                  loss_cdfs_on_grid, loss_moments, loss_range)
 # perfbench/spans.py patches sample_prv and discretize_from_samples here.
 from .prv import sample_prv  # noqa: F401
 
@@ -59,6 +69,8 @@ DEFAULT_SEED = 61803398
 DEFAULT_BINS = 2 ** 19
 DEFAULT_SAMPLES = 5_000_000
 _WINDOW_SPREAD = 12.0
+_WINDOW_TAIL = 1e-12   # bound on k x the single-shot mass outside [-L, L]
+_WINDOW_GROWTH = 1.25
 _SAMPLE_CHUNK = 2_500_000
 _MIN_ACCEPTANCE = 0.10
 _MASS_DRIFT_TOL = 1e-9
@@ -368,9 +380,22 @@ def discretize_from_cdf(cdf_fn: Callable[[np.ndarray], np.ndarray],
     integration by parts).  Raises `TruncationError` when the window holds
     less than 10% of the mass.
     """
+    edges = _cell_edges(cfg)
+    return _binned(edges, cdf_fn(edges), cfg, source)
+
+
+def _cell_edges(cfg: AccountantConfig) -> np.ndarray:
+    """The ``2m + 2`` cell edges ``(i - 1/2) h`` of ``cfg``'s grid, bitwise
+    symmetric about 0."""
+    m = cfg.half_bins
+    return (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * cfg.mesh_h
+
+
+def _binned(edges: np.ndarray, F, cfg: AccountantConfig,
+            source: str) -> DiscretePRV:
+    """`discretize_from_cdf` from the CDF ``F`` at ``cfg``'s `_cell_edges`."""
     m, h, L = cfg.half_bins, cfg.mesh_h, cfg.trunc_L
-    edges = (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * h
-    F = np.asarray(cdf_fn(edges), dtype=np.float64)
+    F = np.asarray(F, dtype=np.float64)
     if F.shape != edges.shape or not np.all(np.isfinite(F)):
         raise ParameterError("cdf_fn must return finite values, one per edge")
     p = np.maximum(np.diff(F), 0.0)
@@ -588,21 +613,36 @@ class AccountResult:
 def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
                  bins: int) -> AccountantConfig:
     """Size the window for ``k`` compositions from the exact moments of the
-    single-shot loss: L = |k mean| + 12 sqrt(k) std, the widest direction."""
+    single-shot loss: L = |k mean| + 12 sqrt(k) std, the widest direction.
+
+    Moments alone can miss a rare inclusion that carries a large loss, whose
+    mass would then fall outside [-L, L] and be renormalized away.  So L
+    then grows by `_WINDOW_GROWTH` until, in every direction, ``k`` times the
+    exact single-shot mass outside [-L, L] is at most `_WINDOW_TAIL`."""
     L = 1e-6
-    for direction in directions_for(spec):
+    directions = directions_for(spec)
+    for direction in directions:
         mean, var = loss_moments(spec, direction)
         L = max(L, abs(k * mean) + _WINDOW_SPREAD * math.sqrt(k * var))
+    cdfs = [loss_cdf(spec, direction) for direction in directions]
+
+    def outside(cdf, L: float) -> float:
+        lo, hi = cdf(np.array([-L, L]))
+        return float(lo + (1.0 - hi))
+
+    while max(k * outside(cdf, L) for cdf in cdfs) > _WINDOW_TAIL:
+        L *= _WINDOW_GROWTH
     return AccountantConfig(L, bins=bins, samples_n=samples_n)
 
 
 def _discretize_directions(spec: MechanismSpec,
                            cfg: AccountantConfig) -> dict[LossDirection, DiscretePRV]:
     """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction,
-    discretized from its exact CDF."""
-    return {direction: discretize_from_cdf(loss_cdf(spec, direction), cfg,
-                                           source=f"cdf:{direction.value}")
-            for direction in directions_for(spec)}
+    discretized from its exact CDF (every direction from one root solve,
+    `prv.loss_cdfs_on_grid`)."""
+    edges = _cell_edges(cfg)
+    return {direction: _binned(edges, F, cfg, f"cdf:{direction.value}")
+            for direction, F in loss_cdfs_on_grid(spec, edges).items()}
 
 
 def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,

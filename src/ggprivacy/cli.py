@@ -231,7 +231,9 @@ def _add_accountant_args(sub: argparse.ArgumentParser) -> None:
                           "next odd count with prime factors in {3, 5, 7} "
                           "(default %(default)s)")
     sub.add_argument("--trunc-l", type=float, default=None,
-                     help="window half-width (default: auto from the loss moments)")
+                     help="window half-width (default: auto from the loss "
+                          "moments, widened until the tail outside is "
+                          "negligible)")
 
 
 def _add_target_args(sub: argparse.ArgumentParser) -> None:

@@ -24,6 +24,16 @@ Conventions, fixed once here and relied on everywhere else:
   `sample_prv` draws from the same law; it is the paper's Monte-Carlo
   estimator and the cross-check of `loss_cdf`.
 
+* On a grid symmetric about 0, such as the accountant's cell edges,
+  `loss_cdfs_on_grid` gives every direction's CDF, bitwise equal to
+  `loss_cdf`, from one shared root solve: a plain spec's crossing at ``-y``
+  mirrors the one at ``y``, and ADD's threshold at ``y`` is REMOVE's at
+  ``-y``.  It solves no root and evaluates no gamma tail that float64
+  already fixes: ``P(Z >= x)`` is exactly 0.0 once ``x**beta >=
+  _TAIL_ZERO`` and ``1 - P(Z >= x)`` exactly 1.0 once ``x**beta >=
+  _TAIL_ONE``.  (At ``beta = 2`` the tail is one ``erfc`` per edge, cheaper
+  than the masks that would skip it.)
+
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
   noise.  By reflection through ``Delta/2`` that is equal in law to the
@@ -53,6 +63,13 @@ _ROOT_STEPS = 100      # Newton/bisection cap of `_half_gap_root`
 _QUAD_NODES = 16       # Gauss-Legendre nodes per panel of `loss_moments`
 _QUAD_PANEL = 0.5      # panel width times beta, in units of sigma
 _QUAD_REACH = 60.0     # integrate where |u - shift|**beta <= this
+# Tail saturation for Z ~ GG(beta, 1) in float64: P(Z >= x) is exactly 0.0
+# once x**beta >= _TAIL_ZERO (it underflows before x**beta reaches 750),
+# and 1 - P(Z >= x) rounds to exactly 1.0 once x**beta >= _TAIL_ONE (the
+# tail falls below 2**-54 before 37).  Both sit well past those points, so
+# a root a few ulp short of a threshold still gives the saturated value.
+_TAIL_ZERO = 800.0
+_TAIL_ONE = 45.0
 
 
 class LossDirection(enum.Enum):
@@ -195,14 +212,52 @@ def loss_range(spec: MechanismSpec,
     return float(ends.min()), float(ends.max())
 
 
-def _upper_tail(x: np.ndarray, beta: float) -> np.ndarray:
-    """``P(Z >= x)`` for ``Z ~ GG(beta, 1)``.  The regularized upper
-    incomplete gamma gives the tail beyond ``|x|``, so small tail masses keep
+def _tail_beyond(r: np.ndarray, beta: float) -> np.ndarray:
+    """``P(Z >= r)`` for ``Z ~ GG(beta, 1)`` at ``r >= 0``.  The regularized
+    upper incomplete gamma gives it directly, so small tail masses keep
     their relative precision."""
+    with np.errstate(over="ignore"):    # an infinite r**beta has tail 0
+        return 0.5 * special.gammaincc(1.0 / beta, r ** beta)
+
+
+def _upper_tail(x: np.ndarray, beta: float,
+                half: np.ndarray | None = None) -> np.ndarray:
+    """``P(Z >= x)`` for ``Z ~ GG(beta, 1)``, from the tail beyond ``|x|``.
+    At ``beta != 2`` the caller may pass that tail, ``half =
+    _tail_beyond(|x|)``, when it already holds it (it serves ``x`` and
+    ``-x`` alike)."""
     if beta == 2.0:                   # GG(2, 1) is normal with variance 1/2
         return 0.5 * special.erfc(x)
-    half = 0.5 * special.gammaincc(1.0 / beta, np.abs(x) ** beta)
+    if half is None:
+        half = _tail_beyond(np.abs(x), beta)
     return np.where(x >= 0.0, half, 1.0 - half)
+
+
+def _saturation(beta: float) -> tuple[float, float]:
+    """``(x0, x1)``: `_upper_tail` is exactly 0.0 at ``x >= x0`` and exactly
+    1.0 at ``x <= -x1`` (see `_TAIL_ZERO` and `_TAIL_ONE`)."""
+    return _TAIL_ZERO ** (1.0 / beta), _TAIL_ONE ** (1.0 / beta)
+
+
+def _saturated_tails(beta: float, xs: list[np.ndarray]) -> list[np.ndarray]:
+    """`_upper_tail` at each array of ``xs``, bitwise, where the arrays hold
+    the same ``|x|`` elementwise: one tail evaluation serves them all, and
+    none is made where every ``x`` lies past a saturation threshold.  At
+    ``beta = 2`` each ``x`` takes one ``erfc``, which costs less than the
+    masks would save."""
+    if beta == 2.0:
+        return [_upper_tail(x, beta) for x in xs]
+    x0, x1 = _saturation(beta)
+    live = np.zeros(xs[0].shape, dtype=bool)
+    for x in xs:
+        live |= (x > -x1) & (x < x0)
+    half = _tail_beyond(np.abs(xs[0][live]), beta)
+    tails = []
+    for x in xs:
+        tail = np.where(x < 0.0, 1.0, 0.0)
+        tail[live] = _upper_tail(x[live], beta, half)
+        tails.append(tail)
+    return tails
 
 
 def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
@@ -232,11 +287,15 @@ def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
         s = wa + c
         with np.errstate(divide="ignore"):  # log(0) at w = c is wanted
             t = np.log1p(-2.0 * np.minimum(wa, c) / s)   # log(|w - c| / s)
-        power = s ** beta
-        res = -power * np.expm1(beta * t) - aa
-        # d/dw: beta (s**(beta-1) - sign(w - c) |w - c|**(beta-1))
-        slope = beta * power / s * (
-            1.0 - np.copysign(np.exp((beta - 1.0) * t), wa - c))
+        # s**beta overflows only at roots near 1e300 (beta near 1), where
+        # the residual and slope turn inf or nan; the step then bisects, and
+        # every GG tail at such a root is 0 or 1 anyway.
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = s ** beta
+            res = -power * np.expm1(beta * t) - aa
+            # d/dw: beta (s**(beta-1) - sign(w - c) |w - c|**(beta-1))
+            slope = beta * power / s * (
+                1.0 - np.copysign(np.exp((beta - 1.0) * t), wa - c))
         above = res > 0.0
         ha = np.where(above, wa, ha)
         la = np.where(above, la, wa)
@@ -253,14 +312,30 @@ def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
     return w
 
 
+def _saturated_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
+    """`_half_gap_root` at ``a``, except where the root lies at or past
+    ``c + x0`` (`_saturation`): there every tail taken at ``+-c +- w`` is
+    0.0 or 1.0 in float64, and ``inf`` gives the same values unsolved."""
+    s = 2.0 * c + _saturation(beta)[0]          # w + c at w = c + x0
+    with np.errstate(over="ignore"):            # the gap at w = c + x0
+        reach = np.float64(s) ** beta * -math.expm1(
+            beta * math.log1p(-2.0 * c / s))
+    w = np.full(a.shape, np.inf)
+    live = a < reach
+    w[live] = _half_gap_root(beta, c, a[live])
+    return w
+
+
 def _crossing(beta: float, ratio: float, theta: np.ndarray,
-              upper: bool) -> np.ndarray:
+              upper: bool, w: np.ndarray | None = None) -> np.ndarray:
     """Where the base loss ``ell(z) = |z - ratio|**beta - |z|**beta``
     crosses ``theta``.  ``ell`` is non-increasing, so ``{ell <= theta}`` is
     ``{z >= z*}`` and ``{ell >= theta}`` (``upper``) is ``{z <= z*}``.
 
     At ``beta = 1`` the loss is flat at ``+-ratio`` outside ``[0, ratio]``,
     and the two level sets differ at those atoms, as in `laplace_prv_cdf`.
+    At ``beta`` not in {1, 2} the caller may pass ``w``, the
+    `_half_gap_root` at ``|theta|``, when it has already solved it.
     """
     if beta == 1.0:
         z = (ratio - theta) / 2.0
@@ -272,7 +347,9 @@ def _crossing(beta: float, ratio: float, theta: np.ndarray,
         return (ratio * ratio - theta) / (2.0 * ratio)
     # ell is odd about ratio/2: ell(ratio/2 + u) = -ell(ratio/2 - u).
     c = 0.5 * ratio
-    return c - np.sign(theta) * _half_gap_root(beta, c, np.abs(theta))
+    if w is None:
+        w = _half_gap_root(beta, c, np.abs(theta))
+    return c - np.sign(theta) * w
 
 
 def _unmix(x: np.ndarray, q: float) -> np.ndarray:
@@ -302,6 +379,12 @@ def loss_cdf(spec: MechanismSpec,
       ``log(1 - q)``;
     * ADD: ``P(ell(Z) <= theta)`` at ``theta = -log((e**-y - 1 + q) / q)``,
       one at and above ``-log(1 - q)``.
+
+    Each point is solved on its own.  On a grid symmetric about 0,
+    `loss_cdfs_on_grid` returns the same values bitwise for every direction
+    at once: one root solve serves ``y`` and ``-y`` and both directions,
+    and edges whose tails float64 saturates at 0.0 or 1.0 are not solved
+    (nor, at ``beta != 2``, evaluated).
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
@@ -322,6 +405,53 @@ def loss_cdf(spec: MechanismSpec,
         return float(out[0]) if np.ndim(y) == 0 else out
 
     return cdf
+
+
+def loss_cdfs_on_grid(spec: MechanismSpec,
+                      edges: np.ndarray) -> dict[LossDirection, np.ndarray]:
+    """``loss_cdf(spec, d)(edges)`` for every ``d`` in `directions_for`,
+    bitwise, on ``edges`` symmetric about 0 (``edges[::-1] == -edges``),
+    from one root solve.
+
+    * No subsampling: the crossing at ``-y`` mirrors the one at ``y``, so
+      the root is solved on the upper half of ``|edges|`` only.
+    * Subsampled: ADD's threshold at ``y`` is REMOVE's at ``-y``, so one
+      solve, reversed, serves both directions, and one tail array at
+      ``|z|`` gives REMOVE's ``P(Z >= -z)`` and ADD's ``P(Z >= z)``.
+    * Saturation: no root at or past ``c + x0`` is solved and, at
+      ``beta != 2``, no tail past either threshold of `_saturation` is
+      evaluated; float64 already fixes the CDF there at the value the solve
+      would give.
+    """
+    beta, ratio, q = spec.loss_key
+    y = np.asarray(edges, dtype=np.float64)
+    if y.ndim != 1 or not np.array_equal(y[::-1], -y):
+        raise InputError("edges must be a 1-d grid symmetric about 0")
+    theta = y if q is None else -_unmix(y, q)
+    w = None
+    if beta not in (1.0, 2.0):
+        c = 0.5 * ratio
+        if q is None:
+            n = y.size
+            upper = _saturated_root(beta, c, np.abs(y[n // 2:]))
+            w = np.concatenate([upper[n % 2:][::-1], upper])
+        else:
+            w = _saturated_root(beta, c, np.abs(theta))
+    if q is None:
+        [cdf] = _saturated_tails(
+            beta, [_crossing(beta, ratio, theta, upper=False, w=w)])
+        return {LossDirection.REMOVE: cdf}
+    z = _crossing(beta, ratio, theta, upper=True, w=w)
+    [shifted] = _saturated_tails(beta, [ratio - z])
+    if beta == 1.0:     # the two level sets differ at the loss's atoms
+        [below] = _saturated_tails(beta, [-z])
+        z_add = _crossing(beta, ratio, theta[::-1], upper=False)
+        [add] = _saturated_tails(beta, [z_add])
+    else:
+        below, above = _saturated_tails(beta, [-z, z])
+        add = above[::-1]
+    return {LossDirection.REMOVE: (1.0 - q) * below + q * shifted,
+            LossDirection.ADD: add}
 
 
 def loss_moments(spec: MechanismSpec,

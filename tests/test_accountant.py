@@ -631,9 +631,9 @@ FROZEN_ACCOUNT = {  # (beta, q): (epsilon, eta, tau), sigma = 2, k = 5
     (1.0, None): (2.4983533421941058, 1.0, 91.1364471049145),
     (1.0, 0.1): (0.31039434597511906, 1.0, 7.33603273740948),
     (2.0, None): (7.5113350779482495, 1.0, 187.26048133056597),
-    (2.0, 0.1): (1.1513067042143816, 1.0, 11.18454621085427),
+    (2.0, 0.1): (1.1515078651450605, 1.0, 17.149287127925014),
     (3.0, None): (14.325056193768154, 1.0, 328.1439722756965),
-    (3.0, 0.1): (3.437186744596893, 1.0, 18.952969361337068),
+    (3.0, 0.1): (4.7621238962780446, 1.0, 107.70669580266839),
 }
 
 
@@ -651,3 +651,43 @@ def test_ledger_frozen_max_steps():
     assert ledger.max_steps(4.0, 1e-5) == 47
     assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.972377888664717,
                                                         rel=1e-9)
+
+
+@pytest.mark.parametrize("beta,sigma,q,k,bins", [
+    (2.0, 1.0, 0.01, 50, 2 ** 16),
+    (3.0, 2.0, 0.1, 5, 2 ** 12),      # FROZEN_ACCOUNT's (3.0, 0.1) row
+    (1.5, 0.05, 1e-4, 10, 2 ** 16),
+])
+def test_auto_window_keeps_rare_large_losses(beta, sigma, q, k, bins):
+    # A rare inclusion with a large loss sits far outside a window sized by
+    # moments alone; renormalizing it away read epsilon 1.741, 3.437 and 0.0
+    # here.  The widened window agrees with one 16x wider at the same mesh.
+    spec = MechanismSpec(GGParams(beta, sigma), 1.0, q, k)
+    auto = account(spec, delta=1e-5, bins=bins)
+    wide = account(spec, AccountantConfig(16.0 * auto.config.trunc_L,
+                                          bins=16 * bins), delta=1e-5)
+    assert auto.epsilon == pytest.approx(wide.epsilon, rel=2e-3)
+
+
+@pytest.mark.parametrize("q", [None, 0.1])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
+def test_discretizing_solves_each_root_once(beta, q, monkeypatch):
+    # Every direction's CDF comes from one root solve, on the upper half of
+    # the grid's edges for a plain spec; beta = 1 and 2 need no root.
+    from ggprivacy import prv
+    from ggprivacy.accountant import _discretize_directions
+    sizes = []
+    solve = prv._half_gap_root
+
+    def counted(beta, c, a):
+        sizes.append(a.size)
+        return solve(beta, c, a)
+
+    monkeypatch.setattr(prv, "_half_gap_root", counted)
+    cfg = AccountantConfig(12.0, bins=2 ** 12)
+    singles = _discretize_directions(
+        MechanismSpec(GGParams(beta, 2.0), 1.0, q, 1), cfg)
+    assert len(singles) == (1 if q is None else 2)
+    assert len(sizes) == (0 if beta in (1.0, 2.0) else 1)
+    if q is None and sizes:
+        assert sizes[0] <= cfg.half_bins + 1

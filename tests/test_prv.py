@@ -25,6 +25,7 @@ from ggprivacy.prv import (
     gaussian_prv_cdf,
     laplace_prv_cdf,
     loss_cdf,
+    loss_cdfs_on_grid,
     loss_function,
     loss_moments,
     loss_range,
@@ -382,6 +383,69 @@ def test_loss_cdf_depends_only_on_the_loss_key():
         npt.assert_array_equal(a, b)
     with pytest.raises(ParameterError):
         loss_cdf(GAUSS, "remove")
+
+
+def _symmetric_grids(beta: float,
+                     ratio: float) -> list[tuple[np.ndarray, bool]]:
+    """``(edges, saturates)`` pairs of grids symmetric about 0: a uniform
+    accountant grid over the bulk of the loss, and two log-spaced grids (of
+    even and of odd length, the odd one with 0 at its centre) that reach
+    past the loss at the root ``w = 2 (c + x0)``, so that both ends of every
+    CDF have saturated."""
+    from ggprivacy.prv import _saturation
+    far = (2.0 * (ratio + _saturation(beta)[0])) ** beta + 50.0
+    m = 600
+    uniform = (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * 8.0 / (m + 0.5)
+    upper = np.geomspace(1e-4, far, 1500)
+    return [(uniform, False),
+            (np.concatenate([-upper[::-1], upper]), True),
+            (np.concatenate([-upper[::-1], [0.0], upper]), True)]
+
+
+@pytest.mark.parametrize("ratio", [0.05, 1.0, 20.0])
+@pytest.mark.parametrize("q", [None, 1e-3, 0.1, 0.9, 1.0])
+@pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
+def test_loss_cdfs_on_grid_bitwise_equal_pointwise(beta, q, ratio):
+    # The shared, mirrored root solve and the skipped saturated edges change
+    # no bit of any direction's CDF.
+    spec = MechanismSpec(GGParams(beta, 1.0), ratio, q)
+    for edges, saturates in _symmetric_grids(beta, ratio):
+        got = loss_cdfs_on_grid(spec, edges)
+        assert list(got) == list(directions_for(spec))
+        for direction, cdf in got.items():
+            pointwise = loss_cdf(spec, direction)(edges)
+            npt.assert_array_equal(cdf.view(np.int64),
+                                   pointwise.view(np.int64))
+            if saturates:    # at beta = 1, the atoms that bound the loss
+                assert (cdf[0], cdf[-1]) == (0.0, 1.0)
+
+
+def test_loss_cdfs_on_grid_needs_a_symmetric_grid():
+    with pytest.raises(InputError):
+        loss_cdfs_on_grid(GAUSS, np.array([-1.0, 0.5, 1.0]))
+    with pytest.raises(InputError):
+        loss_cdfs_on_grid(GAUSS, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
+def test_upper_tail_saturation_thresholds(beta):
+    # The grid evaluator skips every root past c + x0 and, at beta != 2,
+    # every tail past these thresholds, taking the saturated value; a scipy
+    # whose tails stopped saturating there fails here instead of moving a
+    # CDF.
+    from ggprivacy.prv import _TAIL_ONE, _TAIL_ZERO, _saturation, _upper_tail
+    x0, x1 = _saturation(beta)
+    beyond = np.array([1.0, 1.0 + 1e-9, 1.5, 10.0, np.inf])
+    npt.assert_array_equal(_upper_tail(x0 * beyond, beta), 0.0)
+    npt.assert_array_equal(_upper_tail(-x1 * beyond, beta), 1.0)
+    npt.assert_array_equal(_upper_tail(-x0 * beyond, beta), 1.0)
+    # The margin that makes a root a few ulp short of a threshold safe.
+    assert _upper_tail(np.array([(0.95 * _TAIL_ZERO) ** (1.0 / beta)]),
+                       beta)[0] == 0.0
+    assert _upper_tail(np.array([-(0.9 * _TAIL_ONE) ** (1.0 / beta)]),
+                       beta)[0] == 1.0
+    # Inside the thresholds the tail is still resolved.
+    assert 0.0 < _upper_tail(np.array([0.8 * x1]), beta)[0] < 1.0
 
 
 def test_loss_moments_gaussian_closed_form():
