@@ -10,8 +10,8 @@ FFT powers (circular, i.e. modulo the window), and read
 * The cell edges ``(i - 1/2) h`` are bitwise symmetric about 0, so
   `prv.loss_cdfs_on_grid` evaluates every direction's CDF there from one
   root solve (on half the edges for a plain spec; REMOVE's solve, reversed,
-  serves ADD) and skips the edges whose tails float64 saturates at 0.0 or
-  1.0.  The values are bitwise those of `prv.loss_cdf`.
+  serves ADD) and evaluates no tail that float64 saturates at 0.0 or 1.0.
+  The values are bitwise those of `prv.loss_cdf`.
 * The cell count is rounded up to a fast FFT length, an odd number whose
   prime factors all lie in {3, 5, 7}, and powers are taken by repeated
   squaring, so composing ``k`` copies costs ``O(log k)`` spectrum products
@@ -19,7 +19,9 @@ FFT powers (circular, i.e. modulo the window), and read
 * The window is sized from the exact loss moments (`prv.loss_moments`),
   then widened until ``k`` times the exact single-shot mass outside it is
   at most 1e-12 in each direction, so a rare inclusion with a large loss
-  is not renormalized away.
+  is not renormalized away.  The mass above the window is read as ``1 -
+  F(L)``, which float64 resolves only to ``2**-54``, so on that side the
+  bound is ``1e-12 + k * 2**-54`` (5.6e-11 at ``k = 1e6``).
 
 `account` and `CompositionLedger` share that path: both discretize through
 `_discretize_directions` and compose through `compose`.  Nothing on it
@@ -618,7 +620,14 @@ def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
     Moments alone can miss a rare inclusion that carries a large loss, whose
     mass would then fall outside [-L, L] and be renormalized away.  So L
     then grows by `_WINDOW_GROWTH` until, in every direction, ``k`` times the
-    exact single-shot mass outside [-L, L] is at most `_WINDOW_TAIL`."""
+    exact single-shot mass outside [-L, L] is at most `_WINDOW_TAIL`.
+
+    The mass above L is read as ``1 - F(L)`` from the CDF, which cannot
+    resolve a mass below ``2**-54`` (half an ulp of 1): the loop may stop
+    once ``F(L)`` rounds to 1.0.  So ``k`` times that mass is at most
+    ``_WINDOW_TAIL + k * 2**-54``: within twice `_WINDOW_TAIL` up to ``k``
+    of about 1.8e4, and up to 5.6e-11 at ``k = 1e6``.  The mass below -L
+    is read directly and meets `_WINDOW_TAIL` itself."""
     L = 1e-6
     directions = directions_for(spec)
     for direction in directions:

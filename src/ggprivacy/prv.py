@@ -28,11 +28,11 @@ Conventions, fixed once here and relied on everywhere else:
   `loss_cdfs_on_grid` gives every direction's CDF, bitwise equal to
   `loss_cdf`, from one shared root solve: a plain spec's crossing at ``-y``
   mirrors the one at ``y``, and ADD's threshold at ``y`` is REMOVE's at
-  ``-y``.  It solves no root and evaluates no gamma tail that float64
-  already fixes: ``P(Z >= x)`` is exactly 0.0 once ``x**beta >=
-  _TAIL_ZERO`` and ``1 - P(Z >= x)`` exactly 1.0 once ``x**beta >=
-  _TAIL_ONE``.  (At ``beta = 2`` the tail is one ``erfc`` per edge, cheaper
-  than the masks that would skip it.)
+  ``-y``.  It evaluates no gamma tail that float64 already fixes:
+  ``P(Z >= x)`` is exactly 0.0 once ``x**beta >= _TAIL_ZERO`` and ``1 -
+  P(Z >= x)`` exactly 1.0 once ``x**beta >= _TAIL_ONE``.  (At ``beta =
+  2`` the tail is one ``erfc`` per edge, cheaper than the masks that would
+  skip it.)
 
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
@@ -67,7 +67,7 @@ _QUAD_REACH = 60.0     # integrate where |u - shift|**beta <= this
 # once x**beta >= _TAIL_ZERO (it underflows before x**beta reaches 750),
 # and 1 - P(Z >= x) rounds to exactly 1.0 once x**beta >= _TAIL_ONE (the
 # tail falls below 2**-54 before 37).  Both sit well past those points, so
-# a root a few ulp short of a threshold still gives the saturated value.
+# a point a few ulp short of a threshold still gives the saturated value.
 _TAIL_ZERO = 800.0
 _TAIL_ONE = 45.0
 
@@ -312,20 +312,6 @@ def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
     return w
 
 
-def _saturated_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
-    """`_half_gap_root` at ``a``, except where the root lies at or past
-    ``c + x0`` (`_saturation`): there every tail taken at ``+-c +- w`` is
-    0.0 or 1.0 in float64, and ``inf`` gives the same values unsolved."""
-    s = 2.0 * c + _saturation(beta)[0]          # w + c at w = c + x0
-    with np.errstate(over="ignore"):            # the gap at w = c + x0
-        reach = np.float64(s) ** beta * -math.expm1(
-            beta * math.log1p(-2.0 * c / s))
-    w = np.full(a.shape, np.inf)
-    live = a < reach
-    w[live] = _half_gap_root(beta, c, a[live])
-    return w
-
-
 def _crossing(beta: float, ratio: float, theta: np.ndarray,
               upper: bool, w: np.ndarray | None = None) -> np.ndarray:
     """Where the base loss ``ell(z) = |z - ratio|**beta - |z|**beta``
@@ -383,8 +369,8 @@ def loss_cdf(spec: MechanismSpec,
     Each point is solved on its own.  On a grid symmetric about 0,
     `loss_cdfs_on_grid` returns the same values bitwise for every direction
     at once: one root solve serves ``y`` and ``-y`` and both directions,
-    and edges whose tails float64 saturates at 0.0 or 1.0 are not solved
-    (nor, at ``beta != 2``, evaluated).
+    and, at ``beta != 2``, no tail that float64 saturates at 0.0 or 1.0 is
+    evaluated.
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
@@ -418,10 +404,9 @@ def loss_cdfs_on_grid(spec: MechanismSpec,
     * Subsampled: ADD's threshold at ``y`` is REMOVE's at ``-y``, so one
       solve, reversed, serves both directions, and one tail array at
       ``|z|`` gives REMOVE's ``P(Z >= -z)`` and ADD's ``P(Z >= z)``.
-    * Saturation: no root at or past ``c + x0`` is solved and, at
-      ``beta != 2``, no tail past either threshold of `_saturation` is
-      evaluated; float64 already fixes the CDF there at the value the solve
-      would give.
+    * Saturation: at ``beta != 2`` no tail past either threshold of
+      `_saturation` is evaluated; float64 already fixes it there at the
+      value the evaluation would give.
     """
     beta, ratio, q = spec.loss_key
     y = np.asarray(edges, dtype=np.float64)
@@ -433,10 +418,10 @@ def loss_cdfs_on_grid(spec: MechanismSpec,
         c = 0.5 * ratio
         if q is None:
             n = y.size
-            upper = _saturated_root(beta, c, np.abs(y[n // 2:]))
+            upper = _half_gap_root(beta, c, np.abs(y[n // 2:]))
             w = np.concatenate([upper[n % 2:][::-1], upper])
         else:
-            w = _saturated_root(beta, c, np.abs(theta))
+            w = _half_gap_root(beta, c, np.abs(theta))
     if q is None:
         [cdf] = _saturated_tails(
             beta, [_crossing(beta, ratio, theta, upper=False, w=w)])

@@ -468,7 +468,8 @@ def test_account_checks_curve_points_before_sampling(points, monkeypatch):
     def no_work(*args):
         raise AssertionError("discretized before checking curve_points")
 
-    for name in ("loss_moments", "loss_cdf", "sample_prv"):
+    for name in ("loss_moments", "loss_cdf", "loss_cdfs_on_grid",
+                 "sample_prv"):
         monkeypatch.setattr(accountant, name, no_work)
     with pytest.raises(ParameterError, match="curve_points"):
         account(GAUSS, delta=1e-5, curve_points=points)
@@ -667,6 +668,30 @@ def test_auto_window_keeps_rare_large_losses(beta, sigma, q, k, bins):
     wide = account(spec, AccountantConfig(16.0 * auto.config.trunc_L,
                                           bins=16 * bins), delta=1e-5)
     assert auto.epsilon == pytest.approx(wide.epsilon, rel=2e-3)
+
+
+@pytest.mark.parametrize("k", [10 ** 5, 10 ** 6])
+def test_auto_window_tail_bound_at_large_k(k):
+    # The upper mass is read as 1 - F(L), which float64 resolves only to
+    # 2**-54, so at large k the bound is _WINDOW_TAIL + k 2**-54.  At beta =
+    # 2 the REMOVE loss exceeds L exactly where the noise exceeds
+    # (r**2 + s) / (2 r), s = log((e**L - 1 + q) / q), r = Delta/sigma.
+    from scipy import special
+    from ggprivacy.accountant import _WINDOW_TAIL, _auto_config
+    from ggprivacy.prv import loss_cdf
+    spec = MechanismSpec(GGParams(2.0, 0.5), 1.0, 1e-6, k)
+    r, q = 2.0, 1e-6
+
+    def upper(L):
+        s = L - math.log(q) + math.log1p(-(1.0 - q) * math.exp(-L))
+        t = (r * r + s) / (2.0 * r)
+        return 0.5 * ((1.0 - q) * special.erfc(t) + q * special.erfc(t - r))
+
+    L = _auto_config(spec, k, 10_000, 2 ** 12).trunc_L
+    assert k * upper(L / 1.25) > _WINDOW_TAIL        # the window widened
+    assert k * upper(L) <= _WINDOW_TAIL + k * 2.0 ** -54
+    for direction in (LossDirection.REMOVE, LossDirection.ADD):
+        assert k * loss_cdf(spec, direction)(-L) <= _WINDOW_TAIL
 
 
 @pytest.mark.parametrize("q", [None, 0.1])

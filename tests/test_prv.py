@@ -406,7 +406,7 @@ def _symmetric_grids(beta: float,
 @pytest.mark.parametrize("q", [None, 1e-3, 0.1, 0.9, 1.0])
 @pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
 def test_loss_cdfs_on_grid_bitwise_equal_pointwise(beta, q, ratio):
-    # The shared, mirrored root solve and the skipped saturated edges change
+    # The shared, mirrored root solve and the skipped saturated tails change
     # no bit of any direction's CDF.
     spec = MechanismSpec(GGParams(beta, 1.0), ratio, q)
     for edges, saturates in _symmetric_grids(beta, ratio):
@@ -429,17 +429,16 @@ def test_loss_cdfs_on_grid_needs_a_symmetric_grid():
 
 @pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
 def test_upper_tail_saturation_thresholds(beta):
-    # The grid evaluator skips every root past c + x0 and, at beta != 2,
-    # every tail past these thresholds, taking the saturated value; a scipy
-    # whose tails stopped saturating there fails here instead of moving a
-    # CDF.
+    # At beta != 2 the grid evaluator skips every tail past these
+    # thresholds, taking the saturated value; a scipy whose tails stopped
+    # saturating there fails here instead of moving a CDF.
     from ggprivacy.prv import _TAIL_ONE, _TAIL_ZERO, _saturation, _upper_tail
     x0, x1 = _saturation(beta)
     beyond = np.array([1.0, 1.0 + 1e-9, 1.5, 10.0, np.inf])
     npt.assert_array_equal(_upper_tail(x0 * beyond, beta), 0.0)
     npt.assert_array_equal(_upper_tail(-x1 * beyond, beta), 1.0)
     npt.assert_array_equal(_upper_tail(-x0 * beyond, beta), 1.0)
-    # The margin that makes a root a few ulp short of a threshold safe.
+    # The margin that makes a point a few ulp short of a threshold safe.
     assert _upper_tail(np.array([(0.95 * _TAIL_ZERO) ** (1.0 / beta)]),
                        beta)[0] == 0.0
     assert _upper_tail(np.array([-(0.9 * _TAIL_ONE) ** (1.0 / beta)]),
