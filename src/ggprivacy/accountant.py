@@ -56,7 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import stats as sp_stats
+from scipy import special
 
 from . import kernels
 from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
@@ -259,16 +259,16 @@ class DiscretePRV:
 
     # -- delta / epsilon queries -------------------------------------------
 
-    def _positive_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _positive_tables(self) -> tuple[np.ndarray, ...]:
         """Suffix sums over the strictly positive part of the support.
 
-        S1[i] = sum_{j >= i} p_j, padded with a trailing zero, and
-        LS2[i] = log sum_{j >= i} p_j exp(-y_j), padded with -inf, so
-        delta(eps) is an O(log G) lookup: delta = S1[i0] - exp(eps +
-        LS2[i0]) at the first y_{i0} > eps.  The log form matters: wide
-        composed grids push y past 745 (exp(-y) underflows) and bracketing
-        probes evaluate eps past 709 (exp(eps) overflows), while the
-        combined exponent eps + LS2[i0] <= eps - y_{i0} < 0 stays safe.
+        S1[i] = sum_{j >= i} p_j, padded with a trailing zero, and LS2[i] =
+        log sum_{j >= i} p_j exp(-y_j), padded with -inf, so on [y_{i-1}, y_i)
+        delta(eps) = S1[i] - exp(eps + LS2[i]); -D[i] = -delta(y_i), made
+        non-decreasing against rounding.  The log form matters: wide composed
+        grids push y past 745 (exp(-y) underflows) and bracketing probes
+        evaluate eps past 709 (exp(eps) overflows), while the combined
+        exponent eps + LS2[i] <= eps - y_i < 0 stays safe.
         """
         if self._tables is None:
             y = self.support()
@@ -280,7 +280,8 @@ class DiscretePRV:
                 a = np.log(p) - ys
             ls2 = np.concatenate([np.logaddexp.accumulate(a[::-1])[::-1],
                                   [-np.inf]])
-            object.__setattr__(self, "_tables", (ys, s1, ls2))
+            neg_d = np.maximum.accumulate(np.exp(ys + ls2[1:]) - s1[1:])
+            object.__setattr__(self, "_tables", (ys, s1, ls2, neg_d))
         return self._tables
 
     def delta_at(self, epsilon) -> np.ndarray | float:
@@ -288,13 +289,14 @@ class DiscretePRV:
         eps = np.atleast_1d(np.asarray(epsilon, dtype=np.float64))
         if np.any(eps < 0) or not np.all(np.isfinite(eps)):
             raise ParameterError("epsilon must be finite and >= 0")
-        ys, s1, ls2 = self._positive_tables()
+        ys, s1, ls2, _ = self._positive_tables()
         j = np.searchsorted(ys, eps, side="right")
         out = np.clip(s1[j] - np.exp(eps + ls2[j]), 0.0, 1.0)
         return float(out[0]) if np.ndim(epsilon) == 0 else out
 
     def epsilon_at(self, delta: float) -> float:
-        """Smallest epsilon in [0, L] with delta(epsilon) <= delta."""
+        """Smallest epsilon in [0, L] with delta(epsilon) <= delta, up to rounding:
+        the closed-form root on the segment that ends at the first D[i] <= delta."""
         if not (0.0 < delta <= 1.0):
             d0 = self.delta_at(0.0)
             raise RangeError(
@@ -303,17 +305,15 @@ class DiscretePRV:
                 f"got {delta!r}")
         if self.delta_at(0.0) <= delta:
             return 0.0
-        # delta_at(support()[-1]) is 0: no grid mass lies above the top cell.
-        lo, hi = 0.0, float(self.support()[-1])
-        for _ in range(200):
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-            mid = 0.5 * (lo + hi)
-            if self.delta_at(mid) <= delta:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        ys, s1, ls2, neg_d = self._positive_tables()
+        i = int(np.searchsorted(neg_d, -delta))  # S1[i] > delta(y_{i-1} or 0) > delta
+        lo, hi = float(ys[i - 1]) if i else 0.0, float(ys[i])
+        eps = float(min(max(math.log(s1[i] - delta) - ls2[i], lo), hi))
+        # One ulp of eps may not move eps + LS2[i]: double the step, up to y_i.
+        step = math.ulp(eps)
+        while self.delta_at(eps) > delta:
+            eps, step = min(eps + step, hi), 2.0 * step
+        return eps
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.n
     mu_hat = min(max(mu_tilde, 0.0), h / 2.0)
 
     # 99% Clopper-Pearson upper bound on the per-draw rejection probability.
-    tail_upper = float(sp_stats.beta.ppf(0.99, rejected + 1, drawn - rejected)) \
+    tail_upper = float(special.betaincinv(rejected + 1, drawn - rejected, 0.99)) \
         if rejected < drawn else 1.0
 
     return DiscretePRV(probs=q, mesh_h=h, offset=mu_hat, compositions=1,

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.signal import savgol_filter
 
 from .accountant import (DEFAULT_BINS, DEFAULT_SAMPLES, AccountantConfig,
                          account)
@@ -238,6 +237,7 @@ def tail_weight(family: FamilyResult, cutoffs, *,
             raw.append(TailWeightPoint(beta=fp.beta, tau=tau, weight=float(w),
                                        sigma=fp.sigma))
         if smooth and len(raw) >= 5:
+            from scipy.signal import savgol_filter  # deferred: slow to import
             smoothed = savgol_filter([p.weight for p in raw], 5, 2)
             for p, s in zip(raw, smoothed):
                 p.weight_smoothed = float(s)

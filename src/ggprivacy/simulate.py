@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import ggdist
 from .errors import ConstructionError, IngestionError, ParameterError
@@ -175,6 +174,7 @@ def exact_two_class_utility(gap: float, noise: GGParams) -> float:
     integral of pdf(y) * cdf(gap + y) dy, by adaptive quadrature."""
     if gap < 0:
         raise ParameterError(f"gap must be >= 0, got {gap!r}")
+    from scipy import integrate  # deferred: slow to import
     span = 40.0 * noise.sigma
 
     def integrand(y):

@@ -120,6 +120,10 @@ def hand_prv(probs, mesh_h=1.0, offset=0.0) -> DiscretePRV:
                        mesh_h=mesh_h, offset=offset, source="hand")
 
 
+def within_ulps(expected: float, ulps: int = 8):
+    return pytest.approx(expected, rel=0.0, abs=ulps * math.ulp(expected))
+
+
 @pytest.mark.parametrize("bad", [
     dict(probs=[0.5, 0.5]),                      # even length
     dict(probs=[0.2, 0.2, 0.2]),                 # mass 0.6
@@ -173,14 +177,20 @@ def test_delta_at_on_wide_supports_and_large_epsilon():
         assert prv.delta_at(10_000.0) == 0.0
         # delta(eps) = 0.1 (1 - e^{eps-800}) on (400, 800), so delta = 0.05
         # lands at eps = 800 - ln 2, beyond the naive exp(eps) range.
-        assert prv.epsilon_at(0.05) == pytest.approx(800.0 - math.log(2.0),
-                                                     abs=1e-9)
+        assert prv.epsilon_at(0.05) == within_ulps(800.0 - math.log(2.0))
 
 
 def test_epsilon_at_inverts_delta_at():
+    for probs, eps, target in (
+            ([0.2, 0.5, 0.3], 0.5, 0.3 * (1.0 - math.exp(-0.5))),
+            # Support [-2..2]: the answer lies on the segment (1, 2].
+            ([0.1, 0.1, 0.3, 0.3, 0.2], 0.3,
+             0.3 * (1.0 - math.exp(-0.7)) + 0.2 * (1.0 - math.exp(-1.7)))):
+        prv = hand_prv(probs)
+        got = prv.epsilon_at(target)
+        assert got == within_ulps(eps)
+        assert prv.delta_at(got) <= target
     prv = hand_prv([0.2, 0.5, 0.3])
-    target = 0.3 * (1.0 - math.exp(-0.5))   # = delta(0.5)
-    assert prv.epsilon_at(target) == pytest.approx(0.5, abs=1e-9)
     assert prv.epsilon_at(0.25) == 0.0       # already above delta(0)
     eps = prv.epsilon_at(1e-12)
     assert prv.delta_at(eps) <= 1e-12
@@ -189,9 +199,21 @@ def test_epsilon_at_inverts_delta_at():
             prv.epsilon_at(bad)
 
 
+def test_epsilon_at_steps_past_rounding_plateaus():
+    # With all positive mass near 1e-300 at a 1e-6 mesh, delta_at rounds
+    # eps + LS2 to the ulp of LS2 ~ -690, about 1e9 ulps of eps: a safe-side
+    # step of one ulp at a time would not finish.
+    prv = hand_prv([0.5, 0.5, 0.0, 1e-300, 1e-300], mesh_h=1e-6)
+    top, bottom = prv.delta_at(0.0), prv.delta_at(1e-6)
+    for t in np.linspace(0.01, 0.99, 30):
+        target = float(bottom + t * (top - bottom))
+        eps = prv.epsilon_at(target)
+        assert 0.0 < eps <= 1e-6 and prv.delta_at(eps) <= target
+
+
 def test_delta_vanishes_at_the_top_of_the_support(rng):
-    # epsilon_at bisects on [0, support()[-1]] and needs no other upper
-    # bracket: no grid mass lies above the top cell, fresh or composed.
+    # epsilon_at's segment lookup needs no other upper bracket: no grid
+    # mass lies above the top cell, fresh or composed.
     for _ in range(60):
         size = 2 * int(rng.integers(1, 40)) + 1
         probs = rng.random(size) ** 4
@@ -629,12 +651,12 @@ def test_ledger_shares_account_discretization():
 # not a change of the window, the grid or the loss CDF.  A change that moves
 # them on purpose updates these values.
 FROZEN_ACCOUNT = {  # (beta, q): (epsilon, eta, tau), sigma = 2, k = 5
-    (1.0, None): (2.4983533421941058, 1.0, 91.1364471049145),
-    (1.0, 0.1): (0.31039434597511906, 1.0, 7.33603273740948),
-    (2.0, None): (7.5113350779482495, 1.0, 187.26048133056597),
-    (2.0, 0.1): (1.1515078651450605, 1.0, 17.149287127925014),
-    (3.0, None): (14.325056193768154, 1.0, 328.1439722756965),
-    (3.0, 0.1): (4.7621238962780446, 1.0, 107.70669580266839),
+    (1.0, None): (2.4983533421928246, 1.0, 91.1364471049145),
+    (1.0, 0.1): (0.31039434597498605, 1.0, 7.33603273740948),
+    (2.0, None): (7.51133507794367, 1.0, 187.26048133056597),
+    (2.0, 0.1): (1.1515078651443458, 1.0, 17.149287127925014),
+    (3.0, None): (14.32505619376571, 1.0, 328.1439722756965),
+    (3.0, 0.1): (4.7621238962771635, 1.0, 107.70669580266839),
 }
 
 
@@ -650,7 +672,7 @@ def test_ledger_frozen_max_steps():
     ledger = CompositionLedger(MechanismSpec(GGParams(2.0, 3.0), 1.0, 0.25, 1),
                                k_cap=256, samples_n=30_000, bins=2 ** 12)
     assert ledger.max_steps(4.0, 1e-5) == 47
-    assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.972377888664717,
+    assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.9723778886625385,
                                                         rel=1e-9)
 
 

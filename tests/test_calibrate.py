@@ -251,5 +251,5 @@ def test_solve_sigma_frozen_result():
     got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), rng=1, tolerance=0.2,
                       samples_n=30_000, bins=2 ** 12)
     assert got.sigma == pytest.approx(2.875, rel=1e-9)
-    assert got.epsilon == pytest.approx(1.957086947002123, rel=1e-9)
+    assert got.epsilon == pytest.approx(1.9570869470012473, rel=1e-9)
     assert got.probes == 6

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ggprivacy
@@ -17,6 +20,20 @@ def test_all_lists_resolvable_public_api_only():
         assert getattr(ggprivacy, name) is not None
     assert "annotations" not in ggprivacy.__all__
     assert not submodules & set(ggprivacy.__all__)
+
+
+def test_import_leaves_out_scipy_modules_off_the_accountant_path():
+    # scipy.stats, scipy.integrate and scipy.signal each serve one call off
+    # the accountant's path and take most of a fresh import's time.
+    src = str(Path(ggprivacy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ggprivacy; print(' '.join(m for m in "
+            "('scipy.stats', 'scipy.integrate', 'scipy.signal') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == []
 
 
 def test_readme_quick_start_prints_what_it_says(capsys):
