@@ -1,17 +1,21 @@
 """Discretized privacy-loss accounting.
 
-The pipeline: take the exact CDF of the single-shot loss (`prv.loss_cdf`),
-bin it onto a uniform grid of ``2m + 1`` cells spanning a window [-L, L]
-with ``L = (m + 1/2) h``, conditioned on the window, with a sub-cell offset
-from the exact conditional mean; self-compose the binned distribution with
-FFT powers (circular, i.e. modulo the window), and read
-``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.
+The pipeline: take the exact CDF of the single-shot loss, bin it onto a
+uniform grid of ``2m + 1`` cells spanning a window [-L, L] with ``L = (m +
+1/2) h``, conditioned on the window, with a sub-cell offset from the exact
+conditional mean; self-compose the binned distribution with FFT powers
+(circular, i.e. modulo the window), and read ``delta(epsilon)`` /
+``epsilon(delta)`` off the composed grid.
 
-* The cell edges ``(i - 1/2) h`` are bitwise symmetric about 0, so
-  `prv.loss_cdfs_on_grid` evaluates every direction's CDF there from one
-  root solve (on half the edges for a plain spec; REMOVE's solve, reversed,
-  serves ADD) and evaluates no tail that float64 saturates at 0.0 or 1.0.
-  The values are bitwise those of `prv.loss_cdf`.
+* Every exact CDF value on this path, at the cell edges and at the window
+  ends ``+-L``, comes from `prv.loss_cdfs_on_grid`, bitwise equal to the
+  pointwise `prv.loss_cdf`.  The cell edges ``(i - 1/2) h`` are bitwise
+  symmetric about 0, so it serves every direction from one root solve (on
+  half the edges for a plain spec; REMOVE's solve, reversed, serves ADD)
+  and evaluates no tail that float64 saturates at 0.0 or 1.0.
+* `DiscretePRV` is the one place that clips and normalizes masses: the
+  discretizers hand it masses conditioned on the window, `compose` its raw
+  inverse FFT.
 * The cell count is rounded up to a fast FFT length, an odd number whose
   prime factors all lie in {3, 5, 7}, and powers are taken by repeated
   squaring, so composing ``k`` copies costs ``O(log k)`` spectrum products
@@ -62,7 +66,7 @@ from . import kernels
 from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, GridMismatchError, ParameterError,
                      RangeError, TruncationError)
-from .prv import (LossDirection, MechanismSpec, directions_for, loss_cdf,
+from .prv import (LossDirection, MechanismSpec, directions_for,
                   loss_cdfs_on_grid, loss_moments, loss_range)
 # perfbench/spans.py patches sample_prv and discretize_from_samples here.
 from .prv import sample_prv  # noqa: F401
@@ -204,7 +208,9 @@ class DiscretePRV:
     ``probs[j]`` is the mass of grid index ``i = j - m`` whose loss value is
     ``i * mesh_h + offset``.  Freshly discretized distributions carry an
     offset in [0, mesh_h / 2]; composition adds offsets, so composed ones may
-    exceed that half-cell range.
+    exceed that half-cell range.  Construction is the one place masses are
+    clipped at 0 and normalized, so ``probs`` may carry rounding error:
+    entries down to -1e-12 and a total within `_MASS_DRIFT_TOL` of 1.
     """
 
     probs: np.ndarray
@@ -213,7 +219,6 @@ class DiscretePRV:
     compositions: int = 1
     tail_upper: float | None = None
     acceptance: float | None = None
-    source: str = ""
     _tables: tuple | None = field(default=None, repr=False, compare=False)
     _rfft: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -228,7 +233,7 @@ class DiscretePRV:
             raise ParameterError(f"probs must sum to 1 within {_MASS_DRIFT_TOL:g}; "
                                  f"got {total!r}")
         p = np.maximum(p, 0.0)
-        p = p / p.sum()
+        p /= p.sum()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
         if not (math.isfinite(self.mesh_h) and self.mesh_h > 0):
@@ -322,8 +327,8 @@ class DiscretePRV:
 
 
 def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.ndarray],
-                            cfg: AccountantConfig, rng: np.random.Generator,
-                            source: str = "sampled") -> DiscretePRV:
+                            cfg: AccountantConfig,
+                            rng: np.random.Generator) -> DiscretePRV:
     """Estimate a `DiscretePRV` from ``2 * samples_n`` accepted draws.
 
     Rejection-samples ``sample_fn(rng, count)`` into [-L, L]; the first
@@ -368,13 +373,11 @@ def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.n
         if rejected < drawn else 1.0
 
     return DiscretePRV(probs=q, mesh_h=h, offset=mu_hat, compositions=1,
-                       tail_upper=tail_upper, acceptance=acceptance,
-                       source=source)
+                       tail_upper=tail_upper, acceptance=acceptance)
 
 
 def discretize_from_cdf(cdf_fn: Callable[[np.ndarray], np.ndarray],
-                        cfg: AccountantConfig,
-                        source: str = "cdf") -> DiscretePRV:
+                        cfg: AccountantConfig) -> DiscretePRV:
     """Deterministic discretization of a known loss CDF onto the grid.
 
     Bin masses come from CDF differences at the cell edges, conditioned on
@@ -383,7 +386,7 @@ def discretize_from_cdf(cdf_fn: Callable[[np.ndarray], np.ndarray],
     less than 10% of the mass.
     """
     edges = _cell_edges(cfg)
-    return _binned(edges, cdf_fn(edges), cfg, source)
+    return _binned(edges, cdf_fn(edges), cfg)
 
 
 def _cell_edges(cfg: AccountantConfig) -> np.ndarray:
@@ -393,20 +396,19 @@ def _cell_edges(cfg: AccountantConfig) -> np.ndarray:
     return (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * cfg.mesh_h
 
 
-def _binned(edges: np.ndarray, F, cfg: AccountantConfig,
-            source: str) -> DiscretePRV:
+def _binned(edges: np.ndarray, F, cfg: AccountantConfig) -> DiscretePRV:
     """`discretize_from_cdf` from the CDF ``F`` at ``cfg``'s `_cell_edges`."""
     m, h, L = cfg.half_bins, cfg.mesh_h, cfg.trunc_L
     F = np.asarray(F, dtype=np.float64)
     if F.shape != edges.shape or not np.all(np.isfinite(F)):
         raise ParameterError("cdf_fn must return finite values, one per edge")
-    p = np.maximum(np.diff(F), 0.0)
     mass = float(F[-1] - F[0])
     if mass < _MIN_ACCEPTANCE:
         raise TruncationError(
             f"window [-{L:g}, {L:g}] holds only {mass:.3f} of the loss mass; "
             "widen trunc_L")
-    q = p / p.sum()
+    q = np.diff(F)
+    q /= q.sum()                    # conditioned on the window
 
     # E[Y | window] via integration by parts; trapezoid over the edge grid.
     stieltjes = L * (float(F[-1]) + float(F[0])) - float(np.trapezoid(F, edges))
@@ -415,7 +417,7 @@ def _binned(edges: np.ndarray, F, cfg: AccountantConfig,
     mu_hat = min(max(cond_mean - grid_mean, 0.0), h / 2.0)
 
     return DiscretePRV(probs=q, mesh_h=h, offset=mu_hat, compositions=1,
-                       tail_upper=1.0 - mass, acceptance=mass, source=source)
+                       tail_upper=1.0 - mass, acceptance=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +447,10 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
 
     The convolution is circular modulo the window width, matching the error
     accounting; wrapped-around mass is charged to the certificate, not
-    redistributed.  A single item with multiplicity 1 is returned unchanged.
+    redistributed.  The inverse FFT goes to `DiscretePRV` as it is, which
+    clips and normalizes it, after a check that its total has not drifted
+    (`AccountingInconsistencyError`).  A single item with multiplicity 1 is
+    returned unchanged.
     """
     entries = [(prv, int(k)) for prv, k in items]
     if not entries:
@@ -466,27 +471,17 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     spectrum = np.ones(first.probs.size // 2 + 1, dtype=np.complex128)
     offset = 0.0
     total_k = 0
-    tails = []
-    accs = []
     for prv, k in entries:
         spectrum *= _power(prv._spectrum(), k)
         offset += k * prv.offset
         total_k += k * prv.compositions
-        if prv.tail_upper is not None:
-            tails.append(prv.tail_upper)
-        if prv.acceptance is not None:
-            accs.append(prv.acceptance)
     probs = np.fft.fftshift(sp_fft.irfft(spectrum, n=first.probs.size))
     total = float(probs.sum())
     if abs(total - 1.0) > _MASS_DRIFT_TOL:
         raise AccountingInconsistencyError(
             f"FFT composition lost probability mass: sum = {total!r}")
-    probs = np.maximum(probs, 0.0)
-    label = " * ".join(f"{prv.source or 'prv'}^{k}" for prv, k in entries)
-    return DiscretePRV(probs=probs / probs.sum(), mesh_h=first.mesh_h,
-                       offset=offset, compositions=total_k,
-                       tail_upper=max(tails) if tails else None,
-                       acceptance=min(accs) if accs else None, source=label)
+    return DiscretePRV(probs=probs, mesh_h=first.mesh_h, offset=offset,
+                       compositions=total_k)
 
 
 def convolve_direct(prv_a: DiscretePRV, prv_b: DiscretePRV) -> DiscretePRV:
@@ -499,11 +494,9 @@ def convolve_direct(prv_a: DiscretePRV, prv_b: DiscretePRV) -> DiscretePRV:
     out = np.zeros(size)
     for shift in range(size):
         out += a[shift] * np.roll(b, shift)
-    out = np.fft.fftshift(out)
-    return DiscretePRV(probs=out / out.sum(), mesh_h=prv_a.mesh_h,
+    return DiscretePRV(probs=np.fft.fftshift(out), mesh_h=prv_a.mesh_h,
                        offset=prv_a.offset + prv_b.offset,
-                       compositions=prv_a.compositions + prv_b.compositions,
-                       tail_upper=None, acceptance=None, source="direct")
+                       compositions=prv_a.compositions + prv_b.compositions)
 
 
 # ---------------------------------------------------------------------------
@@ -629,17 +622,15 @@ def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
     of about 1.8e4, and up to 5.6e-11 at ``k = 1e6``.  The mass below -L
     is read directly and meets `_WINDOW_TAIL` itself."""
     L = 1e-6
-    directions = directions_for(spec)
-    for direction in directions:
+    for direction in directions_for(spec):
         mean, var = loss_moments(spec, direction)
         L = max(L, abs(k * mean) + _WINDOW_SPREAD * math.sqrt(k * var))
-    cdfs = [loss_cdf(spec, direction) for direction in directions]
 
-    def outside(cdf, L: float) -> float:
-        lo, hi = cdf(np.array([-L, L]))
-        return float(lo + (1.0 - hi))
+    def outside(L: float) -> float:
+        cdfs = loss_cdfs_on_grid(spec, np.array([-L, L])).values()
+        return max(float(lo + (1.0 - hi)) for lo, hi in cdfs)
 
-    while max(k * outside(cdf, L) for cdf in cdfs) > _WINDOW_TAIL:
+    while k * outside(L) > _WINDOW_TAIL:
         L *= _WINDOW_GROWTH
     return AccountantConfig(L, bins=bins, samples_n=samples_n)
 
@@ -650,7 +641,7 @@ def _discretize_directions(spec: MechanismSpec,
     discretized from its exact CDF (every direction from one root solve,
     `prv.loss_cdfs_on_grid`)."""
     edges = _cell_edges(cfg)
-    return {direction: _binned(edges, F, cfg, f"cdf:{direction.value}")
+    return {direction: _binned(edges, F, cfg)
             for direction, F in loss_cdfs_on_grid(spec, edges).items()}
 
 
@@ -736,8 +727,9 @@ class CompositionLedger:
     ``compositions`` is not read.  The auto window is sized for ``k_cap``, so
     ``composed(k_cap)`` is `account`'s result at ``k_cap`` compositions and
     the same sizes.  ``rng`` is validated as in `account` and otherwise
-    unused.  Built for training loops that need "how many more steps fit in
-    the budget".
+    unused, and ``samples_n`` changes no result: it only lands in
+    ``cfg.samples_n``.  Built for training loops that need "how many more
+    steps fit in the budget".
     """
 
     def __init__(self, spec: MechanismSpec, cfg: AccountantConfig | None = None,

@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .accountant import (DEFAULT_BINS, DEFAULT_SAMPLES, AccountantConfig,
                          account)
 from .errors import AccountingInconsistencyError, ParameterError, SolverError
-from .ggdist import GGParams
+from .ggdist import GGParams, _upper_tail
 from .prv import MechanismSpec
 
 DEFAULT_TOLERANCE = 0.05
@@ -142,7 +141,12 @@ def solve_sigma(beta: float, target: PrivacyTarget,
             break
         mid = 0.5 * (sigma_min + sigma_max)
         if mid in (sigma_min, sigma_max):
-            stopped_by = "the bracket reaching float resolution"
+            stopped_by = (
+                f"the bracket reaching float resolution, with epsilon = "
+                f"{evals[sigma_min]:.6g} at the adjacent sigma = "
+                f"{sigma_min!r}: on this grid epsilon jumps by more than the "
+                "tolerance between adjacent sigma, and more bins make the "
+                "jumps smaller")
             break
         if probe(mid) > target.epsilon:
             sigma_min = mid
@@ -151,9 +155,9 @@ def solve_sigma(beta: float, target: PrivacyTarget,
     if abs(evals[sigma_max] - target.epsilon) > 0.5 * tolerance:
         raise SolverError(
             f"bisection did not land within {0.5 * tolerance:g} of "
-            f"epsilon = {target.epsilon:g} after {len(evals)} probes, stopped "
-            f"by {stopped_by}; closest was {evals[sigma_max]:.6g} at "
-            f"sigma = {sigma_max:.6g}")
+            f"epsilon = {target.epsilon:g} after {len(evals)} probes; closest "
+            f"was {evals[sigma_max]:.6g} at sigma = {sigma_max!r}, stopped by "
+            f"{stopped_by}")
 
     return SolveResult(sigma=sigma_max, bracket=(sigma_min, sigma_max),
                        epsilon=evals[sigma_max], probes=len(evals),
@@ -223,17 +227,17 @@ def tail_weight(family: FamilyResult, cutoffs, *,
     """Two-sided tail mass w = 2 (1 - F(tau)) of each noise of a solved
     ``family`` (see `equivalent_family`) at each cutoff.
 
-    It is evaluated as the regularized upper incomplete gamma
-    ``Q(1/beta, (tau/sigma)^beta)``, which keeps its relative precision in
-    the far tail; for beta = 2 it is erfc(tau / sigma).  With
-    ``smooth=True`` a Savitzky-Golay pass (order 2, window 5) over the beta
-    axis is attached per cutoff; raw weights are always reported.
+    It is evaluated as twice the GG upper tail at ``tau / sigma``
+    (`ggdist._upper_tail`), which keeps its relative precision in the far
+    tail.  With ``smooth=True`` a Savitzky-Golay pass (order 2, window 5)
+    over the beta axis is attached per cutoff; raw weights are always
+    reported.
     """
     points: list[TailWeightPoint] = []
     for tau in _cutoff_list(cutoffs):
         raw = []
         for fp in family.points:
-            w = special.gammaincc(1.0 / fp.beta, (tau / fp.sigma) ** fp.beta)
+            w = 2.0 * _upper_tail(np.array([tau / fp.sigma]), fp.beta)[0]
             raw.append(TailWeightPoint(beta=fp.beta, tau=tau, weight=float(w),
                                        sigma=fp.sigma))
         if smooth and len(raw) >= 5:

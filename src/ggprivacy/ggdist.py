@@ -10,6 +10,10 @@ Under this convention ``beta = 1`` is Laplace with scale ``sigma`` and
 the exponent as |x|**beta / nu with ``nu = sigma**beta``; `sigma_power` /
 `from_sigma_power` convert to and from that form.
 
+Every GG tail probability in the package comes from `_upper_tail` (and its
+grid form `_upper_tails`), built on the regularized upper incomplete gamma:
+`cdf`, the privacy-loss CDFs of `prv` and `calibrate.tail_weight` read it.
+
 Sampling uses the exact gamma transform ``Z = S * sigma * G**(1/beta)`` with
 ``G ~ Gamma(1/beta, 1)`` and ``S`` a uniform sign, drawing the gamma variates
 first and the signs second from the supplied generator.  The inverse-CDF
@@ -29,6 +33,13 @@ from .errors import InputError, ParameterError
 
 BETA_MAX = 64.0
 SIGMA_MAX = 1e12
+# Tail saturation for Z ~ GG(beta, 1) in float64: P(Z >= x) is exactly 0.0
+# once x**beta >= _TAIL_ZERO (it underflows before x**beta reaches 750),
+# and 1 - P(Z >= x) rounds to exactly 1.0 once x**beta >= _TAIL_ONE (the
+# tail falls below 2**-54 before 37).  Both sit well past those points, so
+# a point a few ulp short of a threshold still gives the saturated value.
+_TAIL_ZERO = 800.0
+_TAIL_ONE = 45.0
 
 
 @dataclass(frozen=True)
@@ -80,26 +91,69 @@ def pdf(params: GGParams, x, mu: float = 0.0):
     return float(out[0]) if scalar else out
 
 
-def cdf(params: GGParams, x, mu: float = 0.0):
-    """Distribution function, via the regularized lower incomplete gamma.
+def _upper_tail(x: np.ndarray, beta: float) -> np.ndarray:
+    """``P(Z >= x)`` for ``Z ~ GG(beta, 1)``, elementwise.  The regularized
+    upper incomplete gamma at ``|x|`` gives the tail directly, so small
+    tails on either side keep their relative precision; at ``beta = 2``
+    (a normal with variance 1/2) it is one ``erfc``."""
+    if beta == 2.0:
+        return 0.5 * special.erfc(x)
+    # At |x| >= _TAIL_ZERO the tail is 0.0 for every beta >= 1; capping |x|
+    # there keeps |x|**beta finite.  One array serves every step.
+    half = np.abs(x)
+    np.minimum(half, _TAIL_ZERO, out=half)
+    half **= beta
+    special.gammaincc(1.0 / beta, half, out=half)
+    half *= 0.5
+    return np.subtract(1.0, half, out=half, where=x < 0.0)
 
-    F(x) = 1/2 + sign(x - mu)/2 * P(1/beta, (|x - mu|/sigma)**beta)
-    """
+
+def _saturation(beta: float) -> tuple[float, float]:
+    """``(x0, x1)``: `_upper_tail` is exactly 0.0 at ``x >= x0`` and exactly
+    1.0 at ``x <= -x1`` (see `_TAIL_ZERO` and `_TAIL_ONE`)."""
+    return _TAIL_ZERO ** (1.0 / beta), _TAIL_ONE ** (1.0 / beta)
+
+
+def _upper_tails(beta: float, xs: list[np.ndarray]) -> list[np.ndarray]:
+    """`_upper_tail` at each array of ``xs``, bitwise, where the arrays hold
+    the same ``|x|`` elementwise: one tail evaluation serves them all, and
+    none is made where every ``x`` lies past a saturation threshold.  At
+    ``beta = 2`` each ``x`` takes one ``erfc``, which costs less than the
+    masks would save."""
+    if beta == 2.0:
+        return [_upper_tail(x, beta) for x in xs]
+    x0, x1 = _saturation(beta)
+    live = np.zeros(xs[0].shape, dtype=bool)
+    for x in xs:
+        live |= (x > -x1) & (x < x0)
+    half = _upper_tail(np.abs(xs[0][live]), beta)
+    tails = []
+    for x in xs:
+        tail = np.where(x < 0.0, 1.0, 0.0)
+        tail[live] = np.where(x[live] >= 0.0, half, 1.0 - half)
+        tails.append(tail)
+    return tails
+
+
+def cdf(params: GGParams, x, mu: float = 0.0):
+    """Distribution function, as the upper tail ``P(Z >= (mu - x)/sigma)``
+    of ``Z ~ GG(beta, 1)`` (`_upper_tail`), so it keeps its relative
+    precision in both tails."""
     arr, scalar = _as_float_array(x, "x")
-    beta, sigma = params.beta, params.sigma
-    z = (np.abs(arr - mu) / sigma) ** beta
-    out = 0.5 + 0.5 * np.sign(arr - mu) * special.gammainc(1.0 / beta, z)
+    out = _upper_tail((mu - arr) / params.sigma, params.beta)
     return float(out[0]) if scalar else out
 
 
 def quantile(params: GGParams, u, mu: float = 0.0):
-    """Inverse of `cdf` on the open interval (0, 1)."""
+    """Inverse of `cdf` on the open interval (0, 1).  It inverts the tail
+    nearer ``u``, ``2 min(u, 1 - u)``, with the inverse upper incomplete
+    gamma, so it keeps its relative precision in both tails."""
     arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     scalar = np.ndim(u) == 0
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise ParameterError("quantile levels must lie strictly inside (0, 1)")
     beta, sigma = params.beta, params.sigma
-    core = special.gammaincinv(1.0 / beta, np.abs(2.0 * arr - 1.0))
+    core = special.gammainccinv(1.0 / beta, 2.0 * np.minimum(arr, 1.0 - arr))
     out = mu + np.sign(arr - 0.5) * sigma * core ** (1.0 / beta)
     return float(out[0]) if scalar else out
 

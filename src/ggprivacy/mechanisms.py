@@ -192,6 +192,9 @@ class TrainConfig:
     the vector actually added each step is GG(beta, sigma * clip_norm) per
     coordinate.  ``target_epsilon``/``target_delta`` arm the budget halt:
     training stops before the step that would exceed the target.
+    ``ledger_bins`` sizes the ledger's grid.  ``ledger_samples`` changes no
+    result: the ledger discretizes the exact loss CDF, and the value only
+    lands in ``ledger.cfg.samples_n``.
     """
 
     clip_norm: float = 1.0
@@ -228,10 +231,11 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     them, adds one GG noise vector, and scales by the *expected* batch size.
     An empty batch still takes a (noise-only) step.  When a target epsilon is
     set, the run accounts the noise it adds, ``MechanismSpec(GGParams(beta,
-    sigma * clip_norm), clip_norm, q, 1)``, on a `CompositionLedger` sized by
-    ``ledger_samples`` and ``ledger_bins``; the step budget is fixed up front
-    from it and the loop halts there.  Accounting requires ``beta <= 2``;
-    unaccounted training accepts any shape.
+    sigma * clip_norm), clip_norm, q, 1)``, on a `CompositionLedger` whose
+    grid has ``ledger_bins`` cells (``ledger_samples`` changes no result);
+    the step budget is fixed up front from it and the loop halts there.
+    Accounting requires ``beta <= 2``; unaccounted training accepts any
+    shape.
     """
     X, y = train_data
     X = np.asarray(X, dtype=np.float64)

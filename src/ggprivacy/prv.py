@@ -19,20 +19,17 @@ Conventions, fixed once here and relied on everywhere else:
 
 * For ``beta >= 1`` the base loss is non-increasing in ``t``, so the law of
   the single-shot loss in either direction is known exactly: `loss_cdf`
-  returns its CDF (one root-find in ``t`` plus GG tail probabilities) and
-  `loss_moments` its mean and variance.  The accountant discretizes these.
-  `sample_prv` draws from the same law; it is the paper's Monte-Carlo
-  estimator and the cross-check of `loss_cdf`.
+  returns its CDF (one root-find in ``t`` plus GG tail probabilities, all
+  from `ggdist`) and `loss_moments` its mean and variance.  The accountant
+  discretizes these.  `sample_prv` draws from the same law; it is the
+  paper's Monte-Carlo estimator and the cross-check of `loss_cdf`.
 
 * On a grid symmetric about 0, such as the accountant's cell edges,
   `loss_cdfs_on_grid` gives every direction's CDF, bitwise equal to
   `loss_cdf`, from one shared root solve: a plain spec's crossing at ``-y``
   mirrors the one at ``y``, and ADD's threshold at ``y`` is REMOVE's at
-  ``-y``.  It evaluates no gamma tail that float64 already fixes:
-  ``P(Z >= x)`` is exactly 0.0 once ``x**beta >= _TAIL_ZERO`` and ``1 -
-  P(Z >= x)`` exactly 1.0 once ``x**beta >= _TAIL_ONE``.  (At ``beta =
-  2`` the tail is one ``erfc`` per edge, cheaper than the masks that would
-  skip it.)
+  ``-y``.  Its tails come from `ggdist._upper_tails`, which evaluates none
+  that float64 already fixes at 0.0 or 1.0 (see `ggdist._TAIL_ZERO`).
 
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
@@ -55,7 +52,7 @@ from scipy import special
 
 from . import ggdist, kernels
 from .errors import InputError, ParameterError
-from .ggdist import GGParams
+from .ggdist import GGParams, _upper_tail, _upper_tails
 
 MAX_DIMENSIONS = 64
 _ROOT_TOL = 32.0 * float(np.finfo(np.float64).eps)
@@ -63,13 +60,6 @@ _ROOT_STEPS = 100      # Newton/bisection cap of `_half_gap_root`
 _QUAD_NODES = 16       # Gauss-Legendre nodes per panel of `loss_moments`
 _QUAD_PANEL = 0.5      # panel width times beta, in units of sigma
 _QUAD_REACH = 60.0     # integrate where |u - shift|**beta <= this
-# Tail saturation for Z ~ GG(beta, 1) in float64: P(Z >= x) is exactly 0.0
-# once x**beta >= _TAIL_ZERO (it underflows before x**beta reaches 750),
-# and 1 - P(Z >= x) rounds to exactly 1.0 once x**beta >= _TAIL_ONE (the
-# tail falls below 2**-54 before 37).  Both sit well past those points, so
-# a point a few ulp short of a threshold still gives the saturated value.
-_TAIL_ZERO = 800.0
-_TAIL_ONE = 45.0
 
 
 class LossDirection(enum.Enum):
@@ -210,54 +200,6 @@ def loss_range(spec: MechanismSpec,
         return -edge, edge
     ends = _directed_loss(np.array([-edge, edge]), q, direction)
     return float(ends.min()), float(ends.max())
-
-
-def _tail_beyond(r: np.ndarray, beta: float) -> np.ndarray:
-    """``P(Z >= r)`` for ``Z ~ GG(beta, 1)`` at ``r >= 0``.  The regularized
-    upper incomplete gamma gives it directly, so small tail masses keep
-    their relative precision."""
-    with np.errstate(over="ignore"):    # an infinite r**beta has tail 0
-        return 0.5 * special.gammaincc(1.0 / beta, r ** beta)
-
-
-def _upper_tail(x: np.ndarray, beta: float,
-                half: np.ndarray | None = None) -> np.ndarray:
-    """``P(Z >= x)`` for ``Z ~ GG(beta, 1)``, from the tail beyond ``|x|``.
-    At ``beta != 2`` the caller may pass that tail, ``half =
-    _tail_beyond(|x|)``, when it already holds it (it serves ``x`` and
-    ``-x`` alike)."""
-    if beta == 2.0:                   # GG(2, 1) is normal with variance 1/2
-        return 0.5 * special.erfc(x)
-    if half is None:
-        half = _tail_beyond(np.abs(x), beta)
-    return np.where(x >= 0.0, half, 1.0 - half)
-
-
-def _saturation(beta: float) -> tuple[float, float]:
-    """``(x0, x1)``: `_upper_tail` is exactly 0.0 at ``x >= x0`` and exactly
-    1.0 at ``x <= -x1`` (see `_TAIL_ZERO` and `_TAIL_ONE`)."""
-    return _TAIL_ZERO ** (1.0 / beta), _TAIL_ONE ** (1.0 / beta)
-
-
-def _saturated_tails(beta: float, xs: list[np.ndarray]) -> list[np.ndarray]:
-    """`_upper_tail` at each array of ``xs``, bitwise, where the arrays hold
-    the same ``|x|`` elementwise: one tail evaluation serves them all, and
-    none is made where every ``x`` lies past a saturation threshold.  At
-    ``beta = 2`` each ``x`` takes one ``erfc``, which costs less than the
-    masks would save."""
-    if beta == 2.0:
-        return [_upper_tail(x, beta) for x in xs]
-    x0, x1 = _saturation(beta)
-    live = np.zeros(xs[0].shape, dtype=bool)
-    for x in xs:
-        live |= (x > -x1) & (x < x0)
-    half = _tail_beyond(np.abs(xs[0][live]), beta)
-    tails = []
-    for x in xs:
-        tail = np.where(x < 0.0, 1.0, 0.0)
-        tail[live] = _upper_tail(x[live], beta, half)
-        tails.append(tail)
-    return tails
 
 
 def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
@@ -405,8 +347,8 @@ def loss_cdfs_on_grid(spec: MechanismSpec,
       solve, reversed, serves both directions, and one tail array at
       ``|z|`` gives REMOVE's ``P(Z >= -z)`` and ADD's ``P(Z >= z)``.
     * Saturation: at ``beta != 2`` no tail past either threshold of
-      `_saturation` is evaluated; float64 already fixes it there at the
-      value the evaluation would give.
+      `ggdist._saturation` is evaluated; float64 already fixes it there at
+      the value the evaluation would give.
     """
     beta, ratio, q = spec.loss_key
     y = np.asarray(edges, dtype=np.float64)
@@ -423,17 +365,17 @@ def loss_cdfs_on_grid(spec: MechanismSpec,
         else:
             w = _half_gap_root(beta, c, np.abs(theta))
     if q is None:
-        [cdf] = _saturated_tails(
+        [cdf] = _upper_tails(
             beta, [_crossing(beta, ratio, theta, upper=False, w=w)])
         return {LossDirection.REMOVE: cdf}
     z = _crossing(beta, ratio, theta, upper=True, w=w)
-    [shifted] = _saturated_tails(beta, [ratio - z])
+    [shifted] = _upper_tails(beta, [ratio - z])
     if beta == 1.0:     # the two level sets differ at the loss's atoms
-        [below] = _saturated_tails(beta, [-z])
+        [below] = _upper_tails(beta, [-z])
         z_add = _crossing(beta, ratio, theta[::-1], upper=False)
-        [add] = _saturated_tails(beta, [z_add])
+        [add] = _upper_tails(beta, [z_add])
     else:
-        below, above = _saturated_tails(beta, [-z, z])
+        below, above = _upper_tails(beta, [-z, z])
         add = above[::-1]
     return {LossDirection.REMOVE: (1.0 - q) * below + q * shifted,
             LossDirection.ADD: add}
@@ -455,7 +397,7 @@ def loss_moments(spec: MechanismSpec,
     else:
         parts = ((1.0 - q, 0.0), (q, ratio))   # from M = (1 - q) Q + q P
     reach = _QUAD_REACH ** (1.0 / beta)
-    log_norm = math.log(beta / 2.0) - float(special.gammaln(1.0 / beta))
+    unit = GGParams(beta, 1.0)
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
     us, ws = [], []
     for share, shift in parts:
@@ -468,9 +410,9 @@ def loss_moments(spec: MechanismSpec,
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
         u = (mid[:, None] + half[:, None] * nodes).ravel()
-        dens = np.exp(log_norm - np.abs(u - shift) ** beta)
         us.append(u)
-        ws.append(share * dens * (half[:, None] * weights).ravel())
+        ws.append(share * ggdist.pdf(unit, u, shift)
+                  * (half[:, None] * weights).ravel())
     u, w = np.concatenate(us), np.concatenate(ws)
     y = _base_loss(spec, u)
     if q is not None:

@@ -123,8 +123,7 @@ def test_criterion_04_fft_matches_direct():
         m = int(rng.integers(1, 32))            # grids of 3..63 bins
         probs = rng.random(2 * m + 1)
         probs /= probs.sum()
-        prv = DiscretePRV(probs=probs, mesh_h=float(rng.uniform(0.05, 0.5)),
-                          source=f"rand{trial}")
+        prv = DiscretePRV(probs=probs, mesh_h=float(rng.uniform(0.05, 0.5)))
         k = int(rng.integers(2, 6))
         fft = compose([(prv, k)])
         direct = prv

@@ -117,7 +117,7 @@ def test_config_resolved_free_parameters():
 
 def hand_prv(probs, mesh_h=1.0, offset=0.0) -> DiscretePRV:
     return DiscretePRV(probs=np.asarray(probs, dtype=np.float64),
-                       mesh_h=mesh_h, offset=offset, source="hand")
+                       mesh_h=mesh_h, offset=offset)
 
 
 def within_ulps(expected: float, ulps: int = 8):
@@ -232,7 +232,7 @@ def test_delta_vanishes_at_the_top_of_the_support(rng):
 def test_discretize_from_samples_normal_oracle():
     cfg = AccountantConfig(12.0, 2 ** 12, samples_n=20_000)
     prv = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
-                                  derive_rng(1, "disc"), source="normal")
+                                  derive_rng(1, "disc"))
     assert prv.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= prv.offset <= cfg.mesh_h / 2.0
     assert prv.acceptance == 1.0
@@ -245,9 +245,9 @@ def test_discretize_from_samples_normal_oracle():
 def test_discretize_from_samples_is_deterministic():
     cfg = AccountantConfig(8.0, 2 ** 10, samples_n=15_000)
     a = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
-                                derive_rng(2, "disc"), source="normal")
+                                derive_rng(2, "disc"))
     b = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
-                                derive_rng(2, "disc"), source="normal")
+                                derive_rng(2, "disc"))
     npt.assert_array_equal(a.probs, b.probs)
     assert a.offset == b.offset
 
@@ -256,7 +256,7 @@ def test_discretize_rejects_hopeless_truncation():
     cfg = AccountantConfig(0.05, 2 ** 3, samples_n=20_000)
     with pytest.raises(TruncationError):
         discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
-                                derive_rng(3, "disc"), source="normal")
+                                derive_rng(3, "disc"))
 
 
 @pytest.mark.parametrize("rng", [None, 3])
@@ -268,8 +268,7 @@ def test_discretize_from_samples_takes_only_a_generator(rng):
 
 def test_discretize_from_cdf_gaussian():
     cfg = AccountantConfig(12.0, 2 ** 14, samples_n=20_000)
-    prv = discretize_from_cdf(lambda x: gaussian_prv_cdf(x, 1.0, 1.0), cfg,
-                              source="gauss-cdf")
+    prv = discretize_from_cdf(lambda x: gaussian_prv_cdf(x, 1.0, 1.0), cfg)
     assert prv.probs.sum() == pytest.approx(1.0, abs=1e-9)
     for eps in (0.5, 1.0, 2.0):
         assert prv.delta_at(eps) == pytest.approx(gauss_delta(eps), abs=1e-3)
@@ -279,8 +278,7 @@ def test_discretize_from_cdf_gaussian():
 
 def test_discretize_from_cdf_laplace_atoms():
     cfg = AccountantConfig(2.0, 2 ** 12, samples_n=20_000)
-    prv = discretize_from_cdf(lambda x: laplace_prv_cdf(x, 1.0, 1.0), cfg,
-                              source="lap-cdf")
+    prv = discretize_from_cdf(lambda x: laplace_prv_cdf(x, 1.0, 1.0), cfg)
     y = prv.support()
     # The endpoint atoms land in single cells.
     assert prv.probs[np.abs(y - 1.0) <= cfg.mesh_h].sum() > 0.45
@@ -354,7 +352,7 @@ def test_compose_point_masses_and_offsets():
     size = 5
     a = np.zeros(size)
     a[3] = 1.0       # support index +1
-    prv = DiscretePRV(probs=a, mesh_h=1.0, offset=0.25, source="pt")
+    prv = DiscretePRV(probs=a, mesh_h=1.0, offset=0.25)
     two = compose([(prv, 2)])
     expected = np.zeros(size)
     expected[4] = 1.0  # +1 twice = +2
@@ -367,7 +365,7 @@ def test_compose_wraps_circularly():
     size = 5
     a = np.zeros(size)
     a[4] = 1.0       # support index +2 on a grid of halfwidth 2
-    prv = DiscretePRV(probs=a, mesh_h=1.0, source="pt")
+    prv = DiscretePRV(probs=a, mesh_h=1.0)
     two = compose([(prv, 2)])
     # +2 + 2 = +4 = -1 (mod 5 cells): wraparound is charged to the
     # certificate, never redistributed.
@@ -395,8 +393,8 @@ def test_compose_matches_direct_convolution(rng):
     size = 2 * m + 1
     pa = rng.random(size); pa /= pa.sum()
     pb = rng.random(size); pb /= pb.sum()
-    a = DiscretePRV(probs=pa, mesh_h=0.25, source="a")
-    b = DiscretePRV(probs=pb, mesh_h=0.25, source="b")
+    a = DiscretePRV(probs=pa, mesh_h=0.25)
+    b = DiscretePRV(probs=pb, mesh_h=0.25)
     fft = compose([(a, 2), (b, 1)])
     direct = convolve_direct(convolve_direct(a, a), b)
     tv = 0.5 * np.abs(fft.probs - direct.probs).sum()
@@ -409,8 +407,7 @@ def test_compose_power_matches_repeated_direct_convolution(rng, k):
     # numpy's complex power multiplies only below k = 100; compose squares.
     probs = np.zeros(121)
     probs[58:63] = rng.random(5)
-    one = DiscretePRV(probs=probs / probs.sum(), mesh_h=0.5, offset=0.1,
-                      source="one")
+    one = DiscretePRV(probs=probs / probs.sum(), mesh_h=0.5, offset=0.1)
     direct = one
     for _ in range(k - 1):
         direct = convolve_direct(direct, one)
@@ -424,7 +421,7 @@ def test_compose_power_matches_numpy_power_at_large_k(rng):
     k = 4096
     probs = np.zeros(1029)
     probs[512:517] = rng.random(5)
-    one = DiscretePRV(probs=probs / probs.sum(), mesh_h=0.5, source="one")
+    one = DiscretePRV(probs=probs / probs.sum(), mesh_h=0.5)
     want = np.fft.fftshift(np.fft.irfft(np.power(one._spectrum(), k),
                                         n=probs.size))
     want = np.maximum(want, 0.0)
@@ -490,8 +487,7 @@ def test_account_checks_curve_points_before_sampling(points, monkeypatch):
     def no_work(*args):
         raise AssertionError("discretized before checking curve_points")
 
-    for name in ("loss_moments", "loss_cdf", "loss_cdfs_on_grid",
-                 "sample_prv"):
+    for name in ("loss_moments", "loss_cdfs_on_grid", "sample_prv"):
         monkeypatch.setattr(accountant, name, no_work)
     with pytest.raises(ParameterError, match="curve_points"):
         account(GAUSS, delta=1e-5, curve_points=points)

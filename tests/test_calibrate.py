@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ def test_solve_sigma_gap_at_target_is_reported(monkeypatch):
     assert f"after {len(calls)} probes" in str(exc.value)
     assert len(calls) < 200
     assert "float resolution" in str(exc.value)
+
+
+def test_solve_sigma_names_the_grid_when_epsilon_jumps_over_the_target():
+    # At beta = 1 the loss's atoms move across cell edges as sigma moves, so
+    # on a coarse grid epsilon(sigma) jumps past the target between adjacent
+    # floats.  The message gives epsilon on both sides and names bins.
+    with pytest.raises(SolverError, match="float resolution") as exc:
+        solve_sigma(1.0, PrivacyTarget(4.0, 1e-5, 200, 0.05),
+                    tolerance=0.01, bins=4096)
+    text = str(exc.value)
+    found = re.search(r"closest was (\S+) at sigma = (\S+), .* epsilon = "
+                      r"(\S+) at the adjacent sigma = (\S+):", text)
+    below, sigma_max, above, sigma_min = map(float, found.groups())
+    assert below < 4.0 - 0.005 and above > 4.0 + 0.005
+    assert sigma_min == np.nextafter(sigma_max, 0.0)
+    assert "jumps by more than the tolerance between adjacent sigma" in text
+    assert "more bins" in text
 
 
 def test_solve_sigma_validation():

@@ -78,9 +78,8 @@ def test_normal_reduction_pointwise():
     x = np.linspace(-8.0, 8.0, 41)
     npt.assert_allclose(ggdist.pdf(p, x), stats.norm.pdf(x, scale=std),
                         rtol=1e-12)
-    # The cdf goes through the regularized incomplete gamma, which agrees
-    # with erf to ~1e-10 relative deep in the tail; the pdf bound above is
-    # the exact-reduction claim.
+    # At beta = 2 the cdf is one erfc, like scipy's normal cdf; the pdf
+    # bound above is the exact-reduction claim.
     npt.assert_allclose(ggdist.cdf(p, x), stats.norm.cdf(x, scale=std),
                         rtol=1e-9, atol=1e-300)
     # GG(2, sqrt(2)) is exactly the standard normal.
@@ -104,6 +103,36 @@ def test_cdf_quantile_round_trip(beta, sigma):
     x = np.linspace(-edge, edge, 21)
     back_x = ggdist.quantile(p, ggdist.cdf(p, x))
     npt.assert_allclose(back_x, x, rtol=1e-9, atol=1e-9 * sigma)
+
+
+@pytest.mark.parametrize("beta,sigma", GRID)
+def test_quantile_keeps_relative_precision_in_both_tails(beta, sigma):
+    # Levels down to 1e-300 and up to 1 - 1e-9: both functions work from
+    # the tail nearer u, so the round trip holds relative to u (and to
+    # 1 - u above 1/2) where a form through 1 - u would cancel.
+    p = GGParams(beta, sigma)
+    lower = np.geomspace(1e-300, 0.5, 61)
+    upper = 1.0 - np.geomspace(1e-9, 0.5, 31)
+    for u in (lower, upper):
+        npt.assert_allclose(ggdist.cdf(p, ggdist.quantile(p, u)), u,
+                            rtol=1e-11, atol=0.0)
+    npt.assert_allclose(1.0 - ggdist.cdf(p, ggdist.quantile(p, upper)),
+                        1.0 - upper, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("beta,x", [(1.0, -40.0), (1.0, -30.0), (1.5, -20.0),
+                                    (2.0, -6.0), (3.0, -3.5)])
+def test_cdf_left_tail_against_mpmath(beta, x):
+    # F(x) = Q(1/beta, |x|**beta) / 2 below 0, with Q the regularized upper
+    # incomplete gamma, evaluated at 30 digits.
+    import mpmath
+    with mpmath.workdps(30):
+        want = float(mpmath.gammainc(1 / mpmath.mpf(beta),
+                                     abs(mpmath.mpf(x)) ** beta,
+                                     regularized=True) / 2)
+    assert 0.0 < want < 1e-13
+    got = ggdist.cdf(GGParams(beta, 1.0), x)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_quantile_domain():

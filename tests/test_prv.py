@@ -392,7 +392,7 @@ def _symmetric_grids(beta: float,
     even and of odd length, the odd one with 0 at its centre) that reach
     past the loss at the root ``w = 2 (c + x0)``, so that both ends of every
     CDF have saturated."""
-    from ggprivacy.prv import _saturation
+    from ggprivacy.ggdist import _saturation
     far = (2.0 * (ratio + _saturation(beta)[0])) ** beta + 50.0
     m = 600
     uniform = (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * 8.0 / (m + 0.5)
@@ -432,7 +432,7 @@ def test_upper_tail_saturation_thresholds(beta):
     # At beta != 2 the grid evaluator skips every tail past these
     # thresholds, taking the saturated value; a scipy whose tails stopped
     # saturating there fails here instead of moving a CDF.
-    from ggprivacy.prv import _TAIL_ONE, _TAIL_ZERO, _saturation, _upper_tail
+    from ggprivacy.ggdist import _TAIL_ONE, _TAIL_ZERO, _saturation, _upper_tail
     x0, x1 = _saturation(beta)
     beyond = np.array([1.0, 1.0 + 1e-9, 1.5, 10.0, np.inf])
     npt.assert_array_equal(_upper_tail(x0 * beyond, beta), 0.0)
