@@ -1,14 +1,17 @@
 """Calibration: noise scales for privacy targets, families, tail weights.
 
-`solve_sigma` inverts the accountant in sigma by bracketed bisection.  The
-accountant discretizes the exact loss CDF, so each probe is a deterministic
-function of the loss key and the grid, and epsilon(sigma) is monotone
-non-increasing up to discretization error; a given solve is exactly
-reproducible.  Observed non-monotonicity beyond half the solve tolerance
+`solve_sigma` inverts the accountant in sigma by root-finding on two grids:
+a coarse grid of 2^12 cells finds the root cheaply, and the caller's grid
+confirms it, taking further steps only if the coarse root misses there.
+The caller's grid alone decides the result.  The accountant discretizes the
+exact loss CDF, so each probe is a deterministic function of the loss key
+and the grid, and epsilon(sigma) is monotone non-increasing up to
+discretization error; a given solve is exactly reproducible.  Observed
+non-monotonicity on the caller's grid beyond half the solve tolerance
 aborts with `AccountingInconsistencyError` rather than returning a sigma
-the evidence does not support.  `equivalent_family` solves one sigma per shape at a
-shared target, and `tail_weight` reads the tail masses of such a solved
-family.
+the evidence does not support.  `equivalent_family` solves one sigma per
+shape at a shared target, and `tail_weight` reads the tail masses of such a
+solved family.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ from .prv import MechanismSpec
 
 DEFAULT_TOLERANCE = 0.05
 _MAX_BRACKET_STEPS = 200
-_MAX_BISECT_STEPS = 200
+_MAX_SEARCH_STEPS = 200
+# Cells requested for the coarse stage of `solve_sigma`: at the calibrate
+# benchmark's sizes a probe there takes about a tenth of one at 2^16 cells.
+_COARSE_BINS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -53,11 +59,18 @@ class PrivacyTarget:
 
 @dataclass
 class SolveResult:
+    """A solved noise scale.  ``epsilon`` is the caller's grid's epsilon at
+    ``sigma``; ``bracket`` is ``(lower, sigma)``, ``lower`` the largest sigma
+    below it whose epsilon on the caller's grid exceeded the target (``sigma``
+    itself when no caller-grid probe did).  ``evaluations`` lists every probe
+    in the order run, as ``(sigma, epsilon, cells)`` with the cell count of
+    its grid, and ``probes`` counts them."""
+
     sigma: float
     bracket: tuple[float, float]
     epsilon: float
     probes: int
-    evaluations: list[tuple[float, float]]
+    evaluations: list[tuple[float, float, int]]
 
 
 # Probes closer than this ratio are not compared for monotonicity: their
@@ -81,87 +94,191 @@ def _check_monotone(evals: dict[float, float], slack: float) -> None:
                     f"eps({hi_sigma:.6g}) = {hi_eps:.6g} (slack {slack:g})")
 
 
+class _Grid:
+    """epsilon(s) on one accountant grid, for s = sigma / sensitivity.
+
+    Each s is accounted once.  Each new probe is appended, with the grid's
+    cell count, to the shared ``evaluations`` and checked for monotonicity
+    against this grid's earlier probes."""
+
+    def __init__(self, epsilon_of, cells: int, sensitivity: float,
+                 slack: float, evaluations: list):
+        self.epsilon_of, self.cells = epsilon_of, cells
+        self.sensitivity, self.slack = sensitivity, slack
+        self.evaluations = evaluations
+        self.seen: dict[float, float] = {}
+
+    def __call__(self, s: float) -> float:
+        if s not in self.seen:
+            sigma = self.sensitivity * s
+            self.seen[s] = eps = self.epsilon_of(sigma)
+            self.evaluations.append((sigma, eps, self.cells))
+            _check_monotone({self.sensitivity * k: v
+                             for k, v in self.seen.items()}, self.slack)
+        return self.seen[s]
+
+
+def _search(probe: _Grid, s: float, high: float, width: float) -> float:
+    """An s whose epsilon on ``probe``'s grid is at most ``high`` and within
+    ``width`` of it, or `SolverError`.
+
+    Walks from ``s`` until the grid brackets the band's middle, first by the
+    factor that epsilon proportional to 1 / s predicts from the probe at
+    ``s``, then by its square after each miss, at most 2 per step.  It then
+    closes in by Illinois regula falsi on log epsilon against log s, aiming
+    at the band's middle; a step outside the bracket, or two steps that
+    together do not halve it, bisect instead."""
+    aim = high - 0.5 * width
+
+    def inside(eps: float) -> bool:
+        return eps <= high and high - eps <= width
+
+    def gap(eps: float) -> float:
+        return math.log(eps / aim) if eps > 0.0 else -math.inf
+
+    eps = probe(s)
+    if inside(eps):
+        return s
+    up = eps > aim
+    factor = math.exp(min(math.log(2.0), abs(gap(eps))))
+    start, lo, hi = s, None, None
+    for _ in range(_MAX_BRACKET_STEPS):
+        if eps > aim:
+            lo = s
+        else:
+            hi = s
+        if lo is not None and hi is not None:
+            break
+        step = s * factor if up else s / factor
+        s = step if step != s else math.nextafter(s, math.inf if up else 0.0)
+        eps = probe(s)
+        if inside(eps):
+            return s
+        factor = min(2.0, factor * factor)
+    else:
+        scale = probe.sensitivity
+        if up:
+            raise SolverError(
+                f"no sigma in [{scale * start:g}, {scale * s:g}] brings "
+                f"epsilon down to {high:g}; target may be out of range")
+        raise SolverError(
+            f"no sigma in [{scale * s:g}, {scale * start:g}] pushes epsilon "
+            f"above {high:g}; target may be out of range")
+
+    f_lo, f_hi = gap(probe(lo)), gap(probe(hi))
+    kept = 0  # the end the last step kept: -1 lo, +1 hi
+    widths = [hi - lo]
+    stopped_by = f"the {_MAX_SEARCH_STEPS}-step search limit"
+    for _ in range(_MAX_SEARCH_STEPS):
+        s = lo * math.exp(math.log(hi / lo) * f_lo / (f_lo - f_hi))
+        if not lo < s < hi or (len(widths) > 2
+                               and widths[-1] > 0.5 * widths[-3]):
+            s = 0.5 * (lo + hi)
+            if s in (lo, hi):
+                stopped_by = (
+                    f"the bracket reaching float resolution, with epsilon = "
+                    f"{probe(lo):.6g} at the adjacent sigma = "
+                    f"{probe.sensitivity * lo!r}: on this grid epsilon jumps "
+                    "by more than the tolerance between adjacent sigma, and "
+                    "more bins make the jumps smaller")
+                break
+        eps = probe(s)
+        if inside(eps):
+            return s
+        if eps > aim:
+            lo, f_lo = s, gap(eps)
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = s, gap(eps)
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        widths.append(hi - lo)
+    raise SolverError(
+        f"the search did not land within {width:g} of epsilon = "
+        f"{high:g} after {len(probe.evaluations)} probes; closest was "
+        f"{probe(hi):.6g} at sigma = {probe.sensitivity * hi!r}, stopped by "
+        f"{stopped_by}")
+
+
 def solve_sigma(beta: float, target: PrivacyTarget,
                 cfg: AccountantConfig | None = None, rng=None, *,
                 tolerance: float = DEFAULT_TOLERANCE,
                 sensitivity: float = 1.0,
                 samples_n: int = DEFAULT_SAMPLES,
                 bins: int = DEFAULT_BINS) -> SolveResult:
-    """Smallest noise scale meeting ``target``, to within ``tolerance`` in
-    epsilon.
+    """Smallest noise scale meeting ``target``: a sigma whose epsilon is at
+    most ``target.epsilon`` and within ``tolerance / 2`` of it.
 
-    Doubles/halves an initial bracket around sigma = sensitivity until
-    ``eps(sigma_min) > target.epsilon > eps(sigma_max)``, then bisects,
-    keeping that invariant, until the kept (sigma_max) side is within
-    ``tolerance / 2`` of the target.  Each probe re-runs the deterministic
-    accountant, so the returned sigma re-accounts to exactly the epsilon
-    reported here.  The probes at sensitivity ``c`` are ``c`` times those at
-    sensitivity 1: their ratios ``sensitivity / sigma`` agree to an ulp
-    (bitwise when ``c`` is a power of two), and so do their epsilons.
+    The search runs on ``s = sigma / sensitivity`` in two stages, each
+    aiming at ``target.epsilon - tolerance / 4`` (see `_search`).  The
+    coarse stage works on a grid of 2^12 cells (``cfg``'s window with that
+    many cells, or ``bins=2**12``): it walks s from 1, at most doubling or
+    halving it per step, until epsilon brackets the aim, then closes in by
+    Illinois regula falsi on log epsilon against log s.  The caller's grid
+    (``cfg``, or ``bins``) then probes the coarse root; if that misses the
+    band, it walks and closes in the same way on its own probes, secant
+    steps inside a bracket confirmed there, with bisection as the
+    safeguard.  Only the caller's grid decides: the returned epsilon comes
+    from an `account` call on it, so the returned sigma re-accounts to
+    exactly that epsilon.  When the caller's grid has no more cells than
+    the coarse one, it searches alone from s = 1; when the coarse stage
+    cannot land (epsilon can jump over its band), the caller's grid starts
+    from the coarse probe nearest the aim.
+
+    Returns ``sigma = sensitivity * s``: the probes at sensitivity ``c`` are
+    ``c`` times those at sensitivity 1, their ratios ``sensitivity / sigma``
+    agree to an ulp (bitwise when ``c`` is a power of two), and so do their
+    epsilons.
     """
+    return _solve_sigma(beta, target, cfg, rng, tolerance, sensitivity,
+                        samples_n, bins, 1.0)
+
+
+def _solve_sigma(beta, target, cfg, rng, tolerance, sensitivity, samples_n,
+                 bins, start: float) -> SolveResult:
+    """`solve_sigma` with the coarse stage's walk starting at ``s = start``."""
     if not (isinstance(sensitivity, (int, float))
             and math.isfinite(sensitivity) and sensitivity > 0):
         raise ParameterError(
             f"sensitivity must be positive and finite, got {sensitivity!r}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ParameterError(f"tolerance must be positive, got {tolerance!r}")
-    evals: dict[float, float] = {}
+    sensitivity = float(sensitivity)
 
-    def probe(sigma: float) -> float:
-        if sigma not in evals:
+    evaluations: list[tuple[float, float, int]] = []
+
+    def grid(grid_cfg: AccountantConfig | None, grid_bins: int) -> _Grid:
+        def epsilon_of(sigma: float) -> float:
             spec = MechanismSpec(GGParams(beta, sigma), sensitivity,
                                  target.sample_rate, target.compositions)
-            result = account(spec, cfg, delta=target.delta, rng=rng,
-                             samples_n=samples_n, bins=bins)
-            evals[sigma] = result.epsilon
-            _check_monotone(evals, 0.5 * tolerance)
-        return evals[sigma]
+            return account(spec, grid_cfg, delta=target.delta, rng=rng,
+                           samples_n=samples_n, bins=grid_bins).epsilon
+        cells = (grid_cfg or AccountantConfig(1.0, grid_bins)).bins
+        return _Grid(epsilon_of, cells, sensitivity, 0.5 * tolerance,
+                     evaluations)
 
-    sigma_min = sigma_max = float(sensitivity)
-    for _ in range(_MAX_BRACKET_STEPS):
-        if probe(sigma_min) > target.epsilon:
-            break
-        sigma_min /= 2.0
-    else:
-        raise SolverError(
-            f"no sigma in [{sigma_min:g}, {sensitivity:g}] pushes epsilon "
-            f"above {target.epsilon:g}; target may be out of range")
-    for _ in range(_MAX_BRACKET_STEPS):
-        if probe(sigma_max) < target.epsilon:
-            break
-        sigma_max *= 2.0
-    else:
-        raise SolverError(
-            f"no sigma in [{sensitivity:g}, {sigma_max:g}] brings epsilon below "
-            f"{target.epsilon:g}; target may be out of range")
+    caller = grid(cfg, bins)
+    coarse = grid(None if cfg is None else AccountantConfig(
+        cfg.trunc_L, _COARSE_BINS, cfg.samples_n), _COARSE_BINS)
+    goal = target.epsilon
+    if coarse.cells < caller.cells:
+        try:
+            _search(coarse, start, goal - 0.125 * tolerance, 0.25 * tolerance)
+        except (SolverError, AccountingInconsistencyError):
+            pass  # the caller's grid decides
+        aim = goal - 0.25 * tolerance
+        start = min(coarse.seen, key=lambda k: abs(coarse.seen[k] - aim))
+    s = _search(caller, start, goal, 0.5 * tolerance)
 
-    stopped_by = f"the {_MAX_BISECT_STEPS}-step bisection limit"
-    for _ in range(_MAX_BISECT_STEPS):
-        if abs(evals[sigma_max] - target.epsilon) <= 0.5 * tolerance:
-            break
-        mid = 0.5 * (sigma_min + sigma_max)
-        if mid in (sigma_min, sigma_max):
-            stopped_by = (
-                f"the bracket reaching float resolution, with epsilon = "
-                f"{evals[sigma_min]:.6g} at the adjacent sigma = "
-                f"{sigma_min!r}: on this grid epsilon jumps by more than the "
-                "tolerance between adjacent sigma, and more bins make the "
-                "jumps smaller")
-            break
-        if probe(mid) > target.epsilon:
-            sigma_min = mid
-        else:
-            sigma_max = mid
-    if abs(evals[sigma_max] - target.epsilon) > 0.5 * tolerance:
-        raise SolverError(
-            f"bisection did not land within {0.5 * tolerance:g} of "
-            f"epsilon = {target.epsilon:g} after {len(evals)} probes; closest "
-            f"was {evals[sigma_max]:.6g} at sigma = {sigma_max!r}, stopped by "
-            f"{stopped_by}")
-
-    return SolveResult(sigma=sigma_max, bracket=(sigma_min, sigma_max),
-                       epsilon=evals[sigma_max], probes=len(evals),
-                       evaluations=sorted(evals.items()))
+    lower = max((k for k, eps in caller.seen.items() if k < s and eps > goal),
+                default=s)
+    return SolveResult(sigma=sensitivity * s,
+                       bracket=(sensitivity * lower, sensitivity * s),
+                       epsilon=caller.seen[s], probes=len(evaluations),
+                       evaluations=evaluations)
 
 
 @dataclass
@@ -185,14 +302,18 @@ def equivalent_family(betas, target: PrivacyTarget,
                       tolerance: float = DEFAULT_TOLERANCE,
                       samples_n: int = DEFAULT_SAMPLES,
                       bins: int = DEFAULT_BINS) -> FamilyResult:
-    """Solve sigma for every shape in ``betas`` at one shared target."""
+    """Solve sigma for every shape in ``betas`` at one shared target, in
+    increasing beta; each solve starts its search from the sigma solved for
+    the shape before it."""
     beta_list = [float(b) for b in np.atleast_1d(np.asarray(betas, dtype=np.float64))]
     if not beta_list:
         raise ParameterError("betas must be non-empty")
     points = []
+    start = 1.0
     for beta in sorted(beta_list):
-        solved = solve_sigma(beta, target, cfg, rng, tolerance=tolerance,
-                             samples_n=samples_n, bins=bins)
+        solved = _solve_sigma(beta, target, cfg, rng, tolerance, 1.0,
+                              samples_n, bins, start)
+        start = solved.sigma
         points.append(FamilyPoint(beta=beta, sigma=solved.sigma,
                                   epsilon=solved.epsilon))
     sigmas = [p.sigma for p in points]

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -420,8 +421,11 @@ def _cmd_solve_sigma(args, sub) -> int:
                          samples_n=args.samples, bins=args.bins)
     print(f"sigma = {result.sigma:.9g}")
     print(f"bracket = [{result.bracket[0]:.9g}, {result.bracket[1]:.9g}]")
+    per_grid = Counter(cells for _, _, cells in result.evaluations)
+    on_grids = ", ".join(f"{n} on {cells} cells"
+                         for cells, n in per_grid.items())
     print(f"epsilon at sigma = {result.epsilon:.6f} "
-          f"(target {target.epsilon:g}, {result.probes} probes)")
+          f"(target {target.epsilon:g}, {result.probes} probes: {on_grids})")
     if args.out is not None:
         payload = {"sigma": result.sigma, "bracket": list(result.bracket),
                    "epsilon": result.epsilon, "probes": result.probes}

@@ -82,12 +82,23 @@ def _as_float_array(x, name: str) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), scalar
 
 
+def _over_sigma(d: np.ndarray, sigma: float) -> np.ndarray:
+    """``d / sigma``.  Only a sigma below 1 can carry a finite ``d`` past
+    float range, and the quotient is then +-inf, which `pdf` and `cdf` read
+    exactly (density 0, a tail of 0 or 1); the overflow is no error.  Above
+    1 no guard is set up: it costs more than the division."""
+    if sigma >= 1.0:
+        return d / sigma
+    with np.errstate(over="ignore"):
+        return d / sigma
+
+
 def pdf(params: GGParams, x, mu: float = 0.0):
     """Density of GG(beta, sigma) centered at ``mu``."""
     arr, scalar = _as_float_array(x, "x")
     beta, sigma = params.beta, params.sigma
     log_norm = math.log(beta / 2.0) - math.log(sigma) - special.gammaln(1.0 / beta)
-    out = np.exp(log_norm - (np.abs(arr - mu) / sigma) ** beta)
+    out = np.exp(log_norm - _over_sigma(np.abs(arr - mu), sigma) ** beta)
     return float(out[0]) if scalar else out
 
 
@@ -140,7 +151,7 @@ def cdf(params: GGParams, x, mu: float = 0.0):
     of ``Z ~ GG(beta, 1)`` (`_upper_tail`), so it keeps its relative
     precision in both tails."""
     arr, scalar = _as_float_array(x, "x")
-    out = _upper_tail((mu - arr) / params.sigma, params.beta)
+    out = _upper_tail(_over_sigma(mu - arr, params.sigma), params.beta)
     return float(out[0]) if scalar else out
 
 

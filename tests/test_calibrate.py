@@ -10,6 +10,7 @@ import pytest
 from scipy import optimize, special, stats
 
 from ggprivacy import (
+    AccountantConfig,
     AccountingInconsistencyError,
     GGParams,
     ParameterError,
@@ -150,6 +151,89 @@ def test_solve_sigma_names_the_grid_when_epsilon_jumps_over_the_target():
     assert "more bins" in text
 
 
+COARSE_CELLS = AccountantConfig(1.0, 2 ** 12).bins
+
+
+def biased_account(calls, bias):
+    """A stand-in for `account` with epsilon = 2 / sigma on every grid of
+    more than 2^12 cells, and ``bias`` more on coarser ones."""
+    from types import SimpleNamespace
+
+    def fake_account(spec, cfg=None, *, bins, **kwargs):
+        cells = (cfg or AccountantConfig(1.0, bins)).bins
+        calls.append((spec.noise.beta, spec.noise.sigma, cfg, bins))
+        eps = 2.0 / spec.noise.sigma
+        return SimpleNamespace(
+            epsilon=eps + bias if cells <= COARSE_CELLS else eps)
+    return fake_account
+
+
+@pytest.mark.parametrize("cfg", [None, AccountantConfig(20.0, 2 ** 16)],
+                         ids=["bins", "cfg"])
+def test_solve_sigma_caller_grid_decides_when_the_coarse_grid_is_biased(
+        monkeypatch, cfg):
+    # The coarse root lands 0.3 below the band on the caller's grid; the
+    # caller's grid brackets the target itself and lands in the band.
+    from ggprivacy import calibrate
+
+    calls = []
+    monkeypatch.setattr(calibrate, "account", biased_account(calls, 0.3))
+    got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), cfg, tolerance=0.05,
+                      bins=2 ** 16)
+    assert 2.0 - 0.025 <= got.epsilon <= 2.0
+    assert got.epsilon == 2.0 / got.sigma  # a caller-grid value
+    caller = (cfg or AccountantConfig(1.0, 2 ** 16)).bins
+    cells = [c for _, _, c in got.evaluations]
+    assert cells[0] == COARSE_CELLS and cells[-1] == caller
+    assert set(cells) == {COARSE_CELLS, caller}
+    assert got.probes == len(calls) == len(got.evaluations)
+    first = next(eps for _, eps, c in got.evaluations if c == caller)
+    assert first < 2.0 - 0.025  # the coarse root missed the band
+    if cfg is not None:  # the coarse grid keeps the caller's window
+        coarse_cfgs = {c for _, _, c, _ in calls if c is not cfg}
+        assert {(c.trunc_L, c.bins) for c in coarse_cfgs} == {
+            (20.0, COARSE_CELLS)}
+
+
+@pytest.mark.parametrize("grid", [dict(bins=2 ** 11), dict(bins=2 ** 12),
+                                  dict(cfg=AccountantConfig(15.0, 4096))],
+                         ids=["bins-2048", "bins-4096", "cfg-4096"])
+def test_solve_sigma_on_a_coarse_caller_grid_probes_only_that_grid(grid):
+    cfg = grid.get("cfg")
+    cells = (cfg or AccountantConfig(1.0, grid.get("bins", 2 ** 12))).bins
+    got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), tolerance=0.1, **grid)
+    assert {c for _, _, c in got.evaluations} == {cells}
+    assert 2.0 - 0.05 <= got.epsilon <= 2.0
+    again = account(MechanismSpec(GGParams(2.0, got.sigma), 1.0), cfg,
+                    delta=1e-5, bins=grid.get("bins", 2 ** 12))
+    assert again.epsilon == got.epsilon
+
+
+def test_solve_sigma_hands_off_when_the_coarse_grid_jumps_over_its_band():
+    # The case above that 4096 bins cannot solve: on the coarse grid epsilon
+    # jumps over the band, and the caller's 2^16-cell grid lands.
+    target = PrivacyTarget(4.0, 1e-5, 200, 0.05)
+    got = solve_sigma(1.0, target, tolerance=0.05, bins=2 ** 16)
+    assert 4.0 - 0.025 <= got.epsilon <= 4.0
+    coarse = [eps for _, eps, c in got.evaluations if c == COARSE_CELLS]
+    assert coarse and not any(4.0 - 0.025 <= eps <= 4.0 for eps in coarse)
+    again = account(MechanismSpec(GGParams(1.0, got.sigma), 1.0, 0.05, 200),
+                    delta=1e-5, bins=2 ** 16)
+    assert again.epsilon == got.epsilon
+
+
+def test_equivalent_family_starts_each_shape_from_the_last_sigma(monkeypatch):
+    from ggprivacy import calibrate
+
+    calls = []
+    monkeypatch.setattr(calibrate, "account", biased_account(calls, 0.0))
+    fam = equivalent_family([1.0, 2.0, 3.0], PrivacyTarget(2.0, 1e-5),
+                            tolerance=0.05, bins=2 ** 16)
+    firsts = [next(sigma for b, sigma, _, _ in calls if b == beta)
+              for beta in (1.0, 2.0, 3.0)]
+    assert firsts == [1.0] + [p.sigma for p in fam.points[:-1]]
+
+
 def test_solve_sigma_validation():
     with pytest.raises(ParameterError):
         solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), tolerance=0.0, **FAST)
@@ -268,6 +352,6 @@ def test_solve_sigma_frozen_result():
     # The seed is accepted and has no effect.
     got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), rng=1, tolerance=0.2,
                       samples_n=30_000, bins=2 ** 12)
-    assert got.sigma == pytest.approx(2.875, rel=1e-9)
-    assert got.epsilon == pytest.approx(1.9570869470012473, rel=1e-9)
-    assert got.probes == 6
+    assert got.sigma == pytest.approx(2.8907727890556107, rel=1e-9)
+    assert got.epsilon == pytest.approx(1.945175283820278, rel=1e-9)
+    assert got.probes == 4

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -366,9 +367,16 @@ def test_solve_sigma_command(tmp_path, capsys):
                "--out", str(out), *FAST_ACCT])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "sigma = " in text and "probes" in text
+    assert "sigma = " in text
+    # 8192 bins take both stages: the line counts the probes on each grid.
+    counts = re.search(r" (\d+) probes: (\d+) on 4375 cells, "
+                       r"(\d+) on 8505 cells\)", text)
+    total, coarse, caller = map(int, counts.groups())
+    assert total == coarse + caller and coarse >= 1 and caller >= 1
     payload = json.loads(out.read_text())
     assert set(payload) == {"sigma", "bracket", "epsilon", "probes"}
+    assert payload["probes"] == total
+    assert payload["bracket"][0] <= payload["sigma"] == payload["bracket"][1]
     assert abs(payload["epsilon"] - 2.0) <= 0.1
 
 

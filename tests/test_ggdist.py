@@ -135,6 +135,21 @@ def test_cdf_left_tail_against_mpmath(beta, x):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("params,x", [(GGParams(1.5, 1e-300), 1e10),
+                                      (GGParams(1.0, 1e-300), 1e9),
+                                      (GGParams(3.0, 0.5), 1e308)])
+def test_pdf_and_cdf_saturate_far_out_without_overflow(params, x):
+    # x / sigma passes float range here; the values are exact all the same:
+    # density 0 and a saturated tail.
+    assert ggdist.pdf(params, x) == 0.0
+    assert ggdist.pdf(params, -x) == 0.0
+    assert ggdist.cdf(params, x) == 1.0
+    assert ggdist.cdf(params, -x) == 0.0
+    npt.assert_array_equal(ggdist.cdf(params, np.array([-x, 0.0, x])),
+                           [0.0, 0.5, 1.0])
+
+
 def test_quantile_domain():
     p = GGParams(2.0, 1.0)
     assert ggdist.quantile(p, 0.5) == 0.0
