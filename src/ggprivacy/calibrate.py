@@ -34,6 +34,10 @@ _MAX_SEARCH_STEPS = 200
 # Cells requested for the coarse stage of `solve_sigma`: at the calibrate
 # benchmark's sizes a probe there takes about a tenth of one at 2^16 cells.
 _COARSE_BINS = 2 ** 12
+# The coarse stage hands off once its bracket is this narrow relative to
+# sigma: closer in, epsilon on the coarse grid can jump over its band
+# between adjacent floats, and the caller's grid decides anyway.
+_COARSE_RESOLUTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,8 @@ class _Grid:
         return self.seen[s]
 
 
-def _search(probe: _Grid, s: float, high: float, width: float) -> float:
+def _search(probe: _Grid, s: float, high: float, width: float,
+            resolution: float = 0.0) -> float:
     """An s whose epsilon on ``probe``'s grid is at most ``high`` and within
     ``width`` of it, or `SolverError`.
 
@@ -127,7 +132,9 @@ def _search(probe: _Grid, s: float, high: float, width: float) -> float:
     ``s``, then by its square after each miss, at most 2 per step.  It then
     closes in by Illinois regula falsi on log epsilon against log s, aiming
     at the band's middle; a step outside the bracket, or two steps that
-    together do not halve it, bisect instead."""
+    together do not halve it, bisect instead.  It stops with `SolverError`
+    once the bracket is narrower than ``resolution`` times its lower end, or
+    when it reaches float resolution."""
     aim = high - 0.5 * width
 
     def inside(eps: float) -> bool:
@@ -170,6 +177,9 @@ def _search(probe: _Grid, s: float, high: float, width: float) -> float:
     widths = [hi - lo]
     stopped_by = f"the {_MAX_SEARCH_STEPS}-step search limit"
     for _ in range(_MAX_SEARCH_STEPS):
+        if hi - lo < resolution * lo:
+            stopped_by = f"the bracket narrowing below {resolution:g} relative"
+            break
         s = lo * math.exp(math.log(hi / lo) * f_lo / (f_lo - f_hi))
         if not lo < s < hi or (len(widths) > 2
                                and widths[-1] > 0.5 * widths[-3]):
@@ -225,7 +235,8 @@ def solve_sigma(beta: float, target: PrivacyTarget,
     from an `account` call on it, so the returned sigma re-accounts to
     exactly that epsilon.  When the caller's grid has no more cells than
     the coarse one, it searches alone from s = 1; when the coarse stage
-    cannot land (epsilon can jump over its band), the caller's grid starts
+    cannot land (epsilon can jump over its band), it stops once its
+    bracket is under 1e-3 relative in sigma, and the caller's grid starts
     from the coarse probe nearest the aim.
 
     Returns ``sigma = sensitivity * s``: the probes at sensitivity ``c`` are
@@ -266,7 +277,8 @@ def _solve_sigma(beta, target, cfg, rng, tolerance, sensitivity, samples_n,
     goal = target.epsilon
     if coarse.cells < caller.cells:
         try:
-            _search(coarse, start, goal - 0.125 * tolerance, 0.25 * tolerance)
+            _search(coarse, start, goal - 0.125 * tolerance, 0.25 * tolerance,
+                    _COARSE_RESOLUTION)
         except (SolverError, AccountingInconsistencyError):
             pass  # the caller's grid decides
         aim = goal - 0.25 * tolerance

@@ -14,10 +14,16 @@ Every GG tail probability in the package comes from `_upper_tail` (and its
 grid form `_upper_tails`), built on the regularized upper incomplete gamma:
 `cdf`, the privacy-loss CDFs of `prv` and `calibrate.tail_weight` read it.
 
-Sampling uses the exact gamma transform ``Z = S * sigma * G**(1/beta)`` with
-``G ~ Gamma(1/beta, 1)`` and ``S`` a uniform sign, drawing the gamma variates
-first and the signs second from the supplied generator.  The inverse-CDF
-sampler is retained as a slow cross-check (`sample_inverse_cdf`).
+Sampling at ``beta = 2`` scales one block of standard normals by
+``sigma / sqrt(2)``.  Every other shape uses the exact gamma transform
+``Z = S * sigma * G**(1/beta)`` with ``G ~ Gamma(1/beta, 1)`` and ``S`` a
+uniform sign, drawing the gamma variates first and the signs second from
+the supplied generator.  The inverse-CDF sampler is retained as a slow
+cross-check (`sample_inverse_cdf`).
+
+Integrals against the density use one rule, `_quadrature`: Gauss-Legendre
+panels that break at the density's and the integrand's kinks and stop where
+the density falls below ``exp(-_QUAD_REACH)``.
 """
 
 from __future__ import annotations
@@ -40,6 +46,13 @@ SIGMA_MAX = 1e12
 # a point a few ulp short of a threshold still gives the saturated value.
 _TAIL_ZERO = 800.0
 _TAIL_ONE = 45.0
+# The density's log normalizer is at most about 749 (sigma at the smallest
+# subnormal), so at |x - mu| / sigma >= 2 * _TAIL_ZERO the density is 0.0
+# for every valid sigma, and (2 * _TAIL_ZERO)**BETA_MAX is still finite.
+_DENSITY_ZERO = 2.0 * _TAIL_ZERO
+_QUAD_NODES = 16       # Gauss-Legendre nodes per panel of `_quadrature`
+_QUAD_PANEL = 0.5      # panel width times beta, in units of sigma
+_QUAD_REACH = 60.0     # integrate where |u - center|**beta <= this
 
 
 @dataclass(frozen=True)
@@ -98,8 +111,39 @@ def pdf(params: GGParams, x, mu: float = 0.0):
     arr, scalar = _as_float_array(x, "x")
     beta, sigma = params.beta, params.sigma
     log_norm = math.log(beta / 2.0) - math.log(sigma) - special.gammaln(1.0 / beta)
-    out = np.exp(log_norm - _over_sigma(np.abs(arr - mu), sigma) ** beta)
+    # Capping |x - mu| / sigma where the density is already 0.0 keeps the
+    # power finite.
+    z = np.minimum(_over_sigma(np.abs(arr - mu), sigma), _DENSITY_ZERO)
+    out = np.exp(log_norm - z ** beta)
     return float(out[0]) if scalar else out
+
+
+def _quadrature(beta: float, center: float, kinks=(), mass: float = 1.0,
+                nodes: int = _QUAD_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``u`` and weights ``w`` with ``w @ f(u)`` approximating the
+    integral of ``f`` against ``mass`` times the GG(beta, 1) density centered
+    at ``center``.
+
+    Gauss-Legendre panels of ``nodes`` nodes and width ``_QUAD_PANEL / beta``
+    cover the span where ``|u - center|**beta <= _QUAD_REACH``.  They break
+    at ``center``, the density's kink, and at each of ``f``'s ``kinks``
+    inside the span.  At a beta that is not an integer, the density is not
+    analytic at ``center`` even from one side, so the panels that end there
+    converge only algebraically in ``nodes``.
+    """
+    reach = _QUAD_REACH ** (1.0 / beta)
+    cuts = sorted({center - reach, center, center + reach}
+                  | {p for p in kinks if center - reach < p < center + reach})
+    edges = np.concatenate([
+        np.linspace(a, b, 1 + math.ceil((b - a) * beta / _QUAD_PANEL))[:-1]
+        for a, b in zip(cuts, cuts[1:])] + [cuts[-1:]])
+    points, weights = np.polynomial.legendre.leggauss(nodes)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * points).ravel()
+    w = mass * pdf(GGParams(beta, 1.0), u, center) \
+        * (half[:, None] * weights).ravel()
+    return u, w
 
 
 def _upper_tail(x: np.ndarray, beta: float) -> np.ndarray:
@@ -170,13 +214,20 @@ def quantile(params: GGParams, u, mu: float = 0.0):
 
 
 def sample(params: GGParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` iid variates via the gamma transform.
+    """Draw ``count`` iid variates.
 
-    Consumes the generator in a fixed order (gamma block, then sign block),
-    which downstream reproducibility guarantees rely on.
+    At ``beta = 2`` the draw is one block of standard normals times
+    ``sigma / sqrt(2)``, which has exactly the GG(2, sigma) law.  Every other
+    shape takes the gamma transform and consumes the generator in a fixed
+    order (gamma block, then sign block).  Downstream reproducibility
+    guarantees rely on these draw orders.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ParameterError(f"count must be a positive integer, got {count!r}")
+    if params.beta == 2.0:
+        z = rng.standard_normal(int(count))
+        z *= params.sigma / math.sqrt(2.0)
+        return z
     inv_beta = 1.0 / params.beta
     g = rng.standard_gamma(inv_beta, size=int(count))
     signs = rng.integers(0, 2, size=int(count)).astype(np.float64) * 2.0 - 1.0

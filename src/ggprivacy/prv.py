@@ -52,14 +52,11 @@ from scipy import special
 
 from . import ggdist, kernels
 from .errors import InputError, ParameterError
-from .ggdist import GGParams, _upper_tail, _upper_tails
+from .ggdist import GGParams, _quadrature, _upper_tail, _upper_tails
 
 MAX_DIMENSIONS = 64
 _ROOT_TOL = 32.0 * float(np.finfo(np.float64).eps)
 _ROOT_STEPS = 100      # Newton/bisection cap of `_half_gap_root`
-_QUAD_NODES = 16       # Gauss-Legendre nodes per panel of `loss_moments`
-_QUAD_PANEL = 0.5      # panel width times beta, in units of sigma
-_QUAD_REACH = 60.0     # integrate where |u - shift|**beta <= this
 
 
 class LossDirection(enum.Enum):
@@ -385,9 +382,8 @@ def loss_moments(spec: MechanismSpec,
                  direction: LossDirection) -> tuple[float, float]:
     """Mean and variance of the single-shot loss in ``direction``.
 
-    Gauss-Legendre quadrature against the GG density, in units of sigma, on
-    panels that break at the loss's kinks ``0`` and ``Delta/sigma`` and that
-    stop where the density falls below ``exp(-_QUAD_REACH)``.
+    Quadrature against the GG density in units of sigma (`ggdist._quadrature`),
+    on panels that break at the loss's kinks ``0`` and ``Delta/sigma``.
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
@@ -396,23 +392,8 @@ def loss_moments(spec: MechanismSpec,
         parts = ((1.0, 0.0),)               # outputs drawn from Q
     else:
         parts = ((1.0 - q, 0.0), (q, ratio))   # from M = (1 - q) Q + q P
-    reach = _QUAD_REACH ** (1.0 / beta)
-    unit = GGParams(beta, 1.0)
-    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    us, ws = [], []
-    for share, shift in parts:
-        cuts = sorted({shift - reach, shift + reach}
-                      | {p for p in (0.0, ratio)
-                         if shift - reach < p < shift + reach})
-        edges = np.concatenate([
-            np.linspace(a, b, 1 + math.ceil((b - a) * beta / _QUAD_PANEL))[:-1]
-            for a, b in zip(cuts, cuts[1:])] + [cuts[-1:]])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        u = (mid[:, None] + half[:, None] * nodes).ravel()
-        us.append(u)
-        ws.append(share * ggdist.pdf(unit, u, shift)
-                  * (half[:, None] * weights).ravel())
+    us, ws = zip(*(_quadrature(beta, shift, (0.0, ratio), share)
+                   for share, shift in parts))
     u, w = np.concatenate(us), np.concatenate(ws)
     y = _base_loss(spec, u)
     if q is not None:

@@ -217,6 +217,9 @@ def test_solve_sigma_hands_off_when_the_coarse_grid_jumps_over_its_band():
     assert 4.0 - 0.025 <= got.epsilon <= 4.0
     coarse = [eps for _, eps, c in got.evaluations if c == COARSE_CELLS]
     assert coarse and not any(4.0 - 0.025 <= eps <= 4.0 for eps in coarse)
+    # The coarse stage stops once its bracket around the jump is under 1e-3
+    # relative, not at float resolution (61 coarse probes).
+    assert len(coarse) <= 15 and got.probes == len(coarse) + 2
     again = account(MechanismSpec(GGParams(1.0, got.sigma), 1.0, 0.05, 200),
                     delta=1e-5, bins=2 ** 16)
     assert again.epsilon == got.epsilon

@@ -138,10 +138,12 @@ def test_cdf_left_tail_against_mpmath(beta, x):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("params,x", [(GGParams(1.5, 1e-300), 1e10),
                                       (GGParams(1.0, 1e-300), 1e9),
-                                      (GGParams(3.0, 0.5), 1e308)])
+                                      (GGParams(3.0, 0.5), 1e308),
+                                      (GGParams(64.0, 1.0), 7e4),
+                                      (GGParams(2.0, 1.0), 1.4e154)])
 def test_pdf_and_cdf_saturate_far_out_without_overflow(params, x):
-    # x / sigma passes float range here; the values are exact all the same:
-    # density 0 and a saturated tail.
+    # x / sigma, or its power beta, passes float range here; the values are
+    # exact all the same: density 0 and a saturated tail.
     assert ggdist.pdf(params, x) == 0.0
     assert ggdist.pdf(params, -x) == 0.0
     assert ggdist.cdf(params, x) == 1.0
@@ -196,6 +198,15 @@ def test_sample_matches_inverse_cdf_law(rng):
     a = ggdist.sample(p, rng, 50_000)
     b = ggdist.sample_inverse_cdf(p, rng, 50_000)
     assert stats.ks_2samp(a, b).pvalue > 1e-3
+
+
+def test_sample_at_beta_two_is_one_normal_block():
+    p = GGParams(2.0, 3.0)
+    got = ggdist.sample(p, np.random.default_rng(11), 100_000)
+    want = np.random.default_rng(11).standard_normal(100_000) * (3.0 / math.sqrt(2.0))
+    npt.assert_array_equal(got, want)
+    stat = stats.kstest(got, stats.norm(scale=3.0 / math.sqrt(2.0)).cdf).statistic
+    assert stat < 0.006
 
 
 def test_sample_is_deterministic():

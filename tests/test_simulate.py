@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ggprivacy import GGParams, IngestionError, ParameterError
+from ggprivacy import GGParams, IngestionError, ParameterError, ggdist
 from ggprivacy.errors import ConstructionError
 from ggprivacy.simulate import (
     PateAccuracy,
@@ -93,6 +93,50 @@ def test_make_histograms_covers_grid(rng):
     assert [h.runner_up for h in hists] == [0.05] * 4 + [0.1] * 4
 
 
+@pytest.mark.parametrize("num_classes", [2, 3, 4])
+def test_make_histograms_without_middle_classes_draws_nothing(num_classes):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    cfg = SimConfig(num_classes=num_classes, runner_up_grid=(0.05, 0.1),
+                    histograms_per_r=5)
+    hists = make_histograms(cfg, rng)
+    assert rng.bit_generator.state == state
+    for i, r in enumerate(cfg.runner_up_grid):
+        block = hists[5 * i:5 * (i + 1)]
+        assert all(h is block[0] for h in block)
+        want = build_histogram(num_classes, 1000, r, np.random.default_rng(0))
+        assert block[0].counts.tolist() == want.counts.tolist()
+        assert block[0].runner_up == r
+
+
+@pytest.mark.parametrize("num_classes", [5, 10, 25])
+def test_make_histograms_block_rows_meet_the_invariants(num_classes, rng):
+    grid = (0.02, 0.1, 0.3)
+    cfg = SimConfig(num_classes=num_classes, runner_up_grid=grid,
+                    histograms_per_r=50)
+    hists = make_histograms(cfg, rng)
+    assert [h.runner_up for h in hists] == [r for r in grid for _ in range(50)]
+    for hist in hists:
+        c, r = hist.counts, hist.runner_up
+        assert c.size == num_classes and c.sum() == 1000
+        assert np.all(c >= 0)
+        assert c[0] > c[1] >= np.max(c[1:])
+        assert c[1] == math.floor(c[0] * (1.0 - r))
+        assert c[-1] <= c[1]
+    # The middle counts are drawn, not repeated.
+    assert len({h.counts.tobytes() for h in hists}) > len(grid)
+
+
+def test_make_histograms_raises_when_a_ratio_cannot_be_placed(rng):
+    # V = 4 over 5 classes at r = 0.8: the winner takes 3, the runner-up and
+    # the middle class 0, and the leftover vote exceeds the runner-up on
+    # every draw.
+    cfg = SimConfig(num_classes=5, total_votes=4, runner_up_grid=(0.8,),
+                    histograms_per_r=3)
+    with pytest.raises(ConstructionError, match="within"):
+        make_histograms(cfg, rng)
+
+
 # -- Monte-Carlo utility ------------------------------------------------------------
 
 def test_hardmax_utility_groups_and_stderr(rng):
@@ -145,6 +189,23 @@ def test_exact_two_class_laplace_closed_form(gap, sigma):
     got = exact_two_class_utility(gap, GGParams(1.0, sigma))
     g = gap / sigma
     assert got == pytest.approx(1.0 - math.exp(-g) * (2.0 + g) / 4.0, rel=1e-8)
+
+
+@pytest.mark.parametrize("beta", [1.5, 3.0])
+@pytest.mark.parametrize("gap,sigma", [(0.0, 1.0), (0.5, 1.0), (2.0, 3.0), (10.0, 2.0)])
+def test_exact_two_class_matches_adaptive_quadrature(beta, gap, sigma):
+    from scipy import integrate
+
+    noise = GGParams(beta, sigma)
+
+    def integrand(y):
+        return ggdist.pdf(noise, y) * ggdist.cdf(noise, gap + y)
+
+    want, _ = integrate.quad(integrand, -40.0 * sigma, 40.0 * sigma,
+                             points=sorted({0.0, -gap}), limit=500,
+                             epsabs=1e-14, epsrel=1e-13)
+    got = exact_two_class_utility(gap, noise)
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_exact_two_class_rejects_negative_gap():
