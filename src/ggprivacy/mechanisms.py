@@ -76,16 +76,34 @@ def ggnmax(counts, noise: GGParams, rng: np.random.Generator) -> int:
     return int(np.argmax(noisy))
 
 
+def _check_clip(beta: float, clip_norm: float, values, name: str) -> None:
+    """The input rules of every l_beta clip: a shape in [1, BETA_MAX], a
+    positive finite radius and finite entries."""
+    if not (math.isfinite(clip_norm) and clip_norm > 0):
+        raise ParameterError(
+            f"clip_norm must be positive and finite, got {clip_norm!r}")
+    if not (1.0 <= beta <= ggdist.BETA_MAX):
+        raise ParameterError(
+            f"beta must lie in [1, {ggdist.BETA_MAX:g}], got {beta!r}")
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"{name} must be finite")
+
+
+def _clip_scale(norms: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Per-row factor 1 / max(1, ||g||_beta / C) of the l_beta projection."""
+    return 1.0 / np.maximum(1.0, norms / clip_norm)
+
+
+def _power_sums(rows: np.ndarray, beta: float) -> np.ndarray:
+    """Row-wise sum of |a|**beta, i.e. ||a||_beta**beta, of a 2-d array."""
+    return np.sum(np.abs(rows) ** beta, axis=1)
+
+
 def lbeta_clip(vector, beta: float, clip_norm: float) -> np.ndarray:
     """Project a vector onto the l_beta ball of radius ``clip_norm``:
     g / max(1, ||g||_beta / C)."""
-    if not (math.isfinite(clip_norm) and clip_norm > 0):
-        raise ParameterError(f"clip_norm must be positive, got {clip_norm!r}")
-    if not (1.0 <= beta <= ggdist.BETA_MAX):
-        raise ParameterError(f"beta must lie in [1, {ggdist.BETA_MAX:g}]")
     arr = np.atleast_1d(np.asarray(vector, dtype=np.float64))
-    if not np.all(np.isfinite(arr)):
-        raise InputError("vector must be finite")
+    _check_clip(beta, clip_norm, arr, "vector")
     norm = float(kernels.lbeta_norms(arr.reshape(1, -1), beta)[0])
     return arr / max(1.0, norm / clip_norm)
 
@@ -95,9 +113,9 @@ def clip_rows(matrix: np.ndarray, beta: float, clip_norm: float) -> np.ndarray:
     mat = np.ascontiguousarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ParameterError("matrix must be 2-d (examples x parameters)")
+    _check_clip(beta, clip_norm, mat, "matrix")
     norms = kernels.lbeta_norms(mat, beta)
-    scale = 1.0 / np.maximum(1.0, norms / clip_norm)
-    return mat * scale[:, None]
+    return mat * _clip_scale(norms, clip_norm)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +124,12 @@ def clip_rows(matrix: np.ndarray, beta: float, clip_norm: float) -> np.ndarray:
 
 
 class LogisticModel:
-    """Binary logistic regression; parameters are (weights, bias) flattened."""
+    """Binary logistic regression; parameters are (weights, bias) flattened.
+
+    Training needs ``init_params``, ``predict``, ``clipped_grad_sum`` and
+    ``num_params``; ``per_example_grads`` is the reference the clipped sum is
+    tested against.
+    """
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -128,11 +151,30 @@ class LogisticModel:
         err = expit(z) - y
         return np.concatenate([err[:, None] * X, err[:, None]], axis=1)
 
+    def clipped_grad_sum(self, params: np.ndarray, X: np.ndarray,
+                         y: np.ndarray, beta: float,
+                         clip_norm: float) -> np.ndarray:
+        """``clip_rows(per_example_grads(params, X, y), beta, clip_norm)``
+        summed over the rows, without the per-example matrix.
+
+        Row i's gradient is ``err_i * (x_i, 1)``, so its l_beta norm is
+        ``|err_i| * (||x_i||_beta**beta + 1)**(1/beta)``.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        _check_clip(beta, clip_norm, X, "X")
+        err = expit(self._logits(params, X)) - y
+        norms = np.abs(err) * (_power_sums(X, beta) + 1.0) ** (1.0 / beta)
+        scaled = err * _clip_scale(norms, clip_norm)
+        return np.append(X.T @ scaled, scaled.sum())
+
 
 class MLPModel:
     """One hidden tanh layer (default width 32), logistic output.
 
     Gradients are exact per-example backprop, vectorized over the batch.
+    Training needs ``init_params``, ``predict``, ``clipped_grad_sum`` and
+    ``num_params``; ``per_example_grads`` is the reference the clipped sum is
+    tested against.
     """
 
     def __init__(self, dim: int, width: int = 32):
@@ -161,22 +203,50 @@ class MLPModel:
         hidden = np.tanh(X @ W1 + b1)
         return hidden, hidden @ w2 + b2
 
+    def _backward(self, params: np.ndarray, X: np.ndarray, y: np.ndarray):
+        """Hidden activations (n, w), output errors (n,) and the errors
+        back-propagated to the hidden pre-activations (n, w)."""
+        _, _, w2, _ = self._unpack(params)
+        hidden, z = self._forward(params, X)
+        err = expit(z) - y
+        back = (err[:, None] * w2[None, :]) * (1.0 - hidden ** 2)
+        return hidden, err, back
+
     def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         _, z = self._forward(params, X)
         return (z >= 0.0).astype(np.int64)
 
     def per_example_grads(self, params: np.ndarray, X: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
-        _, _, w2, _ = self._unpack(params)
-        hidden, z = self._forward(params, X)
-        err = expit(z) - y                                     # (n,)
-        g_w2 = err[:, None] * hidden                           # (n, w)
-        g_b2 = err[:, None]                                    # (n, 1)
-        back = (err[:, None] * w2[None, :]) * (1.0 - hidden ** 2)  # (n, w)
+        hidden, err, back = self._backward(params, X, y)
         g_W1 = X[:, :, None] * back[:, None, :]                # (n, d, w)
-        g_b1 = back
         n = X.shape[0]
-        return np.concatenate([g_W1.reshape(n, -1), g_b1, g_w2, g_b2], axis=1)
+        return np.concatenate([g_W1.reshape(n, -1), back,
+                               err[:, None] * hidden, err[:, None]], axis=1)
+
+    def clipped_grad_sum(self, params: np.ndarray, X: np.ndarray,
+                         y: np.ndarray, beta: float,
+                         clip_norm: float) -> np.ndarray:
+        """``clip_rows(per_example_grads(params, X, y), beta, clip_norm)``
+        summed over the rows, without the per-example gradients.
+
+        Row i's gradient is ``[x_i back_i^T, back_i, err_i h_i, err_i]``,
+        and ``||x b^T||_beta**beta = ||x||_beta**beta * ||b||_beta**beta``,
+        so its norm comes from the layer inputs and errors alone.  With the
+        clip factors ``s``, the sum is ``[X^T (s*back), sum s*back,
+        h^T (s*err), sum s*err]``.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        _check_clip(beta, clip_norm, X, "X")
+        hidden, err, back = self._backward(params, X, y)
+        norms = ((_power_sums(X, beta) + 1.0) * _power_sums(back, beta)
+                 + np.abs(err) ** beta * (_power_sums(hidden, beta) + 1.0)
+                 ) ** (1.0 / beta)
+        scale = _clip_scale(norms, clip_norm)
+        back *= scale[:, None]
+        err *= scale
+        return np.concatenate([(X.T @ back).ravel(), back.sum(axis=0),
+                               hidden.T @ err, [err.sum()]])
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +299,19 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     Each step Poisson-samples a batch at rate ``batch_size / n``, clips
     per-example gradients to the l_beta ball of radius ``clip_norm``, sums
     them, adds one GG noise vector, and scales by the *expected* batch size.
-    An empty batch still takes a (noise-only) step.  When a target epsilon is
-    set, the run accounts the noise it adds, ``MechanismSpec(GGParams(beta,
-    sigma * clip_norm), clip_norm, q, 1)``, on a `CompositionLedger` whose
-    grid has ``ledger_bins`` cells (``ledger_samples`` changes no result);
-    the step budget is fixed up front from it and the loop halts there.
-    Accounting requires ``beta <= 2``; unaccounted training accepts any
-    shape.
+    An empty batch still takes a (noise-only) step.  Each step draws the
+    batch mask from ``rng`` first, then the noise.
+
+    ``model`` needs ``init_params``, ``predict``, ``clipped_grad_sum`` and
+    ``num_params``.  The clipped sum is read from the batch's activations
+    and back-propagated errors, so no per-example gradient tensor is built.
+
+    When a target epsilon is set, the run accounts the noise it adds,
+    ``MechanismSpec(GGParams(beta, sigma * clip_norm), clip_norm, q, 1)``,
+    on a `CompositionLedger` whose grid has ``ledger_bins`` cells
+    (``ledger_samples`` changes no result); the step budget is fixed up
+    front from it and the loop halts there.  Accounting requires
+    ``beta <= 2``; unaccounted training accepts any shape.
     """
     X, y = train_data
     X = np.asarray(X, dtype=np.float64)
@@ -251,6 +327,7 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
             f"batch_size must lie in [1, {n}], got {cfg.batch_size}")
     if cfg.epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {cfg.epochs}")
+    _check_clip(cfg.noise.beta, cfg.clip_norm, X, "training features")
     q = cfg.batch_size / n
     steps_per_epoch = max(1, round(n / cfg.batch_size))
     planned = cfg.epochs * steps_per_epoch
@@ -288,8 +365,8 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
                 keep = rng.random(n) < q
                 Xb, yb = X[keep], y[keep]
             if Xb.shape[0] > 0:
-                grads = model.per_example_grads(params, Xb, yb)
-                gsum = clip_rows(grads, cfg.noise.beta, cfg.clip_norm).sum(axis=0)
+                gsum = model.clipped_grad_sum(params, Xb, yb, cfg.noise.beta,
+                                              cfg.clip_norm)
             else:
                 gsum = np.zeros(model.num_params)
             noise_vec = ggdist.sample(noise_params, rng, model.num_params)

@@ -162,6 +162,31 @@ def test_lbeta_clip_short_vector_untouched():
     assert np.array_equal(lbeta_clip(vec, 2.0, 1.0), vec)
 
 
+@pytest.mark.parametrize("beta,clip_norm,value,error", [
+    (2.0, -1.0, 1.0, ParameterError),
+    (2.0, 0.0, 1.0, ParameterError),
+    (2.0, math.nan, 1.0, ParameterError),
+    (2.0, math.inf, 1.0, ParameterError),
+    (0.5, 1.0, 1.0, ParameterError),
+    (math.nan, 1.0, 1.0, ParameterError),
+    (ggdist.BETA_MAX * 2, 1.0, 1.0, ParameterError),
+    (2.0, 1.0, math.nan, InputError),
+    (2.0, 1.0, -math.inf, InputError),
+])
+def test_every_clip_checks_its_inputs_alike(beta, clip_norm, value, error):
+    # lbeta_clip, clip_rows and both models' clipped sums share one check.
+    mat = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, value]])
+    with pytest.raises(error):
+        lbeta_clip(mat[1], beta, clip_norm)
+    with pytest.raises(error):
+        clip_rows(mat, beta, clip_norm)
+    y = np.array([0.0, 1.0])
+    for model in (LogisticModel(dim=3), MLPModel(dim=3, width=2)):
+        with pytest.raises(error):
+            model.clipped_grad_sum(np.zeros(model.num_params), mat, y, beta,
+                                   clip_norm)
+
+
 def test_clip_rows_matches_per_row(rng):
     mat = rng.normal(0.0, 3.0, size=(8, 5))
     out = clip_rows(mat, 1.5, 0.8)
@@ -209,6 +234,55 @@ def test_mlp_grads_match_finite_differences(rng):
     y = rng.integers(0, 2, size=5).astype(np.float64)
     params = model.init_params(rng) + rng.normal(0.0, 0.3, model.num_params)
     _fd_check(model, params, X, y)
+
+
+def _clipped_sum_case(model_name, rng, n=40, dim=4):
+    X = rng.normal(size=(n, dim))
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    if model_name == "logistic":
+        model = LogisticModel(dim=dim)
+        params = rng.normal(size=model.num_params)
+    else:
+        model = MLPModel(dim=dim, width=5)
+        params = model.init_params(rng) + rng.normal(0.0, 0.3, model.num_params)
+    return model, params, X, y
+
+
+def _assert_clipped_sum_matches(model, params, X, y, beta, clip_norm):
+    want = clip_rows(model.per_example_grads(params, X, y), beta,
+                     clip_norm).sum(axis=0)
+    got = model.clipped_grad_sum(params, X, y, beta, clip_norm)
+    assert got.shape == (model.num_params,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("model_name", ["logistic", "mlp"])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("clipped", ["none", "some", "all"])
+def test_clipped_grad_sum_matches_clipped_rows(model_name, beta, clipped, rng):
+    model, params, X, y = _clipped_sum_case(model_name, rng)
+    norms = np.sum(np.abs(model.per_example_grads(params, X, y)) ** beta,
+                   axis=1) ** (1.0 / beta)
+    clip_norm = {"none": 2.0 * norms.max(), "some": float(np.median(norms)),
+                 "all": 0.5 * norms.min()}[clipped]
+    n = len(norms)
+    low, high = {"none": (0, 0), "some": (1, n - 1), "all": (n, n)}[clipped]
+    assert low <= np.sum(norms > clip_norm) <= high
+    _assert_clipped_sum_matches(model, params, X, y, beta, clip_norm)
+
+
+@pytest.mark.parametrize("model_name", ["logistic", "mlp"])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
+def test_clipped_grad_sum_one_row_and_extreme_rows(model_name, beta, rng):
+    model, params, X, y = _clipped_sum_case(model_name, rng)
+    _assert_clipped_sum_matches(model, params, X[:1], y[:1], beta, 0.3)
+    # Rows at 1e-100 leave only the bias terms of each norm; rows at 1e100
+    # saturate the logistic output and the MLP's tanh layer.
+    X = X.copy()
+    X[::3] *= 1e-100
+    X[1::3] *= 1e100
+    for clip_norm in (0.3, 1e3):
+        _assert_clipped_sum_matches(model, params, X, y, beta, clip_norm)
 
 
 def test_logistic_plain_gd_separates_blobs(rng):
@@ -275,6 +349,68 @@ def test_train_validates_batch_size(rng):
     with pytest.raises(ParameterError, match="labels"):
         train_noisy_sgd(model, (data[0], data[1][:-1]),
                         TrainConfig(batch_size=30), rng)
+
+
+@pytest.mark.parametrize("clip_norm", [0.0, -1.0, math.nan])
+def test_train_rejects_a_bad_clip_norm(clip_norm, rng):
+    model, data = small_problem(rng)
+    with pytest.raises(ParameterError, match="clip_norm"):
+        train_noisy_sgd(model, data, TrainConfig(clip_norm=clip_norm,
+                                                 batch_size=30), rng)
+
+
+# Recorded from the per-example-gradient loop (clip_rows of
+# per_example_grads, summed) that the factored clipped sum replaced.  The
+# steps, halts, epsilon history and accuracies are bitwise; params moved in
+# the last bits only, since the sum is taken in another order.
+PINNED_TRAINING = {
+    ("logistic", 1.0): (12, False, [
+        "0x1.b46293108fa2fp-1", "0x1.a2bfb53195e80p+0", "0x1.0ede1d83b8448p+1"],
+        [0.9083333333333333, 0.9166666666666666, 0.9166666666666666],
+        [0.6684895223530958, 0.4679427807478991, 0.42328697774264085,
+         -0.13858332424623088]),
+    ("logistic", 2.0): (8, True, [
+        "0x1.e6d280e28eaf7p+1", "0x1.3c209c3a3f144p+2"],
+        [0.9083333333333333, 0.9083333333333333],
+        [0.6882886084986292, 0.508150035786882, 0.543699319841435,
+         -0.0651388542144219]),
+    ("mlp", 1.0): (12, False, [
+        "0x1.b46293108fa2fp-1", "0x1.a2bfb53195e80p+0", "0x1.0ede1d83b8448p+1"],
+        [0.5166666666666667, 0.65, 0.7666666666666667],
+        [-0.33365176998081825, 0.22905484809829516, 0.4255870036409221,
+         -0.7879157734912708, 0.3590096116852147, 0.1924326764265239,
+         0.54967068539266, 0.0016004622376706162, 0.6467329533278372,
+         -0.5310022779108681, 0.959612281475351, 0.5300873542010425,
+         0.002934745881174452, -0.016881656983427328, -0.0103341348304901,
+         0.06268729270333387, -0.06891638449112467, 0.2917747180917956,
+         0.44709525824270324, -0.9264258697515335, -0.009743708901280675]),
+    ("mlp", 2.0): (8, True, [
+        "0x1.e6d280e28eaf7p+1", "0x1.3c209c3a3f144p+2"],
+        [0.75, 0.8666666666666667],
+        [-0.2743700206692004, 0.30118511548712057, 0.45379619908853897,
+         -0.9326882440312287, 0.38984178204889003, 0.2733474092174357,
+         0.45526983089339407, -0.13990522587613238, 0.5915577320654193,
+         -0.464371584831405, 1.0147218299907823, 0.30888050472876416,
+         0.00954280591972928, 0.004486115831809667, -0.011515138882024347,
+         -0.017547929467573192, 0.03268943132813881, 0.27340967049633436,
+         0.7893221242588088, -1.0200432881478934, -0.07503704249040956]),
+}
+
+
+@pytest.mark.parametrize("model_name,beta", sorted(PINNED_TRAINING))
+def test_train_matches_the_per_example_gradient_loop(model_name, beta):
+    steps, halted, eps_hex, train_acc, params = \
+        PINNED_TRAINING[model_name, beta]
+    X, y = make_blobs(120, 3, 3.0, np.random.default_rng(20))
+    model = LogisticModel(3) if model_name == "logistic" else MLPModel(3, 4)
+    cfg = TrainConfig(batch_size=30, epochs=3, clip_norm=0.5,
+                      noise=GGParams(beta, 1.5), target_epsilon=5.0,
+                      ledger_bins=2 ** 12, learning_rate=0.5)
+    result = train_noisy_sgd(model, (X, y), cfg, np.random.default_rng(31))
+    assert (result.steps, result.halted) == (steps, halted)
+    assert [h["epsilon"].hex() for h in result.history] == eps_hex
+    assert [h["train_acc"] for h in result.history] == train_acc
+    assert result.params.tolist() == pytest.approx(params, rel=1e-12)
 
 
 def test_train_runs_to_plan_without_target(rng):
