@@ -26,11 +26,19 @@ conditional mean; self-compose the binned distribution with FFT powers
   is not renormalized away.  The mass above the window is read as ``1 -
   F(L)``, which float64 resolves only to ``2**-54``, so on that side the
   bound is ``1e-12 + k * 2**-54`` (5.6e-11 at ``k = 1e6``).
+* Queries read two suffix tables over the positive support ``y_i``: the
+  mass ``S1[i]`` at or above ``y_i`` and the sum ``T[i]`` of those masses
+  scaled by ``exp(-(y_j - y_i))``, so ``delta(eps) = S1[i] - exp(eps -
+  y_i) T[i]`` on ``[y_{i-1}, y_i)``.  The exponent is never positive, and
+  ``T`` is built by blocks with no log or exp per cell.  `epsilon_at`
+  inverts that segment in closed form.
 
 `account` and `CompositionLedger` share that path: both discretize through
-`_discretize_directions` and compose through `compose`.  Nothing on it
-samples.  The paper's sampled estimator, `discretize_from_samples` fed by
-`prv.sample_prv`, stays as its reproduction and as a cross-check.
+`_discretize_directions` and compose through `compose`.  The ledger's
+`max_steps` brackets the step count on a coarse grid and confirms it on
+its own, which alone decides.  Nothing on the path samples.  The paper's
+sampled estimator, `discretize_from_samples` fed by `prv.sample_prv`,
+stays as its reproduction and as a cross-check.
 
 Alongside the point estimates the accountant evaluates the paper's
 finite-sample error certificate ``(eta, tau)``: the true delta at
@@ -80,6 +88,13 @@ _WINDOW_GROWTH = 1.25
 _SAMPLE_CHUNK = 2_500_000
 _MIN_ACCEPTANCE = 0.10
 _MASS_DRIFT_TOL = 1e-9
+# Cells requested for the coarse stage of `CompositionLedger.max_steps` and
+# `calibrate.solve_sigma`: a probe there costs a small share of one at 2^16.
+_COARSE_BINS = 2 ** 12
+# `_suffix_sums` blocks: a span of 32 keeps p_j exp(-(j - i) h) within one
+# block normal for p_j above 1e-294, and 1024-cell blocks cost ~2e3 exps.
+_BLOCK_SPAN = 32.0
+_BLOCK_CELLS = 1024
 
 
 def derive_rng(seed: int | None, *context) -> np.random.Generator:
@@ -267,26 +282,23 @@ class DiscretePRV:
     def _positive_tables(self) -> tuple[np.ndarray, ...]:
         """Suffix sums over the strictly positive part of the support.
 
-        S1[i] = sum_{j >= i} p_j, padded with a trailing zero, and LS2[i] =
-        log sum_{j >= i} p_j exp(-y_j), padded with -inf, so on [y_{i-1}, y_i)
-        delta(eps) = S1[i] - exp(eps + LS2[i]); -D[i] = -delta(y_i), made
-        non-decreasing against rounding.  The log form matters: wide composed
-        grids push y past 745 (exp(-y) underflows) and bracketing probes
-        evaluate eps past 709 (exp(eps) overflows), while the combined
-        exponent eps + LS2[i] <= eps - y_i < 0 stays safe.
+        With the positive support points ``y_i`` padded by ``+inf``: S1[i] =
+        sum_{j >= i} p_j and the scaled suffix sum T[i] = sum_{j >= i} p_j
+        exp(-(y_j - y_i)), both padded with a trailing zero, so on [y_{i-1},
+        y_i) delta(eps) = S1[i] - exp(eps - y_i) T[i].  The exponent is at
+        most 0 however wide the grid, so nothing overflows where exp(eps)
+        would (eps past 709) and nothing underflows where exp(-y) would (y
+        past 745).  D[i] = delta(y_i) = S1[i+1] - exp(-h) T[i+1] locates
+        `epsilon_at`'s segment.  `_suffix_sums` builds S1 and T with no log or
+        exp per cell.
         """
         if self._tables is None:
             y = self.support()
             j0 = int(np.searchsorted(y, 0.0, side="right"))
-            ys = y[j0:]
-            p = self.probs[j0:]
-            s1 = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])
-            with np.errstate(divide="ignore"):  # log(0) = -inf is wanted
-                a = np.log(p) - ys
-            ls2 = np.concatenate([np.logaddexp.accumulate(a[::-1])[::-1],
-                                  [-np.inf]])
-            neg_d = np.maximum.accumulate(np.exp(ys + ls2[1:]) - s1[1:])
-            object.__setattr__(self, "_tables", (ys, s1, ls2, neg_d))
+            ys = np.concatenate([y[j0:], [np.inf]])
+            s1, t = _suffix_sums(self.probs[j0:], self.mesh_h)
+            d = s1[1:] - math.exp(-self.mesh_h) * t[1:]
+            object.__setattr__(self, "_tables", (ys, s1, t, d))
         return self._tables
 
     def delta_at(self, epsilon) -> np.ndarray | float:
@@ -294,9 +306,9 @@ class DiscretePRV:
         eps = np.atleast_1d(np.asarray(epsilon, dtype=np.float64))
         if np.any(eps < 0) or not np.all(np.isfinite(eps)):
             raise ParameterError("epsilon must be finite and >= 0")
-        ys, s1, ls2, _ = self._positive_tables()
+        ys, s1, t, _ = self._positive_tables()
         j = np.searchsorted(ys, eps, side="right")
-        out = np.clip(s1[j] - np.exp(eps + ls2[j]), 0.0, 1.0)
+        out = np.clip(s1[j] - np.exp(eps - ys[j]) * t[j], 0.0, 1.0)
         return float(out[0]) if np.ndim(epsilon) == 0 else out
 
     def epsilon_at(self, delta: float) -> float:
@@ -310,15 +322,51 @@ class DiscretePRV:
                 f"got {delta!r}")
         if self.delta_at(0.0) <= delta:
             return 0.0
-        ys, s1, ls2, neg_d = self._positive_tables()
-        i = int(np.searchsorted(neg_d, -delta))  # S1[i] > delta(y_{i-1} or 0) > delta
+        ys, s1, t, d = self._positive_tables()
+        i = int(np.argmax(d <= delta))  # S1[i] > delta(y_{i-1} or 0) > delta
         lo, hi = float(ys[i - 1]) if i else 0.0, float(ys[i])
-        eps = float(min(max(math.log(s1[i] - delta) - ls2[i], lo), hi))
-        # One ulp of eps may not move eps + LS2[i]: double the step, up to y_i.
+        rest, scaled = float(s1[i]) - delta, float(t[i])
+        eps = min(max(hi + math.log(rest / scaled), lo), hi) if scaled else hi
+        # One ulp of eps may not move eps - y_i: double the step, up to y_i.
         step = math.ulp(eps)
         while self.delta_at(eps) > delta:
+            if eps == hi:  # D[i] rounded to <= delta, delta(y_i) did not
+                i += 1
+                hi = float(ys[i])
             eps, step = min(eps + step, hi), 2.0 * step
         return eps
+
+
+def _suffix_sums(p: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """S1[i] = sum_{j >= i} p[j] and T[i] = sum_{j >= i} p[j] exp(-(j - i)
+    h), each padded with a trailing zero.
+
+    T is the recurrence T[i] = p[i] + exp(-h) T[i+1], run by blocks of
+    ``size`` cells over the reversed masses ``u``: within a block starting
+    at ``a``, one cumulative sum of ``u[r] exp((r - a) h)``, plus the carry
+    ``exp(-h) T`` from the block before, rescaled by ``exp(-(r - a) h)``.
+    A block spans at most `_BLOCK_SPAN` in loss, so its factors neither
+    overflow nor underflow, and holds at most `_BLOCK_CELLS` cells, so the
+    factors cost ``2 size + 1`` exps per table and the carry loop runs once
+    per block.
+    """
+    n = p.size
+    size = max(1, min(n + 1, _BLOCK_CELLS, int(_BLOCK_SPAN / h)))
+    blocks = -(-(n + 1) // size)
+    k = np.arange(size + 1)
+    up, down = np.exp(h * k[:size]), np.exp(-h * k)
+    u = np.zeros((blocks, size))
+    flat = u.reshape(-1)
+    flat[1:n + 1] = p[::-1]                     # flat[n - i] = p[i]
+    s1 = np.cumsum(flat[:n + 1])[::-1]
+    t = np.cumsum(u * up, axis=1)
+    carry = [0.0] * blocks
+    ends, c, decay = t[:, -1].tolist(), 0.0, float(down[size])
+    for b in range(blocks - 1):
+        carry[b + 1] = c = decay * (ends[b] + c)
+    t += np.array(carry)[:, None]
+    t *= down[:size]
+    return s1, t.reshape(-1)[n::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +777,9 @@ class CompositionLedger:
     the same sizes.  ``rng`` is validated as in `account` and otherwise
     unused, and ``samples_n`` changes no result: it only lands in
     ``cfg.samples_n``.  Built for training loops that need "how many more
-    steps fit in the budget".
+    steps fit in the budget" (`max_steps`), which searches on two grids.
+    ``evaluations`` lists every probe `max_steps` made, in the order made,
+    as ``(k, epsilon, cells)`` with the cell count of the probe's grid.
     """
 
     def __init__(self, spec: MechanismSpec, cfg: AccountantConfig | None = None,
@@ -746,7 +796,9 @@ class CompositionLedger:
             cfg = _auto_config(spec, self.k_cap, samples_n, bins)
         self.cfg = cfg
         self._singles = _discretize_directions(spec, cfg)
+        self._coarse_singles: dict[LossDirection, DiscretePRV] | None = None
         self._eps_cache: dict[tuple[int, float], float] = {}
+        self.evaluations: list[tuple[int, float, int]] = []
 
     def composed(self, k: int) -> dict[LossDirection, DiscretePRV]:
         if not 1 <= k <= self.k_cap:
@@ -762,19 +814,96 @@ class CompositionLedger:
         return self._eps_cache[key]
 
     def max_steps(self, epsilon: float, delta: float) -> int:
-        """Largest k <= k_cap with epsilon(k) <= epsilon (monotone search)."""
-        first = self.epsilon_at(1, delta)
+        """Largest k <= k_cap with epsilon(k) <= epsilon on the ledger's grid,
+        up to where that grid shows epsilon(k) <= epsilon < epsilon(k + 1).
+
+        The ledger's grid prices k = 1 (`BudgetExhaustedError` when it is
+        over budget) and k_cap.  Between them a grid of 2^12 cells over the
+        same window bisects in k, and its answer is the first guess on the
+        ledger's grid, which then takes regula falsi steps until it brackets
+        the budget itself (`_last_within`).  Only the ledger's grid decides.
+        A ledger of at most 2^12 cells searches alone.  Every probe lands in
+        ``evaluations``.
+        """
+        def recorded(epsilon_of, cells: int) -> Callable[[int], float]:
+            def probe(k: int) -> float:
+                eps = epsilon_of(k)
+                self.evaluations.append((k, eps, cells))
+                return eps
+            return probe
+
+        fine = recorded(lambda k: self.epsilon_at(k, delta), self.cfg.bins)
+        first = fine(1)
         if first > epsilon:
             raise BudgetExhaustedError(
                 f"a single step already costs epsilon = {first:.4f} at "
                 f"delta = {delta:g}, over the budget {epsilon:g}")
-        if self.epsilon_at(self.k_cap, delta) <= epsilon:
+        if self.k_cap == 1:
+            return 1
+        last = fine(self.k_cap)
+        if last <= epsilon:
             return self.k_cap
-        lo, hi = 1, self.k_cap
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.epsilon_at(mid, delta) <= epsilon:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        guess = None
+        coarse_cfg = AccountantConfig(self.cfg.trunc_L, _COARSE_BINS,
+                                      self.cfg.samples_n)
+        if coarse_cfg.bins < self.cfg.bins:
+            if self._coarse_singles is None:
+                self._coarse_singles = _discretize_directions(self.spec,
+                                                              coarse_cfg)
+            coarse = recorded(lambda k: max(
+                compose([(one, k)]).epsilon_at(delta)
+                for one in self._coarse_singles.values()), coarse_cfg.bins)
+            lo, hi = 1, self.k_cap
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if coarse(mid) <= epsilon:
+                    lo = mid
+                else:
+                    hi = mid
+            guess = lo
+        return _last_within(fine, (1, first), (self.k_cap, last), epsilon,
+                            guess)
+
+
+def _last_within(probe: Callable[[int], float], low: tuple[int, float],
+                 high: tuple[int, float], target: float,
+                 guess: int | None) -> int:
+    """The k with ``probe(k) <= target < probe(k + 1)``, from a bracket
+    ``low = (lo, probe(lo))`` at most and ``high = (hi, probe(hi))`` over
+    ``target``, with ``lo < hi``.
+
+    Probes ``guess`` first unless it is None.  Each later k is the floor of
+    where the chord between the bracket's ends, log epsilon against log k,
+    meets ``target`` (Illinois regula falsi: an end kept twice has its gap
+    halved), moved inside the bracket; so once a probe lands next to the
+    answer, the chord's next k usually closes the bracket.  Three steps that
+    together do not halve the bracket, or a chord from epsilon = 0, bisect.
+    """
+    def gap(eps: float) -> float:
+        return math.log(eps / target) if eps > 0.0 else -math.inf
+
+    (lo, eps_lo), (hi, eps_hi) = low, high
+    f_lo, f_hi = gap(eps_lo), gap(eps_hi)
+    kept = 0  # the end the last step kept: -1 lo, +1 hi
+    widths = [hi - lo]
+    k = guess
+    while hi - lo > 1:
+        if k is None:
+            stalled = len(widths) > 3 and widths[-1] > 0.5 * widths[-4]
+            k = (lo + hi) // 2 if stalled or not math.isfinite(f_lo) else \
+                math.floor(lo * (hi / lo) ** (f_lo / (f_lo - f_hi)))
+        k = min(max(k, lo + 1), hi - 1)
+        f = gap(probe(k))
+        if f <= 0.0:
+            lo, f_lo = k, f
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = k, f
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        widths.append(hi - lo)
+        k = None
+    return lo

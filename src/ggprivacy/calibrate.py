@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accountant import (DEFAULT_BINS, DEFAULT_SAMPLES, AccountantConfig,
-                         account)
+from .accountant import (_COARSE_BINS, DEFAULT_BINS, DEFAULT_SAMPLES,
+                         AccountantConfig, account)
 from .errors import AccountingInconsistencyError, ParameterError, SolverError
 from .ggdist import GGParams, _upper_tail
 from .prv import MechanismSpec
@@ -31,9 +31,6 @@ from .prv import MechanismSpec
 DEFAULT_TOLERANCE = 0.05
 _MAX_BRACKET_STEPS = 200
 _MAX_SEARCH_STEPS = 200
-# Cells requested for the coarse stage of `solve_sigma`: at the calibrate
-# benchmark's sizes a probe there takes about a tenth of one at 2^16 cells.
-_COARSE_BINS = 2 ** 12
 # The coarse stage hands off once its bracket is this narrow relative to
 # sigma: closer in, epsilon on the coarse grid can jump over its band
 # between adjacent floats, and the caller's grid decides anyway.

@@ -227,6 +227,94 @@ def test_delta_vanishes_at_the_top_of_the_support(rng):
             assert 0.0 <= eps <= top and item.delta_at(eps) <= 1e-300
 
 
+def log_form_tables(prv: DiscretePRV):
+    """The positive support, S1 and LS2[i] = log sum_{j >= i} p_j exp(-y_j):
+    the log-form suffix table that `DiscretePRV` used before its scaled
+    suffix sums, with one exp and one log1p per cell; kept as their oracle."""
+    y = prv.support()
+    j0 = int(np.searchsorted(y, 0.0, side="right"))
+    ys, p = y[j0:], prv.probs[j0:]
+    s1 = np.concatenate([np.cumsum(p[::-1])[::-1], [0.0]])
+    with np.errstate(divide="ignore"):
+        ls2 = np.logaddexp.accumulate((np.log(p) - ys)[::-1])[::-1]
+    return ys, s1, np.concatenate([ls2, [-np.inf]])
+
+
+def log_form_delta(prv: DiscretePRV, eps: np.ndarray) -> np.ndarray:
+    ys, s1, ls2 = log_form_tables(prv)
+    j = np.searchsorted(ys, eps, side="right")
+    return np.clip(s1[j] - np.exp(eps + ls2[j]), 0.0, 1.0)
+
+
+def log_form_epsilon(prv: DiscretePRV, delta: float) -> float:
+    """The log form's closed-form root on the first segment whose end has
+    delta(y_i) <= delta."""
+    if log_form_delta(prv, np.array([0.0]))[0] <= delta:
+        return 0.0
+    ys, s1, ls2 = log_form_tables(prv)
+    i = int(np.argmax(s1[1:] - np.exp(ys + ls2[1:]) <= delta))
+    lo = float(ys[i - 1]) if i else 0.0
+    return min(max(math.log(s1[i] - delta) - float(ls2[i]), lo), float(ys[i]))
+
+
+def _train_ledger() -> CompositionLedger:
+    """The ledger of the benchmark's train workload at beta = 2: 65 625
+    cells, k_cap 400, Poisson rate 200 / 4000."""
+    return CompositionLedger(MechanismSpec(GGParams(2.0, 1.0), 1.0, 0.05, 1),
+                             k_cap=400, bins=2 ** 16)
+
+
+@pytest.fixture(scope="module")
+def train_ledger():
+    return _train_ledger()
+
+
+def _oracle_grids(name: str, train_ledger) -> list[DiscretePRV]:
+    if name == "train":
+        return list(train_ledger.composed(110).values())
+    if name == "hand":
+        return [hand_prv([0.1, 0.1, 0.3, 0.3, 0.2]),
+                hand_prv([0.2, 0.5, 0.3], offset=0.25)]
+    # Support up to 1000 at h = 0.5: 2000 positive cells in blocks of 64.
+    probs = np.random.default_rng(8).random(4001) ** 4
+    return [hand_prv(probs / probs.sum(), mesh_h=0.5, offset=0.125)]
+
+
+@pytest.mark.parametrize("name", ["train", "hand", "wide"])
+def test_suffix_tables_match_the_log_form(name, train_ledger):
+    for prv in _oracle_grids(name, train_ledger):
+        top = float(prv.support()[-1])
+        eps = np.linspace(0.0, top, 1001)
+        with np.errstate(over="raise", invalid="raise"):
+            got = prv.delta_at(eps)
+        want = log_form_delta(prv, eps)
+        # At the top of the grid, delta = S1 - exp(eps - y) T cancels to
+        # 1e-20 and below, in both forms: a 1e-30 floor covers those cells.
+        npt.assert_allclose(got, want, rtol=1e-12, atol=1e-30)
+        d0 = float(prv.delta_at(0.0))
+        for delta in np.geomspace(1e-12 * d0, 0.5 * d0, 25):
+            got = prv.epsilon_at(float(delta))
+            assert got == pytest.approx(log_form_epsilon(prv, float(delta)),
+                                        rel=1e-12)
+            assert prv.delta_at(got) <= delta
+
+
+def test_suffix_tables_span_blocks_past_exp_range():
+    # Blocks of one cell at h = 400 and of 64 cells at h = 0.5, with y past
+    # 745 where exp(-y) underflows: the carried sums stay exact there.
+    rng = np.random.default_rng(9)
+    for h, cells in ((400.0, 9), (0.5, 4001)):
+        probs = rng.random(cells) ** 2
+        prv = hand_prv(probs / probs.sum(), mesh_h=h)
+        ys, _, t, _ = prv._positive_tables()
+        p = prv.probs[prv.half_bins + 1:]
+        want = np.zeros(p.size + 1)
+        for i in range(p.size - 1, -1, -1):
+            want[i] = p[i] + math.exp(-h) * want[i + 1]
+        assert ys[-2] > 745.0 and ys[-1] == np.inf
+        npt.assert_allclose(t, want, rtol=1e-13, atol=0.0)
+
+
 # -- discretization ------------------------------------------------------------
 
 def test_discretize_from_samples_normal_oracle():
@@ -605,6 +693,70 @@ def test_ledger_max_steps_brackets_target(ledger):
     assert ledger.max_steps(10 ** 6, 1e-5) == ledger.k_cap
     with pytest.raises(ParameterError):
         ledger.epsilon_at(33, 1e-5)
+
+
+@pytest.mark.parametrize("bins", [2 ** 12, 2 ** 13])
+def test_ledger_max_steps_matches_an_exhaustive_scan(bins):
+    # 2^12 bins search alone; 2^13 (8505 cells) take the coarse stage too.
+    spec = MechanismSpec(GGParams(2.0, 3.0 * math.sqrt(2.0)), 1.0)
+    ledger = CompositionLedger(spec, k_cap=32, bins=bins)
+    eps = [ledger.epsilon_at(k, 1e-5) for k in range(1, 33)]
+    assert all(b > a for a, b in zip(eps, eps[1:]))
+    targets = eps + [0.5 * (a + b) for a, b in zip(eps, eps[1:])] + [
+        eps[-1] + 1.0, 10 ** 6]
+    for target in targets:
+        scan = max(k for k in range(1, 33) if eps[k - 1] <= target)
+        assert ledger.max_steps(target, 1e-5) == scan
+    assert ledger.max_steps(eps[0], 1e-5) == 1
+    assert ledger.max_steps(eps[-1], 1e-5) == ledger.k_cap
+    with pytest.raises(BudgetExhaustedError, match="single step"):
+        ledger.max_steps(math.nextafter(eps[0], 0.0), 1e-5)
+    cells = {c for _, _, c in ledger.evaluations}
+    coarse = AccountantConfig(ledger.cfg.trunc_L, 2 ** 12).bins
+    assert cells == ({ledger.cfg.bins} if bins == 2 ** 12
+                     else {coarse, ledger.cfg.bins})
+
+
+def test_ledger_max_steps_confirms_on_its_own_grid(train_ledger):
+    ledger = train_ledger
+    before = len(ledger.evaluations)
+    assert ledger.max_steps(8.0, 1e-5) == 110
+    probes = ledger.evaluations[before:]
+    coarse_cells = AccountantConfig(ledger.cfg.trunc_L, 2 ** 12).bins
+    fine = [(k, eps) for k, eps, cells in probes if cells == ledger.cfg.bins]
+    coarse = [k for k, _, cells in probes if cells == coarse_cells]
+    assert len(fine) + len(coarse) == len(probes) and coarse
+    assert [k for k, _ in fine[:2]] == [1, ledger.k_cap]
+    assert len({k for k, _ in fine}) <= 6
+    # The last two probes are the ledger grid's own bracket of the budget.
+    (k_in, eps_in), (k_out, eps_out) = sorted(fine[-2:])
+    assert (k_in, k_out) == (110, 111) and eps_in <= 8.0 < eps_out
+    for k, eps in fine:
+        assert eps == ledger.epsilon_at(k, 1e-5)
+
+
+@pytest.mark.parametrize("curve", [
+    lambda k: math.sqrt(k), lambda k: float(k), lambda k: math.exp(k / 500.0),
+    lambda k: 0.0 if k < 900 else 1.0 + k,     # epsilon = 0, then a jump
+    lambda k: float(k > 3000) + 1e-3 * k,      # flat, then a jump
+], ids=["sqrt", "linear", "exp", "zero-then-jump", "flat-then-jump"])
+def test_last_within_brackets_any_increasing_curve(curve):
+    from ggprivacy.accountant import _last_within
+    hi = 4096
+    for answer in (1, 2, 17, 900, 2048, 3999, hi - 1):
+        target = curve(answer) if curve(answer + 1) > curve(answer) else None
+        if target is None:
+            continue
+        seen = []
+
+        def probe(k):
+            seen.append(k)
+            return curve(k)
+
+        got = _last_within(probe, (1, curve(1)), (hi, curve(hi)), target,
+                           guess=answer + 37)
+        assert curve(got) <= target < curve(got + 1) and got == answer
+        assert len(seen) == len(set(seen)) <= 4 * math.log2(hi)
 
 
 @pytest.mark.parametrize("k_cap", [0, -3, 2.7, 4.0, "8", True, None])
