@@ -374,6 +374,15 @@ def _suffix_sums(p: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _index_mean(q: np.ndarray) -> float:
+    """``sum_j j q_j`` over the cells ``j = -m .. m`` of a ``2m + 1``-cell
+    grid.  ``einsum`` sums in its own loop.  ``np.dot`` would start BLAS
+    threads that cost more than the sum at these sizes, and its summation
+    order, so its last bits, would follow the BLAS thread count."""
+    m = q.size // 2
+    return float(np.einsum("i,i->", np.arange(-m, m + 1, dtype=np.float64), q))
+
+
 def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.ndarray],
                             cfg: AccountantConfig,
                             rng: np.random.Generator) -> DiscretePRV:
@@ -412,7 +421,7 @@ def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.n
 
     counts = kernels.bin_counts(values[:n], h, m)
     q = counts.astype(np.float64) / n
-    grid_mean = h * float(np.dot(np.arange(-m, m + 1, dtype=np.float64), q))
+    grid_mean = h * _index_mean(q)
     mu_tilde = float(np.mean(values[n:])) - grid_mean
     mu_hat = min(max(mu_tilde, 0.0), h / 2.0)
 
@@ -461,7 +470,7 @@ def _binned(edges: np.ndarray, F, cfg: AccountantConfig) -> DiscretePRV:
     # E[Y | window] via integration by parts; trapezoid over the edge grid.
     stieltjes = L * (float(F[-1]) + float(F[0])) - float(np.trapezoid(F, edges))
     cond_mean = stieltjes / mass
-    grid_mean = h * float(np.dot(np.arange(-m, m + 1, dtype=np.float64), q))
+    grid_mean = h * _index_mean(q)
     mu_hat = min(max(cond_mean - grid_mean, 0.0), h / 2.0)
 
     return DiscretePRV(probs=q, mesh_h=h, offset=mu_hat, compositions=1,
@@ -668,7 +677,10 @@ def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
     once ``F(L)`` rounds to 1.0.  So ``k`` times that mass is at most
     ``_WINDOW_TAIL + k * 2**-54``: within twice `_WINDOW_TAIL` up to ``k``
     of about 1.8e4, and up to 5.6e-11 at ``k = 1e6``.  The mass below -L
-    is read directly and meets `_WINDOW_TAIL` itself."""
+    is read directly, down to the 1.5e-20 at which the loss CDFs round a
+    tail to 0.0 (`ggdist._upper_tails`).  That is far below
+    ``_WINDOW_TAIL / k`` for any ``k`` under about 6e7, so there it meets
+    `_WINDOW_TAIL` itself."""
     L = 1e-6
     for direction in directions_for(spec):
         mean, var = loss_moments(spec, direction)

@@ -10,9 +10,12 @@ Under this convention ``beta = 1`` is Laplace with scale ``sigma`` and
 the exponent as |x|**beta / nu with ``nu = sigma**beta``; `sigma_power` /
 `from_sigma_power` convert to and from that form.
 
-Every GG tail probability in the package comes from `_upper_tail` (and its
-grid form `_upper_tails`), built on the regularized upper incomplete gamma:
-`cdf`, the privacy-loss CDFs of `prv` and `calibrate.tail_weight` read it.
+Every GG tail probability in the package comes from `_upper_tail`, built on
+the regularized upper incomplete gamma: `cdf` and `calibrate.tail_weight`
+read it at full precision in both tails.  The privacy-loss CDFs of `prv`
+read its saturating form `_upper_tails`, which at ``beta != 2`` rounds every
+tail below ``P(Z >= x1)`` (see `_saturation`) down to 0.0, as float64
+already rounds its complement up to 1.0.
 
 Sampling at ``beta = 2`` scales one block of standard normals by
 ``sigma / sqrt(2)``.  Every other shape uses the exact gamma transform
@@ -28,6 +31,7 @@ the density falls below ``exp(-_QUAD_REACH)``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +48,9 @@ SIGMA_MAX = 1e12
 # and 1 - P(Z >= x) rounds to exactly 1.0 once x**beta >= _TAIL_ONE (the
 # tail falls below 2**-54 before 37).  Both sit well past those points, so
 # a point a few ulp short of a threshold still gives the saturated value.
+# The loss CDFs (`_upper_tails`) also take P(Z >= x) as 0.0 from _TAIL_ONE
+# on: the tail there is at most 0.5 e**-45 = 1.5e-20 (beta = 1; 4e-22 at
+# beta = 3), below the round-off of the first FFT composition.
 _TAIL_ZERO = 800.0
 _TAIL_ONE = 45.0
 # The density's log normalizer is at most about 749 (sigma at the smallest
@@ -118,6 +125,15 @@ def pdf(params: GGParams, x, mu: float = 0.0):
     return float(out[0]) if scalar else out
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.polynomial.legendre.leggauss(nodes)``, computed on first use for
+    each node count and kept read-only."""
+    points, weights = np.polynomial.legendre.leggauss(nodes)
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
+
+
 def _quadrature(beta: float, center: float, kinks=(), mass: float = 1.0,
                 nodes: int = _QUAD_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Nodes ``u`` and weights ``w`` with ``w @ f(u)`` approximating the
@@ -137,7 +153,7 @@ def _quadrature(beta: float, center: float, kinks=(), mass: float = 1.0,
     edges = np.concatenate([
         np.linspace(a, b, 1 + math.ceil((b - a) * beta / _QUAD_PANEL))[:-1]
         for a, b in zip(cuts, cuts[1:])] + [cuts[-1:]])
-    points, weights = np.polynomial.legendre.leggauss(nodes)
+    points, weights = _legendre(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * points).ravel()
@@ -165,22 +181,26 @@ def _upper_tail(x: np.ndarray, beta: float) -> np.ndarray:
 
 def _saturation(beta: float) -> tuple[float, float]:
     """``(x0, x1)``: `_upper_tail` is exactly 0.0 at ``x >= x0`` and exactly
-    1.0 at ``x <= -x1`` (see `_TAIL_ZERO` and `_TAIL_ONE`)."""
+    1.0 at ``x <= -x1`` (see `_TAIL_ZERO` and `_TAIL_ONE`).  `_upper_tails`
+    saturates both tails at ``x1``."""
     return _TAIL_ZERO ** (1.0 / beta), _TAIL_ONE ** (1.0 / beta)
 
 
 def _upper_tails(beta: float, xs: list[np.ndarray]) -> list[np.ndarray]:
-    """`_upper_tail` at each array of ``xs``, bitwise, where the arrays hold
-    the same ``|x|`` elementwise: one tail evaluation serves them all, and
-    none is made where every ``x`` lies past a saturation threshold.  At
-    ``beta = 2`` each ``x`` takes one ``erfc``, which costs less than the
-    masks would save."""
+    """``P(Z >= x)`` at each array of ``xs``, where the arrays hold the same
+    ``|x|`` elementwise, with both tails saturated at ``x1`` of
+    `_saturation`: exactly 1.0 at ``x <= -x1``, where `_upper_tail` rounds
+    to 1.0 too, and exactly 0.0 at ``x >= x1``, where it would still resolve
+    a tail of at most ``P(Z >= x1)``.  Rounding that tail down moves its
+    mass to higher loss in every CDF of `prv`, a pessimistic rounding.
+    Everywhere else the values are `_upper_tail`'s, bitwise, from one tail
+    evaluation that serves every array.  At ``beta = 2`` each ``x`` takes
+    one ``erfc`` at full precision, which costs less than the masks would
+    save."""
     if beta == 2.0:
         return [_upper_tail(x, beta) for x in xs]
-    x0, x1 = _saturation(beta)
-    live = np.zeros(xs[0].shape, dtype=bool)
-    for x in xs:
-        live |= (x > -x1) & (x < x0)
+    x1 = _saturation(beta)[1]
+    live = np.abs(xs[0]) < x1
     half = _upper_tail(np.abs(xs[0][live]), beta)
     tails = []
     for x in xs:

@@ -28,8 +28,14 @@ Conventions, fixed once here and relied on everywhere else:
   `loss_cdfs_on_grid` gives every direction's CDF, bitwise equal to
   `loss_cdf`, from one shared root solve: a plain spec's crossing at ``-y``
   mirrors the one at ``y``, and ADD's threshold at ``y`` is REMOVE's at
-  ``-y``.  Its tails come from `ggdist._upper_tails`, which evaluates none
-  that float64 already fixes at 0.0 or 1.0 (see `ggdist._TAIL_ZERO`).
+  ``-y``.
+
+* Both CDFs take their tails from `ggdist._upper_tails`.  At ``beta != 2``
+  it takes ``P(Z >= x)`` as 1.0 at ``x <= -x1``, where float64 rounds it to
+  1.0 anyway, and as 0.0 at ``x >= x1`` (``x1`` of `ggdist._saturation`; the
+  tail there is at most 1.5e-20).  The second moves that mass to higher
+  loss, a pessimistic rounding.  A root whose every tail saturates is not
+  solved (`_live_half_gap_root`).
 
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
@@ -52,11 +58,12 @@ from scipy import special
 
 from . import ggdist, kernels
 from .errors import InputError, ParameterError
-from .ggdist import GGParams, _quadrature, _upper_tail, _upper_tails
+from .ggdist import GGParams, _quadrature, _saturation, _upper_tails
 
 MAX_DIMENSIONS = 64
 _ROOT_TOL = 32.0 * float(np.finfo(np.float64).eps)
 _ROOT_STEPS = 100      # Newton/bisection cap of `_half_gap_root`
+_CUT_MARGIN = 1e-9     # relative margin on `_live_half_gap_root`'s cut
 
 
 class LossDirection(enum.Enum):
@@ -251,6 +258,32 @@ def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
     return w
 
 
+def _live_half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
+    """`_half_gap_root`, solved only where a tail it feeds can be live, and
+    ``+inf`` elsewhere.
+
+    The crossing is ``z = c - sign(theta) w`` (`_crossing`), and every tail
+    it feeds is taken at ``z``, ``-z`` or ``2c - z = c + sign(theta) w``.
+    Each is at least ``w - c`` in size, so each saturates in
+    `ggdist._upper_tails` once ``w >= x1 + c``.  The root is increasing in
+    ``a``, so that holds from ``a_cut = (w_c + c)**beta - (w_c - c)**beta``
+    at ``w_c = x1 + c`` on.  ``a_cut`` is raised by the relative margin
+    `_CUT_MARGIN`, far above its rounding, so every ``a`` at or above it has
+    a root past ``w_c``.  ``w = inf`` gives those tails their saturated
+    values exactly.
+    """
+    w_c = _saturation(beta)[1] + c
+    s = np.float64(w_c + c)
+    # The stable form of `_half_gap_root`'s residual, at w_c > c.
+    with np.errstate(over="ignore"):
+        a_cut = -s ** beta * np.expm1(beta * np.log1p(-2.0 * c / s)) \
+            * (1.0 + _CUT_MARGIN)
+    live = a < a_cut
+    w = np.full(a.shape, np.inf)
+    w[live] = _half_gap_root(beta, c, a[live])
+    return w
+
+
 def _crossing(beta: float, ratio: float, theta: np.ndarray,
               upper: bool, w: np.ndarray | None = None) -> np.ndarray:
     """Where the base loss ``ell(z) = |z - ratio|**beta - |z|**beta``
@@ -260,7 +293,7 @@ def _crossing(beta: float, ratio: float, theta: np.ndarray,
     At ``beta = 1`` the loss is flat at ``+-ratio`` outside ``[0, ratio]``,
     and the two level sets differ at those atoms, as in `laplace_prv_cdf`.
     At ``beta`` not in {1, 2} the caller may pass ``w``, the
-    `_half_gap_root` at ``|theta|``, when it has already solved it.
+    `_live_half_gap_root` at ``|theta|``, when it has already solved it.
     """
     if beta == 1.0:
         z = (ratio - theta) / 2.0
@@ -273,7 +306,7 @@ def _crossing(beta: float, ratio: float, theta: np.ndarray,
     # ell is odd about ratio/2: ell(ratio/2 + u) = -ell(ratio/2 - u).
     c = 0.5 * ratio
     if w is None:
-        w = _half_gap_root(beta, c, np.abs(theta))
+        w = _live_half_gap_root(beta, c, np.abs(theta))
     return c - np.sign(theta) * w
 
 
@@ -305,25 +338,30 @@ def loss_cdf(spec: MechanismSpec,
     * ADD: ``P(ell(Z) <= theta)`` at ``theta = -log((e**-y - 1 + q) / q)``,
       one at and above ``-log(1 - q)``.
 
-    Each point is solved on its own.  On a grid symmetric about 0,
-    `loss_cdfs_on_grid` returns the same values bitwise for every direction
-    at once: one root solve serves ``y`` and ``-y`` and both directions,
-    and, at ``beta != 2``, no tail that float64 saturates at 0.0 or 1.0 is
-    evaluated.
+    Each tail is `ggdist._upper_tails`': at ``beta != 2`` a tail below
+    ``P(Z >= x1)`` (at most 1.5e-20) reads 0.0, which moves that mass to
+    higher loss, and a root whose every tail saturates is not solved
+    (`_live_half_gap_root`).  Each point is solved on its own.  On a grid
+    symmetric about 0, `loss_cdfs_on_grid` returns the same values bitwise
+    for every direction at once: one root solve serves ``y`` and ``-y`` and
+    both directions.
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
     beta, ratio, q = spec.loss_key
 
+    def tail(x: np.ndarray) -> np.ndarray:
+        [out] = _upper_tails(beta, [x])
+        return out
+
     def values(y: np.ndarray) -> np.ndarray:
         if q is None:
-            return _upper_tail(_crossing(beta, ratio, y, upper=False), beta)
+            return tail(_crossing(beta, ratio, y, upper=False))
         if direction is LossDirection.ADD:
             theta = -_unmix(-y, q)
-            return _upper_tail(_crossing(beta, ratio, theta, upper=False), beta)
+            return tail(_crossing(beta, ratio, theta, upper=False))
         z = _crossing(beta, ratio, -_unmix(y, q), upper=True)
-        return (1.0 - q) * _upper_tail(-z, beta) \
-            + q * _upper_tail(ratio - z, beta)
+        return (1.0 - q) * tail(-z) + q * tail(ratio - z)
 
     def cdf(y):
         out = values(np.atleast_1d(np.asarray(y, dtype=np.float64)))
@@ -343,9 +381,9 @@ def loss_cdfs_on_grid(spec: MechanismSpec,
     * Subsampled: ADD's threshold at ``y`` is REMOVE's at ``-y``, so one
       solve, reversed, serves both directions, and one tail array at
       ``|z|`` gives REMOVE's ``P(Z >= -z)`` and ADD's ``P(Z >= z)``.
-    * Saturation: at ``beta != 2`` no tail past either threshold of
-      `ggdist._saturation` is evaluated; float64 already fixes it there at
-      the value the evaluation would give.
+    * Saturation: at ``beta != 2`` no tail at ``|x| >= x1`` of
+      `ggdist._saturation` is evaluated, and no root that feeds only such
+      tails is solved; they take the values `loss_cdf` takes there.
     """
     beta, ratio, q = spec.loss_key
     y = np.asarray(edges, dtype=np.float64)
@@ -357,10 +395,10 @@ def loss_cdfs_on_grid(spec: MechanismSpec,
         c = 0.5 * ratio
         if q is None:
             n = y.size
-            upper = _half_gap_root(beta, c, np.abs(y[n // 2:]))
+            upper = _live_half_gap_root(beta, c, np.abs(y[n // 2:]))
             w = np.concatenate([upper[n % 2:][::-1], upper])
         else:
-            w = _half_gap_root(beta, c, np.abs(theta))
+            w = _live_half_gap_root(beta, c, np.abs(theta))
     if q is None:
         [cdf] = _upper_tails(
             beta, [_crossing(beta, ratio, theta, upper=False, w=w)])

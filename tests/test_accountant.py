@@ -317,6 +317,19 @@ def test_suffix_tables_span_blocks_past_exp_range():
 
 # -- discretization ------------------------------------------------------------
 
+@pytest.mark.parametrize("m", [0, 1, 2047, 32812])
+def test_index_mean_is_the_grid_mean(m):
+    # The grid mean sum_j j q_j, taken without BLAS, within rounding of the
+    # exactly rounded sum.
+    from ggprivacy.accountant import _index_mean
+    q = np.random.default_rng(m).random(2 * m + 1)
+    q /= q.sum()
+    j = np.arange(-m, m + 1, dtype=np.float64)
+    exact = math.fsum(j * q)
+    assert _index_mean(q) == pytest.approx(exact, rel=1e-12,
+                                           abs=1e-15 * (m + 1))
+
+
 def test_discretize_from_samples_normal_oracle():
     cfg = AccountantConfig(12.0, 2 ** 12, samples_n=20_000)
     prv = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,

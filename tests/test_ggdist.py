@@ -248,3 +248,15 @@ def test_scalar_in_scalar_out():
     assert isinstance(ggdist.quantile(p, 0.3), float)
     arr = ggdist.pdf(p, np.asarray([0.1, 0.2]))
     assert isinstance(arr, np.ndarray) and arr.shape == (2,)
+
+
+def test_legendre_nodes_are_computed_once_on_first_use():
+    # _quadrature's nodes are leggauss's, bitwise, computed once per node
+    # count and read-only (tests/test_package.py checks that import computes
+    # none).
+    points, weights = ggdist._legendre(16)
+    ref_points, ref_weights = np.polynomial.legendre.leggauss(16)
+    npt.assert_array_equal(points.view(np.int64), ref_points.view(np.int64))
+    npt.assert_array_equal(weights.view(np.int64), ref_weights.view(np.int64))
+    assert ggdist._legendre(16)[0] is points
+    assert not points.flags.writeable and not weights.flags.writeable

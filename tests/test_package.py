@@ -38,6 +38,19 @@ def test_import_leaves_out_scipy_modules_off_the_accountant_path():
     assert out.split() == []
 
 
+def test_import_computes_no_quadrature_nodes():
+    # The Gauss-Legendre nodes are computed on first use, so a fresh import,
+    # which every benchmark set-up pays, does no quadrature work.
+    src = str(Path(ggprivacy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import ggprivacy; "
+            "print(ggprivacy.ggdist._legendre.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["0"]
+
+
 def test_readme_quick_start_prints_what_it_says(capsys):
     # The first block of the README's quick start runs as written; its
     # printed epsilon rounds to the annotated value, and tau and

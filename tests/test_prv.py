@@ -429,9 +429,9 @@ def test_loss_cdfs_on_grid_needs_a_symmetric_grid():
 
 @pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
 def test_upper_tail_saturation_thresholds(beta):
-    # At beta != 2 the grid evaluator skips every tail past these
-    # thresholds, taking the saturated value; a scipy whose tails stopped
-    # saturating there fails here instead of moving a CDF.
+    # At beta != 2 the loss CDFs skip every tail past -x1, taking the
+    # saturated value; a scipy whose tails stopped saturating there fails
+    # here instead of moving a CDF.
     from ggprivacy.ggdist import _TAIL_ONE, _TAIL_ZERO, _saturation, _upper_tail
     x0, x1 = _saturation(beta)
     beyond = np.array([1.0, 1.0 + 1e-9, 1.5, 10.0, np.inf])
@@ -445,6 +445,146 @@ def test_upper_tail_saturation_thresholds(beta):
                        beta)[0] == 1.0
     # Inside the thresholds the tail is still resolved.
     assert 0.0 < _upper_tail(np.array([0.8 * x1]), beta)[0] < 1.0
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
+def test_loss_cdf_tails_saturate_at_x1_on_both_sides(beta):
+    # The loss CDFs' tails are exactly 1.0 at x <= -x1 and, but for the
+    # one erfc of beta = 2, exactly 0.0 at x >= x1; inside they are
+    # _upper_tail's, bitwise.
+    from ggprivacy.ggdist import _saturation, _upper_tail, _upper_tails
+    x1 = _saturation(beta)[1]
+    x = x1 * np.array([0.0, 0.3, 0.999, 1.0, 1.0 + 1e-9, 2.0, np.inf])
+    inside = np.abs(x) < x1
+    for xs in ([x, -x], [-x, x]):
+        tails = _upper_tails(beta, xs)
+        for arr, tail in zip(xs, tails):
+            full = _upper_tail(arr, beta)
+            npt.assert_array_equal(tail[inside], full[inside])
+            npt.assert_array_equal(tail[~inside & (arr < 0.0)], 1.0)
+            past = tail[~inside & (arr > 0.0)]
+            if beta == 2.0:
+                npt.assert_array_equal(past, full[~inside & (arr > 0.0)])
+            else:
+                npt.assert_array_equal(past, 0.0)
+
+
+def _full_precision_tails(spec: MechanismSpec, direction: LossDirection,
+                          y: np.ndarray) -> list[tuple[float, np.ndarray]]:
+    """``(weight, x)`` pairs with ``loss_cdf(spec, direction)(y)`` equal to
+    the sum of ``weight * P(Z >= x)`` when every root is solved and every
+    tail is taken at full precision (`ggdist._upper_tail`)."""
+    from ggprivacy import prv
+    beta, ratio, q = spec.loss_key
+
+    def crossing(theta, upper):
+        w = None if beta in (1.0, 2.0) else \
+            prv._half_gap_root(beta, 0.5 * ratio, np.abs(theta))
+        return prv._crossing(beta, ratio, theta, upper, w=w)
+
+    if q is None:
+        return [(1.0, crossing(y, False))]
+    if direction is LossDirection.ADD:
+        return [(1.0, crossing(-prv._unmix(-y, q), False))]
+    z = crossing(-prv._unmix(y, q), True)
+    return [(1.0 - q, -z), (q, ratio - z)]
+
+
+def _full_precision_cdf(spec: MechanismSpec, direction: LossDirection,
+                        y: np.ndarray) -> np.ndarray:
+    from ggprivacy.ggdist import _upper_tail
+    beta = spec.loss_key[0]
+    parts = [weight * _upper_tail(x, beta)
+             for weight, x in _full_precision_tails(spec, direction, y)]
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+
+
+@pytest.mark.parametrize("ratio", [0.25, 1.0])
+@pytest.mark.parametrize("q", [None, 0.1])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 3.0, 4.0])
+def test_loss_cdf_tails_round_down_only_past_saturation(beta, q, ratio):
+    # Against every root solved and every tail at full precision: the loss
+    # CDFs agree bitwise wherever each tail they read is resolved, and
+    # elsewhere lie below by at most P(Z >= x1) <= 1.5e-20.  A lower CDF
+    # moves mass to higher loss, a pessimistic rounding.  At beta = 1 every
+    # finite crossing lies in [0, ratio], inside x1 = 45, so nothing moves.
+    from ggprivacy.ggdist import _saturation, _upper_tail
+    x1 = _saturation(beta)[1]
+    moved = _upper_tail(np.array([x1]), beta)[0]
+    assert 0.0 < moved <= 1.5e-20
+    spec = MechanismSpec(GGParams(beta, 1.0), ratio, q)
+    bitten = 0
+    for edges, _ in _symmetric_grids(beta, ratio):
+        got = loss_cdfs_on_grid(spec, edges)
+        for direction, cdf in got.items():
+            want = _full_precision_cdf(spec, direction, edges)
+            resolved = np.ones(edges.shape, dtype=bool)
+            for _, x in _full_precision_tails(spec, direction, edges):
+                resolved &= np.abs(x) < x1
+            npt.assert_array_equal(cdf[resolved].view(np.int64),
+                                   want[resolved].view(np.int64))
+            gap = want - cdf
+            assert np.all(gap >= 0.0) and np.all(gap <= moved)
+            bitten += np.count_nonzero(gap)
+    # The grids reach where the rule rounds down.
+    assert (bitten > 0) == (beta > 1.0)
+
+
+@pytest.mark.parametrize("beta,ratio,q,k", [
+    (1.0, 0.25, None, 100), (3.0, 0.25, None, 100),     # the account workload
+    (1.5, 0.4684041871018325, 0.1, 50),                 # calibrate's answer
+    (1.0, 1.0, 0.05, 400), (1.2, 1.0, None, 20), (1.5, 20.0, 1e-4, 10),
+    (3.0, 1.0, 0.1, 1), (4.0, 1.0, None, 10 ** 5), (8.0, 0.5, 0.01, 1000),
+])
+def test_auto_window_is_the_full_precision_window(beta, ratio, q, k,
+                                                  monkeypatch):
+    # The window loop reads the mass below -L off the loss CDF, which now
+    # resolves it only down to 1.5e-20: far below _WINDOW_TAIL / k for any
+    # k under about 6e7.  So every window is the one that full-precision
+    # tails give.
+    from ggprivacy import accountant
+    spec = MechanismSpec(GGParams(beta, 1.0), ratio, q, k)
+    L = accountant._auto_config(spec, k, 10_000, 2 ** 12).trunc_L
+    monkeypatch.setattr(
+        accountant, "loss_cdfs_on_grid",
+        lambda spec, y: {d: _full_precision_cdf(spec, d, y)
+                         for d in directions_for(spec)})
+    assert accountant._auto_config(spec, k, 10_000, 2 ** 12).trunc_L == L
+
+
+@pytest.mark.parametrize("q", [None, 0.1])
+@pytest.mark.parametrize("beta", [1.01, 1.5, 3.0, 4.0, 8.0])
+def test_roots_are_solved_only_below_the_cut(beta, q, monkeypatch):
+    # A root w >= x1 + c feeds only saturated tails, so it is not solved:
+    # _half_gap_root sees only |theta| below the cut at w = x1 + c, and the
+    # grids hold entries above it.
+    from ggprivacy import prv
+    from ggprivacy.ggdist import _saturation
+    ratio = 1.0
+    c = 0.5 * ratio
+    w_c = _saturation(beta)[1] + c
+    cut = (w_c + c) ** beta - (w_c - c) ** beta
+    seen = []
+    solve = prv._half_gap_root
+
+    def counted(beta, c, a):
+        seen.append(a.copy())
+        return solve(beta, c, a)
+
+    monkeypatch.setattr(prv, "_half_gap_root", counted)
+    spec = MechanismSpec(GGParams(beta, 1.0), ratio, q)
+    above = 0
+    for edges, _ in _symmetric_grids(beta, ratio):
+        theta = edges if q is None else -prv._unmix(edges, q)
+        above += np.count_nonzero(np.abs(theta) >= cut * (1.0 + 1e-6))
+        seen.clear()
+        loss_cdfs_on_grid(spec, edges)
+        for direction in directions_for(spec):
+            loss_cdf(spec, direction)(edges)
+        assert len(seen) == 1 + len(directions_for(spec))
+        for a in seen:
+            assert a.size == 0 or a.max() < cut * (1.0 + 1e-6)
+    assert above > 0
 
 
 def test_loss_moments_gaussian_closed_form():
