@@ -20,9 +20,9 @@ already rounds its complement up to 1.0.
 Sampling at ``beta = 2`` scales one block of standard normals by
 ``sigma / sqrt(2)``.  Every other shape uses the exact gamma transform
 ``Z = S * sigma * G**(1/beta)`` with ``G ~ Gamma(1/beta, 1)`` and ``S`` a
-uniform sign, drawing the gamma variates first and the signs second from
-the supplied generator.  The inverse-CDF sampler is retained as a slow
-cross-check (`sample_inverse_cdf`).
+uniform sign, drawing the gamma variates first and then one random bit per
+sign from the supplied generator.  The inverse-CDF sampler is retained as a
+slow cross-check (`sample_inverse_cdf`).
 
 Integrals against the density use one rule, `_quadrature`: Gauss-Legendre
 panels that break at the density's and the integrand's kinks and stop where
@@ -239,7 +239,9 @@ def sample(params: GGParams, rng: np.random.Generator, count: int) -> np.ndarray
     At ``beta = 2`` the draw is one block of standard normals times
     ``sigma / sqrt(2)``, which has exactly the GG(2, sigma) law.  Every other
     shape takes the gamma transform and consumes the generator in a fixed
-    order (gamma block, then sign block).  Downstream reproducibility
+    order: the gamma block, then the sign bits, one random bit per variate
+    (``rng.bytes(ceil(count / 8))`` unpacked most significant bit first; a
+    set bit makes the variate negative).  Downstream reproducibility
     guarantees rely on these draw orders.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
@@ -248,10 +250,15 @@ def sample(params: GGParams, rng: np.random.Generator, count: int) -> np.ndarray
         z = rng.standard_normal(int(count))
         z *= params.sigma / math.sqrt(2.0)
         return z
+    n = int(count)
     inv_beta = 1.0 / params.beta
-    g = rng.standard_gamma(inv_beta, size=int(count))
-    signs = rng.integers(0, 2, size=int(count)).astype(np.float64) * 2.0 - 1.0
-    return kernels.signed_power_scale(g, signs, params.sigma, inv_beta)
+    # numpy draws Gamma(1, 1) by its ziggurat exponential: the same values,
+    # bitwise, from a tighter loop.
+    g = rng.standard_exponential(n) if inv_beta == 1.0 \
+        else rng.standard_gamma(inv_beta, size=n)
+    bits = np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8),
+                         count=n)
+    return kernels.signed_power_scale(g, bits, params.sigma, inv_beta)
 
 
 def sample_inverse_cdf(params: GGParams, rng: np.random.Generator,

@@ -15,6 +15,10 @@ import numpy as np
 # expm1(x) starts to dwarf 1/q for any q >= 1e-12 and we switch to the
 # shifted form x + log(q) + log1p((1-q)/q * exp(-x)).
 _MIX_SWITCH = 33.0
+# `signed_power_scale` builds its sign mask in blocks of this many words
+# (512 KiB), moving each 0/1 bit to the float's sign bit by this shift.
+_SIGN_BLOCK = 1 << 16
+_SIGN_SHIFT = np.uint64(63)
 
 
 def gg_loss(t: np.ndarray, mu: float, beta: float, sigma_beta: float) -> np.ndarray:
@@ -47,10 +51,27 @@ def bin_counts(y: np.ndarray, h: float, m: int) -> np.ndarray:
     return np.bincount(idx + m, minlength=2 * m + 1)
 
 
-def signed_power_scale(g: np.ndarray, signs: np.ndarray, sigma: float,
+def signed_power_scale(g: np.ndarray, bits: np.ndarray, sigma: float,
                        inv_beta: float) -> np.ndarray:
-    """signs * sigma * g**inv_beta, elementwise (gamma -> GG transform)."""
-    return signs * (sigma * g ** inv_beta)
+    """``sigma * g**inv_beta`` with the sign bit flipped where ``bits`` (0/1,
+    uint8) is 1, elementwise and in place on ``g`` (gamma -> GG transform).
+
+    The power is skipped at ``inv_beta == 1``.  The sign is an XOR on the
+    floats' ``uint64`` view, so no float sign array is built; past
+    ``_SIGN_BLOCK`` elements its mask is built one block at a time.
+    """
+    if inv_beta != 1.0:
+        g **= inv_beta
+    g *= sigma
+    words = g.view(np.uint64)
+    if g.size <= _SIGN_BLOCK:
+        words ^= np.left_shift(bits, _SIGN_SHIFT, dtype=np.uint64)
+        return g
+    for lo in range(0, g.size, _SIGN_BLOCK):
+        part = words[lo:lo + _SIGN_BLOCK]
+        part ^= np.left_shift(bits[lo:lo + _SIGN_BLOCK], _SIGN_SHIFT,
+                              dtype=np.uint64)
+    return g
 
 
 def lbeta_norms(rows: np.ndarray, beta: float) -> np.ndarray:

@@ -310,8 +310,15 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     ``MechanismSpec(GGParams(beta, sigma * clip_norm), clip_norm, q, 1)``,
     on a `CompositionLedger` whose grid has ``ledger_bins`` cells
     (``ledger_samples`` changes no result); the step budget is fixed up
-    front from it and the loop halts there.  Accounting requires
-    ``beta <= 2``; unaccounted training accepts any shape.
+    front from it and the loop halts there.  That ledger accounts the
+    d-dimensional update as its one-hot shift in one dimension.  The
+    reduction is exact at ``beta = 2``, where every shift of the same
+    ``l_beta`` norm is alike, but no bound backs it at ``1 < beta < 2``:
+    there, without subsampling, a shift split over two coordinates can give
+    a larger epsilon than the one-hot shift (at ``beta = 1.5``, sigma 1,
+    one step: epsilon(1e-5) = 3.151 against 3.121).  At ``beta = 1`` the
+    two agreed to grid resolution in every case tried.  Accounting is
+    refused at ``beta > 2``; unaccounted training accepts any shape.
     """
     X, y = train_data
     X = np.asarray(X, dtype=np.float64)
@@ -335,8 +342,10 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     if cfg.target_epsilon is not None and cfg.noise.beta > 2.0:
         raise ParameterError(
             f"cannot account training with beta={cfg.noise.beta:g} > 2: the "
-            "ledger reduces the d-dimensional l_beta-clipped update to one "
-            "dimension, and that dimension reduction only holds for beta <= 2")
+            "ledger reduces the d-dimensional l_beta-clipped update to its "
+            "one-hot shift in one dimension, and above beta = 2 that "
+            "dimension reduction is refused: shifts split over several "
+            "coordinates give a far larger privacy loss")
     # Account the noise actually added: GG(beta, sigma * C) on a sum whose
     # sensitivity is C, i.e. ratio 1/sigma whatever the clip norm C.
     noise_params = GGParams(cfg.noise.beta, cfg.noise.sigma * cfg.clip_norm)

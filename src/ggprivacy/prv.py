@@ -453,14 +453,17 @@ def multidim_prv_sample(beta: float, sigma: float, mu, sensitivity: float,
 
     Y = (||t - mu||_beta**beta - ||t||_beta**beta) / sigma**beta with
     t ~ GG(beta, sigma)^d.  Requires ``||mu||_beta == sensitivity`` (within
-    1e-9).  Restricted to beta <= 2, where the law of Y depends on ``mu``
-    only through that norm for the worst case; larger shapes are genuinely
-    dimension-dependent and rejected.
+    1e-9), and beta <= 2; larger shapes are rejected.  The law of Y depends
+    on the whole vector ``mu``, not on its norm alone: at beta = 1 a shift
+    split over two coordinates halves the top atom of a one-hot shift, and
+    at 1 < beta < 2 some split shifts give a larger epsilon than the one-hot
+    shift of the same norm.  Only at beta = 2 is every shift of that norm
+    alike.
     """
     params = GGParams(beta, sigma)
     if params.beta > 2.0:
         raise ParameterError(
-            "multidimensional reduction only holds for beta <= 2; "
+            "multidimensional loss draws take beta <= 2 only; "
             f"got beta={params.beta:g}")
     mu_arr = np.asarray(mu, dtype=np.float64)
     if mu_arr.ndim != 1 or mu_arr.size < 1 or mu_arr.size > MAX_DIMENSIONS:

@@ -62,13 +62,39 @@ class VoteHistogram:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.counts, dtype=np.int64)
-        if c.ndim != 1 or c.size < 2 or np.any(c < 0):
-            raise ParameterError("counts must be a 1-d array of >= 2 "
-                                 "non-negative integers")
+        _check_counts(c, 1, self.true_label)
         c.flags.writeable = False
         object.__setattr__(self, "counts", c)
-        if not 0 <= self.true_label < c.size:
-            raise ParameterError(f"true_label {self.true_label} out of range")
+
+    @classmethod
+    def _rows_of(cls, rows: np.ndarray, true_label: int,
+                 runner_up: float | None) -> list[VoteHistogram]:
+        """One histogram per row of the int64 block ``rows``.  The checks of
+        `__post_init__` run once on the whole block, which is then frozen;
+        each histogram holds a read-only row view of it and skips
+        `__post_init__`."""
+        _check_counts(rows, 2, true_label)
+        rows.flags.writeable = False
+        new, put = object.__new__, object.__setattr__
+        hists = []
+        for row in rows:
+            hist = new(cls)
+            put(hist, "counts", row)
+            put(hist, "true_label", true_label)
+            put(hist, "runner_up", runner_up)
+            hists.append(hist)
+        return hists
+
+
+def _check_counts(counts: np.ndarray, ndim: int, true_label: int) -> None:
+    """`VoteHistogram`'s invariants on an ``ndim``-d array of counts (one
+    histogram, or a block of them by row): at least two non-negative counts
+    per histogram, and ``true_label`` one of the classes."""
+    if counts.ndim != ndim or counts.shape[-1] < 2 or np.any(counts < 0):
+        raise ParameterError("counts must be a 1-d array of >= 2 "
+                             "non-negative integers")
+    if not 0 <= true_label < counts.shape[-1]:
+        raise ParameterError(f"true_label {true_label} out of range")
 
 
 def _pinned_head(num_classes: int, total_votes: int, r: float) -> list[int]:
@@ -136,7 +162,7 @@ def _histograms_at(num_classes: int, total_votes: int, runner_up: float,
             rows[placed, -1] = last[ok]
             pending = pending[~ok]
             if not pending.size:
-                return [VoteHistogram(row, 0, r) for row in rows]
+                return VoteHistogram._rows_of(rows, 0, r)
     raise ConstructionError(
         f"could not place {V} votes over {N} classes at runner_up={r:g} "
         f"within {_MAX_ATTEMPTS} attempts")
@@ -180,12 +206,35 @@ class UtilityPoint:
     stderr: float
 
 
+def _stacked(hists: list[VoteHistogram], where: str
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The counts of ``hists`` as one float64 ``(H, N)`` block and their
+    true labels.  Histograms with different class counts raise a
+    `ParameterError` that says so, naming ``where`` they met."""
+    if len({h.counts.size for h in hists}) != 1:
+        raise ParameterError(
+            f"all histograms {where} must share one class count")
+    return (np.stack([h.counts for h in hists]).astype(np.float64),
+            np.asarray([h.true_label for h in hists]))
+
+
+def _argmax_hits(counts: np.ndarray, true: np.ndarray,
+                 noise: np.ndarray) -> np.ndarray:
+    """``(trials, H)`` booleans: whether the noisy argmax of each of the
+    ``H`` histograms picks its true label, with ``noise`` the ``(trials, H,
+    N)`` noise block.  The noisy counts overwrite ``noise`` in place, and a
+    tie goes to the first maximum, as in `np.argmax`."""
+    noise += counts
+    return np.argmax(noise, axis=2) == true
+
+
 def hardmax_utility(hists: list[VoteHistogram], noise: GGParams, trials: int,
                     rng: np.random.Generator) -> list[UtilityPoint]:
     """Monte-Carlo P(noisy argmax == true label), grouped by gap ratio.
 
     Every histogram in a group gets ``trials`` independent noisings; the
-    reported standard error is sqrt(v(1-v) / (trials * group size)).
+    reported standard error is sqrt(v(1-v) / (trials * group size)).  The
+    histograms of one group must share one class count.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
@@ -194,15 +243,14 @@ def hardmax_utility(hists: list[VoteHistogram], noise: GGParams, trials: int,
     groups: dict[float | None, list[VoteHistogram]] = {}
     for hist in hists:
         groups.setdefault(hist.runner_up, []).append(hist)
+    stacked = {key: _stacked(group, f"with runner_up={key!r}")
+               for key, group in groups.items()}
 
     points = []
-    for key, group in groups.items():
-        counts = np.stack([h.counts for h in group]).astype(np.float64)
-        true = np.asarray([h.true_label for h in group])
+    for key, (counts, true) in stacked.items():
         H, N = counts.shape
-        noise_block = ggdist.sample(noise, rng, trials * H * N).reshape(trials, H, N)
-        wins = np.argmax(counts[None, :, :] + noise_block, axis=2) == true[None, :]
-        value = float(wins.mean())
+        block = ggdist.sample(noise, rng, trials * H * N).reshape(trials, H, N)
+        value = float(_argmax_hits(counts, true, block).mean())
         stderr = math.sqrt(max(value * (1.0 - value), 0.0) / (trials * H))
         points.append(UtilityPoint(runner_up=key, value=value, stderr=stderr))
     return points
@@ -260,17 +308,12 @@ def pate_label_accuracy(hists: list[VoteHistogram], noises: list[GGParams],
         raise ParameterError("trials must be >= 2 to report a std")
     if not hists:
         raise ParameterError("hists must be non-empty")
-    sizes = {h.counts.size for h in hists}
-    if len(sizes) != 1:
-        raise ParameterError("all histograms must share one class count")
-    counts = np.stack([h.counts for h in hists]).astype(np.float64)
-    true = np.asarray([h.true_label for h in hists])
+    counts, true = _stacked(hists, "labelled together")
     H, N = counts.shape
     rows = []
     for noise in noises:
         block = ggdist.sample(noise, rng, trials * H * N).reshape(trials, H, N)
-        wins = np.argmax(counts[None, :, :] + block, axis=2) == true[None, :]
-        per_trial = wins.mean(axis=1)
+        per_trial = _argmax_hits(counts, true, block).mean(axis=1)
         mean = float(per_trial.mean())
         std = float(per_trial.std(ddof=1))
         rows.append(PateAccuracy(beta=noise.beta, sigma=noise.sigma, mean=mean,

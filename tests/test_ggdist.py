@@ -221,6 +221,67 @@ def test_sample_count_validation(rng):
         ggdist.sample(GGParams(2.0, 1.0), rng, 0)
 
 
+# First draws of GG(2, 3) from default_rng(2024): the beta = 2 stream is one
+# standard-normal block times sigma / sqrt(2), and must not move.
+BETA2_FIRST_DRAWS_HEX = [
+    "0x1.175d4eb4e4c1ap+1", "0x1.bdd433a8a8916p+1", "0x1.375e1bcd13693p+1",
+    "-0x1.083f184c98143p+1", "-0x1.7a2f84fb9848ap+1", "0x1.23eea15ebd619p-3"]
+
+
+def test_sample_at_beta_two_is_pinned():
+    got = ggdist.sample(GGParams(2.0, 3.0), np.random.default_rng(2024), 6)
+    assert [v.hex() for v in got] == BETA2_FIRST_DRAWS_HEX
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 3.0])
+def test_sample_draws_the_gamma_block_then_one_bit_per_sign(beta):
+    # The documented draw order, bitwise: Gamma(1/beta) block, then
+    # rng.bytes(ceil(n / 8)) unpacked most significant bit first, a set bit
+    # making the variate negative.
+    p, n = GGParams(beta, 1.7), 1001
+    got = ggdist.sample(p, np.random.default_rng(8), n)
+    ref = np.random.default_rng(8)
+    g = ref.standard_gamma(1.0 / beta, size=n)
+    bits = np.unpackbits(np.frombuffer(ref.bytes(126), dtype=np.uint8))[:n]
+    magnitude = p.sigma * g ** (1.0 / beta)
+    want = np.where(bits == 1, -magnitude, magnitude)
+    npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_laplace_gamma_block_is_numpys_exponential():
+    # sample() draws Gamma(1, 1) as standard_exponential; numpy computes the
+    # two from the same ziggurat, so the stream is the gamma block's.
+    a = np.random.default_rng(4).standard_gamma(1.0, size=100_001)
+    b = np.random.default_rng(4).standard_exponential(100_001)
+    npt.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 3.0, 4.0])
+def test_sample_ks_against_cdf(beta, rng):
+    p = GGParams(beta, 1.3)
+    z = ggdist.sample(p, rng, 200_000)
+    assert stats.kstest(z, lambda x: ggdist.cdf(p, x)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 3.0])
+def test_sample_sign_is_balanced_and_independent_of_magnitude(beta, rng):
+    n = 400_000
+    z = ggdist.sample(GGParams(beta, 2.0), rng, n)
+    negative = z < 0.0
+    # A fair sign: its count is Binomial(n, 1/2), sd sqrt(n) / 2.
+    assert abs(int(negative.sum()) - n / 2) < 4.0 * math.sqrt(n) / 2.0
+    assert stats.ks_2samp(np.abs(z[negative]),
+                          np.abs(z[~negative])).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("count", [1, 7, 9, 385])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 2.5])
+def test_sample_returns_exactly_count_finite_values(beta, count, rng):
+    z = ggdist.sample(GGParams(beta, 1.0), rng, count)
+    assert z.shape == (count,) and z.dtype == np.float64
+    assert np.all(np.isfinite(z))
+
+
 # -- moments and parameterization helpers ------------------------------------
 
 def test_absolute_moment_known_values():

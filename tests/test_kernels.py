@@ -87,12 +87,22 @@ def test_bin_counts_backend_exact(rng):
 
 
 def test_signed_power_scale(rng):
-    g = rng.standard_gamma(0.7, size=2048)
-    signs = np.where(rng.random(2048) < 0.5, -1.0, 1.0)
-    sigma, inv_beta = 2.5, 1.0 / 1.4
-    expected = signs * sigma * g ** inv_beta  # reassociated: a few ulp apart
-    npt.assert_allclose(kernels.signed_power_scale(g, signs, sigma, inv_beta),
-                        expected, rtol=5e-13)
+    # sigma * g**inv_beta with the sign bit set where the bit is 1, bitwise,
+    # in place, in one block or several; a zero gamma keeps its sign bit.
+    sigma = 2.5
+    for count in (7, 2048, 2 * kernels._SIGN_BLOCK + 3):
+        for inv_beta in (1.0, 1.0 / 1.4):
+            g = rng.standard_gamma(inv_beta, size=count)
+            g[:2] = 0.0
+            bits = rng.integers(0, 2, size=count).astype(np.uint8)
+            bits[:2] = (0, 1)
+            magnitude = sigma * g ** inv_beta
+            expected = np.where(bits == 1, -magnitude, magnitude)
+            out = kernels.signed_power_scale(g, bits, sigma, inv_beta)
+            assert out is g
+            npt.assert_array_equal(out.view(np.uint64),
+                                   expected.view(np.uint64))
+            assert np.signbit(out[:2]).tolist() == [False, True]
 
 
 def test_lbeta_norms_values_and_parity(rng):

@@ -364,13 +364,15 @@ def test_train_rejects_a_bad_clip_norm(clip_norm, rng):
 # steps, halts, epsilon history and accuracies are bitwise; params moved in
 # the last bits only, since the sum is taken in another order.  The epsilon
 # history was re-recorded when the ledger's suffix tables left the log form:
-# each value moved by at most 1.5e-15 relative.
+# each value moved by at most 1.5e-15 relative.  The beta = 1 accuracies
+# and params were re-recorded when `ggdist.sample` moved to one random bit
+# per sign, which changes every beta != 2 noise stream.
 PINNED_TRAINING = {
     ("logistic", 1.0): (12, False, [
         "0x1.b46293108fa24p-1", "0x1.a2bfb53195e7ep+0", "0x1.0ede1d83b8444p+1"],
-        [0.9083333333333333, 0.9166666666666666, 0.9166666666666666],
-        [0.6684895223530958, 0.4679427807478991, 0.42328697774264085,
-         -0.13858332424623088]),
+        [0.9166666666666666, 0.9083333333333333, 0.9],
+        [0.5902537261730351, 0.40402732786416623, 0.5507496074349311,
+         -0.1288016831858965]),
     ("logistic", 2.0): (8, True, [
         "0x1.e6d280e28eaf9p+1", "0x1.3c209c3a3f144p+2"],
         [0.9083333333333333, 0.9083333333333333],
@@ -378,14 +380,14 @@ PINNED_TRAINING = {
          -0.0651388542144219]),
     ("mlp", 1.0): (12, False, [
         "0x1.b46293108fa24p-1", "0x1.a2bfb53195e7ep+0", "0x1.0ede1d83b8444p+1"],
-        [0.5166666666666667, 0.65, 0.7666666666666667],
-        [-0.33365176998081825, 0.22905484809829516, 0.4255870036409221,
-         -0.7879157734912708, 0.3590096116852147, 0.1924326764265239,
-         0.54967068539266, 0.0016004622376706162, 0.6467329533278372,
-         -0.5310022779108681, 0.959612281475351, 0.5300873542010425,
-         0.002934745881174452, -0.016881656983427328, -0.0103341348304901,
-         0.06268729270333387, -0.06891638449112467, 0.2917747180917956,
-         0.44709525824270324, -0.9264258697515335, -0.009743708901280675]),
+        [0.525, 0.6583333333333333, 0.75],
+        [-0.32183463696534415, 0.3440568529687728, 0.31602738686807247,
+         -0.7430262497117751, 0.39911882649889413, 0.04426204893443992,
+         0.5842470829938036, 0.004313123083858651, 0.5589917818975798,
+         -0.6514501254386927, 1.0614061399797619, 0.5462690532147554,
+         0.08547587214161691, -0.09118114284949128, -0.057488870804456284,
+         0.030267550570853296, -0.08540015774436949, 0.2592717208519327,
+         0.5042442672236827, -0.9193171188255709, -0.014389552671026873]),
     ("mlp", 2.0): (8, True, [
         "0x1.e6d280e28eaf9p+1", "0x1.3c209c3a3f144p+2"],
         [0.75, 0.8666666666666667],

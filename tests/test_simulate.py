@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ggprivacy import GGParams, IngestionError, ParameterError, ggdist
+from ggprivacy import GGParams, IngestionError, ParameterError, ggdist, simulate
 from ggprivacy.errors import ConstructionError
 from ggprivacy.simulate import (
     PateAccuracy,
@@ -125,6 +125,26 @@ def test_make_histograms_block_rows_meet_the_invariants(num_classes, rng):
         assert c[-1] <= c[1]
     # The middle counts are drawn, not repeated.
     assert len({h.counts.tobytes() for h in hists}) > len(grid)
+    # The rows skip VoteHistogram's per-row checks, yet are what it builds:
+    # read-only int64 rows that it accepts as they are.
+    for hist in hists:
+        assert hist.counts.dtype == np.int64 and hist.counts.ndim == 1
+        assert not hist.counts.flags.writeable
+        with pytest.raises(ValueError):
+            hist.counts[0] = 0
+        again = VoteHistogram(hist.counts, hist.true_label, hist.runner_up)
+        assert np.array_equal(again.counts, hist.counts)
+
+
+def test_histogram_block_is_checked_once():
+    rows = np.asarray([[5, 3, 1], [4, 4, 0]], dtype=np.int64)
+    hists = VoteHistogram._rows_of(rows, 0, 0.1)
+    assert [h.counts.tolist() for h in hists] == rows.tolist()
+    assert not rows.flags.writeable
+    for bad, label in ((np.asarray([[5, -1, 1]]), 0), (rows[:, :1].copy(), 0),
+                       (np.asarray([[5, 3, 1]]), 3), (np.asarray([5, 3]), 0)):
+        with pytest.raises(ParameterError):
+            VoteHistogram._rows_of(bad, label, None)
 
 
 def test_make_histograms_raises_when_a_ratio_cannot_be_placed(rng):
@@ -162,6 +182,34 @@ def test_hardmax_utility_validation(rng):
     with pytest.raises(ParameterError):
         hardmax_utility([VoteHistogram(np.asarray([3, 1]), 0)],
                         GGParams(2.0, 1.0), 0, rng)
+
+
+def test_hardmax_utility_rejects_mixed_class_counts_in_a_group(rng):
+    mixed = [VoteHistogram(np.asarray([5, 1]), 0, 0.1),
+             VoteHistogram(np.asarray([5, 1, 0]), 0, 0.1)]
+    state = rng.bit_generator.state
+    with pytest.raises(ParameterError, match="share one class count"):
+        hardmax_utility(mixed, GGParams(2.0, 1.0), 3, rng)
+    assert rng.bit_generator.state == state
+    # Different class counts in different groups are fine.
+    mixed[1] = VoteHistogram(np.asarray([5, 1, 0]), 0, 0.2)
+    assert len(hardmax_utility(mixed, GGParams(2.0, 1.0), 3, rng)) == 2
+
+
+def test_argmax_hits_match_the_stacked_argmax_with_ties(rng):
+    # Integer-valued noise makes ties common; the in-place score must keep
+    # np.argmax's first-maximum rule, bitwise, for any true label.
+    counts = rng.integers(0, 4, size=(60, 5)).astype(np.float64)
+    true = rng.integers(0, 5, size=60)
+    assert np.any(true != 0)
+    block = rng.integers(-3, 4, size=(9, 60, 5)).astype(np.float64)
+    noisy = counts[None] + block
+    top = noisy.max(axis=2, keepdims=True)
+    assert np.any((noisy == top).sum(axis=2) > 1)
+    want = np.argmax(counts[None] + block, axis=2) == true
+    got = simulate._argmax_hits(counts, true, block)
+    assert got.dtype == bool and np.array_equal(got, want)
+    assert np.array_equal(block, noisy)
 
 
 def test_hardmax_matches_exact_two_class(rng):
