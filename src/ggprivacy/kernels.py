@@ -8,6 +8,7 @@ kernels are deterministic bit-for-bit.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -15,10 +16,9 @@ import numpy as np
 # expm1(x) starts to dwarf 1/q for any q >= 1e-12 and we switch to the
 # shifted form x + log(q) + log1p((1-q)/q * exp(-x)).
 _MIX_SWITCH = 33.0
-# `signed_power_scale` builds its sign mask in blocks of this many words
-# (512 KiB), moving each 0/1 bit to the float's sign bit by this shift.
-_SIGN_BLOCK = 1 << 16
-_SIGN_SHIFT = np.uint64(63)
+# The byte of a native float64 that holds its sign bit (as that byte's top
+# bit), where `signed_power_scale` flips it.
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 def gg_loss(t: np.ndarray, mu: float, beta: float, sigma_beta: float) -> np.ndarray:
@@ -57,20 +57,15 @@ def signed_power_scale(g: np.ndarray, bits: np.ndarray, sigma: float,
     uint8) is 1, elementwise and in place on ``g`` (gamma -> GG transform).
 
     The power is skipped at ``inv_beta == 1``.  The sign is an XOR on the
-    floats' ``uint64`` view, so no float sign array is built; past
-    ``_SIGN_BLOCK`` elements its mask is built one block at a time.
+    byte of each float that holds its sign bit, so no float sign array is
+    built and the mask takes one byte per element.  ``g`` must be a
+    contiguous float64 array.
     """
     if inv_beta != 1.0:
         g **= inv_beta
     g *= sigma
-    words = g.view(np.uint64)
-    if g.size <= _SIGN_BLOCK:
-        words ^= np.left_shift(bits, _SIGN_SHIFT, dtype=np.uint64)
-        return g
-    for lo in range(0, g.size, _SIGN_BLOCK):
-        part = words[lo:lo + _SIGN_BLOCK]
-        part ^= np.left_shift(bits[lo:lo + _SIGN_BLOCK], _SIGN_SHIFT,
-                              dtype=np.uint64)
+    sign_bytes = g.view(np.uint8)[_SIGN_BYTE::8]
+    sign_bytes ^= np.left_shift(bits, 7, dtype=np.uint8)
     return g
 
 
