@@ -233,7 +233,8 @@ def quantile(params: GGParams, u, mu: float = 0.0):
     return float(out[0]) if scalar else out
 
 
-def sample(params: GGParams, rng: np.random.Generator, count: int) -> np.ndarray:
+def sample(params: GGParams, rng: np.random.Generator, count: int,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Draw ``count`` iid variates.
 
     At ``beta = 2`` the draw is one block of standard normals times
@@ -243,19 +244,33 @@ def sample(params: GGParams, rng: np.random.Generator, count: int) -> np.ndarray
     (``rng.bytes(ceil(count / 8))`` unpacked most significant bit first; a
     set bit makes the variate negative).  Downstream reproducibility
     guarantees rely on these draw orders.
+
+    With ``out``, a writeable C-contiguous float64 array of shape
+    ``(count,)``, the variates are written into it in place and ``out`` is
+    returned; they are bitwise the ones a call without ``out`` draws from
+    the same generator state.  A bad ``out`` raises before ``rng`` is
+    touched.  The draw then allocates nothing at ``beta = 2``, and only its
+    sign bits, about two bytes per variate, at any other shape.
     """
     if not isinstance(count, (int, np.integer)) or count < 1:
         raise ParameterError(f"count must be a positive integer, got {count!r}")
+    n = int(count)
+    if out is not None and not (
+            isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == (n,) and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ParameterError(
+            f"out must be a writeable C-contiguous float64 array of shape "
+            f"({n},)")
     if params.beta == 2.0:
-        z = rng.standard_normal(int(count))
+        z = rng.standard_normal(n, out=out)
         z *= params.sigma / math.sqrt(2.0)
         return z
-    n = int(count)
     inv_beta = 1.0 / params.beta
     # numpy draws Gamma(1, 1) by its ziggurat exponential: the same values,
     # bitwise, from a tighter loop.
-    g = rng.standard_exponential(n) if inv_beta == 1.0 \
-        else rng.standard_gamma(inv_beta, size=n)
+    g = rng.standard_exponential(n, out=out) if inv_beta == 1.0 \
+        else rng.standard_gamma(inv_beta, size=n, out=out)
     bits = np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8),
                          count=n)
     return kernels.signed_power_scale(g, bits, params.sigma, inv_beta)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+from concurrent import futures  # its ThreadPoolExecutor loads on first use
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,16 +44,25 @@ class SimConfig:
     trials: int = 50
 
     def __post_init__(self) -> None:
-        if self.num_classes < 2:
-            raise ParameterError("num_classes must be >= 2")
-        if self.total_votes < 1:
-            raise ParameterError("total_votes must be >= 1")
+        for name, least in (("num_classes", 2), ("total_votes", 1),
+                            ("histograms_per_r", 1), ("trials", 1)):
+            object.__setattr__(self, name,
+                               _integer(name, getattr(self, name), least))
         grid = tuple(float(r) for r in self.runner_up_grid)
         if not grid or any(not 0.0 < r < 1.0 for r in grid):
             raise ParameterError("runner_up_grid values must lie in (0, 1)")
         object.__setattr__(self, "runner_up_grid", grid)
-        if self.histograms_per_r < 1 or self.trials < 1:
-            raise ParameterError("histograms_per_r and trials must be >= 1")
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int.  A bool, a value of any other type than an
+    integer, or one below ``least`` raises a `ParameterError` that names
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -228,6 +239,49 @@ def _argmax_hits(counts: np.ndarray, true: np.ndarray,
     return np.argmax(noise, axis=2) == true
 
 
+def _cores() -> int:
+    """The cores this process may run on: the size of the studies' pools."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _noisy_argmax_hits(jobs: list[tuple[GGParams, np.ndarray, np.ndarray]],
+                       trials: int, rng: np.random.Generator
+                       ) -> list[np.ndarray]:
+    """`_argmax_hits` of every ``(noise, counts, true)`` job under its own
+    ``(trials, H, N)`` block of ``noise``, in job order.
+
+    Job ``i`` draws its block from the ``i``-th child of
+    ``rng.spawn(len(jobs))``, so the hits depend on ``rng`` alone, not on
+    the thread count or schedule.  The jobs run on a pool of ``min(_cores(),
+    len(jobs))`` threads, created and joined here.  Worker ``w`` takes jobs
+    ``w``, ``w + workers``, ... and draws each into one float64 block that
+    this thread allocated for it, of the largest job's ``trials * H * N``
+    elements.  An exception in a worker is raised here once every worker
+    has stopped.
+    """
+    streams = rng.spawn(len(jobs))
+    workers = min(_cores(), len(jobs))
+    size = max(trials * counts.size for _, counts, _ in jobs)
+    blocks = [np.empty(size) for _ in range(workers)]
+    hits: list[np.ndarray] = [None] * len(jobs)
+
+    def run(worker: int) -> None:
+        for i in range(worker, len(jobs), workers):
+            noise, counts, true = jobs[i]
+            n = trials * counts.size
+            block = ggdist.sample(noise, streams[i], n, out=blocks[worker][:n])
+            hits[i] = _argmax_hits(counts, true,
+                                   block.reshape(trials, *counts.shape))
+
+    with futures.ThreadPoolExecutor(workers) as pool:
+        done = [pool.submit(run, w) for w in range(workers)]
+    for future in done:
+        future.result()
+    return hits
+
+
 def hardmax_utility(hists: list[VoteHistogram], noise: GGParams, trials: int,
                     rng: np.random.Generator) -> list[UtilityPoint]:
     """Monte-Carlo P(noisy argmax == true label), grouped by gap ratio.
@@ -235,23 +289,29 @@ def hardmax_utility(hists: list[VoteHistogram], noise: GGParams, trials: int,
     Every histogram in a group gets ``trials`` independent noisings; the
     reported standard error is sqrt(v(1-v) / (trials * group size)).  The
     histograms of one group must share one class count.
+
+    Group ``i``, in order of first appearance in ``hists``, draws its noise
+    from the ``i``-th child of ``rng.spawn(len(groups))``, spawned once
+    every check has passed, so a call that raises on its inputs leaves
+    ``rng`` as it was.  The groups are drawn and scored concurrently, on one
+    thread per available core and at most one per group, and the result
+    does not depend on that count.  Each thread holds one float64 noise
+    block of ``trials * H * N`` elements, for the largest group's ``H``
+    histograms of ``N`` classes.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    trials = _integer("trials", trials, 1)
     if not hists:
         raise ParameterError("hists must be non-empty")
     groups: dict[float | None, list[VoteHistogram]] = {}
     for hist in hists:
         groups.setdefault(hist.runner_up, []).append(hist)
-    stacked = {key: _stacked(group, f"with runner_up={key!r}")
-               for key, group in groups.items()}
+    jobs = [(noise, *_stacked(group, f"with runner_up={key!r}"))
+            for key, group in groups.items()]
 
     points = []
-    for key, (counts, true) in stacked.items():
-        H, N = counts.shape
-        block = ggdist.sample(noise, rng, trials * H * N).reshape(trials, H, N)
-        value = float(_argmax_hits(counts, true, block).mean())
-        stderr = math.sqrt(max(value * (1.0 - value), 0.0) / (trials * H))
+    for key, hits in zip(groups, _noisy_argmax_hits(jobs, trials, rng)):
+        value = float(hits.mean())
+        stderr = math.sqrt(max(value * (1.0 - value), 0.0) / hits.size)
         points.append(UtilityPoint(runner_up=key, value=value, stderr=stderr))
     return points
 
@@ -303,17 +363,27 @@ def pate_label_accuracy(hists: list[VoteHistogram], noises: list[GGParams],
 
     One trial labels every histogram once; ``trials`` repetitions give the
     mean and (sample) standard deviation per noise setting.
+
+    Setting ``i`` of ``noises`` draws from the ``i``-th child of
+    ``rng.spawn(len(noises))``, spawned once every check has passed, so a
+    call that raises on its inputs leaves ``rng`` as it was.  The settings
+    are drawn and scored concurrently as in `hardmax_utility`: one thread
+    per available core and at most one per setting, each holding one
+    float64 block of ``trials * H * N`` elements for the ``H`` histograms of
+    ``N`` classes.  The result does not depend on the thread count.
     """
-    if trials < 2:
-        raise ParameterError("trials must be >= 2 to report a std")
+    trials = _integer("trials", trials, 2)
     if not hists:
         raise ParameterError("hists must be non-empty")
+    noises = list(noises)
+    if not noises:
+        raise ParameterError("noises must be non-empty")
     counts, true = _stacked(hists, "labelled together")
-    H, N = counts.shape
     rows = []
-    for noise in noises:
-        block = ggdist.sample(noise, rng, trials * H * N).reshape(trials, H, N)
-        per_trial = _argmax_hits(counts, true, block).mean(axis=1)
+    hits_per_noise = _noisy_argmax_hits(
+        [(noise, counts, true) for noise in noises], trials, rng)
+    for noise, hits in zip(noises, hits_per_noise):
+        per_trial = hits.mean(axis=1)
         mean = float(per_trial.mean())
         std = float(per_trial.std(ddof=1))
         rows.append(PateAccuracy(beta=noise.beta, sigma=noise.sigma, mean=mean,

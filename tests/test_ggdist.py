@@ -248,6 +248,32 @@ def test_sample_draws_the_gamma_block_then_one_bit_per_sign(beta):
     npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("count", [1, 9, 385, 600_000])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
+def test_sample_into_out_is_the_allocating_draw(beta, count):
+    p = GGParams(beta, 1.7)
+    rng = np.random.default_rng(12)
+    ref = np.random.default_rng(12)
+    buf = np.empty(count)
+    got = ggdist.sample(p, rng, count, out=buf)
+    want = ggdist.sample(p, ref, count)
+    assert got is buf
+    npt.assert_array_equal(buf.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+def test_sample_rejects_a_bad_out_before_drawing(beta, rng):
+    state = rng.bit_generator.state
+    frozen = np.empty(9)
+    frozen.flags.writeable = False
+    for bad in (np.empty(10), np.empty(8), np.empty(9, dtype=np.float32),
+                np.empty(18)[::2], np.empty((9, 1)), frozen, [0.0] * 9):
+        with pytest.raises(ParameterError, match="out must be"):
+            ggdist.sample(GGParams(beta, 1.0), rng, 9, out=bad)
+    assert rng.bit_generator.state == state
+
+
 def test_laplace_gamma_block_is_numpys_exponential():
     # sample() draws Gamma(1, 1) as standard_exponential; numpy computes the
     # two from the same ziggurat, so the stream is the gamma block's.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -43,6 +45,24 @@ from ggprivacy.simulate import (
 def test_sim_config_validation(kwargs):
     with pytest.raises(ParameterError):
         SimConfig(**kwargs)
+
+
+def _spawn_state(rng):
+    return rng.bit_generator.state, rng.bit_generator.seed_seq.n_children_spawned
+
+
+@pytest.mark.parametrize("field", ["num_classes", "total_votes",
+                                   "histograms_per_r", "trials"])
+@pytest.mark.parametrize("bad", [2.5, 10.0, True, "5", None])
+def test_sim_config_integer_fields_fail_fast(field, bad):
+    with pytest.raises(ParameterError, match=field):
+        SimConfig(**{field: bad})
+
+
+def test_sim_config_keeps_numpy_integers_as_ints():
+    cfg = SimConfig(num_classes=np.int64(3), trials=np.int32(7))
+    assert type(cfg.num_classes) is int and cfg.num_classes == 3
+    assert type(cfg.trials) is int and cfg.trials == 7
 
 
 def test_vote_histogram_validation():
@@ -185,15 +205,110 @@ def test_hardmax_utility_validation(rng):
 
 
 def test_hardmax_utility_rejects_mixed_class_counts_in_a_group(rng):
-    mixed = [VoteHistogram(np.asarray([5, 1]), 0, 0.1),
-             VoteHistogram(np.asarray([5, 1, 0]), 0, 0.1)]
-    state = rng.bit_generator.state
+    # The groups before and after the mixed one are fine: the check on all
+    # of them runs before any child stream is spawned.
+    mixed = [VoteHistogram(np.asarray([5, 1]), 0, 0.05),
+             VoteHistogram(np.asarray([5, 1]), 0, 0.1),
+             VoteHistogram(np.asarray([5, 1, 0]), 0, 0.1),
+             VoteHistogram(np.asarray([5, 1]), 0, 0.2)]
+    state = _spawn_state(rng)
     with pytest.raises(ParameterError, match="share one class count"):
         hardmax_utility(mixed, GGParams(2.0, 1.0), 3, rng)
-    assert rng.bit_generator.state == state
+    assert _spawn_state(rng) == state
+    mixed = mixed[1:3]
     # Different class counts in different groups are fine.
     mixed[1] = VoteHistogram(np.asarray([5, 1, 0]), 0, 0.2)
     assert len(hardmax_utility(mixed, GGParams(2.0, 1.0), 3, rng)) == 2
+
+
+@pytest.mark.parametrize("bad", [0, 2.5, 15.0, True, np.float64(3.0)])
+def test_study_trials_fail_fast_before_spawning(bad, rng):
+    hists = [VoteHistogram(np.asarray([5, 1]), 0, 0.1)]
+    state = _spawn_state(rng)
+    with pytest.raises(ParameterError, match="trials"):
+        hardmax_utility(hists, GGParams(2.0, 1.0), bad, rng)
+    with pytest.raises(ParameterError, match="trials"):
+        pate_label_accuracy(hists, [GGParams(2.0, 1.0)], bad, rng)
+    assert _spawn_state(rng) == state
+
+
+def _uneven_groups(rng):
+    """Seven gap ratios over five classes with 1 to 7 histograms each, so
+    the noise blocks differ in size from group to group."""
+    cfg = SimConfig(num_classes=5, runner_up_grid=tuple(np.linspace(
+        0.02, 0.3, 7)), histograms_per_r=7)
+    hists = make_histograms(cfg, rng)
+    return [h for i, h in enumerate(hists) if i % 7 <= i // 7]
+
+
+def _serial_hits(jobs, trials, rng):
+    """The documented derivation, one job after another: job i draws its
+    (trials, H, N) block from child i of rng.spawn(len(jobs))."""
+    hits = []
+    for (noise, counts, true), child in zip(jobs, rng.spawn(len(jobs))):
+        block = ggdist.sample(noise, child, trials * counts.size)
+        hits.append(simulate._argmax_hits(
+            counts, true, block.reshape(trials, *counts.shape)))
+    return hits
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+def test_studies_do_not_depend_on_the_worker_count(beta, monkeypatch):
+    # 2000 trials make blocks of 10 000 to 70 000 draws, long enough that
+    # workers writing one shared block would overwrite each other's noise;
+    # five workers is more than there are cores, under a short switch
+    # interval.
+    hists = _uneven_groups(np.random.default_rng(5))
+    noise = GGParams(beta, 40.0)
+    noises = [GGParams(b, s) for b in (1.0, 1.5, 2.0) for s in (30.0, 90.0)]
+    labelled = hists[:9]
+    groups = {}
+    for h in hists:
+        groups.setdefault(h.runner_up, []).append(h)
+    jobs = [(noise, *simulate._stacked(g, "")) for g in groups.values()]
+    serial = [float(h.mean()) for h in _serial_hits(
+        jobs, 2000, np.random.default_rng(6))]
+    results = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 5):
+            monkeypatch.setattr(simulate, "_cores", lambda: workers)
+            rng = np.random.default_rng(6)
+            points = hardmax_utility(hists, noise, 2000, rng)
+            assert rng.bit_generator.seed_seq.n_children_spawned == len(groups)
+            rows = pate_label_accuracy(labelled, noises, 300,
+                                       np.random.default_rng(6))
+            results.append((points, rows))
+    finally:
+        sys.setswitchinterval(old)
+    assert [p.runner_up for p in results[0][0]] == list(groups)
+    assert [p.value for p in results[0][0]] == serial
+    assert all(r == results[0] for r in results[1:])
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    hists = _uneven_groups(np.random.default_rng(5))
+    draw = ggdist.sample
+    calls = []
+
+    def failing(params, rng, count, out=None):
+        calls.append(count)
+        if len(calls) == 3:
+            raise RuntimeError("boom")
+        return draw(params, rng, count, out=out)
+
+    monkeypatch.setattr(simulate, "_cores", lambda: 3)
+    monkeypatch.setattr(ggdist, "sample", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="boom"):
+        hardmax_utility(hists, GGParams(2.0, 40.0), 5, np.random.default_rng(1))
+    assert threading.active_count() == before
+    calls.clear()
+    with pytest.raises(RuntimeError, match="boom"):
+        pate_label_accuracy(hists[:4], [GGParams(2.0, 9.0)] * 4, 5,
+                            np.random.default_rng(1))
+    assert threading.active_count() == before
 
 
 def test_argmax_hits_match_the_stacked_argmax_with_ties(rng):
@@ -217,6 +332,16 @@ def test_hardmax_matches_exact_two_class(rng):
     hist = build_histogram(2, 1000, 0.1, rng)
     gap = float(hist.counts[0] - hist.counts[1])
     noise = GGParams(2.0, 60.0)
+    (point,) = hardmax_utility([hist], noise, trials=4000, rng=rng)
+    exact = exact_two_class_utility(gap, noise)
+    assert abs(point.value - exact) <= 4.0 * max(point.stderr, 1e-3)
+
+
+@pytest.mark.parametrize("beta", [1.0, 3.0])
+def test_hardmax_matches_exact_two_class_at_other_shapes(beta, rng):
+    hist = build_histogram(2, 1000, 0.1, rng)
+    gap = float(hist.counts[0] - hist.counts[1])
+    noise = GGParams(beta, 60.0)
     (point,) = hardmax_utility([hist], noise, trials=4000, rng=rng)
     exact = exact_two_class_utility(gap, noise)
     assert abs(point.value - exact) <= 4.0 * max(point.stderr, 1e-3)
@@ -305,6 +430,12 @@ def test_pate_label_accuracy_validation(rng):
         pate_label_accuracy(mixed, [GGParams(2.0, 1.0)], trials=5, rng=rng)
     with pytest.raises(ParameterError):
         pate_label_accuracy([], [GGParams(2.0, 1.0)], trials=5, rng=rng)
+    state = _spawn_state(rng)
+    with pytest.raises(ParameterError, match="noises"):
+        pate_label_accuracy(ok, [], trials=5, rng=rng)
+    with pytest.raises(ParameterError, match="class count"):
+        pate_label_accuracy(mixed, [GGParams(2.0, 1.0)], trials=5, rng=rng)
+    assert _spawn_state(rng) == state
 
 
 def test_pate_stderr_is_std_over_sqrt_trials(rng):
