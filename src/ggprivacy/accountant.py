@@ -45,10 +45,11 @@ finite-sample error certificate ``(eta, tau)``: the true delta at
 ``epsilon (+/-) tau`` lies within ``eta`` of the reported curve.  Its
 formula is unchanged and still charges the sampling terms for
 ``samples_n`` draws, which the exact discretization does not make, so it
-only errs on the conservative side.  With the default window it is
-dominated by its worst-case discretization terms and is much looser than
-the observed accuracy; both the raw estimate and the conservative
-(estimate + certificate) values are reported.
+only errs on the conservative side.  It is dominated by its worst-case
+discretization terms and is much looser than the observed accuracy: at the
+defaults it is vacuous (``eta >= 1`` or ``tau >= epsilon``), and the
+reported epsilon is then a point estimate.  Both the raw estimate and the
+conservative (estimate + certificate) values are reported.
 
 Determinism: `account`, `CompositionLedger` and the calibration built on
 them are deterministic functions of their spec and sizes; they depend on
@@ -73,7 +74,7 @@ from scipy import special
 from . import kernels
 from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, GridMismatchError, ParameterError,
-                     RangeError, TruncationError)
+                     RangeError, TruncationError, _integer)
 from .prv import (LossDirection, MechanismSpec, directions_for,
                   loss_cdfs_on_grid, loss_moments, loss_range)
 # perfbench/spans.py patches sample_prv and discretize_from_samples here.
@@ -142,6 +143,20 @@ def _fast_fft_cells(n: int) -> int:
     return best
 
 
+def _grid_cells(bins) -> int:
+    """The cell count a request of ``bins`` builds (see `AccountantConfig`),
+    or `ConfigError`."""
+    if not isinstance(bins, (int, np.integer)) or bins < 2:
+        raise ConfigError(f"bins must be an integer >= 2, got {bins!r}")
+    requested = 2 * (int(bins) // 2) + 1
+    cells = _fast_fft_cells(requested)
+    if cells > 2 ** 26:
+        raise ConfigError(
+            f"bins={bins!r} asks for {requested} cells, which round up to "
+            f"the fast FFT length {cells}, over the 2**26-cell cap")
+    return cells
+
+
 @dataclass(frozen=True)
 class AccountantConfig:
     """Grid and certificate sizes for the discretized accountant.
@@ -168,14 +183,7 @@ class AccountantConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.trunc_L) and self.trunc_L > 0):
             raise ConfigError(f"trunc_L must be positive, got {self.trunc_L!r}")
-        if not isinstance(self.bins, (int, np.integer)) or self.bins < 2:
-            raise ConfigError(f"bins must be an integer >= 2, got {self.bins!r}")
-        requested = 2 * (int(self.bins) // 2) + 1
-        cells = _fast_fft_cells(requested)
-        if cells > 2 ** 26:
-            raise ConfigError(
-                f"bins={self.bins!r} asks for {requested} cells, which round "
-                f"up to the fast FFT length {cells}, over the 2**26-cell cap")
+        cells = _grid_cells(self.bins)
         if not isinstance(self.samples_n, (int, np.integer)) or self.samples_n < 10_000:
             raise ConfigError(
                 f"samples_n must be an integer >= 10000, got {self.samples_n!r}")
@@ -441,6 +449,13 @@ def discretize_from_cdf(cdf_fn: Callable[[np.ndarray], np.ndarray],
     the window; the offset uses the exact conditional mean (CDF trapezoid
     integration by parts).  Raises `TruncationError` when the window holds
     less than 10% of the mass.
+
+    Conditioning on the caller's window drops the mass outside it, so a
+    window too narrow for the query reports an epsilon that is too small,
+    with no error: at beta = 2, sigma = 1, k = 20 and 16384 bins, a window
+    of L = 30 reads epsilon(1e-5) = 29.97, where `account`'s window reads
+    46.21.  `account` and `CompositionLedger` size their windows with
+    `_auto_config`.
     """
     edges = _cell_edges(cfg)
     return _binned(edges, cdf_fn(edges), cfg)
@@ -705,7 +720,7 @@ def _discretize_directions(spec: MechanismSpec,
             for direction, F in loss_cdfs_on_grid(spec, edges).items()}
 
 
-def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
+def account(spec: MechanismSpec, *,
             epsilon: float | None = None, delta: float | None = None,
             rng=None, curve_points: int = 129,
             samples_n: int = DEFAULT_SAMPLES,
@@ -713,25 +728,27 @@ def account(spec: MechanismSpec, cfg: AccountantConfig | None = None, *,
     """Account a mechanism spec end to end.
 
     Exactly one of ``epsilon`` / ``delta`` must be given; the other is
-    computed.  With ``cfg=None`` the window is auto-sized from the exact loss
-    moments (``samples_n`` and ``bins`` feed that construction; they are
-    ignored when an explicit config is supplied).  Subsampled mechanisms are
+    computed.  The window is sized from the exact loss moments
+    (`_auto_config`) on a grid of ``bins`` cells; ``samples_n`` is the
+    sample count the certificate assumes.  Subsampled mechanisms are
     accounted in both adjacency directions and the worse direction is
     reported.  ``rng`` is validated and reported as `AccountResult.seed`;
     the result does not depend on it.
+
+    The reported ``epsilon`` / ``delta`` is a point estimate.  When ``eta
+    >= 1`` or ``tau >= epsilon`` the certificate is vacuous, as it is at the
+    defaults, and ``epsilon_conservative`` / ``delta_conservative`` bound
+    nothing.
     """
     if (epsilon is None) == (delta is None):
         raise ParameterError("provide exactly one of epsilon= or delta=")
     if epsilon is not None and (not math.isfinite(epsilon) or epsilon < 0):
         raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-    if not isinstance(curve_points, (int, np.integer)) or curve_points < 2:
-        raise ParameterError(
-            f"curve_points must be an integer >= 2, got {curve_points!r}")
+    _integer("curve_points", curve_points, 2)
     seed = _seed(rng)
 
     k = spec.compositions
-    if cfg is None:
-        cfg = _auto_config(spec, k, samples_n, bins)
+    cfg = _auto_config(spec, k, samples_n, bins)
     t = cfg.resolved_t()
     composed: dict[LossDirection, DiscretePRV] = {}
     bounds: dict[LossDirection, ErrorBounds] = {}
@@ -784,7 +801,7 @@ class CompositionLedger:
 
     Discretizes the one-step loss once, as `account` does, and answers each
     ``k`` with `compose` (the single's rFFT is cached on it); the spec's
-    ``compositions`` is not read.  The auto window is sized for ``k_cap``, so
+    ``compositions`` is not read.  The window is sized for ``k_cap``, so
     ``composed(k_cap)`` is `account`'s result at ``k_cap`` compositions and
     the same sizes.  ``rng`` is validated as in `account` and otherwise
     unused, and ``samples_n`` changes no result: it only lands in
@@ -794,32 +811,25 @@ class CompositionLedger:
     as ``(k, epsilon, cells)`` with the cell count of the probe's grid.
     """
 
-    def __init__(self, spec: MechanismSpec, cfg: AccountantConfig | None = None,
-                 rng=None, k_cap: int = 4096,
+    def __init__(self, spec: MechanismSpec, *, rng=None, k_cap: int = 4096,
                  samples_n: int = 400_000, bins: int = 2 ** 16):
-        if (not isinstance(k_cap, (int, np.integer)) or isinstance(k_cap, bool)
-                or k_cap < 1):
-            raise ParameterError(
-                f"k_cap must be an integer >= 1, got {k_cap!r}")
+        self.k_cap = _integer("k_cap", k_cap, 1)
         _seed(rng)
         self.spec = spec
-        self.k_cap = int(k_cap)
-        if cfg is None:
-            cfg = _auto_config(spec, self.k_cap, samples_n, bins)
-        self.cfg = cfg
-        self._singles = _discretize_directions(spec, cfg)
+        self.cfg = _auto_config(spec, self.k_cap, samples_n, bins)
+        self._singles = _discretize_directions(spec, self.cfg)
         self._coarse_singles: dict[LossDirection, DiscretePRV] | None = None
         self._eps_cache: dict[tuple[int, float], float] = {}
         self.evaluations: list[tuple[int, float, int]] = []
 
     def composed(self, k: int) -> dict[LossDirection, DiscretePRV]:
-        if not 1 <= k <= self.k_cap:
+        if _integer("k", k, 1) > self.k_cap:
             raise ParameterError(f"k must lie in [1, {self.k_cap}], got {k}")
         return {direction: compose([(one, k)])
                 for direction, one in self._singles.items()}
 
     def epsilon_at(self, k: int, delta: float) -> float:
-        key = (int(k), float(delta))
+        key = (_integer("k", k, 1), float(delta))
         if key not in self._eps_cache:
             self._eps_cache[key] = max(prv.epsilon_at(delta)
                                        for prv in self.composed(k).values())

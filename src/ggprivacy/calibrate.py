@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accountant import (_COARSE_BINS, DEFAULT_BINS, DEFAULT_SAMPLES,
-                         AccountantConfig, account)
-from .errors import AccountingInconsistencyError, ParameterError, SolverError
+                         _grid_cells, account)
+from .errors import (AccountingInconsistencyError, ParameterError, SolverError,
+                     _integer)
 from .ggdist import GGParams, _upper_tail
 from .prv import MechanismSpec
 
@@ -51,8 +52,8 @@ class PrivacyTarget:
             raise ParameterError(f"epsilon must be positive, got {self.epsilon!r}")
         if not (0.0 < self.delta < 1.0):
             raise ParameterError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if self.compositions < 1:
-            raise ParameterError("compositions must be >= 1")
+        object.__setattr__(self, "compositions",
+                           _integer("compositions", self.compositions, 1))
         if self.sample_rate is not None and not 0.0 < self.sample_rate <= 1.0:
             raise ParameterError(
                 f"sample_rate must lie in (0, 1], got {self.sample_rate!r}")
@@ -210,8 +211,7 @@ def _search(probe: _Grid, s: float, high: float, width: float,
         f"{stopped_by}")
 
 
-def solve_sigma(beta: float, target: PrivacyTarget,
-                cfg: AccountantConfig | None = None, rng=None, *,
+def solve_sigma(beta: float, target: PrivacyTarget, *, rng=None,
                 tolerance: float = DEFAULT_TOLERANCE,
                 sensitivity: float = 1.0,
                 samples_n: int = DEFAULT_SAMPLES,
@@ -221,11 +221,10 @@ def solve_sigma(beta: float, target: PrivacyTarget,
 
     The search runs on ``s = sigma / sensitivity`` in two stages, each
     aiming at ``target.epsilon - tolerance / 4`` (see `_search`).  The
-    coarse stage works on a grid of 2^12 cells (``cfg``'s window with that
-    many cells, or ``bins=2**12``): it walks s from 1, at most doubling or
-    halving it per step, until epsilon brackets the aim, then closes in by
-    Illinois regula falsi on log epsilon against log s.  The caller's grid
-    (``cfg``, or ``bins``) then probes the coarse root; if that misses the
+    coarse stage works on a grid of 2^12 cells: it walks s from 1, at most
+    doubling or halving it per step, until epsilon brackets the aim, then
+    closes in by Illinois regula falsi on log epsilon against log s.  The
+    caller's grid (``bins``) then probes the coarse root; if that misses the
     band, it walks and closes in the same way on its own probes, secant
     steps inside a bracket confirmed there, with bisection as the
     safeguard.  Only the caller's grid decides: the returned epsilon comes
@@ -241,12 +240,12 @@ def solve_sigma(beta: float, target: PrivacyTarget,
     agree to an ulp (bitwise when ``c`` is a power of two), and so do their
     epsilons.
     """
-    return _solve_sigma(beta, target, cfg, rng, tolerance, sensitivity,
-                        samples_n, bins, 1.0)
+    return _solve_sigma(beta, target, rng, tolerance, sensitivity, samples_n,
+                        bins, 1.0)
 
 
-def _solve_sigma(beta, target, cfg, rng, tolerance, sensitivity, samples_n,
-                 bins, start: float) -> SolveResult:
+def _solve_sigma(beta, target, rng, tolerance, sensitivity, samples_n, bins,
+                 start: float) -> SolveResult:
     """`solve_sigma` with the coarse stage's walk starting at ``s = start``."""
     if not (isinstance(sensitivity, (int, float))
             and math.isfinite(sensitivity) and sensitivity > 0):
@@ -258,19 +257,17 @@ def _solve_sigma(beta, target, cfg, rng, tolerance, sensitivity, samples_n,
 
     evaluations: list[tuple[float, float, int]] = []
 
-    def grid(grid_cfg: AccountantConfig | None, grid_bins: int) -> _Grid:
+    def grid(grid_bins: int) -> _Grid:
         def epsilon_of(sigma: float) -> float:
             spec = MechanismSpec(GGParams(beta, sigma), sensitivity,
                                  target.sample_rate, target.compositions)
-            return account(spec, grid_cfg, delta=target.delta, rng=rng,
+            return account(spec, delta=target.delta, rng=rng,
                            samples_n=samples_n, bins=grid_bins).epsilon
-        cells = (grid_cfg or AccountantConfig(1.0, grid_bins)).bins
-        return _Grid(epsilon_of, cells, sensitivity, 0.5 * tolerance,
-                     evaluations)
+        return _Grid(epsilon_of, _grid_cells(grid_bins), sensitivity,
+                     0.5 * tolerance, evaluations)
 
-    caller = grid(cfg, bins)
-    coarse = grid(None if cfg is None else AccountantConfig(
-        cfg.trunc_L, _COARSE_BINS, cfg.samples_n), _COARSE_BINS)
+    caller = grid(bins)
+    coarse = grid(_COARSE_BINS)
     goal = target.epsilon
     if coarse.cells < caller.cells:
         try:
@@ -306,8 +303,7 @@ class FamilyResult:
     sigma_monotone: bool  # reported, not asserted: sigma rising with beta
 
 
-def equivalent_family(betas, target: PrivacyTarget,
-                      cfg: AccountantConfig | None = None, rng=None, *,
+def equivalent_family(betas, target: PrivacyTarget, *, rng=None,
                       tolerance: float = DEFAULT_TOLERANCE,
                       samples_n: int = DEFAULT_SAMPLES,
                       bins: int = DEFAULT_BINS) -> FamilyResult:
@@ -320,8 +316,8 @@ def equivalent_family(betas, target: PrivacyTarget,
     points = []
     start = 1.0
     for beta in sorted(beta_list):
-        solved = _solve_sigma(beta, target, cfg, rng, tolerance, 1.0,
-                              samples_n, bins, start)
+        solved = _solve_sigma(beta, target, rng, tolerance, 1.0, samples_n,
+                              bins, start)
         start = solved.sigma
         points.append(FamilyPoint(beta=beta, sigma=solved.sigma,
                                   epsilon=solved.epsilon))

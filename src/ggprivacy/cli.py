@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, ggdist
 from .accountant import (DEFAULT_BINS, DEFAULT_SAMPLES, DEFAULT_SEED,
-                         AccountantConfig, account, derive_rng)
+                         account, derive_rng)
 from .calibrate import (DEFAULT_TOLERANCE, FamilyResult, PrivacyTarget,
                         _cutoff_list, equivalent_family, family_from_csv,
                         family_to_csv, solve_sigma, tail_weight,
@@ -231,10 +231,6 @@ def _add_accountant_args(sub: argparse.ArgumentParser) -> None:
                      help="grid cells; rounded up to a fast FFT length, the "
                           "next odd count with prime factors in {3, 5, 7} "
                           "(default %(default)s)")
-    sub.add_argument("--trunc-l", type=float, default=None,
-                     help="window half-width (default: auto from the loss "
-                          "moments, widened until the tail outside is "
-                          "negligible)")
 
 
 def _add_target_args(sub: argparse.ArgumentParser) -> None:
@@ -373,12 +369,6 @@ def _mechanism_from(args) -> MechanismSpec:
                          args.sample_rate, args.compositions)
 
 
-def _config_from(args) -> AccountantConfig | None:
-    if args.trunc_l is None:
-        return None
-    return AccountantConfig(args.trunc_l, bins=args.bins, samples_n=args.samples)
-
-
 def _target_from(args) -> PrivacyTarget:
     return PrivacyTarget(args.epsilon, args.delta, args.compositions,
                          args.sample_rate)
@@ -386,9 +376,8 @@ def _target_from(args) -> PrivacyTarget:
 
 def _family_from(args) -> FamilyResult:
     return equivalent_family(parse_grid(args.betas), _target_from(args),
-                             _config_from(args), rng=args.seed,
-                             tolerance=args.tolerance, samples_n=args.samples,
-                             bins=args.bins)
+                             rng=args.seed, tolerance=args.tolerance,
+                             samples_n=args.samples, bins=args.bins)
 
 
 def _cmd_epsilon(args, sub) -> int:
@@ -396,17 +385,21 @@ def _cmd_epsilon(args, sub) -> int:
     if (args.epsilon is None) == (args.delta is None):
         sub.error("provide exactly one of --epsilon / --delta")
     spec = _mechanism_from(args)
-    result = account(spec, _config_from(args), epsilon=args.epsilon,
-                     delta=args.delta, rng=args.seed,
-                     curve_points=args.curve_points, samples_n=args.samples,
-                     bins=args.bins)
+    result = account(spec, epsilon=args.epsilon, delta=args.delta,
+                     rng=args.seed, curve_points=args.curve_points,
+                     samples_n=args.samples, bins=args.bins)
     if args.delta is not None:
         print(f"epsilon = {result.epsilon:.6f} at delta = {args.delta:g}")
     else:
         print(f"delta = {result.delta:.6e} at epsilon = {args.epsilon:g}")
-    print(f"conservative: epsilon <= {result.epsilon_conservative:.6f}, "
-          f"delta <= {result.delta_conservative:.6e} "
-          f"(eta = {result.eta:.3e}, tau = {result.tau:.3f})")
+    terms = f"eta = {result.eta:.3e}, tau = {result.tau:.3f}"
+    if result.eta >= 1.0 or result.tau >= result.epsilon:
+        estimate = "epsilon" if args.delta is not None else "delta"
+        print(f"certificate: vacuous ({terms}), so {estimate} is a point "
+              "estimate")
+    else:
+        print(f"conservative: epsilon <= {result.epsilon_conservative:.6f}, "
+              f"delta <= {result.delta_conservative:.6e} ({terms})")
     if args.out is not None:
         _emit(result.curve.to_json(indent=2) + "\n", args)
     return 0
@@ -415,8 +408,8 @@ def _cmd_epsilon(args, sub) -> int:
 def _cmd_solve_sigma(args, sub) -> int:
     _require(args, sub, "beta", "epsilon", "delta")
     target = _target_from(args)
-    result = solve_sigma(args.beta, target, _config_from(args),
-                         rng=args.seed, tolerance=args.tolerance,
+    result = solve_sigma(args.beta, target, rng=args.seed,
+                         tolerance=args.tolerance,
                          sensitivity=args.sensitivity,
                          samples_n=args.samples, bins=args.bins)
     print(f"sigma = {result.sigma:.9g}")

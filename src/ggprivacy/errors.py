@@ -1,10 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Everything raised on a caller-facing contract violation derives from
 :class:`GGPrivacyError`, so the CLI can map the whole family to exit code 1.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class GGPrivacyError(Exception):
@@ -54,3 +56,14 @@ class IngestionError(GGPrivacyError, ValueError):
 
 class ConstructionError(GGPrivacyError, RuntimeError):
     """A randomized construction failed to produce a valid instance."""
+
+
+def _integer(name: str, value, least: int) -> int:
+    """``value`` as an int.  A bool, a value of any other type than an
+    integer, or one below ``least`` raises a `ParameterError` that names
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)

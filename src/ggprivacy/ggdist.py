@@ -39,7 +39,7 @@ import numpy as np
 from scipy import special
 
 from . import kernels
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, _integer
 
 BETA_MAX = 64.0
 SIGMA_MAX = 1e12
@@ -252,9 +252,7 @@ def sample(params: GGParams, rng: np.random.Generator, count: int,
     touched.  The draw then allocates nothing at ``beta = 2``, and only its
     sign bits, about two bytes per variate, at any other shape.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
-    n = int(count)
+    n = _integer("count", count, 1)
     if out is not None and not (
             isinstance(out, np.ndarray) and out.dtype == np.float64
             and out.shape == (n,) and out.flags.c_contiguous
@@ -283,9 +281,7 @@ def sample_inverse_cdf(params: GGParams, rng: np.random.Generator,
     Slower than `sample`; kept as an independent oracle for distribution
     tests.
     """
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
-    u = rng.random(int(count))
+    u = rng.random(_integer("count", count, 1))
     # keep u strictly inside (0, 1); random() can return exactly 0.0
     u = np.nextafter(u, 1.0)
     return np.asarray(quantile(params, u))

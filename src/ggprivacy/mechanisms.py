@@ -17,7 +17,7 @@ from scipy.special import expit
 
 from . import ggdist, kernels
 from .accountant import CompositionLedger
-from .errors import IngestionError, InputError, ParameterError
+from .errors import IngestionError, InputError, ParameterError, _integer
 from .ggdist import GGParams
 from .prv import MechanismSpec
 
@@ -329,11 +329,10 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     if y.shape[:1] != (n,):
         raise ParameterError(f"training data has {n} rows but labels of "
                              f"shape {y.shape}")
-    if not 1 <= cfg.batch_size <= n:
+    if _integer("batch_size", cfg.batch_size, 1) > n:
         raise ParameterError(
             f"batch_size must lie in [1, {n}], got {cfg.batch_size}")
-    if cfg.epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {cfg.epochs}")
+    _integer("epochs", cfg.epochs, 1)
     _check_clip(cfg.noise.beta, cfg.clip_norm, X, "training features")
     q = cfg.batch_size / n
     steps_per_epoch = max(1, round(n / cfg.batch_size))

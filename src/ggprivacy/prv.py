@@ -57,7 +57,7 @@ import numpy as np
 from scipy import special
 
 from . import ggdist, kernels
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, _integer
 from .ggdist import GGParams, _quadrature, _saturation, _upper_tails
 
 MAX_DIMENSIONS = 64
@@ -98,11 +98,9 @@ class MechanismSpec:
             q = self.sample_rate
             if not (isinstance(q, (int, float)) and 0.0 < q <= 1.0):
                 raise ParameterError(f"sample_rate must lie in (0, 1], got {q!r}")
-        if not isinstance(self.compositions, (int, np.integer)) or self.compositions < 1:
-            raise ParameterError(
-                f"compositions must be a positive integer, got {self.compositions!r}")
         object.__setattr__(self, "sensitivity", float(self.sensitivity))
-        object.__setattr__(self, "compositions", int(self.compositions))
+        object.__setattr__(self, "compositions",
+                           _integer("compositions", self.compositions, 1))
 
     @property
     def loss_key(self) -> tuple[float, float, float | None]:
@@ -172,10 +170,9 @@ def sample_prv(spec: MechanismSpec, direction: LossDirection,
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
+    count = _integer("count", count, 1)
     beta, ratio, q = spec.loss_key
-    z = ggdist.sample(GGParams(beta, 1.0), rng, int(count))
+    z = ggdist.sample(GGParams(beta, 1.0), rng, count)
 
     if q is None:
         # REMOVE draws u = Delta/sigma - z from the shifted density, and the
@@ -185,7 +182,7 @@ def sample_prv(spec: MechanismSpec, direction: LossDirection,
         return _base_loss(spec, z)
 
     if direction is LossDirection.REMOVE:  # u ~ M: shifted with probability q
-        keep = rng.random(int(count)) < q
+        keep = rng.random(count) < q
         z = np.where(keep, ratio - z, z)
     return _directed_loss(_base_loss(spec, z), q, direction)
 
@@ -475,13 +472,12 @@ def multidim_prv_sample(beta: float, sigma: float, mu, sensitivity: float,
     if abs(norm - sensitivity) > 1e-9:
         raise ParameterError(
             f"||mu||_beta = {norm!r} does not match sensitivity {sensitivity!r}")
-    if not isinstance(count, (int, np.integer)) or count < 1:
-        raise ParameterError(f"count must be a positive integer, got {count!r}")
+    count = _integer("count", count, 1)
 
     d = mu_arr.size
     sigma_beta = params.sigma ** params.beta
-    z = ggdist.sample(params, rng, int(count) * d).reshape(int(count), d)
-    total = np.zeros(int(count), dtype=np.float64)
+    z = ggdist.sample(params, rng, count * d).reshape(count, d)
+    total = np.zeros(count, dtype=np.float64)
     for j in range(d):
         total += kernels.gg_loss(np.ascontiguousarray(z[:, j]), float(mu_arr[j]),
                                  params.beta, sigma_beta)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ggdist
-from .errors import ConstructionError, IngestionError, ParameterError
+from .errors import (ConstructionError, IngestionError, ParameterError,
+                     _integer)
 from .ggdist import GGParams
 
 _MAX_ATTEMPTS = 10_000
@@ -52,17 +53,6 @@ class SimConfig:
         if not grid or any(not 0.0 < r < 1.0 for r in grid):
             raise ParameterError("runner_up_grid values must lie in (0, 1)")
         object.__setattr__(self, "runner_up_grid", grid)
-
-
-def _integer(name: str, value, least: int) -> int:
-    """``value`` as an int.  A bool, a value of any other type than an
-    integer, or one below ``least`` raises a `ParameterError` that names
-    ``name``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ParameterError(f"{name} must be >= {least}, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -150,7 +140,7 @@ def _histograms_at(num_classes: int, total_votes: int, runner_up: float,
     """
     if not 0.0 < runner_up < 1.0:
         raise ParameterError(f"runner_up must lie in (0, 1), got {runner_up!r}")
-    V, N, r = int(total_votes), int(num_classes), float(runner_up)
+    V, N, r = total_votes, num_classes, float(runner_up)
     head = _pinned_head(N, V, r)
     if N == 2:
         return [VoteHistogram(np.asarray(head), 0, r)] * count
@@ -191,7 +181,9 @@ def build_histogram(num_classes: int, total_votes: int, runner_up: float,
     ``[0, x1]`` are rejected and retried.  The winner is always class 0;
     a tie (possible as r -> 0) still counts class 0 as the true label.
     """
-    return _histograms_at(num_classes, total_votes, runner_up, 1, rng)[0]
+    return _histograms_at(_integer("num_classes", num_classes, 2),
+                          _integer("total_votes", total_votes, 1),
+                          runner_up, 1, rng)[0]
 
 
 def make_histograms(cfg: SimConfig, rng: np.random.Generator) -> list[VoteHistogram]:

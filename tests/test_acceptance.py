@@ -87,14 +87,15 @@ def test_criterion_01_gaussian_single_shot():
 def test_criterion_02_gaussian_composed():
     """k=100 accounting of GG(2, sqrt(2)) within +-0.1 of the composed
     Gaussian PRV CDF discretized on the same grid; that composed grid is
-    the discretized N(50, 10^2) within total variation 1e-3."""
-    cfg = AccountantConfig(170.0, 2 ** 19, samples_n=5_000_000)
+    the discretized N(50, 10^2) within total variation 1e-3.  The auto
+    window is L = 50 + 12 * 10 = 170, on the default 2^19 bins."""
+    spec = MechanismSpec(GGParams(2.0, math.sqrt(2.0)), 1.0, None, 100)
+    result = account(spec, delta=1e-5)
+    cfg = result.config
+    assert (cfg.trunc_L, cfg.bins) == (170.0, 3 ** 12)
     one = discretize_from_cdf(lambda e: gaussian_prv_cdf(e, 1.0, 1.0), cfg)
     composed = compose([(one, 100)])
     eps_ref = composed.epsilon_at(1e-5)
-
-    spec = MechanismSpec(GGParams(2.0, math.sqrt(2.0)), 1.0, None, 100)
-    result = account(spec, cfg, delta=1e-5)
     diff = abs(result.epsilon - eps_ref)
 
     # 100 iid copies of N(1/2, 1) sum to N(50, 100).

@@ -159,53 +159,46 @@ def biased_account(calls, bias):
     more than 2^12 cells, and ``bias`` more on coarser ones."""
     from types import SimpleNamespace
 
-    def fake_account(spec, cfg=None, *, bins, **kwargs):
-        cells = (cfg or AccountantConfig(1.0, bins)).bins
-        calls.append((spec.noise.beta, spec.noise.sigma, cfg, bins))
+    def fake_account(spec, *, bins, **kwargs):
+        cells = AccountantConfig(1.0, bins).bins
+        calls.append((spec.noise.beta, spec.noise.sigma, bins))
         eps = 2.0 / spec.noise.sigma
         return SimpleNamespace(
             epsilon=eps + bias if cells <= COARSE_CELLS else eps)
     return fake_account
 
 
-@pytest.mark.parametrize("cfg", [None, AccountantConfig(20.0, 2 ** 16)],
-                         ids=["bins", "cfg"])
 def test_solve_sigma_caller_grid_decides_when_the_coarse_grid_is_biased(
-        monkeypatch, cfg):
+        monkeypatch):
     # The coarse root lands 0.3 below the band on the caller's grid; the
     # caller's grid brackets the target itself and lands in the band.
     from ggprivacy import calibrate
 
     calls = []
     monkeypatch.setattr(calibrate, "account", biased_account(calls, 0.3))
-    got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), cfg, tolerance=0.05,
+    got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), tolerance=0.05,
                       bins=2 ** 16)
     assert 2.0 - 0.025 <= got.epsilon <= 2.0
     assert got.epsilon == 2.0 / got.sigma  # a caller-grid value
-    caller = (cfg or AccountantConfig(1.0, 2 ** 16)).bins
+    caller = AccountantConfig(1.0, 2 ** 16).bins
     cells = [c for _, _, c in got.evaluations]
     assert cells[0] == COARSE_CELLS and cells[-1] == caller
     assert set(cells) == {COARSE_CELLS, caller}
     assert got.probes == len(calls) == len(got.evaluations)
+    assert {bins for _, _, bins in calls} == {2 ** 12, 2 ** 16}
     first = next(eps for _, eps, c in got.evaluations if c == caller)
     assert first < 2.0 - 0.025  # the coarse root missed the band
-    if cfg is not None:  # the coarse grid keeps the caller's window
-        coarse_cfgs = {c for _, _, c, _ in calls if c is not cfg}
-        assert {(c.trunc_L, c.bins) for c in coarse_cfgs} == {
-            (20.0, COARSE_CELLS)}
 
 
-@pytest.mark.parametrize("grid", [dict(bins=2 ** 11), dict(bins=2 ** 12),
-                                  dict(cfg=AccountantConfig(15.0, 4096))],
-                         ids=["bins-2048", "bins-4096", "cfg-4096"])
+@pytest.mark.parametrize("grid", [dict(bins=2 ** 11), dict(bins=2 ** 12)],
+                         ids=["bins-2048", "bins-4096"])
 def test_solve_sigma_on_a_coarse_caller_grid_probes_only_that_grid(grid):
-    cfg = grid.get("cfg")
-    cells = (cfg or AccountantConfig(1.0, grid.get("bins", 2 ** 12))).bins
+    cells = AccountantConfig(1.0, grid["bins"]).bins
     got = solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), tolerance=0.1, **grid)
     assert {c for _, _, c in got.evaluations} == {cells}
     assert 2.0 - 0.05 <= got.epsilon <= 2.0
-    again = account(MechanismSpec(GGParams(2.0, got.sigma), 1.0), cfg,
-                    delta=1e-5, bins=grid.get("bins", 2 ** 12))
+    again = account(MechanismSpec(GGParams(2.0, got.sigma), 1.0),
+                    delta=1e-5, **grid)
     assert again.epsilon == got.epsilon
 
 
@@ -232,7 +225,7 @@ def test_equivalent_family_starts_each_shape_from_the_last_sigma(monkeypatch):
     monkeypatch.setattr(calibrate, "account", biased_account(calls, 0.0))
     fam = equivalent_family([1.0, 2.0, 3.0], PrivacyTarget(2.0, 1e-5),
                             tolerance=0.05, bins=2 ** 16)
-    firsts = [next(sigma for b, sigma, _, _ in calls if b == beta)
+    firsts = [next(sigma for b, sigma, _ in calls if b == beta)
               for beta in (1.0, 2.0, 3.0)]
     assert firsts == [1.0] + [p.sigma for p in fam.points[:-1]]
 

@@ -183,13 +183,41 @@ def test_config_without_subcommand_is_usage_error(tmp_path):
 # -- epsilon ------------------------------------------------------------------------
 
 def test_epsilon_reports_estimate_and_conservative(capsys):
+    # At these sizes eta = 1: the certificate line says it is vacuous.
     rc = main(["epsilon", "--beta", "2", "--sigma", repr(math.sqrt(2)),
                "--delta", "1e-5", "--seed", "3", *FAST_ACCT])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "epsilon = " in out and "conservative:" in out
+    assert "epsilon = " in out and "conservative:" not in out
+    assert re.search(r"^certificate: vacuous \(eta = 1\.000e\+00, tau = .*\), "
+                     r"so epsilon is a point estimate$", out, re.M)
     value = float(out.split("epsilon = ")[1].split()[0])
     assert 0.5 < value < 10.0
+
+
+@pytest.mark.parametrize("target,estimate", [("--delta", "epsilon"),
+                                             ("--epsilon", "delta")])
+def test_epsilon_prints_the_certificate_only_when_it_binds(capsys, target,
+                                                           estimate):
+    # One composition, with the certificate assuming 1e12 samples: eta is
+    # about 5e-4 and tau about 0.03 at epsilon(1e-5) = 6.57.
+    args = ["epsilon", "--beta", "2", "--sigma", "1", "--bins", "16384"]
+    value = "1e-5" if target == "--delta" else "6.5"
+    assert main([*args, target, value, "--samples", str(10 ** 12)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^conservative: epsilon <= \S+, delta <= \S+ "
+                     r"\(eta = 5\.\d+e-04, tau = 0\.028\)$", out, re.M)
+    assert "vacuous" not in out
+    # Ten subsampled compositions: eta = 0.63 < 1, but tau = 1.9 exceeds
+    # epsilon, which is about 0.8 at delta = 1e-5.
+    value = "1e-5" if target == "--delta" else "0.5"
+    assert main(["epsilon", "--beta", "1.5", "--sigma", "2", "--compositions",
+                 "10", "--sample-rate", "0.1", "--bins", "4096", target,
+                 value]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^certificate: vacuous \(eta = 6\.349e-01, tau = 1\.945\), "
+                     rf"so {estimate} is a point estimate$", out, re.M)
+    assert "conservative:" not in out
 
 
 def test_epsilon_requires_exactly_one_target(capsys):
@@ -208,13 +236,6 @@ def test_epsilon_curve_points_below_two_exits_one(capsys):
                  "--curve-points", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "curve_points" in err
-
-
-def test_epsilon_explicit_truncation_flag(capsys):
-    rc = main(["epsilon", "--beta", "1", "--sigma", "1", "--epsilon", "1.01",
-               "--trunc-l", "12", "--bins", "4096", "--samples", "20000"])
-    assert rc == 0
-    assert "delta = " in capsys.readouterr().out
 
 
 def test_epsilon_out_writes_curve_and_manifest(tmp_path, capsys):
@@ -327,6 +348,8 @@ def test_replay_rejects_unknown_command(tmp_path, capsys):
 
 
 SAMPLE_ARGS = {"beta": 2.0, "sigma": 1.0, "count": 3, "seed": 1, "out": "o.txt"}
+EPSILON_ARGS = {"beta": 2.0, "sigma": 1.0, "compositions": 20, "delta": 1e-5,
+                "seed": 1, "out": "o.txt"}
 
 
 @pytest.mark.parametrize("manifest,field", [
@@ -342,10 +365,13 @@ SAMPLE_ARGS = {"beta": 2.0, "sigma": 1.0, "count": 3, "seed": 1, "out": "o.txt"}
       "outputs": ["o.txt"]}, "'count'"),
     ({"command": "sample", "arguments": {**SAMPLE_ARGS, "bogus": 1},
       "outputs": ["o.txt"]}, "'bogus'"),
+    ({"command": "epsilon", "arguments": {**EPSILON_ARGS, "trunc_l": 30.0},
+      "outputs": ["o.txt"]}, "'trunc_l'"),
     ({"command": "sample", "arguments": {**SAMPLE_ARGS, "beta": [2.0, 3.0]},
       "outputs": ["o.txt"]}, "'beta'"),
 ], ids=["not-json", "no-command", "outputs-string", "arguments-list",
-        "text-for-int", "float-for-int", "unknown-key", "list-for-one"])
+        "text-for-int", "float-for-int", "unknown-key", "window-key",
+        "list-for-one"])
 def test_replay_rejects_malformed_manifest_before_running(
         tmp_path, capsys, monkeypatch, manifest, field):
     monkeypatch.chdir(tmp_path)

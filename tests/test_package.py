@@ -1,7 +1,8 @@
-"""The package's public namespace."""
+"""The package's public namespace and its package-wide contracts."""
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import os
 import pkgutil
@@ -10,7 +11,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import ggprivacy
+from ggprivacy import (CompositionLedger, GGParams, LogisticModel,
+                       LossDirection, MechanismSpec, ParameterError,
+                       PrivacyTarget, TrainConfig, account, build_histogram,
+                       multidim_prv_sample, sample, sample_inverse_cdf,
+                       sample_prv, train_noisy_sgd)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_lists_resolvable_public_api_only():
@@ -55,8 +66,7 @@ def test_readme_quick_start_prints_what_it_says(capsys):
     # The first block of the README's quick start runs as written; its
     # printed epsilon rounds to the annotated value, and tau and
     # epsilon_conservative round to the figures in the text below it.
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    quick = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    quick = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
     block = quick.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md quick start", "exec"), {})
     epsilon, (_, tau), conservative = (
@@ -66,6 +76,76 @@ def test_readme_quick_start_prints_what_it_says(capsys):
     assert f"{float(epsilon[0]):.{decimals}f}" == want
     assert f"`τ ≈ {round(float(tau))}`" in quick
     assert f"`ε_conservative ≈ {round(float(conservative[0]))}`" in quick
+
+
+def test_every_readme_python_block_runs(capsys):
+    # The quick start, calibration and training examples run as written,
+    # each in a fresh namespace.
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 3
+    for number, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {number}", "exec"), {})
+        assert capsys.readouterr().out
+
+
+GAUSS = MechanismSpec(GGParams(2.0, 1.0), 1.0)
+
+
+@functools.cache
+def _ledger() -> CompositionLedger:
+    return CompositionLedger(GAUSS, k_cap=4, bins=2 ** 12)
+
+
+def _train(**knobs):
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(20, 2))
+    return train_noisy_sgd(LogisticModel(dim=2), (X, (X[:, 0] > 0) * 1),
+                           TrainConfig(**knobs), rng)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+COUNTS = {  # (call with the count v, the name the error must give)
+    "sample": (lambda v: sample(GGParams(1.5, 1.0), _rng(), v), "count"),
+    "sample_inverse_cdf": (
+        lambda v: sample_inverse_cdf(GGParams(1.5, 1.0), _rng(), v), "count"),
+    "sample_prv": (
+        lambda v: sample_prv(GAUSS, LossDirection.REMOVE, _rng(), v), "count"),
+    "multidim_prv_sample": (
+        lambda v: multidim_prv_sample(2.0, 1.0, [1.0, 0.0], 1.0, _rng(), v),
+        "count"),
+    "MechanismSpec": (lambda v: MechanismSpec(GGParams(2.0, 1.0), 1.0, None, v),
+                      "compositions"),
+    "PrivacyTarget": (lambda v: PrivacyTarget(1.0, 1e-5, v), "compositions"),
+    "account": (lambda v: account(GAUSS, delta=1e-5, curve_points=v),
+                "curve_points"),
+    "CompositionLedger": (lambda v: CompositionLedger(GAUSS, k_cap=v),
+                          "k_cap"),
+    "ledger.composed": (lambda v: _ledger().composed(v), "k"),
+    "ledger.epsilon_at": (lambda v: _ledger().epsilon_at(v, 1e-5), "k"),
+    "build_histogram.num_classes": (
+        lambda v: build_histogram(v, 100, 0.1, _rng()), "num_classes"),
+    "build_histogram.total_votes": (
+        lambda v: build_histogram(2, v, 0.1, _rng()), "total_votes"),
+    "train.batch_size": (lambda v: _train(batch_size=v), "batch_size"),
+    "train.epochs": (lambda v: _train(batch_size=5, epochs=v), "epochs"),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, np.float64(3.0), "3"],
+                         ids=["bool", "fraction", "float", "numpy-float",
+                              "text"])
+@pytest.mark.parametrize("call,name", list(COUNTS.values()), ids=list(COUNTS))
+def test_every_count_takes_only_an_integer(call, name, value):
+    # One rule for every count: an int or a numpy integer, never a bool, a
+    # float, even a whole one, or text.  Each is refused with a
+    # ParameterError that names the count.
+    with pytest.raises(ParameterError, match=rf"^{name} must be an integer"):
+        call(value)
+    call(np.int64(3))
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
