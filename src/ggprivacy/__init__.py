@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 
 from .accountant import (DEFAULT_SEED, AccountantConfig, AccountResult,
                          CompositionLedger, DiscretePRV, ErrorBounds,
-                         PrivacyCurve, account, compose, convolve_direct,
-                         derive_rng, discretize_from_cdf,
-                         discretize_from_samples, error_bounds)
+                         PrivacyCurve, account, compose, derive_rng,
+                         discretize_from_cdf, discretize_from_samples,
+                         error_bounds)
 from .calibrate import (FamilyPoint, FamilyResult, PrivacyTarget, SolveResult,
                         TailWeightPoint, TailWeightResult, equivalent_family,
                         family_from_csv, family_to_csv, solve_sigma,
@@ -26,14 +26,13 @@ from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, ConstructionError, GGPrivacyError,
                      GridMismatchError, IngestionError, InputError,
                      ParameterError, RangeError, SolverError, TruncationError)
-from .ggdist import (GGParams, absolute_moment, cdf, from_sigma_power, pdf,
-                     quantile, sample, sample_inverse_cdf, sigma_power)
+from .ggdist import GGParams, absolute_moment, cdf, pdf, quantile, sample
 from .mechanisms import (LogisticModel, MLPModel, TrainConfig, TrainResult,
                          clip_rows, gg_mechanism, ggnmax, lbeta_clip,
                          load_dataset_csv, make_blobs, sgg_mechanism,
                          train_noisy_sgd)
 from .prv import (LossDirection, MechanismSpec, directions_for,
-                  gaussian_prv_cdf, laplace_prv_cdf, loss_cdf, loss_function,
+                  laplace_prv_cdf, loss_cdf, loss_function,
                   multidim_prv_sample, sample_prv, subsampled_loss_function)
 from .simulate import (PateAccuracy, ResultRow, SimConfig, UtilityPoint,
                        VoteHistogram, auc_over_runner_up, build_histogram,
@@ -46,8 +45,8 @@ __all__ = [
     # accountant
     "DEFAULT_SEED", "AccountantConfig", "AccountResult", "CompositionLedger",
     "DiscretePRV", "ErrorBounds", "PrivacyCurve", "account", "compose",
-    "convolve_direct", "derive_rng", "discretize_from_cdf",
-    "discretize_from_samples", "error_bounds",
+    "derive_rng", "discretize_from_cdf", "discretize_from_samples",
+    "error_bounds",
     # calibrate
     "FamilyPoint", "FamilyResult", "PrivacyTarget", "SolveResult",
     "TailWeightPoint", "TailWeightResult", "equivalent_family",
@@ -59,15 +58,14 @@ __all__ = [
     "IngestionError", "InputError", "ParameterError", "RangeError",
     "SolverError", "TruncationError",
     # ggdist
-    "GGParams", "absolute_moment", "cdf", "from_sigma_power", "pdf",
-    "quantile", "sample", "sample_inverse_cdf", "sigma_power",
+    "GGParams", "absolute_moment", "cdf", "pdf", "quantile", "sample",
     # mechanisms
     "LogisticModel", "MLPModel", "TrainConfig", "TrainResult", "clip_rows",
     "gg_mechanism", "ggnmax", "lbeta_clip", "load_dataset_csv", "make_blobs",
     "sgg_mechanism", "train_noisy_sgd",
     # prv
-    "LossDirection", "MechanismSpec", "directions_for", "gaussian_prv_cdf",
-    "laplace_prv_cdf", "loss_cdf", "loss_function", "multidim_prv_sample",
+    "LossDirection", "MechanismSpec", "directions_for", "laplace_prv_cdf",
+    "loss_cdf", "loss_function", "multidim_prv_sample",
     "sample_prv", "subsampled_loss_function",
     # simulate
     "PateAccuracy", "ResultRow", "SimConfig", "UtilityPoint", "VoteHistogram",

@@ -54,9 +54,12 @@ conservative (estimate + certificate) values are reported.
 Determinism: `account`, `CompositionLedger` and the calibration built on
 them are deterministic functions of their spec and sizes; they depend on
 the spec only through `MechanismSpec.loss_key` ``(beta, Delta/sigma, q)``.
-They still take ``rng`` as an ``int`` seed or ``None`` (the documented
-default ``DEFAULT_SEED``), validate it and report it as
-`AccountResult.seed`, but no result depends on it.
+The ledger takes neither a seed nor a sample count.  `account` still takes
+``rng`` as an ``int`` seed or ``None`` (the documented default
+``DEFAULT_SEED``), validates it and reports it as `AccountResult.seed`, but
+no result depends on it; its ``samples_n`` sizes only the certificate.
+Both stay while `perfbench/workloads.py` passes them, and go with the
+certificate (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -74,10 +77,12 @@ from scipy import special
 from . import kernels
 from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, GridMismatchError, ParameterError,
-                     RangeError, TruncationError, _integer)
+                     RangeError, TruncationError, _integer, _real)
 from .prv import (LossDirection, MechanismSpec, directions_for,
-                  loss_cdfs_on_grid, loss_moments, loss_range)
+                  loss_cdfs_on_grid, loss_moments)
 # perfbench/spans.py patches sample_prv and discretize_from_samples here.
+# Nothing in this module calls sample_prv; the import goes once the
+# benchmark's tracer stops patching it (ROADMAP item 1).
 from .prv import sample_prv  # noqa: F401
 
 DEFAULT_SEED = 61803398
@@ -263,8 +268,8 @@ class DiscretePRV:
             raise ParameterError(f"mesh_h must be positive, got {self.mesh_h!r}")
         if not (math.isfinite(self.offset) and self.offset >= 0):
             raise ParameterError(f"offset must be >= 0, got {self.offset!r}")
-        if self.compositions < 1:
-            raise ParameterError("compositions must be >= 1")
+        object.__setattr__(self, "compositions",
+                           _integer("compositions", self.compositions, 1))
 
     @property
     def half_bins(self) -> int:
@@ -522,14 +527,11 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     redistributed.  The inverse FFT goes to `DiscretePRV` as it is, which
     clips and normalizes it, after a check that its total has not drifted
     (`AccountingInconsistencyError`).  A single item with multiplicity 1 is
-    returned unchanged.
+    returned unchanged.  Each multiplicity is an integer of at least 1.
     """
-    entries = [(prv, int(k)) for prv, k in items]
+    entries = [(prv, _integer("multiplicity", k, 1)) for prv, k in items]
     if not entries:
         raise ParameterError("compose needs at least one (prv, multiplicity) pair")
-    for prv, k in entries:
-        if k < 1:
-            raise ParameterError(f"multiplicities must be >= 1, got {k}")
     first = entries[0][0]
     for prv, _ in entries[1:]:
         if prv.probs.size != first.probs.size or prv.mesh_h != first.mesh_h:
@@ -554,21 +556,6 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
             f"FFT composition lost probability mass: sum = {total!r}")
     return DiscretePRV(probs=probs, mesh_h=first.mesh_h, offset=offset,
                        compositions=total_k)
-
-
-def convolve_direct(prv_a: DiscretePRV, prv_b: DiscretePRV) -> DiscretePRV:
-    """Quadratic-time circular convolution; cross-check oracle for `compose`."""
-    if prv_a.probs.size != prv_b.probs.size or prv_a.mesh_h != prv_b.mesh_h:
-        raise GridMismatchError("operands must share one grid")
-    size = prv_a.probs.size
-    a = np.fft.ifftshift(prv_a.probs)
-    b = np.fft.ifftshift(prv_b.probs)
-    out = np.zeros(size)
-    for shift in range(size):
-        out += a[shift] * np.roll(b, shift)
-    return DiscretePRV(probs=np.fft.fftshift(out), mesh_h=prv_a.mesh_h,
-                       offset=prv_a.offset + prv_b.offset,
-                       compositions=prv_a.compositions + prv_b.compositions)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +720,9 @@ def account(spec: MechanismSpec, *,
     sample count the certificate assumes.  Subsampled mechanisms are
     accounted in both adjacency directions and the worse direction is
     reported.  ``rng`` is validated and reported as `AccountResult.seed`;
-    the result does not depend on it.
+    the result does not depend on it.  ``rng`` and ``samples_n`` stay while
+    `perfbench/workloads.py` passes them, and go with the certificate
+    (ROADMAP item 1).
 
     The reported ``epsilon`` / ``delta`` is a point estimate.  When ``eta
     >= 1`` or ``tau >= epsilon`` the certificate is vacuous, as it is at the
@@ -742,8 +731,13 @@ def account(spec: MechanismSpec, *,
     """
     if (epsilon is None) == (delta is None):
         raise ParameterError("provide exactly one of epsilon= or delta=")
-    if epsilon is not None and (not math.isfinite(epsilon) or epsilon < 0):
-        raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if epsilon is not None:
+        epsilon = _real("epsilon", epsilon)
+        if not math.isfinite(epsilon) or epsilon < 0:
+            raise ParameterError(
+                f"epsilon must be finite and >= 0, got {epsilon!r}")
+    if delta is not None:
+        delta = _real("delta", delta)
     _integer("curve_points", curve_points, 2)
     seed = _seed(rng)
 
@@ -756,11 +750,7 @@ def account(spec: MechanismSpec, *,
         full = compose([(one, k)])
         composed[direction] = full
 
-        lo, hi = loss_range(spec, direction)
-        if lo >= -cfg.trunc_L and hi <= cfg.trunc_L:
-            tail_single = 0.0
-        else:
-            tail_single = float(one.tail_upper)
+        tail_single = float(one.tail_upper)
         y = full.support()
         grid_tail = float(full.probs[np.abs(y) >= cfg.trunc_L - t].sum())
         tail_sum = min(1.0, grid_tail + k * tail_single)
@@ -803,20 +793,19 @@ class CompositionLedger:
     ``k`` with `compose` (the single's rFFT is cached on it); the spec's
     ``compositions`` is not read.  The window is sized for ``k_cap``, so
     ``composed(k_cap)`` is `account`'s result at ``k_cap`` compositions and
-    the same sizes.  ``rng`` is validated as in `account` and otherwise
-    unused, and ``samples_n`` changes no result: it only lands in
-    ``cfg.samples_n``.  Built for training loops that need "how many more
-    steps fit in the budget" (`max_steps`), which searches on two grids.
+    the same sizes.  It draws nothing and reads no certificate, so it
+    takes no seed and no sample count.  Built for training loops that need
+    "how many more steps fit in the budget" (`max_steps`), which searches
+    on two grids.
     ``evaluations`` lists every probe `max_steps` made, in the order made,
     as ``(k, epsilon, cells)`` with the cell count of the probe's grid.
     """
 
-    def __init__(self, spec: MechanismSpec, *, rng=None, k_cap: int = 4096,
-                 samples_n: int = 400_000, bins: int = 2 ** 16):
+    def __init__(self, spec: MechanismSpec, *, k_cap: int = 4096,
+                 bins: int = 2 ** 16):
         self.k_cap = _integer("k_cap", k_cap, 1)
-        _seed(rng)
         self.spec = spec
-        self.cfg = _auto_config(spec, self.k_cap, samples_n, bins)
+        self.cfg = _auto_config(spec, self.k_cap, DEFAULT_SAMPLES, bins)
         self._singles = _discretize_directions(spec, self.cfg)
         self._coarse_singles: dict[LossDirection, DiscretePRV] | None = None
         self._eps_cache: dict[tuple[int, float], float] = {}
@@ -866,8 +855,7 @@ class CompositionLedger:
         if last <= epsilon:
             return self.k_cap
         guess = None
-        coarse_cfg = AccountantConfig(self.cfg.trunc_L, _COARSE_BINS,
-                                      self.cfg.samples_n)
+        coarse_cfg = AccountantConfig(self.cfg.trunc_L, _COARSE_BINS)
         if coarse_cfg.bins < self.cfg.bins:
             if self._coarse_singles is None:
                 self._coarse_singles = _discretize_directions(self.spec,

@@ -25,7 +25,7 @@ import numpy as np
 from .accountant import (_COARSE_BINS, DEFAULT_BINS, DEFAULT_SAMPLES,
                          _grid_cells, account)
 from .errors import (AccountingInconsistencyError, ParameterError, SolverError,
-                     _integer)
+                     _integer, _real)
 from .ggdist import GGParams, _upper_tail
 from .prv import MechanismSpec
 
@@ -48,15 +48,22 @@ class PrivacyTarget:
     sample_rate: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+        epsilon = _real("epsilon", self.epsilon)
+        delta = _real("delta", self.delta)
+        if not (math.isfinite(epsilon) and epsilon > 0):
             raise ParameterError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not (0.0 < self.delta < 1.0):
+        if not (0.0 < delta < 1.0):
             raise ParameterError(f"delta must lie in (0, 1), got {self.delta!r}")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "compositions",
                            _integer("compositions", self.compositions, 1))
-        if self.sample_rate is not None and not 0.0 < self.sample_rate <= 1.0:
-            raise ParameterError(
-                f"sample_rate must lie in (0, 1], got {self.sample_rate!r}")
+        if self.sample_rate is not None:
+            q = _real("sample_rate", self.sample_rate)
+            if not 0.0 < q <= 1.0:
+                raise ParameterError(
+                    f"sample_rate must lie in (0, 1], got {self.sample_rate!r}")
+            object.__setattr__(self, "sample_rate", q)
 
 
 @dataclass
@@ -239,6 +246,11 @@ def solve_sigma(beta: float, target: PrivacyTarget, *, rng=None,
     ``c`` times those at sensitivity 1, their ratios ``sensitivity / sigma``
     agree to an ulp (bitwise when ``c`` is a power of two), and so do their
     epsilons.
+
+    ``rng`` and ``samples_n`` go to every `account` probe, which validates
+    them; neither changes the result.  They stay while
+    `perfbench/workloads.py` passes them, and go with the certificate
+    (ROADMAP item 1).
     """
     return _solve_sigma(beta, target, rng, tolerance, sensitivity, samples_n,
                         bins, 1.0)
@@ -247,13 +259,13 @@ def solve_sigma(beta: float, target: PrivacyTarget, *, rng=None,
 def _solve_sigma(beta, target, rng, tolerance, sensitivity, samples_n, bins,
                  start: float) -> SolveResult:
     """`solve_sigma` with the coarse stage's walk starting at ``s = start``."""
-    if not (isinstance(sensitivity, (int, float))
-            and math.isfinite(sensitivity) and sensitivity > 0):
+    sensitivity = _real("sensitivity", sensitivity)
+    if not (math.isfinite(sensitivity) and sensitivity > 0):
         raise ParameterError(
             f"sensitivity must be positive and finite, got {sensitivity!r}")
+    tolerance = _real("tolerance", tolerance)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ParameterError(f"tolerance must be positive, got {tolerance!r}")
-    sensitivity = float(sensitivity)
 
     evaluations: list[tuple[float, float, int]] = []
 
@@ -303,9 +315,8 @@ class FamilyResult:
     sigma_monotone: bool  # reported, not asserted: sigma rising with beta
 
 
-def equivalent_family(betas, target: PrivacyTarget, *, rng=None,
+def equivalent_family(betas, target: PrivacyTarget, *,
                       tolerance: float = DEFAULT_TOLERANCE,
-                      samples_n: int = DEFAULT_SAMPLES,
                       bins: int = DEFAULT_BINS) -> FamilyResult:
     """Solve sigma for every shape in ``betas`` at one shared target, in
     increasing beta; each solve starts its search from the sigma solved for
@@ -316,8 +327,8 @@ def equivalent_family(betas, target: PrivacyTarget, *, rng=None,
     points = []
     start = 1.0
     for beta in sorted(beta_list):
-        solved = _solve_sigma(beta, target, rng, tolerance, 1.0, samples_n,
-                              bins, start)
+        solved = _solve_sigma(beta, target, None, tolerance, 1.0,
+                              DEFAULT_SAMPLES, bins, start)
         start = solved.sigma
         points.append(FamilyPoint(beta=beta, sigma=solved.sigma,
                                   epsilon=solved.epsilon))

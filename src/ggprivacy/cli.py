@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Every run is reproducible: the effective seed comes from ``--seed``, else the
-``GG_PRIVACY_SEED`` environment variable, else the documented default
-(61803398), and every file-producing run writes a ``<output>.manifest.json``
-next to its artifact recording the subcommand, the fully resolved arguments,
-that seed, and the SHA-256 of each output.
+Every run is reproducible.  The subcommands that draw (``sample``,
+``simulate-argmax``, ``pate-label`` and ``train``) take their seed from
+``--seed``, else the ``GG_PRIVACY_SEED`` environment variable, else the
+documented default (61803398); the accountant and calibration subcommands
+draw nothing and take no seed.  Every file-producing run writes a
+``<output>.manifest.json`` next to its artifact recording the subcommand,
+the fully resolved arguments, the seed of a subcommand that takes one, and
+the SHA-256 of each output.
 
 Grids are written either as comma lists (``1,1.5,2``) or as
 ``start:stop:count`` (``1:4:13``).  A ``--config FILE`` of ``key = value``
@@ -114,11 +117,12 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str]) -> str:
     manifest = {
         "command": args.command,
         "arguments": arguments,
-        "seed": args.seed,
         "version": __version__,
         "outputs": [{"name": os.path.basename(p), "sha256": _sha256(p)}
                     for p in outputs],
     }
+    if hasattr(args, "seed"):
+        manifest["seed"] = args.seed
     path = f"{args.out}.manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -213,10 +217,13 @@ def _config_text(value) -> str | list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_seed(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="integer seed (default: GG_PRIVACY_SEED env var, "
                           f"else {DEFAULT_SEED})")
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="key = value file of flag defaults")
     sub.add_argument("--out", default=None, metavar="PATH",
@@ -224,9 +231,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_accountant_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                     help="sample count the error certificate assumes "
-                          "(default %(default)s)")
     sub.add_argument("--bins", type=int, default=DEFAULT_BINS,
                      help="grid cells; rounded up to a fast FFT length, the "
                           "next odd count with prime factors in {3, 5, 7} "
@@ -267,6 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sigma", type=float, default=None)
     sub.add_argument("-n", "--count", type=int, default=None)
     sub.add_argument("--center", type=float, default=0.0)
+    _add_seed(sub)
     _add_common(sub)
 
     sub = register("epsilon", "account one mechanism pattern", _cmd_epsilon)
@@ -275,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sensitivity", type=float, default=1.0)
     _add_target_args(sub)
     _add_accountant_args(sub)
+    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                     help="sample count the error certificate assumes "
+                          "(default %(default)s)")
     sub.add_argument("--curve-points", type=int, default=129)
     _add_common(sub)
 
@@ -309,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trials", type=int, default=50)
     sub.add_argument("--r-grid", default="0.001:0.2:20")
     _add_calibration_args(sub)
+    _add_seed(sub)
     _add_common(sub)
 
     sub = register("pate-label", "label accuracy over teacher-vote histograms",
@@ -322,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--epsilon", type=float, default=None,
                      help="annotate rows with this epsilon")
     sub.add_argument("--delta", type=float, default=None)
+    _add_seed(sub)
     _add_common(sub)
 
     sub = register("train", "clipped noisy SGD with a privacy halt", _cmd_train)
@@ -340,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--test-size", type=int, default=200)
     sub.add_argument("--dim", type=int, default=10)
     sub.add_argument("--separation", type=float, default=3.0)
+    _add_seed(sub)
     _add_common(sub)
 
     sub = register("replay", "re-run a recorded manifest", _cmd_replay)
@@ -376,8 +387,7 @@ def _target_from(args) -> PrivacyTarget:
 
 def _family_from(args) -> FamilyResult:
     return equivalent_family(parse_grid(args.betas), _target_from(args),
-                             rng=args.seed, tolerance=args.tolerance,
-                             samples_n=args.samples, bins=args.bins)
+                             tolerance=args.tolerance, bins=args.bins)
 
 
 def _cmd_epsilon(args, sub) -> int:
@@ -386,7 +396,7 @@ def _cmd_epsilon(args, sub) -> int:
         sub.error("provide exactly one of --epsilon / --delta")
     spec = _mechanism_from(args)
     result = account(spec, epsilon=args.epsilon, delta=args.delta,
-                     rng=args.seed, curve_points=args.curve_points,
+                     curve_points=args.curve_points,
                      samples_n=args.samples, bins=args.bins)
     if args.delta is not None:
         print(f"epsilon = {result.epsilon:.6f} at delta = {args.delta:g}")
@@ -408,10 +418,8 @@ def _cmd_epsilon(args, sub) -> int:
 def _cmd_solve_sigma(args, sub) -> int:
     _require(args, sub, "beta", "epsilon", "delta")
     target = _target_from(args)
-    result = solve_sigma(args.beta, target, rng=args.seed,
-                         tolerance=args.tolerance,
-                         sensitivity=args.sensitivity,
-                         samples_n=args.samples, bins=args.bins)
+    result = solve_sigma(args.beta, target, tolerance=args.tolerance,
+                         sensitivity=args.sensitivity, bins=args.bins)
     print(f"sigma = {result.sigma:.9g}")
     print(f"bracket = [{result.bracket[0]:.9g}, {result.bracket[1]:.9g}]")
     per_grid = Counter(cells for _, _, cells in result.evaluations)
@@ -618,7 +626,8 @@ def _read_manifest(path: str, text: str) -> tuple[str, dict, dict]:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Resolve the seed into ``args.seed``, then run the subcommand."""
+    """Resolve the seed of a subcommand that takes one into ``args.seed``,
+    then run the subcommand."""
     if hasattr(args, "seed"):
         args.seed = _resolve_seed(args)
     return args._handler(args, _SUBCOMMANDS[args.command])

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one integer check.
+"""Exception types shared across the package, and its integer and real
+number checks.
 
 Everything raised on a caller-facing contract violation derives from
 :class:`GGPrivacyError`, so the CLI can map the whole family to exit code 1.
@@ -67,3 +68,14 @@ def _integer(name: str, value, least: int) -> int:
     if value < least:
         raise ParameterError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float.  A bool, or a value of any other type than a
+    real number (an int, a float or a numpy integer or float), raises a
+    `ParameterError` that names ``name``.  Its range is the caller's to
+    check."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+    return float(value)

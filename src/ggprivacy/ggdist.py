@@ -7,8 +7,8 @@ The family is parameterized by a shape ``beta >= 1`` and a *scale* ``sigma``:
 Under this convention ``beta = 1`` is Laplace with scale ``sigma`` and
 ``beta = 2`` is a normal with standard deviation ``sigma / sqrt(2)`` (so
 ``GGParams(2, sqrt(2))`` is the standard normal).  Some texts parameterize
-the exponent as |x|**beta / nu with ``nu = sigma**beta``; `sigma_power` /
-`from_sigma_power` convert to and from that form.
+the exponent as |x|**beta / nu with ``nu = sigma**beta``, so ``sigma =
+nu**(1/beta)``.
 
 Every GG tail probability in the package comes from `_upper_tail`, built on
 the regularized upper incomplete gamma: `cdf` and `calibrate.tail_weight`
@@ -21,8 +21,8 @@ Sampling at ``beta = 2`` scales one block of standard normals by
 ``sigma / sqrt(2)``.  Every other shape uses the exact gamma transform
 ``Z = S * sigma * G**(1/beta)`` with ``G ~ Gamma(1/beta, 1)`` and ``S`` a
 uniform sign, drawing the gamma variates first and then one random bit per
-sign from the supplied generator.  The inverse-CDF sampler is retained as a
-slow cross-check (`sample_inverse_cdf`).
+sign from the supplied generator.  `quantile` inverts `cdf`; the tests push
+uniforms through it as an independent sampler to check `sample` against.
 
 Integrals against the density use one rule, `_quadrature`: Gauss-Legendre
 panels that break at the density's and the integrand's kinks and stop where
@@ -39,7 +39,7 @@ import numpy as np
 from scipy import special
 
 from . import kernels
-from .errors import InputError, ParameterError, _integer
+from .errors import InputError, ParameterError, _integer, _real
 
 BETA_MAX = 64.0
 SIGMA_MAX = 1e12
@@ -70,8 +70,8 @@ class GGParams:
     sigma: float
 
     def __post_init__(self) -> None:
-        beta = float(self.beta)
-        sigma = float(self.sigma)
+        beta = _real("beta", self.beta)
+        sigma = _real("sigma", self.sigma)
         if not math.isfinite(beta) or beta < 1.0 or beta > BETA_MAX:
             raise ParameterError(
                 f"beta must lie in [1, {BETA_MAX:g}], got {self.beta!r}")
@@ -80,18 +80,6 @@ class GGParams:
                 f"sigma must lie in (0, {SIGMA_MAX:g}], got {self.sigma!r}")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "sigma", sigma)
-
-
-def sigma_power(params: GGParams) -> float:
-    """Scale of the exponent parameterization, ``sigma**beta``."""
-    return params.sigma ** params.beta
-
-
-def from_sigma_power(beta: float, nu: float) -> GGParams:
-    """Build params from the exponent parameterization ``exp(-|x|**beta/nu)``."""
-    if not (isinstance(nu, (int, float)) and math.isfinite(nu)) or nu <= 0:
-        raise ParameterError(f"sigma_power must be positive and finite, got {nu!r}")
-    return GGParams(beta, float(nu) ** (1.0 / float(beta)))
 
 
 def _as_float_array(x, name: str) -> tuple[np.ndarray, bool]:
@@ -272,19 +260,6 @@ def sample(params: GGParams, rng: np.random.Generator, count: int,
     bits = np.unpackbits(np.frombuffer(rng.bytes(-(-n // 8)), dtype=np.uint8),
                          count=n)
     return kernels.signed_power_scale(g, bits, params.sigma, inv_beta)
-
-
-def sample_inverse_cdf(params: GGParams, rng: np.random.Generator,
-                       count: int) -> np.ndarray:
-    """Reference sampler: push uniforms through `quantile`.
-
-    Slower than `sample`; kept as an independent oracle for distribution
-    tests.
-    """
-    u = rng.random(_integer("count", count, 1))
-    # keep u strictly inside (0, 1); random() can return exactly 0.0
-    u = np.nextafter(u, 1.0)
-    return np.asarray(quantile(params, u))
 
 
 def absolute_moment(params: GGParams, k: float) -> float:

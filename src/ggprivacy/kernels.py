@@ -74,7 +74,8 @@ def lbeta_norms(rows: np.ndarray, beta: float) -> np.ndarray:
     return np.sum(np.abs(rows) ** beta, axis=1) ** (1.0 / beta)
 
 
-# perfbench/envinfo.py reads these two names; drop them with that reader.
+# perfbench/envinfo.py reads these two names; drop them with that reader,
+# when the benchmark is next edited (ROADMAP items 1 and 6).
 BACKEND = "numpy"
 IMPLEMENTATIONS: dict[str, dict[str, object]] = {
     "numpy": {

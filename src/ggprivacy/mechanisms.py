@@ -17,7 +17,8 @@ from scipy.special import expit
 
 from . import ggdist, kernels
 from .accountant import CompositionLedger
-from .errors import IngestionError, InputError, ParameterError, _integer
+from .errors import (IngestionError, InputError, ParameterError, _integer,
+                     _real)
 from .ggdist import GGParams
 from .prv import MechanismSpec
 
@@ -25,13 +26,13 @@ from .prv import MechanismSpec
 def gg_mechanism(value, sensitivity: float, noise: GGParams,
                  rng: np.random.Generator) -> np.ndarray:
     """Add iid GG(beta, sigma * sensitivity) noise to a vector-valued query."""
-    if not (isinstance(sensitivity, (int, float)) and math.isfinite(sensitivity)
-            and sensitivity > 0):
+    sensitivity = _real("sensitivity", sensitivity)
+    if not (math.isfinite(sensitivity) and sensitivity > 0):
         raise ParameterError(f"sensitivity must be positive, got {sensitivity!r}")
     arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
     if not np.all(np.isfinite(arr)):
         raise InputError("query value must be finite")
-    scaled = GGParams(noise.beta, noise.sigma * float(sensitivity))
+    scaled = GGParams(noise.beta, noise.sigma * sensitivity)
     return arr + ggdist.sample(scaled, rng, arr.size).reshape(arr.shape)
 
 
@@ -46,6 +47,7 @@ def sgg_mechanism(records, query, sensitivity: float, noise: GGParams,
     matches `gg_mechanism` on the full data bit-for-bit under the same
     generator state.
     """
+    sample_rate = _real("sample_rate", sample_rate)
     if not 0.0 < sample_rate <= 1.0:
         raise ParameterError(f"sample_rate must lie in (0, 1], got {sample_rate!r}")
     if sample_rate == 1.0:
@@ -79,6 +81,7 @@ def ggnmax(counts, noise: GGParams, rng: np.random.Generator) -> int:
 def _check_clip(beta: float, clip_norm: float, values, name: str) -> None:
     """The input rules of every l_beta clip: a shape in [1, BETA_MAX], a
     positive finite radius and finite entries."""
+    clip_norm = _real("clip_norm", clip_norm)
     if not (math.isfinite(clip_norm) and clip_norm > 0):
         raise ParameterError(
             f"clip_norm must be positive and finite, got {clip_norm!r}")
@@ -109,7 +112,9 @@ def lbeta_clip(vector, beta: float, clip_norm: float) -> np.ndarray:
 
 
 def clip_rows(matrix: np.ndarray, beta: float, clip_norm: float) -> np.ndarray:
-    """Row-wise `lbeta_clip` for per-example gradient matrices."""
+    """Row-wise `lbeta_clip` for per-example gradient matrices: the tests'
+    reference for the models' clipped sums, public while `perfbench/run.py`
+    calls it (ROADMAP item 1)."""
     mat = np.ascontiguousarray(matrix, dtype=np.float64)
     if mat.ndim != 2:
         raise ParameterError("matrix must be 2-d (examples x parameters)")
@@ -128,7 +133,8 @@ class LogisticModel:
 
     Training needs ``init_params``, ``predict``, ``clipped_grad_sum`` and
     ``num_params``; ``per_example_grads`` is the reference the clipped sum is
-    tested against.
+    tested against, and stays a method while the benchmark's tracer patches
+    it (ROADMAP item 1).
     """
 
     def __init__(self, dim: int):
@@ -174,7 +180,8 @@ class MLPModel:
     Gradients are exact per-example backprop, vectorized over the batch.
     Training needs ``init_params``, ``predict``, ``clipped_grad_sum`` and
     ``num_params``; ``per_example_grads`` is the reference the clipped sum is
-    tested against.
+    tested against, and stays a method while the benchmark's tracer patches
+    it (ROADMAP item 1).
     """
 
     def __init__(self, dim: int, width: int = 32):
@@ -262,9 +269,10 @@ class TrainConfig:
     the vector actually added each step is GG(beta, sigma * clip_norm) per
     coordinate.  ``target_epsilon``/``target_delta`` arm the budget halt:
     training stops before the step that would exceed the target.
-    ``ledger_bins`` sizes the ledger's grid.  ``ledger_samples`` changes no
-    result: the ledger discretizes the exact loss CDF, and the value only
-    lands in ``ledger.cfg.samples_n``.
+    ``ledger_bins`` sizes the ledger's grid.  Nothing reads
+    ``ledger_samples``: the ledger discretizes the exact loss CDF and takes
+    no sample count.  The field stays while `perfbench/workloads.py` sets
+    it, and goes with the certificate (ROADMAP item 1).
     """
 
     clip_norm: float = 1.0
@@ -308,17 +316,17 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
 
     When a target epsilon is set, the run accounts the noise it adds,
     ``MechanismSpec(GGParams(beta, sigma * clip_norm), clip_norm, q, 1)``,
-    on a `CompositionLedger` whose grid has ``ledger_bins`` cells
-    (``ledger_samples`` changes no result); the step budget is fixed up
-    front from it and the loop halts there.  That ledger accounts the
-    d-dimensional update as its one-hot shift in one dimension.  The
-    reduction is exact at ``beta = 2``, where every shift of the same
-    ``l_beta`` norm is alike, but no bound backs it at ``1 < beta < 2``:
-    there, without subsampling, a shift split over two coordinates can give
-    a larger epsilon than the one-hot shift (at ``beta = 1.5``, sigma 1,
-    one step: epsilon(1e-5) = 3.151 against 3.121).  At ``beta = 1`` the
-    two agreed to grid resolution in every case tried.  Accounting is
-    refused at ``beta > 2``; unaccounted training accepts any shape.
+    on a `CompositionLedger` whose grid has ``ledger_bins`` cells; the step
+    budget is fixed up front from it and the loop halts there.  That ledger
+    accounts the d-dimensional update as its one-hot shift in one
+    dimension.  The reduction is exact at ``beta = 2``, where every shift
+    of the same ``l_beta`` norm is alike, but no bound backs it at ``1 <
+    beta < 2``: there, without subsampling, a shift split over two
+    coordinates can give a larger epsilon than the one-hot shift (at ``beta
+    = 1.5``, sigma 1, one step: epsilon(1e-5) = 3.151 against 3.121).  At
+    ``beta = 1`` the two agreed to grid resolution in every case tried.
+    Accounting is refused at ``beta > 2``; unaccounted training accepts any
+    shape.
     """
     X, y = train_data
     X = np.asarray(X, dtype=np.float64)
@@ -353,9 +361,7 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
     ledger = None
     total = planned
     if cfg.target_epsilon is not None:
-        ledger = CompositionLedger(spec, rng=None,
-                                   k_cap=max(1, planned),
-                                   samples_n=cfg.ledger_samples,
+        ledger = CompositionLedger(spec, k_cap=max(1, planned),
                                    bins=cfg.ledger_bins)
         total = min(planned, ledger.max_steps(cfg.target_epsilon,
                                               cfg.target_delta))

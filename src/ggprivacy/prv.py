@@ -54,10 +54,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from . import ggdist, kernels
-from .errors import InputError, ParameterError, _integer
+from .errors import InputError, ParameterError, _integer, _real
 from .ggdist import GGParams, _quadrature, _saturation, _upper_tails
 
 MAX_DIMENSIONS = 64
@@ -90,15 +89,17 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.noise, GGParams):
             raise ParameterError("noise must be a GGParams instance")
-        if not (isinstance(self.sensitivity, (int, float))
-                and math.isfinite(self.sensitivity) and self.sensitivity > 0):
+        sensitivity = _real("sensitivity", self.sensitivity)
+        if not (math.isfinite(sensitivity) and sensitivity > 0):
             raise ParameterError(
                 f"sensitivity must be positive and finite, got {self.sensitivity!r}")
+        object.__setattr__(self, "sensitivity", sensitivity)
         if self.sample_rate is not None:
-            q = self.sample_rate
-            if not (isinstance(q, (int, float)) and 0.0 < q <= 1.0):
-                raise ParameterError(f"sample_rate must lie in (0, 1], got {q!r}")
-        object.__setattr__(self, "sensitivity", float(self.sensitivity))
+            q = _real("sample_rate", self.sample_rate)
+            if not 0.0 < q <= 1.0:
+                raise ParameterError(
+                    f"sample_rate must lie in (0, 1], got {self.sample_rate!r}")
+            object.__setattr__(self, "sample_rate", q)
         object.__setattr__(self, "compositions",
                            _integer("compositions", self.compositions, 1))
 
@@ -185,22 +186,6 @@ def sample_prv(spec: MechanismSpec, direction: LossDirection,
         keep = rng.random(count) < q
         z = np.where(keep, ratio - z, z)
     return _directed_loss(_base_loss(spec, z), q, direction)
-
-
-def loss_range(spec: MechanismSpec,
-               direction: LossDirection) -> tuple[float, float]:
-    """Exact range of the single-shot loss in ``direction``.
-
-    The base loss lies in ``[-Delta/sigma, Delta/sigma]`` at ``beta = 1``
-    and is unbounded on both sides otherwise; subsampling maps that range
-    through the same loss as `sample_prv`.
-    """
-    beta, ratio, q = spec.loss_key
-    edge = ratio if beta == 1.0 else math.inf
-    if q is None:
-        return -edge, edge
-    ends = _directed_loss(np.array([-edge, edge]), q, direction)
-    return float(ends.min()), float(ends.max())
 
 
 def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
@@ -484,22 +469,13 @@ def multidim_prv_sample(beta: float, sigma: float, mu, sensitivity: float,
     return total
 
 
-def gaussian_prv_cdf(x, noise_std: float, sensitivity: float):
-    """Exact PRV CDF of the Gaussian mechanism: N(eta, 2*eta) with
-    eta = sensitivity**2 / (2 * noise_std**2)."""
-    if noise_std <= 0 or sensitivity <= 0:
-        raise ParameterError("noise_std and sensitivity must be positive")
-    eta = sensitivity ** 2 / (2.0 * noise_std ** 2)
-    arr = np.asarray(x, dtype=np.float64)
-    out = special.ndtr((arr - eta) / math.sqrt(2.0 * eta))
-    return float(out) if np.ndim(x) == 0 else out
-
-
 def laplace_prv_cdf(x, scale: float, sensitivity: float):
     """Exact PRV CDF of the Laplace mechanism (scale ``b``, shift ``Delta``).
 
     The loss lives on [-Delta/b, Delta/b] with atoms at both endpoints:
-    mass 1/2 at +Delta/b and exp(-Delta/b)/2 at -Delta/b.
+    mass 1/2 at +Delta/b and exp(-Delta/b)/2 at -Delta/b.  Only tests and
+    `perfbench/workloads.py`'s check call it; it leaves the package once
+    the benchmark stops calling it (ROADMAP item 1).
     """
     if scale <= 0 or sensitivity <= 0:
         raise ParameterError("scale and sensitivity must be positive")

@@ -28,7 +28,6 @@ from ggprivacy import (
     PrivacyTarget,
     account,
     compose,
-    convolve_direct,
     derive_rng,
     discretize_from_cdf,
     error_bounds,
@@ -41,7 +40,7 @@ from ggprivacy.mechanisms import (
     make_blobs,
     train_noisy_sgd,
 )
-from ggprivacy.prv import gaussian_prv_cdf, multidim_prv_sample, sample_prv
+from ggprivacy.prv import multidim_prv_sample, sample_prv
 from ggprivacy.simulate import (
     SimConfig,
     auc_over_runner_up,
@@ -49,6 +48,7 @@ from ggprivacy.simulate import (
     hardmax_utility,
     make_histograms,
 )
+from oracles import convolve_direct, gaussian_prv_cdf
 
 SEED = 61803398
 
@@ -241,7 +241,8 @@ def test_criterion_07_sigma_solver_round_trip():
     tol = 0.05
     worst = 0.0
     fam = equivalent_family([1.0, 1.5, 2.0, 2.5, 3.0, 4.0],
-                            PrivacyTarget(2.0, 1e-5), tolerance=tol, **ACCT)
+                            PrivacyTarget(2.0, 1e-5), tolerance=tol,
+                            bins=ACCT["bins"])
     for p in fam.points:
         redone = account(MechanismSpec(GGParams(p.beta, p.sigma), 1.0),
                          delta=1e-5, **ACCT)
@@ -274,7 +275,7 @@ def test_criterion_08_tail_weights():
     smallest tail weight at every cutoff tau in {1, 2, 4}."""
     target = PrivacyTarget(1.5, 1e-5)
     fam = equivalent_family([1.0, 1.5, 2.0, 2.5, 3.0], target,
-                            tolerance=0.05, **ACCT)
+                            tolerance=0.05, bins=ACCT["bins"])
     cutoffs = (1.0, 2.0, 4.0)
     tw = tail_weight(fam, cutoffs)
     for tau in cutoffs:

@@ -26,13 +26,13 @@ from ggprivacy import (
     TruncationError,
     account,
     compose,
-    convolve_direct,
     derive_rng,
     discretize_from_cdf,
     discretize_from_samples,
     error_bounds,
 )
-from ggprivacy.prv import gaussian_prv_cdf, laplace_prv_cdf
+from ggprivacy.prv import laplace_prv_cdf
+from oracles import convolve_direct, gaussian_prv_cdf
 
 GAUSS = MechanismSpec(GGParams(2.0, math.sqrt(2.0)), 1.0)   # loss ~ N(1/2, 1)
 
@@ -597,6 +597,35 @@ def test_entry_points_take_no_window():
         CompositionLedger(GAUSS, cfg)
 
 
+@pytest.mark.parametrize("knob", [dict(rng=1), dict(samples_n=10 ** 6)],
+                         ids=["rng", "samples_n"])
+def test_ledger_and_family_take_no_seed_or_sample_count(knob):
+    # Neither draws nor reports a certificate, so a seed or a sample count
+    # could change nothing; each is a TypeError, not a knob ignored.
+    from ggprivacy import calibrate
+    with pytest.raises(TypeError):
+        CompositionLedger(GAUSS, **knob)
+    with pytest.raises(TypeError):
+        calibrate.equivalent_family([2.0], calibrate.PrivacyTarget(2.0, 1e-5),
+                                    **knob)
+
+
+@pytest.mark.parametrize("q", [None, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("sigma", [0.5, 2.0, 4.0])
+def test_bounded_loss_leaves_no_mass_outside_the_window(sigma, q):
+    # At beta = 1 the loss is bounded, and the auto window holds its whole
+    # range: the single-shot mass outside it, which the certificate charges,
+    # is exactly 0.  So account charges each single the mass its binning
+    # left outside, with no separate case for a bounded range.
+    from ggprivacy.accountant import (DEFAULT_SAMPLES, _auto_config,
+                                      _discretize_directions)
+    for k in (1, 10, 100):
+        spec = MechanismSpec(GGParams(1.0, sigma), 1.0, q, k)
+        cfg = _auto_config(spec, k, DEFAULT_SAMPLES, 2 ** 12)
+        for one in _discretize_directions(spec, cfg).values():
+            assert one.tail_upper == 0.0
+
+
 @pytest.mark.parametrize("points", [1, 0, 2.5, True])
 def test_account_checks_curve_points_before_sampling(points, monkeypatch):
     from ggprivacy import accountant
@@ -624,7 +653,7 @@ def test_accounting_draws_nothing(monkeypatch):
     spec = MechanismSpec(GGParams(1.5, 2.0), 1.0, 0.1, 5)
     a, b = (account(spec, delta=1e-5, rng=seed, **small) for seed in (1, 2))
     assert a.epsilon.hex() == b.epsilon.hex() and (a.seed, b.seed) == (1, 2)
-    CompositionLedger(spec, k_cap=5, **small).max_steps(1.0, 1e-5)
+    CompositionLedger(spec, k_cap=5, bins=2 ** 12).max_steps(1.0, 1e-5)
     calibrate.solve_sigma(2.0, calibrate.PrivacyTarget(2.0, 1e-5), tolerance=0.2,
                           **small)
 
@@ -633,7 +662,8 @@ def test_accounting_draws_nothing(monkeypatch):
 def test_account_and_ledger_take_only_an_int_seed(rng):
     with pytest.raises(ParameterError, match="rng"):
         account(GAUSS, delta=1e-5, rng=rng)
-    with pytest.raises(ParameterError, match="rng"):
+    # The ledger draws nothing, so it takes no seed at all.
+    with pytest.raises(TypeError, match="rng"):
         CompositionLedger(GAUSS, rng=rng)
 
 
@@ -679,7 +709,7 @@ def test_account_depends_on_the_spec_only_through_its_loss_key(q):
     a, b = (account(spec, delta=1e-5, rng=3, **small) for spec in specs)
     assert a.epsilon.hex() == b.epsilon.hex()
     assert (a.eta, a.tau, a.config) == (b.eta, b.tau, b.config)
-    ledgers = [CompositionLedger(spec, rng=3, k_cap=10, **small).composed(10)
+    ledgers = [CompositionLedger(spec, k_cap=10, bins=2 ** 12).composed(10)
                for spec in specs]
     for direction, prv in a.composed.items():
         for got in (b.composed[direction], *(led[direction] for led in ledgers)):
@@ -708,7 +738,7 @@ def test_account_subsampled_uses_both_directions():
 @pytest.fixture(scope="module")
 def ledger():
     spec = MechanismSpec(GGParams(2.0, 3.0 * math.sqrt(2.0)), 1.0)
-    return CompositionLedger(spec, k_cap=32, samples_n=30_000, bins=2 ** 12)
+    return CompositionLedger(spec, k_cap=32, bins=2 ** 12)
 
 
 def test_ledger_epsilon_grows_with_steps(ledger):
@@ -796,22 +826,21 @@ def test_ledger_validates_k_cap(k_cap):
 
 def test_ledger_budget_exhausted():
     spec = MechanismSpec(GGParams(2.0, 0.5), 1.0)
-    tiny = CompositionLedger(spec, k_cap=4, samples_n=30_000, bins=2 ** 12)
+    tiny = CompositionLedger(spec, k_cap=4, bins=2 ** 12)
     with pytest.raises(BudgetExhaustedError, match="single step"):
         tiny.max_steps(0.5, 1e-5)
 
 
 def test_ledger_shares_account_discretization():
-    # The ledger and account draw and compose through one path, and a ledger
-    # capped at k sizes its window for k, so at one seed and size they
-    # produce the same composed PRVs bit for bit.
-    small = dict(samples_n=30_000, bins=2 ** 12)
+    # The ledger and account discretize and compose through one path, and a
+    # ledger capped at k sizes its window for k, so at one size they produce
+    # the same composed PRVs bit for bit.
     noise = GGParams(1.5, 2.0)
     k = 7
-    ledger = CompositionLedger(MechanismSpec(noise, 1.0, 0.05, 1), rng=4,
-                               k_cap=k, **small)
+    ledger = CompositionLedger(MechanismSpec(noise, 1.0, 0.05, 1), k_cap=k,
+                               bins=2 ** 12)
     direct = account(MechanismSpec(noise, 1.0, 0.05, k), rng=4, delta=1e-5,
-                     **small).composed
+                     samples_n=30_000, bins=2 ** 12).composed
     got = ledger.composed(k)
     assert set(got) == set(direct) == {LossDirection.REMOVE, LossDirection.ADD}
     for direction, prv in got.items():
@@ -845,7 +874,7 @@ def test_account_frozen_results(beta, q):
 
 def test_ledger_frozen_max_steps():
     ledger = CompositionLedger(MechanismSpec(GGParams(2.0, 3.0), 1.0, 0.25, 1),
-                               k_cap=256, samples_n=30_000, bins=2 ** 12)
+                               k_cap=256, bins=2 ** 12)
     assert ledger.max_steps(4.0, 1e-5) == 47
     assert ledger.epsilon_at(47, 1e-5) == pytest.approx(3.9723778886625385,
                                                         rel=1e-9)

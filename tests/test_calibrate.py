@@ -34,7 +34,7 @@ from ggprivacy.prv import MechanismSpec
 
 # Unit-scale solver settings: a small grid keeps each probe cheap; the
 # deep-tail regime is exercised on larger grids in the acceptance suite.
-FAST = dict(samples_n=50_000, bins=2 ** 13)
+FAST = dict(bins=2 ** 13)
 TARGET = dict(epsilon=2.0, delta=1e-3)
 TOL = 0.2
 
@@ -106,7 +106,8 @@ def test_calibration_takes_only_an_int_seed():
     gen = np.random.default_rng(0)
     with pytest.raises(ParameterError, match="rng"):
         solve_sigma(2.0, PrivacyTarget(**TARGET), rng=gen, **FAST)
-    with pytest.raises(ParameterError, match="rng"):
+    # A family solve draws nothing, so it takes no seed at all.
+    with pytest.raises(TypeError, match="rng"):
         equivalent_family([1.0, 2.0], PrivacyTarget(**TARGET), rng=gen, **FAST)
 
 

@@ -15,7 +15,9 @@ from ggprivacy.cli import (_SUBCOMMANDS, _apply_config_defaults,
 from ggprivacy.errors import ParameterError
 from ggprivacy.simulate import histograms_to_csv, build_histogram
 
-FAST_ACCT = ["--samples", "50000", "--bins", "8192"]
+FAST_ACCT = ["--bins", "8192"]
+# epsilon alone takes --samples: it prints the certificate that assumes it.
+EPSILON_ACCT = ["--samples", "50000", *FAST_ACCT]
 
 SUBCOMMANDS = ["sample", "epsilon", "solve-sigma", "family", "tail-weight",
                "simulate-argmax", "pate-label", "train", "replay"]
@@ -185,7 +187,7 @@ def test_config_without_subcommand_is_usage_error(tmp_path):
 def test_epsilon_reports_estimate_and_conservative(capsys):
     # At these sizes eta = 1: the certificate line says it is vacuous.
     rc = main(["epsilon", "--beta", "2", "--sigma", repr(math.sqrt(2)),
-               "--delta", "1e-5", "--seed", "3", *FAST_ACCT])
+               "--delta", "1e-5", *EPSILON_ACCT])
     assert rc == 0
     out = capsys.readouterr().out
     assert "epsilon = " in out and "conservative:" not in out
@@ -241,14 +243,16 @@ def test_epsilon_curve_points_below_two_exits_one(capsys):
 def test_epsilon_out_writes_curve_and_manifest(tmp_path, capsys):
     out = tmp_path / "curve.json"
     rc = main(["epsilon", "--beta", "2", "--sigma", "1.5", "--delta", "1e-4",
-               "--seed", "5", "--out", str(out), *FAST_ACCT])
+               "--out", str(out), *EPSILON_ACCT])
     assert rc == 0
     assert "wrote" in capsys.readouterr().out
     curve = json.loads(out.read_text())
     assert set(curve) == {"epsilon", "delta", "eta", "tau", "config", "mechanism"}
     manifest = json.loads((tmp_path / "curve.json.manifest.json").read_text())
     assert manifest["command"] == "epsilon"
-    assert manifest["seed"] == 5
+    # epsilon draws nothing, so its manifest records no seed.
+    assert "seed" not in manifest and "seed" not in manifest["arguments"]
+    assert manifest["arguments"]["samples"] == 50000
     assert manifest["outputs"] == [{
         "name": "curve.json",
         "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}]
@@ -258,7 +262,7 @@ def test_epsilon_out_writes_curve_and_manifest(tmp_path, capsys):
 def test_replay_reproduces_outputs_bytewise(tmp_path, capsys):
     out = tmp_path / "curve.json"
     assert main(["epsilon", "--beta", "2", "--sigma", "1.5", "--delta", "1e-4",
-                 "--seed", "5", "--out", str(out), *FAST_ACCT]) == 0
+                 "--out", str(out), *EPSILON_ACCT]) == 0
     original = out.read_bytes()
     manifest_path = tmp_path / "curve.json.manifest.json"
     original_manifest = manifest_path.read_bytes()
@@ -276,7 +280,7 @@ def test_replay_reproduces_outputs_bytewise(tmp_path, capsys):
 def test_replay_fails_on_hash_mismatch(tmp_path, capsys, edit, problem):
     out = tmp_path / "curve.json"
     assert main(["epsilon", "--beta", "2", "--sigma", "1.5", "--delta", "1e-4",
-                 "--seed", "5", "--out", str(out), *FAST_ACCT]) == 0
+                 "--out", str(out), *EPSILON_ACCT]) == 0
     manifest_path = tmp_path / "curve.json.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["outputs"] = [edit(manifest["outputs"][0])]
@@ -293,7 +297,7 @@ def test_replay_reproduces_repeated_flag_and_switch(tmp_path, capsys):
     out = tmp_path / "tails.csv"
     assert main(["tail-weight", "--betas", "1,2", "--cutoff", "1",
                  "--cutoff", "2", "--smooth", "--epsilon", "2",
-                 "--delta", "1e-3", "--tolerance", "0.2", "--seed", "3",
+                 "--delta", "1e-3", "--tolerance", "0.2",
                  "--out", str(out), *FAST_ACCT]) == 0
     manifest_path = tmp_path / "tails.csv.manifest.json"
     arguments = json.loads(manifest_path.read_text())["arguments"]
@@ -349,7 +353,9 @@ def test_replay_rejects_unknown_command(tmp_path, capsys):
 
 SAMPLE_ARGS = {"beta": 2.0, "sigma": 1.0, "count": 3, "seed": 1, "out": "o.txt"}
 EPSILON_ARGS = {"beta": 2.0, "sigma": 1.0, "compositions": 20, "delta": 1e-5,
-                "seed": 1, "out": "o.txt"}
+                "out": "o.txt"}
+SOLVE_ARGS = {"beta": 1.5, "epsilon": 2.0, "delta": 1e-5, "bins": 8192,
+              "out": "o.txt"}
 
 
 @pytest.mark.parametrize("manifest,field", [
@@ -367,11 +373,16 @@ EPSILON_ARGS = {"beta": 2.0, "sigma": 1.0, "compositions": 20, "delta": 1e-5,
       "outputs": ["o.txt"]}, "'bogus'"),
     ({"command": "epsilon", "arguments": {**EPSILON_ARGS, "trunc_l": 30.0},
       "outputs": ["o.txt"]}, "'trunc_l'"),
+    ({"command": "solve-sigma", "arguments": {**SOLVE_ARGS, "seed": 61803398},
+      "outputs": ["o.txt"]}, "'seed'"),
+    ({"command": "solve-sigma",
+      "arguments": {**SOLVE_ARGS, "samples": 5000000}, "outputs": ["o.txt"]},
+     "'samples'"),
     ({"command": "sample", "arguments": {**SAMPLE_ARGS, "beta": [2.0, 3.0]},
       "outputs": ["o.txt"]}, "'beta'"),
 ], ids=["not-json", "no-command", "outputs-string", "arguments-list",
         "text-for-int", "float-for-int", "unknown-key", "window-key",
-        "list-for-one"])
+        "seed-key", "samples-key", "list-for-one"])
 def test_replay_rejects_malformed_manifest_before_running(
         tmp_path, capsys, monkeypatch, manifest, field):
     monkeypatch.chdir(tmp_path)
@@ -384,12 +395,27 @@ def test_replay_rejects_malformed_manifest_before_running(
     assert [p.name for p in tmp_path.iterdir()] == [bad.name]
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("epsilon", "--seed"), ("solve-sigma", "--seed"), ("family", "--seed"),
+    ("tail-weight", "--seed"), ("solve-sigma", "--samples"),
+    ("family", "--samples"), ("tail-weight", "--samples"),
+    ("simulate-argmax", "--samples")])
+def test_commands_take_no_seed_or_sample_count_they_would_not_use(
+        capsys, command, flag):
+    # The accountant and calibration commands draw nothing, and only
+    # epsilon prints the certificate that a sample count sizes.
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "3"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
 # -- calibration commands -------------------------------------------------------------
 
 def test_solve_sigma_command(tmp_path, capsys):
     out = tmp_path / "solved.json"
     rc = main(["solve-sigma", "--beta", "2", "--epsilon", "2",
-               "--delta", "1e-3", "--tolerance", "0.2", "--seed", "2",
+               "--delta", "1e-3", "--tolerance", "0.2",
                "--out", str(out), *FAST_ACCT])
     assert rc == 0
     text = capsys.readouterr().out
@@ -409,7 +435,7 @@ def test_solve_sigma_command(tmp_path, capsys):
 def test_family_command_writes_csv(tmp_path, capsys):
     out = tmp_path / "family.csv"
     rc = main(["family", "--betas", "1:2:3", "--epsilon", "2",
-               "--delta", "1e-3", "--tolerance", "0.2", "--seed", "2",
+               "--delta", "1e-3", "--tolerance", "0.2",
                "--out", str(out), *FAST_ACCT])
     assert rc == 0
     assert "sigma monotone in beta:" in capsys.readouterr().out
@@ -423,8 +449,7 @@ def test_tail_weight_command_repeatable_cutoff(tmp_path, capsys):
     out = tmp_path / "tails.csv"
     rc = main(["tail-weight", "--betas", "1,2", "--cutoff", "1",
                "--cutoff", "2", "--smooth", "--epsilon", "2", "--delta", "1e-3",
-               "--tolerance", "0.2", "--seed", "2", "--out", str(out),
-               *FAST_ACCT])
+               "--tolerance", "0.2", "--out", str(out), *FAST_ACCT])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     # Smoothing needs >= 5 shapes, so no extra column appears here.
@@ -440,7 +465,7 @@ def test_simulate_argmax_small_sweep(tmp_path, capsys):
                "--epsilon", "2", "--delta", "1e-3", "--tolerance", "0.3",
                "--r-grid", "0.02:0.1:2", "--histograms-per-r", "2",
                "--trials", "5", "--total-votes", "100", "--seed", "5",
-               "--out", str(out), "--samples", "30000", "--bins", "4096"])
+               "--out", str(out), "--bins", "4096"])
     assert rc == 0
     assert "normalized AUC" in capsys.readouterr().out
     lines = out.read_text().strip().splitlines()

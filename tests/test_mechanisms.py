@@ -440,11 +440,10 @@ def test_train_halts_at_budget(rng):
     cfg = TrainConfig(batch_size=30, epochs=4,
                       noise=GGParams(2.0, 3 * math.sqrt(2.0)),
                       target_epsilon=1.0, target_delta=1e-5,
-                      ledger_samples=30_000, ledger_bins=2 ** 12)
+                      ledger_bins=2 ** 12)
     planned = 4 * 4
     spec = MechanismSpec(cfg.noise, cfg.clip_norm, 30 / 120, 1)
-    ledger = CompositionLedger(spec, k_cap=planned, samples_n=30_000,
-                               bins=2 ** 12)
+    ledger = CompositionLedger(spec, k_cap=planned, bins=2 ** 12)
     budget = ledger.max_steps(cfg.target_epsilon, cfg.target_delta)
     assert budget < planned  # otherwise this test would not exercise the halt
     result = train_noisy_sgd(model, data, cfg, np.random.default_rng(9))
@@ -460,10 +459,10 @@ def test_train_accounts_the_noise_it_adds_at_any_clip_norm(rng):
     model, data = small_problem(rng)
     cfg = TrainConfig(batch_size=30, epochs=2, clip_norm=0.25,
                       noise=GGParams(2.0, 3.0), target_epsilon=50.0,
-                      ledger_samples=30_000, ledger_bins=2 ** 12)
+                      ledger_bins=2 ** 12)
     result = train_noisy_sgd(model, data, cfg, np.random.default_rng(3))
     assert result.steps == 2 * 4
-    kwargs = dict(k_cap=2 * 4, samples_n=30_000, bins=2 ** 12)
+    kwargs = dict(k_cap=2 * 4, bins=2 ** 12)
     released = CompositionLedger(
         MechanismSpec(GGParams(2.0, 3.0 * 0.25), 0.25, 30 / 120, 1), **kwargs)
     assert result.epsilon == released.epsilon_at(result.steps, cfg.target_delta)

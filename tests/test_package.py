@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib.util
 import os
@@ -15,13 +16,15 @@ import numpy as np
 import pytest
 
 import ggprivacy
-from ggprivacy import (CompositionLedger, GGParams, LogisticModel,
-                       LossDirection, MechanismSpec, ParameterError,
-                       PrivacyTarget, TrainConfig, account, build_histogram,
-                       multidim_prv_sample, sample, sample_inverse_cdf,
-                       sample_prv, train_noisy_sgd)
+from ggprivacy import (CompositionLedger, DiscretePRV, GGParams,
+                       LogisticModel, LossDirection, MechanismSpec,
+                       ParameterError, PrivacyTarget, TrainConfig, account,
+                       build_histogram, compose, gg_mechanism, lbeta_clip,
+                       multidim_prv_sample, sample, sample_prv, sgg_mechanism,
+                       solve_sigma, train_noisy_sgd)
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_all_lists_resolvable_public_api_only():
@@ -108,10 +111,12 @@ def _rng():
     return np.random.default_rng(0)
 
 
+def _prv(**knobs) -> DiscretePRV:
+    return DiscretePRV(np.array([0.25, 0.5, 0.25]), 1.0, **knobs)
+
+
 COUNTS = {  # (call with the count v, the name the error must give)
     "sample": (lambda v: sample(GGParams(1.5, 1.0), _rng(), v), "count"),
-    "sample_inverse_cdf": (
-        lambda v: sample_inverse_cdf(GGParams(1.5, 1.0), _rng(), v), "count"),
     "sample_prv": (
         lambda v: sample_prv(GAUSS, LossDirection.REMOVE, _rng(), v), "count"),
     "multidim_prv_sample": (
@@ -132,6 +137,8 @@ COUNTS = {  # (call with the count v, the name the error must give)
         lambda v: build_histogram(2, v, 0.1, _rng()), "total_votes"),
     "train.batch_size": (lambda v: _train(batch_size=v), "batch_size"),
     "train.epochs": (lambda v: _train(batch_size=5, epochs=v), "epochs"),
+    "compose": (lambda v: compose([(_prv(), v)]), "multiplicity"),
+    "DiscretePRV": (lambda v: _prv(compositions=v), "compositions"),
 }
 
 
@@ -146,6 +153,59 @@ def test_every_count_takes_only_an_integer(call, name, value):
     with pytest.raises(ParameterError, match=rf"^{name} must be an integer"):
         call(value)
     call(np.int64(3))
+
+
+_TARGET = PrivacyTarget(2.0, 1e-5)
+REALS = {  # (call with the number v, the name the error must give, a valid v)
+    "MechanismSpec.sensitivity": (
+        lambda v: MechanismSpec(GGParams(2.0, 1.0), v), "sensitivity", 1.0),
+    "MechanismSpec.sample_rate": (
+        lambda v: MechanismSpec(GGParams(2.0, 1.0), 1.0, v), "sample_rate",
+        1.0),
+    "PrivacyTarget.epsilon": (lambda v: PrivacyTarget(v, 1e-5), "epsilon",
+                              1.0),
+    "PrivacyTarget.delta": (lambda v: PrivacyTarget(1.0, v), "delta", 1e-5),
+    "PrivacyTarget.sample_rate": (
+        lambda v: PrivacyTarget(1.0, 1e-5, 1, v), "sample_rate", 0.5),
+    "GGParams.beta": (lambda v: GGParams(v, 1.0), "beta", 2.0),
+    "GGParams.sigma": (lambda v: GGParams(2.0, v), "sigma", 1.0),
+    "account.epsilon": (lambda v: account(GAUSS, epsilon=v, bins=2 ** 12),
+                        "epsilon", 1.0),
+    "account.delta": (lambda v: account(GAUSS, delta=v, bins=2 ** 12),
+                      "delta", 1e-5),
+    "solve_sigma.sensitivity": (
+        lambda v: solve_sigma(2.0, _TARGET, sensitivity=v, tolerance=0.2,
+                              bins=2 ** 12), "sensitivity", 1.0),
+    "solve_sigma.tolerance": (
+        lambda v: solve_sigma(2.0, _TARGET, tolerance=v, bins=2 ** 12),
+        "tolerance", 0.2),
+    "gg_mechanism": (
+        lambda v: gg_mechanism([0.0], v, GGParams(2.0, 1.0), _rng()),
+        "sensitivity", 1.0),
+    "sgg_mechanism": (
+        lambda v: sgg_mechanism(np.ones(4), np.sum, 1.0, GGParams(2.0, 1.0),
+                                v, _rng()), "sample_rate", 0.5),
+    "lbeta_clip": (lambda v: lbeta_clip([3.0, 4.0], 2.0, v), "clip_norm",
+                   1.0),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", 1j],
+                         ids=["bool", "numpy-bool", "text", "complex"])
+@pytest.mark.parametrize("call,name,valid", list(REALS.values()),
+                         ids=list(REALS))
+def test_every_real_takes_only_a_real_number(call, name, valid, value):
+    # One rule for every real-valued parameter: an int, a float or a numpy
+    # integer or float, never a bool or text.  Each is refused with a
+    # ParameterError that names the parameter; a field keeps a float.
+    with pytest.raises(ParameterError, match=rf"^{name} must be a real number"):
+        call(value)
+    for number in (np.float64(valid), int(valid)):
+        if number != valid:
+            continue  # a valid value that is not a whole number
+        got = call(number)
+        if dataclasses.is_dataclass(got) and name in vars(got):
+            assert type(getattr(got, name)) is float
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
@@ -167,3 +227,23 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
         tracer.restore()
     assert all(owner.__dict__[attr] is original
                for owner, attr, original in patched)
+
+
+@functools.cache
+def _workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("name", ["account", "calibrate", "train", "argmax"])
+def test_every_benchmark_workload_runs_one_pass_and_its_check(name):
+    # One pass of each perfbench workload, as the runner makes it, and the
+    # workload's own output check: a name or a parameter the benchmark still
+    # passes fails here when it goes, not only in CI's benchmark smoke run.
+    workload = _workloads().WORKLOADS[name](1)
+    records = [call() for _, call in workload.ops]
+    results = workload.check(records).results
+    assert results and all(ok for _, ok, _ in results), results

@@ -22,17 +22,16 @@ from ggprivacy import (
 )
 from ggprivacy.prv import (
     directions_for,
-    gaussian_prv_cdf,
     laplace_prv_cdf,
     loss_cdf,
     loss_cdfs_on_grid,
     loss_function,
     loss_moments,
-    loss_range,
     multidim_prv_sample,
     sample_prv,
     subsampled_loss_function,
 )
+from oracles import gaussian_prv_cdf
 
 GAUSS = MechanismSpec(GGParams(2.0, math.sqrt(2.0)), 1.0)          # loss ~ N(1/2, 1)
 GAUSS_Q = MechanismSpec(GGParams(2.0, math.sqrt(2.0)), 1.0, 0.01)
@@ -116,37 +115,48 @@ def test_base_loss_range_laplace():
     t = np.linspace(-50.0, 50.0, 10001)
     vals = loss_function(LAP, t)
     assert vals.max() <= 1.0 + 1e-12 and vals.min() >= -1.0 - 1e-12
+    # The exact law holds all its mass in [-1, 1], with an atom at each end.
     for direction in LossDirection:
-        assert loss_range(LAP, direction) == (-1.0, 1.0)
+        cdf = loss_cdf(LAP, direction)
+        assert cdf(math.nextafter(-1.0, -math.inf)) == 0.0 < cdf(-1.0)
+        assert cdf(math.nextafter(1.0, -math.inf)) < 1.0 == cdf(1.0)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.01])
 @pytest.mark.parametrize("direction", list(LossDirection))
 def test_subsampled_loss_range_matches_dense_extremes(q, direction):
     # At beta = 1 the base loss is flat beyond [0, Delta], so a dense grid
-    # over a wider interval attains both ends of the range.
+    # over a wider interval attains both ends of the range; the exact CDF
+    # holds all its mass between them, with an atom at each.
     spec = MechanismSpec(GGParams(1.0, 2.0), 1.5, q)
     vals = subsampled_loss_function(spec, np.linspace(-4.0, 5.5, 20001),
                                     direction)
-    lo, hi = loss_range(spec, direction)
-    npt.assert_allclose([lo, hi], [vals.min(), vals.max()], rtol=1e-14)
+    lo, hi = vals.min(), vals.max()
+    cdf = loss_cdf(spec, direction)
+    slack = 1e-14 * max(abs(lo), abs(hi))
+    assert cdf(lo - slack) == 0.0 < cdf(lo + slack)
+    assert cdf(hi - slack) < 1.0 == cdf(hi + slack)
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("q", [None, 1.0, 0.3])
 def test_loss_range_unbounded_above_beta_one(beta, q):
+    # At beta = 1 the loss would lie in [-1/2, 1/2] (Delta/sigma = 1/2);
+    # above it the exact law has mass beyond +-1 on each unbounded side.
     spec = MechanismSpec(GGParams(beta, 2.0), 1.0, q)
     for direction in LossDirection:
-        lo, hi = loss_range(spec, direction)
+        cdf = loss_cdf(spec, direction)
         if q is None or q == 1.0:
-            assert (lo, hi) == (-math.inf, math.inf)
+            assert 0.0 < cdf(-1.0) and cdf(1.0) < 1.0
         elif direction is LossDirection.REMOVE:
             # log(M/Q) >= log(1 - q) and is unbounded above
-            assert lo == pytest.approx(math.log1p(-q), rel=1e-15)
-            assert hi == math.inf
+            floor = math.log1p(-q)
+            assert cdf(floor) == 0.0 < cdf(floor + 0.1)
+            assert cdf(1.0) < 1.0
         else:
-            assert lo == -math.inf
-            assert hi == pytest.approx(-math.log1p(-q), rel=1e-15)
+            ceiling = -math.log1p(-q)
+            assert 0.0 < cdf(-1.0)
+            assert cdf(ceiling - 0.1) < 1.0 == cdf(ceiling)
 
 
 # -- sampled losses -----------------------------------------------------------
