@@ -34,11 +34,11 @@ conditional mean; self-compose the binned distribution with FFT powers
   inverts that segment in closed form.
 
 `account` and `CompositionLedger` share that path: both discretize through
-`_discretize_directions` and compose through `compose`.  The ledger's
-`max_steps` brackets the step count on a coarse grid and confirms it on
-its own, which alone decides.  Nothing on the path samples.  The paper's
-sampled estimator, `discretize_from_samples` fed by `prv.sample_prv`,
-stays as its reproduction and as a cross-check.
+`_discretize_directions`, compose through `compose` and read epsilon
+through `_epsilon_within_window`, which refuses an answer that the window
+caps.  The ledger's `max_steps` searches on its own grid.  Nothing on the
+path samples.  The paper's sampled estimator, `discretize_from_samples` fed
+by `prv.sample_prv`, stays as its reproduction and as a cross-check.
 
 Alongside the point estimates the accountant evaluates the paper's
 finite-sample error certificate ``(eta, tau)``: the true delta at
@@ -94,9 +94,6 @@ _WINDOW_GROWTH = 1.25
 _SAMPLE_CHUNK = 2_500_000
 _MIN_ACCEPTANCE = 0.10
 _MASS_DRIFT_TOL = 1e-9
-# Cells requested for the coarse stage of `CompositionLedger.max_steps` and
-# `calibrate.solve_sigma`: a probe there costs a small share of one at 2^16.
-_COARSE_BINS = 2 ** 12
 # `_suffix_sums` blocks: a span of 32 keeps p_j exp(-(j - i) h) within one
 # block normal for p_j above 1e-294, and 1024-cell blocks cost ~2e3 exps.
 _BLOCK_SPAN = 32.0
@@ -707,6 +704,23 @@ def _discretize_directions(spec: MechanismSpec,
             for direction, F in loss_cdfs_on_grid(spec, edges).items()}
 
 
+def _epsilon_within_window(composed, delta: float) -> float:
+    """The largest `DiscretePRV.epsilon_at` ``delta`` over ``composed``, or
+    `RangeError` when one falls in its window's top cell, where the window,
+    not the loss, sets it: at beta = 2, sigma = 4, k = 100 on the default
+    grid, delta = 1e-40 would read the top point, 48.676, for a true 52.90."""
+    eps = 0.0
+    for prv in composed:
+        e = prv.epsilon_at(delta)
+        floor = (prv.half_bins - 1) * prv.mesh_h + prv.offset
+        if e > floor:
+            raise RangeError(
+                f"delta = {delta!r} lies below {prv.delta_at(floor):.3g}, the "
+                f"smallest delta the window of L = {prv.trunc_L:.6g} resolves")
+        eps = max(eps, e)
+    return eps
+
+
 def account(spec: MechanismSpec, *,
             epsilon: float | None = None, delta: float | None = None,
             rng=None, curve_points: int = 129,
@@ -722,7 +736,8 @@ def account(spec: MechanismSpec, *,
     reported.  ``rng`` is validated and reported as `AccountResult.seed`;
     the result does not depend on it.  ``rng`` and ``samples_n`` stay while
     `perfbench/workloads.py` passes them, and go with the certificate
-    (ROADMAP item 1).
+    (ROADMAP item 1).  A ``delta`` whose epsilon falls in the window's top
+    cell raises `RangeError` (`_epsilon_within_window`).
 
     The reported ``epsilon`` / ``delta`` is a point estimate.  When ``eta
     >= 1`` or ``tau >= epsilon`` the certificate is vacuous, as it is at the
@@ -760,7 +775,7 @@ def account(spec: MechanismSpec, *,
     tau = max(b.tau for b in bounds.values())
 
     if delta is not None:
-        eps_est = max(prv.epsilon_at(delta) for prv in composed.values())
+        eps_est = _epsilon_within_window(composed.values(), delta)
         delta_est = float(delta)
     else:
         eps_est = float(epsilon)
@@ -795,10 +810,9 @@ class CompositionLedger:
     ``composed(k_cap)`` is `account`'s result at ``k_cap`` compositions and
     the same sizes.  It draws nothing and reads no certificate, so it
     takes no seed and no sample count.  Built for training loops that need
-    "how many more steps fit in the budget" (`max_steps`), which searches
-    on two grids.
+    "how many more steps fit in the budget" (`max_steps`).
     ``evaluations`` lists every probe `max_steps` made, in the order made,
-    as ``(k, epsilon, cells)`` with the cell count of the probe's grid.
+    as ``(k, epsilon)``.
     """
 
     def __init__(self, spec: MechanismSpec, *, k_cap: int = 4096,
@@ -807,9 +821,8 @@ class CompositionLedger:
         self.spec = spec
         self.cfg = _auto_config(spec, self.k_cap, DEFAULT_SAMPLES, bins)
         self._singles = _discretize_directions(spec, self.cfg)
-        self._coarse_singles: dict[LossDirection, DiscretePRV] | None = None
         self._eps_cache: dict[tuple[int, float], float] = {}
-        self.evaluations: list[tuple[int, float, int]] = []
+        self.evaluations: list[tuple[int, float]] = []
 
     def composed(self, k: int) -> dict[LossDirection, DiscretePRV]:
         if _integer("k", k, 1) > self.k_cap:
@@ -820,74 +833,56 @@ class CompositionLedger:
     def epsilon_at(self, k: int, delta: float) -> float:
         key = (_integer("k", k, 1), float(delta))
         if key not in self._eps_cache:
-            self._eps_cache[key] = max(prv.epsilon_at(delta)
-                                       for prv in self.composed(k).values())
+            self._eps_cache[key] = _epsilon_within_window(
+                self.composed(k).values(), delta)
         return self._eps_cache[key]
 
     def max_steps(self, epsilon: float, delta: float) -> int:
         """Largest k <= k_cap with epsilon(k) <= epsilon on the ledger's grid,
         up to where that grid shows epsilon(k) <= epsilon < epsilon(k + 1).
 
-        The ledger's grid prices k = 1 (`BudgetExhaustedError` when it is
-        over budget) and k_cap.  Between them a grid of 2^12 cells over the
-        same window bisects in k, and its answer is the first guess on the
-        ledger's grid, which then takes regula falsi steps until it brackets
-        the budget itself (`_last_within`).  Only the ledger's grid decides.
-        A ledger of at most 2^12 cells searches alone.  Every probe lands in
-        ``evaluations``.
+        Prices k = 1 (`BudgetExhaustedError` when it is over budget) and
+        k_cap, then takes regula falsi steps between them until it brackets
+        the budget (`_last_within`).  Every probe lands in ``evaluations``.
+        A probe the window caps (`RangeError`) reads as the lowest epsilon
+        it can stand for; a budget at or above that raises the error.
         """
-        def recorded(epsilon_of, cells: int) -> Callable[[int], float]:
-            def probe(k: int) -> float:
-                eps = epsilon_of(k)
-                self.evaluations.append((k, eps, cells))
-                return eps
-            return probe
+        def probe(k: int) -> float:
+            try:
+                eps = self.epsilon_at(k, delta)
+            except RangeError:
+                # Past the second-highest support point, at least this high.
+                eps = (self.cfg.half_bins - 1) * self.cfg.mesh_h
+                if eps <= epsilon:
+                    raise
+            self.evaluations.append((k, eps))
+            return eps
 
-        fine = recorded(lambda k: self.epsilon_at(k, delta), self.cfg.bins)
-        first = fine(1)
+        first = probe(1)
         if first > epsilon:
             raise BudgetExhaustedError(
                 f"a single step already costs epsilon = {first:.4f} at "
                 f"delta = {delta:g}, over the budget {epsilon:g}")
         if self.k_cap == 1:
             return 1
-        last = fine(self.k_cap)
+        last = probe(self.k_cap)
         if last <= epsilon:
             return self.k_cap
-        guess = None
-        coarse_cfg = AccountantConfig(self.cfg.trunc_L, _COARSE_BINS)
-        if coarse_cfg.bins < self.cfg.bins:
-            if self._coarse_singles is None:
-                self._coarse_singles = _discretize_directions(self.spec,
-                                                              coarse_cfg)
-            coarse = recorded(lambda k: max(
-                compose([(one, k)]).epsilon_at(delta)
-                for one in self._coarse_singles.values()), coarse_cfg.bins)
-            lo, hi = 1, self.k_cap
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if coarse(mid) <= epsilon:
-                    lo = mid
-                else:
-                    hi = mid
-            guess = lo
-        return _last_within(fine, (1, first), (self.k_cap, last), epsilon,
-                            guess)
+        return _last_within(probe, (1, first), (self.k_cap, last), epsilon)
 
 
 def _last_within(probe: Callable[[int], float], low: tuple[int, float],
-                 high: tuple[int, float], target: float,
-                 guess: int | None) -> int:
+                 high: tuple[int, float], target: float) -> int:
     """The k with ``probe(k) <= target < probe(k + 1)``, from a bracket
     ``low = (lo, probe(lo))`` at most and ``high = (hi, probe(hi))`` over
     ``target``, with ``lo < hi``.
 
-    Probes ``guess`` first unless it is None.  Each later k is the floor of
-    where the chord between the bracket's ends, log epsilon against log k,
-    meets ``target`` (Illinois regula falsi: an end kept twice has its gap
-    halved), moved inside the bracket; so once a probe lands next to the
-    answer, the chord's next k usually closes the bracket.  Three steps that
-    together do not halve the bracket, or a chord from epsilon = 0, bisect.
+    Each k is the floor of where the chord between the bracket's ends, log
+    epsilon against log k, meets ``target`` (Illinois regula falsi: an end
+    kept twice has its gap halved), moved inside the bracket; so once a
+    probe lands next to the answer, the chord's next k usually closes the
+    bracket.  Three steps that together do not halve the bracket, or a chord
+    from epsilon = 0, bisect.
     """
     def gap(eps: float) -> float:
         return math.log(eps / target) if eps > 0.0 else -math.inf
@@ -896,12 +891,10 @@ def _last_within(probe: Callable[[int], float], low: tuple[int, float],
     f_lo, f_hi = gap(eps_lo), gap(eps_hi)
     kept = 0  # the end the last step kept: -1 lo, +1 hi
     widths = [hi - lo]
-    k = guess
     while hi - lo > 1:
-        if k is None:
-            stalled = len(widths) > 3 and widths[-1] > 0.5 * widths[-4]
-            k = (lo + hi) // 2 if stalled or not math.isfinite(f_lo) else \
-                math.floor(lo * (hi / lo) ** (f_lo / (f_lo - f_hi)))
+        stalled = len(widths) > 3 and widths[-1] > 0.5 * widths[-4]
+        k = (lo + hi) // 2 if stalled or not math.isfinite(f_lo) else \
+            math.floor(lo * (hi / lo) ** (f_lo / (f_lo - f_hi)))
         k = min(max(k, lo + 1), hi - 1)
         f = gap(probe(k))
         if f <= 0.0:
@@ -915,5 +908,4 @@ def _last_within(probe: Callable[[int], float], low: tuple[int, float],
                 f_lo *= 0.5
             kept = -1
         widths.append(hi - lo)
-        k = None
     return lo

@@ -85,7 +85,7 @@ def _check_clip(beta: float, clip_norm: float, values, name: str) -> None:
     if not (math.isfinite(clip_norm) and clip_norm > 0):
         raise ParameterError(
             f"clip_norm must be positive and finite, got {clip_norm!r}")
-    if not (1.0 <= beta <= ggdist.BETA_MAX):
+    if not (1.0 <= _real("beta", beta) <= ggdist.BETA_MAX):
         raise ParameterError(
             f"beta must lie in [1, {ggdist.BETA_MAX:g}], got {beta!r}")
     if not np.all(np.isfinite(values)):
@@ -342,6 +342,10 @@ def train_noisy_sgd(model, train_data, cfg: TrainConfig,
             f"batch_size must lie in [1, {n}], got {cfg.batch_size}")
     _integer("epochs", cfg.epochs, 1)
     _check_clip(cfg.noise.beta, cfg.clip_norm, X, "training features")
+    _real("learning_rate", cfg.learning_rate)
+    _real("target_delta", cfg.target_delta)
+    if cfg.target_epsilon is not None:
+        _real("target_epsilon", cfg.target_epsilon)
     q = cfg.batch_size / n
     steps_per_epoch = max(1, round(n / cfg.batch_size))
     planned = cfg.epochs * steps_per_epoch

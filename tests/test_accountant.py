@@ -31,6 +31,7 @@ from ggprivacy import (
     discretize_from_samples,
     error_bounds,
 )
+from ggprivacy.accountant import DEFAULT_BINS
 from ggprivacy.prv import laplace_prv_cdf
 from oracles import convolve_direct, gaussian_prv_cdf
 
@@ -581,6 +582,23 @@ def test_account_requires_exactly_one_target():
         account(GAUSS, epsilon=-1.0)
 
 
+def test_an_epsilon_the_window_caps_raises():
+    # beta = 2, sigma = 4, k = 100 on the default grid: the window is L =
+    # 48.68 and delta at the second-highest support point is 4.86e-24.  The
+    # exact epsilon is 42.63 at delta = 1e-25 and 52.90 at 1e-40; the grid
+    # read 48.676, its top cell, both times.
+    spec = MechanismSpec(GGParams(2.0, 4.0), 1.0, None, 100)
+    ledger = CompositionLedger(spec, k_cap=100, bins=DEFAULT_BINS)
+    for read in (lambda d: account(spec, delta=d).epsilon,
+                 lambda d: ledger.epsilon_at(100, d)):
+        for delta in (1e-25, 1e-40):
+            with pytest.raises(RangeError, match="4.86e-24"):
+                read(delta)
+        # Far below 1e-12, but below the top cell: the rest of ROADMAP item
+        # 3 owns that floor.
+        assert 40.0 < read(1e-16) < 48.0
+
+
 def test_entry_points_take_no_window():
     # Every entry point sizes its own window; a config passed where one was
     # once accepted is a TypeError, not a window and not a seed.
@@ -754,10 +772,12 @@ def test_ledger_max_steps_brackets_target(ledger):
         ledger.epsilon_at(33, 1e-5)
 
 
-@pytest.mark.parametrize("bins", [2 ** 12, 2 ** 13])
-def test_ledger_max_steps_matches_an_exhaustive_scan(bins):
-    # 2^12 bins search alone; 2^13 (8505 cells) take the coarse stage too.
-    spec = MechanismSpec(GGParams(2.0, 3.0 * math.sqrt(2.0)), 1.0)
+@pytest.mark.parametrize("spec,bins", [
+    (MechanismSpec(GGParams(2.0, 3.0 * math.sqrt(2.0)), 1.0), 2 ** 12),
+    (MechanismSpec(GGParams(2.0, 3.0 * math.sqrt(2.0)), 1.0), 2 ** 13),
+    (MechanismSpec(GGParams(1.5, 1.0), 1.0, 0.05), 2 ** 13),
+], ids=["4096", "8192", "beta1.5-q0.05-8192"])
+def test_ledger_max_steps_matches_an_exhaustive_scan(spec, bins):
     ledger = CompositionLedger(spec, k_cap=32, bins=bins)
     eps = [ledger.epsilon_at(k, 1e-5) for k in range(1, 33)]
     assert all(b > a for a, b in zip(eps, eps[1:]))
@@ -770,10 +790,8 @@ def test_ledger_max_steps_matches_an_exhaustive_scan(bins):
     assert ledger.max_steps(eps[-1], 1e-5) == ledger.k_cap
     with pytest.raises(BudgetExhaustedError, match="single step"):
         ledger.max_steps(math.nextafter(eps[0], 0.0), 1e-5)
-    cells = {c for _, _, c in ledger.evaluations}
-    coarse = AccountantConfig(ledger.cfg.trunc_L, 2 ** 12).bins
-    assert cells == ({ledger.cfg.bins} if bins == 2 ** 12
-                     else {coarse, ledger.cfg.bins})
+    for k, got in ledger.evaluations:
+        assert got == eps[k - 1]
 
 
 def test_ledger_max_steps_confirms_on_its_own_grid(train_ledger):
@@ -781,17 +799,30 @@ def test_ledger_max_steps_confirms_on_its_own_grid(train_ledger):
     before = len(ledger.evaluations)
     assert ledger.max_steps(8.0, 1e-5) == 110
     probes = ledger.evaluations[before:]
-    coarse_cells = AccountantConfig(ledger.cfg.trunc_L, 2 ** 12).bins
-    fine = [(k, eps) for k, eps, cells in probes if cells == ledger.cfg.bins]
-    coarse = [k for k, _, cells in probes if cells == coarse_cells]
-    assert len(fine) + len(coarse) == len(probes) and coarse
-    assert [k for k, _ in fine[:2]] == [1, ledger.k_cap]
-    assert len({k for k, _ in fine}) <= 6
-    # The last two probes are the ledger grid's own bracket of the budget.
-    (k_in, eps_in), (k_out, eps_out) = sorted(fine[-2:])
-    assert (k_in, k_out) == (110, 111) and eps_in <= 8.0 < eps_out
-    for k, eps in fine:
+    assert [k for k, _ in probes[:2]] == [1, ledger.k_cap]
+    assert len(probes) <= 7
+    # Every probe is the ledger grid's own epsilon, and the last two are
+    # its bracket of the budget.
+    for k, eps in probes:
         assert eps == ledger.epsilon_at(k, 1e-5)
+    (k_in, eps_in), (k_out, eps_out) = sorted(probes[-2:])
+    assert (k_in, k_out) == (110, 111) and eps_in <= 8.0 < eps_out
+
+
+def test_ledger_max_steps_counts_a_capped_probe_as_over_budget():
+    # At 2^13 bins the window sized for k_cap = 30000 (L = 1225.7) caps
+    # epsilon(k_cap) at delta = 1e-5.  max_steps reads that probe as the
+    # lowest epsilon it can stand for, L - 1.5 h, over the budget; a budget
+    # at or above that point cannot be decided and raises.
+    spec = MechanismSpec(GGParams(1.0, 1.0), 1.0, 0.25)
+    ledger = CompositionLedger(spec, k_cap=30000, bins=2 ** 13)
+    with pytest.raises(RangeError):
+        ledger.epsilon_at(30000, 1e-5)
+    floor = (ledger.cfg.half_bins - 1) * ledger.cfg.mesh_h
+    assert ledger.max_steps(1.0, 1e-5) == 3
+    assert ledger.evaluations[1] == (30000, floor)
+    with pytest.raises(RangeError):
+        ledger.max_steps(floor, 1e-5)
 
 
 @pytest.mark.parametrize("curve", [
@@ -812,8 +843,7 @@ def test_last_within_brackets_any_increasing_curve(curve):
             seen.append(k)
             return curve(k)
 
-        got = _last_within(probe, (1, curve(1)), (hi, curve(hi)), target,
-                           guess=answer + 37)
+        got = _last_within(probe, (1, curve(1)), (hi, curve(hi)), target)
         assert curve(got) <= target < curve(got + 1) and got == answer
         assert len(seen) == len(set(seen)) <= 4 * math.log2(hi)
 

@@ -187,6 +187,18 @@ REALS = {  # (call with the number v, the name the error must give, a valid v)
                                 v, _rng()), "sample_rate", 0.5),
     "lbeta_clip": (lambda v: lbeta_clip([3.0, 4.0], 2.0, v), "clip_norm",
                    1.0),
+    "lbeta_clip.beta": (lambda v: lbeta_clip([3.0, 4.0], v, 1.0), "beta",
+                        2.0),
+    "train.clip_norm": (lambda v: _train(batch_size=5, clip_norm=v),
+                        "clip_norm", 1.0),
+    "train.learning_rate": (lambda v: _train(batch_size=5, learning_rate=v),
+                            "learning_rate", 0.5),
+    "train.target_epsilon": (
+        lambda v: _train(batch_size=5, target_epsilon=v), "target_epsilon",
+        8.0),
+    "train.target_delta": (
+        lambda v: _train(batch_size=5, target_epsilon=8.0, target_delta=v),
+        "target_delta", 1e-5),
 }
 
 
