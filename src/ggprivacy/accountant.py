@@ -1,18 +1,19 @@
 """Discretized privacy-loss accounting.
 
-The pipeline: take the exact CDF of the single-shot loss, bin it onto a
+The pipeline: take the exact law of the single-shot loss, bin it onto a
 uniform grid of ``2m + 1`` cells spanning a window [-L, L] with ``L = (m +
-1/2) h``, conditioned on the window, with a sub-cell offset from the exact
-conditional mean; self-compose the binned distribution with FFT powers
-(circular, i.e. modulo the window), and read ``delta(epsilon)`` /
-``epsilon(delta)`` off the composed grid.
+1/2) h``, conditioned on the window, at offset 0; self-compose the binned
+distribution with FFT powers (circular, i.e. modulo the window), and read
+``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.  The offset
+is 0: the conditional mean that integration by parts reads off the binned
+CDF is, by summation by parts, exactly the mean of the cell centres.
 
-* Every exact CDF value on this path, at the cell edges and at the window
-  ends ``+-L``, comes from `prv.loss_cdfs_on_grid`, bitwise equal to the
-  pointwise `prv.loss_cdf`.  The cell edges ``(i - 1/2) h`` are bitwise
-  symmetric about 0, so it serves every direction from one root solve (on
-  half the edges for a plain spec; REMOVE's solve, reversed, serves ADD)
-  and evaluates no tail that float64 saturates at 0.0 or 1.0.
+* Each cell's mass is the noise density's integral between the cell's two
+  noise crossings (`prv.loss_masses`), so it keeps its own relative
+  precision, down to the smallest cells of the upper tail.  Only the cells
+  that can carry mass are solved and integrated, from one root solve for
+  every direction (on half the edges for a plain spec; REMOVE's solve,
+  reversed, serves ADD); the rest of the grid is zero.
 * `DiscretePRV` is the one place that clips and normalizes masses: the
   discretizers hand it masses conditioned on the window, `compose` its raw
   inverse FFT.
@@ -23,9 +24,8 @@ conditional mean; self-compose the binned distribution with FFT powers
 * The window is sized from the exact loss moments (`prv.loss_moments`),
   then widened until ``k`` times the exact single-shot mass outside it is
   at most 1e-12 in each direction, so a rare inclusion with a large loss
-  is not renormalized away.  The mass above the window is read as ``1 -
-  F(L)``, which float64 resolves only to ``2**-54``, so on that side the
-  bound is ``1e-12 + k * 2**-54`` (5.6e-11 at ``k = 1e6``).
+  is not renormalized away.  The masses below and above the window are
+  read as tails at the noise crossings of its ends.
 * Queries read two suffix tables over the positive support ``y_i``: the
   mass ``S1[i]`` at or above ``y_i`` and the sum ``T[i]`` of those masses
   scaled by ``exp(-(y_j - y_i))``, so ``delta(eps) = S1[i] - exp(eps -
@@ -78,8 +78,8 @@ from . import kernels
 from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, GridMismatchError, ParameterError,
                      RangeError, TruncationError, _integer, _real)
-from .prv import (LossDirection, MechanismSpec, directions_for,
-                  loss_cdfs_on_grid, loss_moments)
+from .prv import (LossDirection, MechanismSpec, directions_for, loss_masses,
+                  loss_moments)
 # perfbench/spans.py patches sample_prv and discretize_from_samples here.
 # Nothing in this module calls sample_prv; the import goes once the
 # benchmark's tracer stops patching it (ROADMAP item 1).
@@ -231,11 +231,12 @@ class DiscretePRV:
     """A privacy-loss distribution binned to a uniform grid.
 
     ``probs[j]`` is the mass of grid index ``i = j - m`` whose loss value is
-    ``i * mesh_h + offset``.  Freshly discretized distributions carry an
-    offset in [0, mesh_h / 2]; composition adds offsets, so composed ones may
-    exceed that half-cell range.  Construction is the one place masses are
-    clipped at 0 and normalized, so ``probs`` may carry rounding error:
-    entries down to -1e-12 and a total within `_MASS_DRIFT_TOL` of 1.
+    ``i * mesh_h + offset``.  The exact discretizations carry offset 0 and
+    the sampled estimator one in [0, mesh_h / 2]; composition adds offsets,
+    so composed ones may exceed that half-cell range.  Construction is the
+    one place masses are clipped at 0 and normalized, so ``probs`` may carry
+    rounding error: entries down to -1e-12 and a total within
+    `_MASS_DRIFT_TOL` of 1.
     """
 
     probs: np.ndarray
@@ -284,7 +285,8 @@ class DiscretePRV:
         """rFFT of the probabilities with index 0 at loss 0, cached."""
         if self._rfft is None:
             object.__setattr__(self, "_rfft",
-                               sp_fft.rfft(np.fft.ifftshift(self.probs)))
+                               sp_fft.rfft(np.fft.ifftshift(self.probs),
+                                           overwrite_x=True))
         return self._rfft
 
     # -- delta / epsilon queries -------------------------------------------
@@ -303,11 +305,17 @@ class DiscretePRV:
         exp per cell.
         """
         if self._tables is None:
-            y = self.support()
-            j0 = int(np.searchsorted(y, 0.0, side="right"))
-            ys = np.concatenate([y[j0:], [np.inf]])
-            s1, t = _suffix_sums(self.probs[j0:], self.mesh_h)
-            d = s1[1:] - math.exp(-self.mesh_h) * t[1:]
+            # `support()` from just below its first positive point, padded
+            # with +inf, bitwise.
+            m, h = self.half_bins, self.mesh_h
+            start = max(-m, -math.ceil(self.offset / h) - 1)
+            ys = np.arange(start, m + 2, dtype=np.float64) * h + self.offset
+            ys[-1] = np.inf
+            skip = int(np.searchsorted(ys, 0.0, side="right"))
+            ys = ys[skip:]
+            s1, t = _suffix_sums(self.probs[start + m + skip:], h)
+            d = t[1:] * -math.exp(-h)      # s1[1:] - exp(-h) t[1:], bitwise
+            d += s1[1:]
             object.__setattr__(self, "_tables", (ys, s1, t, d))
         return self._tables
 
@@ -369,7 +377,8 @@ def _suffix_sums(p: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     flat = u.reshape(-1)
     flat[1:n + 1] = p[::-1]                     # flat[n - i] = p[i]
     s1 = np.cumsum(flat[:n + 1])[::-1]
-    t = np.cumsum(u * up, axis=1)
+    u *= up
+    t = np.cumsum(u, axis=1)
     carry = [0.0] * blocks
     ends, c, decay = t[:, -1].tolist(), 0.0, float(down[size])
     for b in range(blocks - 1):
@@ -447,10 +456,9 @@ def discretize_from_cdf(cdf_fn: Callable[[np.ndarray], np.ndarray],
                         cfg: AccountantConfig) -> DiscretePRV:
     """Deterministic discretization of a known loss CDF onto the grid.
 
-    Bin masses come from CDF differences at the cell edges, conditioned on
-    the window; the offset uses the exact conditional mean (CDF trapezoid
-    integration by parts).  Raises `TruncationError` when the window holds
-    less than 10% of the mass.
+    Bin masses are CDF differences at the cell edges ``(i - 1/2) h``,
+    conditioned on the window, at offset 0.  Raises `TruncationError` when
+    the window holds less than 10% of the mass.
 
     Conditioning on the caller's window drops the mass outside it, so a
     window too narrow for the query reports an epsilon that is too small,
@@ -459,39 +467,26 @@ def discretize_from_cdf(cdf_fn: Callable[[np.ndarray], np.ndarray],
     46.21.  `account` and `CompositionLedger` size their windows with
     `_auto_config`.
     """
-    edges = _cell_edges(cfg)
-    return _binned(edges, cdf_fn(edges), cfg)
-
-
-def _cell_edges(cfg: AccountantConfig) -> np.ndarray:
-    """The ``2m + 2`` cell edges ``(i - 1/2) h`` of ``cfg``'s grid, bitwise
-    symmetric about 0."""
     m = cfg.half_bins
-    return (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * cfg.mesh_h
-
-
-def _binned(edges: np.ndarray, F, cfg: AccountantConfig) -> DiscretePRV:
-    """`discretize_from_cdf` from the CDF ``F`` at ``cfg``'s `_cell_edges`."""
-    m, h, L = cfg.half_bins, cfg.mesh_h, cfg.trunc_L
-    F = np.asarray(F, dtype=np.float64)
+    edges = (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * cfg.mesh_h
+    F = np.asarray(cdf_fn(edges), dtype=np.float64)
     if F.shape != edges.shape or not np.all(np.isfinite(F)):
         raise ParameterError("cdf_fn must return finite values, one per edge")
     mass = float(F[-1] - F[0])
-    if mass < _MIN_ACCEPTANCE:
-        raise TruncationError(
-            f"window [-{L:g}, {L:g}] holds only {mass:.3f} of the loss mass; "
-            "widen trunc_L")
+    _check_window(mass, cfg)
     q = np.diff(F)
     q /= q.sum()                    # conditioned on the window
-
-    # E[Y | window] via integration by parts; trapezoid over the edge grid.
-    stieltjes = L * (float(F[-1]) + float(F[0])) - float(np.trapezoid(F, edges))
-    cond_mean = stieltjes / mass
-    grid_mean = h * _index_mean(q)
-    mu_hat = min(max(cond_mean - grid_mean, 0.0), h / 2.0)
-
-    return DiscretePRV(probs=q, mesh_h=h, offset=mu_hat, compositions=1,
+    return DiscretePRV(probs=q, mesh_h=cfg.mesh_h, compositions=1,
                        tail_upper=1.0 - mass, acceptance=mass)
+
+
+def _check_window(mass: float, cfg: AccountantConfig) -> None:
+    """`TruncationError` when the window holds less than
+    `_MIN_ACCEPTANCE` of the single-shot loss's ``mass``."""
+    if mass < _MIN_ACCEPTANCE:
+        raise TruncationError(
+            f"window [-{cfg.trunc_L:g}, {cfg.trunc_L:g}] holds only "
+            f"{mass:.3f} of the loss mass; widen trunc_L")
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +499,26 @@ def _power(base: np.ndarray, k: int) -> np.ndarray:
 
     numpy's complex power multiplies only for ``k < 100`` and goes through
     ``exp(k log z)`` above; this takes ``O(log k)`` products at any ``k``.
-    ``base`` is not modified.
+    The squares and the product are taken in place in at most two private
+    arrays, in the order a fresh array per product would take them, so the
+    result is bitwise the same.  ``base`` is not modified.
     """
-    out = None
+    out, square = None, base
     while True:
         if k & 1:
-            out = base if out is None else out * base
+            if out is None:
+                out = square
+            elif out is base:
+                out = out * square
+            else:
+                np.multiply(out, square, out=out)
         k >>= 1
         if not k:
             return out
-        base = base * base
+        if square is base or square is out:
+            square = square * square
+        else:
+            np.multiply(square, square, out=square)
 
 
 def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
@@ -539,14 +544,19 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     if len(entries) == 1 and entries[0][1] == 1:
         return first
 
-    spectrum = np.ones(first.probs.size // 2 + 1, dtype=np.complex128)
+    spectrum = None
     offset = 0.0
     total_k = 0
     for prv, k in entries:
-        spectrum *= _power(prv._spectrum(), k)
+        power = _power(prv._spectrum(), k)
+        if spectrum is None:    # a power with k > 1 is a private array
+            spectrum = power if k > 1 else power.copy()
+        else:
+            spectrum *= power
         offset += k * prv.offset
         total_k += k * prv.compositions
-    probs = np.fft.fftshift(sp_fft.irfft(spectrum, n=first.probs.size))
+    probs = np.fft.fftshift(sp_fft.irfft(spectrum, n=first.probs.size,
+                                         overwrite_x=True))
     total = float(probs.sum())
     if abs(total - 1.0) > _MASS_DRIFT_TOL:
         raise AccountingInconsistencyError(
@@ -669,39 +679,54 @@ def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
     Moments alone can miss a rare inclusion that carries a large loss, whose
     mass would then fall outside [-L, L] and be renormalized away.  So L
     then grows by `_WINDOW_GROWTH` until, in every direction, ``k`` times the
-    exact single-shot mass outside [-L, L] is at most `_WINDOW_TAIL`.
-
-    The mass above L is read as ``1 - F(L)`` from the CDF, which cannot
-    resolve a mass below ``2**-54`` (half an ulp of 1): the loop may stop
-    once ``F(L)`` rounds to 1.0.  So ``k`` times that mass is at most
-    ``_WINDOW_TAIL + k * 2**-54``: within twice `_WINDOW_TAIL` up to ``k``
-    of about 1.8e4, and up to 5.6e-11 at ``k = 1e6``.  The mass below -L
-    is read directly, down to the 1.5e-20 at which the loss CDFs round a
-    tail to 0.0 (`ggdist._upper_tails`).  That is far below
-    ``_WINDOW_TAIL / k`` for any ``k`` under about 6e7, so there it meets
-    `_WINDOW_TAIL` itself."""
+    exact single-shot mass outside [-L, L] is at most `_WINDOW_TAIL`.  Both
+    masses are read as tails at the noise crossings of ``-L`` and ``L``
+    (`prv.loss_masses`), each to its own relative precision, down to the
+    1.5e-20 past which the noise's tails are read into the pieces next to
+    them.  That is far below ``_WINDOW_TAIL / k`` for any ``k`` under about
+    6e7, so there the loop meets `_WINDOW_TAIL` itself."""
     L = 1e-6
     for direction in directions_for(spec):
         mean, var = loss_moments(spec, direction)
         L = max(L, abs(k * mean) + _WINDOW_SPREAD * math.sqrt(k * var))
 
     def outside(L: float) -> float:
-        cdfs = loss_cdfs_on_grid(spec, np.array([-L, L])).values()
-        return max(float(lo + (1.0 - hi)) for lo, hi in cdfs)
+        return max(_outside(first, mass, 0)
+                   for first, mass in loss_masses(spec, 2.0 * L, 0).values())
 
     while k * outside(L) > _WINDOW_TAIL:
         L *= _WINDOW_GROWTH
     return AccountantConfig(L, bins=bins, samples_n=samples_n)
 
 
+def _outside(first: int, mass: np.ndarray, m: int) -> float:
+    """The mass below and above a window of ``2m + 1`` cells, from a
+    direction's `prv.loss_masses`."""
+    below = mass[0] if first == 0 else 0.0
+    above = mass[-1] if first + mass.size == 2 * m + 3 else 0.0
+    return float(below + above)
+
+
 def _discretize_directions(spec: MechanismSpec,
                            cfg: AccountantConfig) -> dict[LossDirection, DiscretePRV]:
-    """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction,
-    discretized from its exact CDF (every direction from one root solve,
-    `prv.loss_cdfs_on_grid`)."""
-    edges = _cell_edges(cfg)
-    return {direction: _binned(edges, F, cfg)
-            for direction, F in loss_cdfs_on_grid(spec, edges).items()}
+    """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction:
+    the masses of the cells that can carry any (`prv.loss_masses`),
+    conditioned on the window and placed in a zero-filled grid at offset
+    0.  Each single's ``tail_upper`` is the mass outside the window, read
+    as tails."""
+    m = cfg.half_bins
+    singles = {}
+    for direction, (first, mass) in loss_masses(spec, cfg.mesh_h, m).items():
+        probs = np.zeros(2 * m + 1)
+        lo, hi = max(first, 1), min(first + mass.size, 2 * m + 2)
+        inside = mass[lo - first:hi - first]
+        total = float(inside.sum())
+        _check_window(total, cfg)
+        probs[lo - 1:hi - 1] = inside / total     # conditioned on the window
+        singles[direction] = DiscretePRV(
+            probs=probs, mesh_h=cfg.mesh_h, compositions=1,
+            tail_upper=_outside(first, mass, m), acceptance=total)
+    return singles
 
 
 def _epsilon_within_window(composed, delta: float) -> float:

@@ -20,22 +20,21 @@ Conventions, fixed once here and relied on everywhere else:
 * For ``beta >= 1`` the base loss is non-increasing in ``t``, so the law of
   the single-shot loss in either direction is known exactly: `loss_cdf`
   returns its CDF (one root-find in ``t`` plus GG tail probabilities, all
-  from `ggdist`) and `loss_moments` its mean and variance.  The accountant
-  discretizes these.  `sample_prv` draws from the same law; it is the
-  paper's Monte-Carlo estimator and the cross-check of `loss_cdf`.
+  from `ggdist`), `loss_masses` its masses on a grid of cells and
+  `loss_moments` its mean and variance.  The accountant discretizes with
+  `loss_masses`.  `sample_prv` draws from the same law; it is the paper's
+  Monte-Carlo estimator and the cross-check of `loss_cdf`.
 
-* On a grid symmetric about 0, such as the accountant's cell edges,
-  `loss_cdfs_on_grid` gives every direction's CDF, bitwise equal to
-  `loss_cdf`, from one shared root solve: a plain spec's crossing at ``-y``
-  mirrors the one at ``y``, and ADD's threshold at ``y`` is REMOVE's at
-  ``-y``.
+* `loss_masses` integrates the noise density between the noise crossings
+  of each cell's two edges, so every cell keeps its relative precision,
+  and solves one root per edge that can bound any mass, shared by both
+  directions (`_edge_crossings`).
 
-* Both CDFs take their tails from `ggdist._upper_tails`.  At ``beta != 2``
+* `loss_cdf` takes its tails from `ggdist._upper_tails`.  At ``beta != 2``
   it takes ``P(Z >= x)`` as 1.0 at ``x <= -x1``, where float64 rounds it to
-  1.0 anyway, and as 0.0 at ``x >= x1`` (``x1`` of `ggdist._saturation`; the
-  tail there is at most 1.5e-20).  The second moves that mass to higher
-  loss, a pessimistic rounding.  A root whose every tail saturates is not
-  solved (`_live_half_gap_root`).
+  1.0 anyway, and as 0.0 at ``x >= x1``.  The second moves that mass to
+  higher loss, a pessimistic rounding.  A root whose every tail saturates
+  is not solved (`_live_half_gap_root`).
 
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
@@ -62,7 +61,7 @@ from .ggdist import GGParams, _quadrature, _saturation, _upper_tails
 MAX_DIMENSIONS = 64
 _ROOT_TOL = 32.0 * float(np.finfo(np.float64).eps)
 _ROOT_STEPS = 100      # Newton/bisection cap of `_half_gap_root`
-_CUT_MARGIN = 1e-9     # relative margin on `_live_half_gap_root`'s cut
+_CUT_MARGIN = 1e-9     # relative margin on `_loss_cut`
 
 
 class LossDirection(enum.Enum):
@@ -240,6 +239,24 @@ def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
     return w
 
 
+def _loss_cut(beta: float, c: float) -> float:
+    """``a_cut``: the base loss at ``-x1`` (`ggdist._saturation`), ``ell(-x1)
+    = (x1 + 2c)**beta - x1**beta`` with ``2c = Delta/sigma``, raised by the
+    relative margin `_CUT_MARGIN`, far above its rounding.
+
+    The loss is odd about ``c``, so ``|ell| < a_cut`` holds on the noise
+    range ``(-x1, x1 + 2c)`` and on no point past it: a crossing at
+    ``|theta| >= a_cut`` lies past ``-x1`` or past ``x1 + 2c``.  At ``beta
+    = 1`` the cut lies just above the loss's bound ``Delta/sigma``.
+    """
+    s = np.float64(_saturation(beta)[1] + c + c)
+    # The stable form of `_half_gap_root`'s residual, at w = x1 + c > c.
+    # Where 2c swamps x1, log1p(-1) = -inf gives the limit s**beta.
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(-s ** beta * np.expm1(beta * np.log1p(-2.0 * c / s))
+                     * (1.0 + _CUT_MARGIN))
+
+
 def _live_half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
     """`_half_gap_root`, solved only where a tail it feeds can be live, and
     ``+inf`` elsewhere.
@@ -247,20 +264,11 @@ def _live_half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
     The crossing is ``z = c - sign(theta) w`` (`_crossing`), and every tail
     it feeds is taken at ``z``, ``-z`` or ``2c - z = c + sign(theta) w``.
     Each is at least ``w - c`` in size, so each saturates in
-    `ggdist._upper_tails` once ``w >= x1 + c``.  The root is increasing in
-    ``a``, so that holds from ``a_cut = (w_c + c)**beta - (w_c - c)**beta``
-    at ``w_c = x1 + c`` on.  ``a_cut`` is raised by the relative margin
-    `_CUT_MARGIN`, far above its rounding, so every ``a`` at or above it has
-    a root past ``w_c``.  ``w = inf`` gives those tails their saturated
+    `ggdist._upper_tails` once ``w >= x1 + c``, which holds at every ``a``
+    at or above `_loss_cut`.  ``w = inf`` gives those tails their saturated
     values exactly.
     """
-    w_c = _saturation(beta)[1] + c
-    s = np.float64(w_c + c)
-    # The stable form of `_half_gap_root`'s residual, at w_c > c.
-    with np.errstate(over="ignore"):
-        a_cut = -s ** beta * np.expm1(beta * np.log1p(-2.0 * c / s)) \
-            * (1.0 + _CUT_MARGIN)
-    live = a < a_cut
+    live = a < _loss_cut(beta, c)
     w = np.full(a.shape, np.inf)
     w[live] = _half_gap_root(beta, c, a[live])
     return w
@@ -323,10 +331,9 @@ def loss_cdf(spec: MechanismSpec,
     Each tail is `ggdist._upper_tails`': at ``beta != 2`` a tail below
     ``P(Z >= x1)`` (at most 1.5e-20) reads 0.0, which moves that mass to
     higher loss, and a root whose every tail saturates is not solved
-    (`_live_half_gap_root`).  Each point is solved on its own.  On a grid
-    symmetric about 0, `loss_cdfs_on_grid` returns the same values bitwise
-    for every direction at once: one root solve serves ``y`` and ``-y`` and
-    both directions.
+    (`_live_half_gap_root`).  Each point is solved on its own; on a grid
+    symmetric about 0, `_edge_crossings` solves the same crossings bitwise
+    for every direction at once.
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
@@ -352,25 +359,21 @@ def loss_cdf(spec: MechanismSpec,
     return cdf
 
 
-def loss_cdfs_on_grid(spec: MechanismSpec,
-                      edges: np.ndarray) -> dict[LossDirection, np.ndarray]:
-    """``loss_cdf(spec, d)(edges)`` for every ``d`` in `directions_for`,
-    bitwise, on ``edges`` symmetric about 0 (``edges[::-1] == -edges``),
-    from one root solve.
+def _edge_crossings(spec: MechanismSpec,
+                    y: np.ndarray) -> dict[LossDirection, np.ndarray]:
+    """The noise crossings of the loss edges ``y``, in the order of ``y``,
+    for every direction of `directions_for`: where the base loss crosses
+    the threshold of each edge, as in `loss_cdf`, bitwise.  For a plain
+    spec ``y`` is symmetric about 0 (``y[::-1] == -y``); for a subsampled
+    one, ADD's crossings are those of the edges ``-y[::-1]``.
 
-    * No subsampling: the crossing at ``-y`` mirrors the one at ``y``, so
-      the root is solved on the upper half of ``|edges|`` only.
-    * Subsampled: ADD's threshold at ``y`` is REMOVE's at ``-y``, so one
-      solve, reversed, serves both directions, and one tail array at
-      ``|z|`` gives REMOVE's ``P(Z >= -z)`` and ADD's ``P(Z >= z)``.
-    * Saturation: at ``beta != 2`` no tail at ``|x| >= x1`` of
-      `ggdist._saturation` is evaluated, and no root that feeds only such
-      tails is solved; they take the values `loss_cdf` takes there.
+    One root solve serves them all.  A plain spec's crossing at ``-y``
+    mirrors the one at ``y``, so its roots are solved on the upper half of
+    ``|y|``; ADD's threshold at ``-y`` is REMOVE's at ``y``, so REMOVE's
+    solve, reversed, serves ADD.  A root that lies past `_loss_cut` is not
+    solved (`_live_half_gap_root`).
     """
     beta, ratio, q = spec.loss_key
-    y = np.asarray(edges, dtype=np.float64)
-    if y.ndim != 1 or not np.array_equal(y[::-1], -y):
-        raise InputError("edges must be a 1-d grid symmetric about 0")
     theta = y if q is None else -_unmix(y, q)
     w = None
     if beta not in (1.0, 2.0):
@@ -382,20 +385,69 @@ def loss_cdfs_on_grid(spec: MechanismSpec,
         else:
             w = _live_half_gap_root(beta, c, np.abs(theta))
     if q is None:
-        [cdf] = _upper_tails(
-            beta, [_crossing(beta, ratio, theta, upper=False, w=w)])
-        return {LossDirection.REMOVE: cdf}
-    z = _crossing(beta, ratio, theta, upper=True, w=w)
-    [shifted] = _upper_tails(beta, [ratio - z])
-    if beta == 1.0:     # the two level sets differ at the loss's atoms
-        [below] = _upper_tails(beta, [-z])
-        z_add = _crossing(beta, ratio, theta[::-1], upper=False)
-        [add] = _upper_tails(beta, [z_add])
+        return {LossDirection.REMOVE: _crossing(beta, ratio, theta,
+                                                upper=False, w=w)}
+    return {LossDirection.REMOVE: _crossing(beta, ratio, theta, upper=True,
+                                            w=w),
+            LossDirection.ADD: _crossing(beta, ratio, theta[::-1], upper=False,
+                                         w=None if w is None else w[::-1])}
+
+
+def loss_masses(spec: MechanismSpec, h: float,
+                m: int) -> dict[LossDirection, tuple[int, np.ndarray]]:
+    """The law of the single-shot loss on the cells ``((i - 1/2) h, (i +
+    1/2) h]``, ``|i| <= m``, for every direction of `directions_for`.
+
+    The loss line falls into ``2m + 3`` pieces: the mass at or below ``-(m
+    + 1/2) h``, the cells in order, and the mass above ``(m + 1/2) h``.
+    Each direction maps to ``(first, masses)``: ``masses[j]`` is the mass of
+    piece ``first + j``, and every other piece holds none.
+
+    * Only the edges whose noise crossing can lie in ``(-x1, x1 +
+      Delta/sigma)`` (``x1`` of `ggdist._saturation`), where ``|theta|``
+      stays below `_loss_cut`, are solved (`_edge_crossings`).  At ``beta =
+      1`` that is the loss's bounded range.
+    * A piece's mass is the integral, between the noise crossings of its two
+      edges, of the density its direction draws from: ``p(u)`` for a plain
+      spec and for ADD, ``(1 - q) p(u) + q p(u - Delta/sigma)`` for REMOVE
+      (`ggdist._masses_between`).  The atoms of ``beta = 1`` lie in pieces
+      whose crossing interval is open.
+    * The pieces at the two ends of the solved edges are open too and take
+      the noise past the range: the mass past its low-loss end moves to
+      higher loss, a pessimistic rounding, and the mass past its high-loss
+      end, at most ``P(Z >= x1)`` (1.5e-20), to lower loss.
+    """
+    beta, ratio, q = spec.loss_key
+    cut = _loss_cut(beta, 0.5 * ratio)
+    if q is None:
+        hi_y = cut
     else:
-        below, above = _upper_tails(beta, [-z, z])
-        add = above[::-1]
-    return {LossDirection.REMOVE: (1.0 - q) * below + q * shifted,
-            LossDirection.ADD: add}
+        lo_y, hi_y = _directed_loss(np.array([cut, -cut]), q,
+                                    LossDirection.REMOVE)
+    # The edges (i - 1/2) h from index `first` to `last` lie in [lo_y, hi_y]
+    # up to rounding, which only moves where the open end pieces start.
+    # A plain spec's edges are symmetric about 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = int(math.floor(np.clip(hi_y / h + 0.5, -m - 1, m + 1)))
+        first = 1 - last if q is None else \
+            int(math.ceil(np.clip(lo_y / h + 0.5, -m, m + 2)))
+    y = (np.arange(first, last + 1, dtype=np.float64) - 0.5) * h
+    crossings = _edge_crossings(spec, y)
+
+    def pieces(z: np.ndarray, falling: bool, mixed: bool = False):
+        # Noise crossings in increasing order, open at both ends.
+        x = np.concatenate([[-np.inf], z[::-1] if falling else z, [np.inf]])
+        mass = ggdist._masses_between(x, beta)
+        if mixed:       # u ~ (1 - q) p(u) + q p(u - Delta/sigma)
+            mass *= 1.0 - q
+            mass += q * ggdist._masses_between(x - ratio, beta)
+        return mass[::-1] if falling else mass
+
+    remove, add = LossDirection.REMOVE, LossDirection.ADD
+    if q is None:
+        return {remove: (first + m, pieces(crossings[remove], True))}
+    return {remove: (first + m, pieces(crossings[remove], False, True)),
+            add: (1 - last + m, pieces(crossings[add], True))}
 
 
 def loss_moments(spec: MechanismSpec,

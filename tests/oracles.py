@@ -11,8 +11,8 @@ import math
 import numpy as np
 from scipy import special
 
-from ggprivacy import (DiscretePRV, GGParams, GridMismatchError,
-                       ParameterError, ggdist)
+from ggprivacy import (DiscretePRV, GGParams, GridMismatchError, InputError,
+                       LossDirection, ParameterError, ggdist, prv)
 
 
 def convolve_direct(prv_a: DiscretePRV, prv_b: DiscretePRV) -> DiscretePRV:
@@ -48,3 +48,107 @@ def sample_inverse_cdf(params: GGParams, rng: np.random.Generator,
     # keep u strictly inside (0, 1); random() can return exactly 0.0
     u = np.nextafter(rng.random(count), 1.0)
     return np.asarray(ggdist.quantile(params, u))
+
+
+def loss_cdfs_on_grid(spec, edges: np.ndarray) -> dict:
+    """`prv.loss_cdf` for every direction of `prv.directions_for` on
+    ``edges`` symmetric about 0, from the package's shared crossing solve
+    (`prv._edge_crossings`) and its saturating tails: the tests check the
+    shared solve through it, bitwise against the pointwise CDFs."""
+    beta, ratio, q = spec.loss_key
+    y = np.asarray(edges, dtype=np.float64)
+    if y.ndim != 1 or not np.array_equal(y[::-1], -y):
+        raise InputError("edges must be a 1-d grid symmetric about 0")
+    z = prv._edge_crossings(spec, y)
+    if q is None:
+        [cdf] = ggdist._upper_tails(beta, [z[LossDirection.REMOVE]])
+        return {LossDirection.REMOVE: cdf}
+    removed = z[LossDirection.REMOVE]
+    [below] = ggdist._upper_tails(beta, [-removed])
+    [shifted] = ggdist._upper_tails(beta, [ratio - removed])
+    [add] = ggdist._upper_tails(beta, [z[LossDirection.ADD]])
+    return {LossDirection.REMOVE: (1.0 - q) * below + q * shifted,
+            LossDirection.ADD: add}
+
+
+def gg_interval_mass(lo, hi, beta: float, dps: int = 40):
+    """``P(lo <= Z <= hi)`` for ``Z ~ GG(beta, 1)`` and ``lo <= hi`` (either
+    may be infinite), as an mpmath number at ``dps`` digits: differences
+    of regularized upper incomplete gammas, split at 0."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        b = mp.mpf(beta)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+
+        def tail2(x):                        # 2 P(Z >= x) for x >= 0
+            return mp.mpf(0) if x == mp.inf else \
+                mp.gammainc(1 / b, x ** b, regularized=True)
+
+        if hi <= 0:
+            lo, hi = -hi, -lo
+        if lo < 0:
+            return (2 - tail2(-lo) - tail2(hi)) / 2
+        return (tail2(lo) - tail2(hi)) / 2
+
+
+def loss_piece_masses(spec, direction, h: float, m: int, pieces,
+                      dps: int = 40) -> list[float]:
+    """The masses of the pieces ``pieces`` of `prv.loss_masses(spec, h, m)`
+    in ``direction``, in mpmath at ``dps`` digits: each edge's noise
+    crossing by a bracketed root-find, then the noise density's integral
+    between the crossings as differences of regularized upper incomplete
+    gammas.
+
+    It follows the package's conventions, not its code: the pieces are
+    ``((t - 1/2 - m) h, (t + 1/2 - m) h]`` with open ends, ``beta = 1``
+    takes the level-set conventions of `prv.loss_cdf` at the loss's atoms,
+    and a threshold ``|theta|`` at or past `prv._loss_cut` crosses at the
+    end of the noise line (the package's open end pieces).
+    """
+    import mpmath as mp
+    with mp.workdps(dps):
+        beta, ratio, q = spec.loss_key
+        b, r = mp.mpf(beta), mp.mpf(ratio)
+        cut = mp.mpf(prv._loss_cut(beta, 0.5 * ratio))
+        x1 = mp.mpf(45) ** (1 / b)
+        removed = q is not None and direction is LossDirection.REMOVE
+        falling = not removed
+
+        def unmix(x):
+            v = (mp.exp(x) - 1 + q) / q
+            return mp.log(v) if v > 0 else -mp.inf
+
+        def crossing(t: int):
+            if t < 0 or t > 2 * m + 1:      # the loss at -inf or +inf
+                return mp.inf if (t < 0) == falling else -mp.inf
+            y = mp.mpf((float(t - m) - 0.5) * h)
+            theta = y if q is None else (-unmix(y) if removed else -unmix(-y))
+            if beta == 1.0:
+                if theta > r or (theta == r and not removed):
+                    return -mp.inf
+                if theta < -r or (theta == -r and removed):
+                    return mp.inf
+                return (r - theta) / 2
+            if abs(theta) >= cut:
+                return -mp.inf if theta > 0 else mp.inf
+            lo, hi = -x1 - 1, x1 + r + 1     # the loss falls from lo to hi
+            for _ in range(4 * dps):         # bisection, to about dps digits
+                mid = (lo + hi) / 2
+                if abs(mid - r) ** b - abs(mid) ** b > theta:
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2
+
+        def gg(lo, hi):
+            return gg_interval_mass(lo, hi, beta, dps)
+
+        masses = []
+        for piece in pieces:
+            z0, z1 = crossing(piece - 1), crossing(piece)
+            if removed:
+                mass = (1 - q) * gg(z0, z1) + q * gg(z0 - r, z1 - r)
+            else:
+                mass = gg(z1, z0)
+            masses.append(float(mass))
+        return masses

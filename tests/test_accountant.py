@@ -300,6 +300,18 @@ def test_suffix_tables_match_the_log_form(name, train_ledger):
             assert prv.delta_at(got) <= delta
 
 
+@pytest.mark.parametrize("shift", [0.0, 0.3, 1.0, 2.7, 1e4])
+def test_positive_tables_read_the_positive_support(shift):
+    # The tables start at the first support point above 0 and end in +inf,
+    # at any offset: bitwise the points of `support()` and their masses.
+    probs = np.random.default_rng(10).random(201)
+    prv = hand_prv(probs / probs.sum(), mesh_h=0.25, offset=0.25 * shift)
+    ys, s1, _, _ = prv._positive_tables()
+    y = prv.support()
+    assert ys[:-1].tobytes() == y[y > 0.0].tobytes() and ys[-1] == np.inf
+    assert s1[0] == pytest.approx(prv.probs[y > 0.0].sum(), rel=1e-14)
+
+
 def test_suffix_tables_span_blocks_past_exp_range():
     # Blocks of one cell at h = 400 and of 64 cells at h = 0.5, with y past
     # 745 where exp(-y) underflows: the carried sums stay exact there.
@@ -476,6 +488,27 @@ def test_compose_wraps_circularly():
     npt.assert_allclose(two.probs, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 100, 255, 4096, 10 ** 6 + 1])
+def test_power_squares_in_place_bitwise(rng, k):
+    # The in-place squaring takes the products of a fresh array per product,
+    # in the same order, and leaves the base as it was.
+    from ggprivacy.accountant import _power
+    base = rng.normal(size=64) + 1j * rng.normal(size=64)
+    base /= np.abs(base)
+    kept = base.copy()
+    want, square, j = None, base, k
+    while True:
+        if j & 1:
+            want = square if want is None else want * square
+        j >>= 1
+        if not j:
+            break
+        square = square * square
+    got = _power(base, k)
+    assert got.tobytes() == want.tobytes()
+    assert base.tobytes() == kept.tobytes()
+
+
 def test_compose_grid_mismatch():
     a = hand_prv([0.2, 0.5, 0.3], mesh_h=1.0)
     b = hand_prv([0.2, 0.5, 0.3], mesh_h=0.5)
@@ -584,7 +617,8 @@ def test_account_requires_exactly_one_target():
 
 def test_an_epsilon_the_window_caps_raises():
     # beta = 2, sigma = 4, k = 100 on the default grid: the window is L =
-    # 48.68 and delta at the second-highest support point is 4.86e-24.  The
+    # 48.68 and delta at the second-highest support point is 6.42e-24, FFT
+    # round-off.  The
     # exact epsilon is 42.63 at delta = 1e-25 and 52.90 at 1e-40; the grid
     # read 48.676, its top cell, both times.
     spec = MechanismSpec(GGParams(2.0, 4.0), 1.0, None, 100)
@@ -592,7 +626,7 @@ def test_an_epsilon_the_window_caps_raises():
     for read in (lambda d: account(spec, delta=d).epsilon,
                  lambda d: ledger.epsilon_at(100, d)):
         for delta in (1e-25, 1e-40):
-            with pytest.raises(RangeError, match="4.86e-24"):
+            with pytest.raises(RangeError, match="6.42e-24"):
                 read(delta)
         # Far below 1e-12, but below the top cell: the rest of ROADMAP item
         # 3 owns that floor.
@@ -651,7 +685,7 @@ def test_account_checks_curve_points_before_sampling(points, monkeypatch):
     def no_work(*args):
         raise AssertionError("discretized before checking curve_points")
 
-    for name in ("loss_moments", "loss_cdfs_on_grid", "sample_prv"):
+    for name in ("loss_moments", "loss_masses", "sample_prv"):
         monkeypatch.setattr(accountant, name, no_work)
     with pytest.raises(ParameterError, match="curve_points"):
         account(GAUSS, delta=1e-5, curve_points=points)
@@ -902,6 +936,20 @@ def test_account_frozen_results(beta, q):
         FROZEN_ACCOUNT[beta, q], rel=1e-9)
 
 
+@pytest.mark.parametrize("beta,q", list(FROZEN_ACCOUNT))
+def test_cell_masses_agree_with_cdf_differencing(beta, q):
+    # On the frozen grids the quadrature masses and the differenced exact
+    # CDF agree to 1e-15 per cell, where both resolve a cell at all.
+    from ggprivacy.accountant import _auto_config, _discretize_directions
+    from ggprivacy.prv import loss_cdf
+    spec = MechanismSpec(GGParams(beta, 2.0), 1.0, q, 5)
+    cfg = _auto_config(spec, 5, 30_000, 2 ** 12)
+    for direction, one in _discretize_directions(spec, cfg).items():
+        ref = discretize_from_cdf(loss_cdf(spec, direction), cfg)
+        npt.assert_allclose(one.probs, ref.probs, rtol=0.0, atol=1e-15)
+        assert one.offset == ref.offset == 0.0
+
+
 def test_ledger_frozen_max_steps():
     ledger = CompositionLedger(MechanismSpec(GGParams(2.0, 3.0), 1.0, 0.25, 1),
                                k_cap=256, bins=2 ** 12)
@@ -930,10 +978,10 @@ def test_auto_window_keeps_rare_large_losses(beta, sigma, q, k, bins):
 
 @pytest.mark.parametrize("k", [10 ** 5, 10 ** 6])
 def test_auto_window_tail_bound_at_large_k(k):
-    # The upper mass is read as 1 - F(L), which float64 resolves only to
-    # 2**-54, so at large k the bound is _WINDOW_TAIL + k 2**-54.  At beta =
-    # 2 the REMOVE loss exceeds L exactly where the noise exceeds
-    # (r**2 + s) / (2 r), s = log((e**L - 1 + q) / q), r = Delta/sigma.
+    # The mass above L is read as a tail, so it meets _WINDOW_TAIL at any
+    # k.  At beta = 2 the REMOVE loss exceeds L exactly where the noise
+    # exceeds (r**2 + s) / (2 r), s = log((e**L - 1 + q) / q), r =
+    # Delta/sigma.
     from scipy import special
     from ggprivacy.accountant import _WINDOW_TAIL, _auto_config
     from ggprivacy.prv import loss_cdf
@@ -947,7 +995,7 @@ def test_auto_window_tail_bound_at_large_k(k):
 
     L = _auto_config(spec, k, 10_000, 2 ** 12).trunc_L
     assert k * upper(L / 1.25) > _WINDOW_TAIL        # the window widened
-    assert k * upper(L) <= _WINDOW_TAIL + k * 2.0 ** -54
+    assert k * upper(L) <= _WINDOW_TAIL
     for direction in (LossDirection.REMOVE, LossDirection.ADD):
         assert k * loss_cdf(spec, direction)(-L) <= _WINDOW_TAIL
 
@@ -955,8 +1003,8 @@ def test_auto_window_tail_bound_at_large_k(k):
 @pytest.mark.parametrize("q", [None, 0.1])
 @pytest.mark.parametrize("beta", [1.0, 1.5, 2.0, 3.0])
 def test_discretizing_solves_each_root_once(beta, q, monkeypatch):
-    # Every direction's CDF comes from one root solve, on the upper half of
-    # the grid's edges for a plain spec; beta = 1 and 2 need no root.
+    # Every direction's masses come from one root solve, on the upper half
+    # of the grid's edges for a plain spec; beta = 1 and 2 need no root.
     from ggprivacy import prv
     from ggprivacy.accountant import _discretize_directions
     sizes = []

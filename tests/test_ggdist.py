@@ -10,7 +10,7 @@ import pytest
 from scipy import integrate, stats
 
 from ggprivacy import GGParams, ParameterError, ggdist
-from oracles import sample_inverse_cdf
+from oracles import gg_interval_mass, sample_inverse_cdf
 
 # The invariant grid for normalization / round-trip / sampler-law checks.
 GRID = [(beta, sigma) for beta in (1.0, 1.33, 1.5, 2.0, 2.5, 4.0)
@@ -134,6 +134,29 @@ def test_cdf_left_tail_against_mpmath(beta, x):
     assert 0.0 < want < 1e-13
     got = ggdist.cdf(GGParams(beta, 1.0), x)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [1.0, 1.05, 1.5, 2.0, 3.0, 8.0])
+def test_masses_between_against_mpmath(beta):
+    # Open cells, cells that straddle or near the kink at 0, short cells on
+    # the Gauss-Legendre rule, wide cells, tail cells down past 1e-50 and
+    # cells past _TAIL_ZERO: each mass within 1e-11 relative of mpmath's
+    # (above float64's subnormals), and the masses of a partition of the
+    # line sum to 1.
+    x1 = 45.0 ** (1.0 / beta)
+    x = np.concatenate([
+        [-np.inf, -2e3, -ggdist._TAIL_ZERO], np.linspace(-1.5 * x1, -2.0, 7),
+        -np.geomspace(1.0, 1e-6, 9), [0.0], np.geomspace(1e-7, 0.3, 6),
+        0.3 + np.linspace(0.0, 0.02, 21)[1:], np.linspace(0.5, 2.5, 9),
+        np.linspace(2.6, 3.0 * x1, 6), [ggdist._TAIL_ZERO, 1e4, np.inf]])
+    assert np.all(np.diff(x) >= 0.0)
+    got = ggdist._masses_between(x, beta)
+    want = np.array([float(gg_interval_mass(a, b, beta))
+                     for a, b in zip(x[:-1], x[1:])])
+    npt.assert_allclose(got, want, rtol=1e-11, atol=1e-300)
+    assert 0.0 < got[got > 0.0].min() < 1e-50
+    assert math.fsum(got) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.filterwarnings("error")

@@ -24,14 +24,14 @@ from ggprivacy.prv import (
     directions_for,
     laplace_prv_cdf,
     loss_cdf,
-    loss_cdfs_on_grid,
     loss_function,
+    loss_masses,
     loss_moments,
     multidim_prv_sample,
     sample_prv,
     subsampled_loss_function,
 )
-from oracles import gaussian_prv_cdf
+from oracles import gaussian_prv_cdf, loss_cdfs_on_grid, loss_piece_masses
 
 GAUSS = MechanismSpec(GGParams(2.0, math.sqrt(2.0)), 1.0)          # loss ~ N(1/2, 1)
 GAUSS_Q = MechanismSpec(GGParams(2.0, math.sqrt(2.0)), 1.0, 0.01)
@@ -548,17 +548,28 @@ def test_loss_cdf_tails_round_down_only_past_saturation(beta, q, ratio):
 ])
 def test_auto_window_is_the_full_precision_window(beta, ratio, q, k,
                                                   monkeypatch):
-    # The window loop reads the mass below -L off the loss CDF, which now
-    # resolves it only down to 1.5e-20: far below _WINDOW_TAIL / k for any
-    # k under about 6e7.  So every window is the one that full-precision
-    # tails give.
+    # The window loop reads the masses below -L and above L as tails at
+    # their noise crossings, which resolve them down to 1.5e-20: far below
+    # _WINDOW_TAIL / k for any k under about 6e7.  So every window is the
+    # one that full-precision tails give.
     from ggprivacy import accountant
+    from ggprivacy.ggdist import _upper_tail
     spec = MechanismSpec(GGParams(beta, 1.0), ratio, q, k)
     L = accountant._auto_config(spec, k, 10_000, 2 ** 12).trunc_L
-    monkeypatch.setattr(
-        accountant, "loss_cdfs_on_grid",
-        lambda spec, y: {d: _full_precision_cdf(spec, d, y)
-                         for d in directions_for(spec)})
+
+    def full_precision(spec, h, m):
+        # The pieces below, inside and above [-h/2, h/2] (m = 0).
+        assert m == 0
+        edge = np.array([0.5 * h])
+        pieces = {}
+        for d in directions_for(spec):
+            below = _full_precision_cdf(spec, d, -edge)[0]
+            above = sum(weight * _upper_tail(-x, beta)[0] for weight, x
+                        in _full_precision_tails(spec, d, edge))
+            pieces[d] = (0, np.array([below, 1.0 - below - above, above]))
+        return pieces
+
+    monkeypatch.setattr(accountant, "loss_masses", full_precision)
     assert accountant._auto_config(spec, k, 10_000, 2 ** 12).trunc_L == L
 
 
@@ -595,6 +606,78 @@ def test_roots_are_solved_only_below_the_cut(beta, q, monkeypatch):
         for a in seen:
             assert a.size == 0 or a.max() < cut * (1.0 + 1e-6)
     assert above > 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [1.0, 1.5])
+def test_loss_cut_where_the_ratio_swamps_x1(beta):
+    # At Delta/sigma = 1e200, x1 + Delta/sigma rounds to Delta/sigma, and
+    # the cut takes its limit (Delta/sigma)**beta without a warning; at
+    # beta = 1 account reads the loss's bound as before.
+    from ggprivacy import account, prv
+    ratio = 1e200
+    assert prv._loss_cut(beta, 0.5 * ratio) == pytest.approx(
+        ratio ** beta * (1.0 + prv._CUT_MARGIN), rel=1e-15)
+    if beta == 1.0:
+        spec = MechanismSpec(GGParams(1.0, 1e-200), 1.0, None, 3)
+        assert account(spec, delta=1e-5, bins=2 ** 8).epsilon == \
+            pytest.approx(3.0 * ratio, rel=0.01)
+
+
+def _oracle_pieces(spec: MechanismSpec, direction: LossDirection, h: float,
+                   m: int, first: int, mass: np.ndarray) -> list[int]:
+    """The pieces of `loss_masses` that the oracle test checks: the two open
+    end pieces and the four smallest, the three largest (the atoms at beta
+    = 1), the ones that hold the image of a density kink, the one with the
+    widest noise crossing interval, and eight spread over the rest."""
+    from ggprivacy import prv
+    beta, ratio, q = spec.loss_key
+    live = np.flatnonzero(mass > 0.0)
+    chosen = {int(live[0]), int(live[-1])}
+    chosen |= set(np.argsort(np.where(mass > 0.0, mass, np.inf))[:4].tolist())
+    chosen |= set(np.argsort(mass)[-3:].tolist())
+    chosen |= set(np.linspace(live[0], live[-1], 8).astype(int).tolist())
+    pieces = {first + j for j in chosen}
+    # The loss at the kinks u = 0 and u = Delta/sigma.
+    kinks = prv._base_loss(spec, np.array([0.0, ratio]))
+    if q is not None:
+        kinks = prv._directed_loss(kinks, q, direction)
+    pieces |= {int(math.ceil(y / h - 0.5)) + m + 1 for y in kinks
+               if abs(y) < (m + 0.5) * h}
+    # The widest noise interval between two solved edges.
+    y = (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * h
+    z = prv._edge_crossings(spec, y)[direction]
+    with np.errstate(invalid="ignore"):     # inf - inf past the solved edges
+        width = np.abs(np.diff(z))
+    width[~np.isfinite(width)] = 0.0
+    pieces.add(int(np.argmax(width)) + 1)
+    return sorted(pieces)
+
+
+@pytest.mark.parametrize("q", [None, 0.1])
+@pytest.mark.parametrize("beta", [1.0, 1.05, 1.5, 2.0, 3.0])
+def test_loss_masses_match_a_multiprecision_oracle(beta, q):
+    # Each checked piece's mass within 1e-10 relative of mpmath's, from the
+    # atoms and the kink to the tails: at beta = 3 the smallest checked
+    # cells hold below 1e-30, and at beta = 1.05 the widest spans several
+    # noise units.
+    from ggprivacy import accountant
+    spec = MechanismSpec(GGParams(beta, 1.0), 1.0, q, 10)
+    cfg = accountant._auto_config(spec, 10, 10_000, 2 ** 12)
+    h, m = cfg.mesh_h, cfg.half_bins
+    smallest = 1.0
+    for direction, (first, mass) in loss_masses(spec, h, m).items():
+        pieces = _oracle_pieces(spec, direction, h, m, first, mass)
+        want = np.array(loss_piece_masses(spec, direction, h, m, pieces))
+        got = np.zeros(len(pieces))
+        inside = [(i, p - first) for i, p in enumerate(pieces)
+                  if 0 <= p - first < mass.size]
+        for i, j in inside:
+            got[i] = mass[j]
+        npt.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        smallest = min(smallest, want[want > 0.0].min())
+    if beta == 3.0:
+        assert smallest < 1e-30
 
 
 def test_loss_moments_gaussian_closed_form():
