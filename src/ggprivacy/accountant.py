@@ -4,9 +4,7 @@ The pipeline: take the exact law of the single-shot loss, bin it onto a
 uniform grid of ``2m + 1`` cells spanning a window [-L, L] with ``L = (m +
 1/2) h``, conditioned on the window, at offset 0; self-compose the binned
 distribution with FFT powers (circular, i.e. modulo the window), and read
-``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.  The offset
-is 0: the conditional mean that integration by parts reads off the binned
-CDF is, by summation by parts, exactly the mean of the cell centres.
+``delta(epsilon)`` / ``epsilon(delta)`` off the composed grid.
 
 * Each cell's mass is the noise density's integral between the cell's two
   noise crossings (`prv.loss_masses`), so it keeps its own relative
@@ -14,9 +12,10 @@ CDF is, by summation by parts, exactly the mean of the cell centres.
   that can carry mass are solved and integrated, from one root solve for
   every direction (on half the edges for a plain spec; REMOVE's solve,
   reversed, serves ADD); the rest of the grid is zero.
-* `DiscretePRV` is the one place that clips and normalizes masses: the
-  discretizers hand it masses conditioned on the window, `compose` its raw
-  inverse FFT.
+* `DiscretePRV` clips and normalizes the masses it is given: the
+  discretizers hand it masses conditioned on the window, `compose` its
+  inverse FFT with the round-off below 0 already clipped, since at large
+  ``k`` that passes the -1e-12 `DiscretePRV` accepts.
 * The cell count is rounded up to a fast FFT length, an odd number whose
   prime factors all lie in {3, 5, 7}, and powers are taken by repeated
   squaring, so composing ``k`` copies costs ``O(log k)`` spectrum products
@@ -64,6 +63,7 @@ certificate (ROADMAP item 1).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -526,10 +526,12 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
 
     The convolution is circular modulo the window width, matching the error
     accounting; wrapped-around mass is charged to the certificate, not
-    redistributed.  The inverse FFT goes to `DiscretePRV` as it is, which
-    clips and normalizes it, after a check that its total has not drifted
-    (`AccountingInconsistencyError`).  A single item with multiplicity 1 is
-    returned unchanged.  Each multiplicity is an integer of at least 1.
+    redistributed.  After a check that the inverse FFT's total has not
+    drifted (`AccountingInconsistencyError`), its round-off below 0 is
+    clipped here, since at large ``k`` it can pass the -1e-12 that
+    `DiscretePRV` accepts from callers, and `DiscretePRV` normalizes it.  A
+    single item with multiplicity 1 is returned unchanged.  Each
+    multiplicity is an integer of at least 1.
     """
     entries = [(prv, _integer("multiplicity", k, 1)) for prv, k in items]
     if not entries:
@@ -561,6 +563,7 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     if abs(total - 1.0) > _MASS_DRIFT_TOL:
         raise AccountingInconsistencyError(
             f"FFT composition lost probability mass: sum = {total!r}")
+    np.maximum(probs, 0.0, out=probs)
     return DiscretePRV(probs=probs, mesh_h=first.mesh_h, offset=offset,
                        compositions=total_k)
 
@@ -691,42 +694,44 @@ def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
         L = max(L, abs(k * mean) + _WINDOW_SPREAD * math.sqrt(k * var))
 
     def outside(L: float) -> float:
-        return max(_outside(first, mass, 0)
-                   for first, mass in loss_masses(spec, 2.0 * L, 0).values())
+        return max(float(pieces[0] + pieces[-1])
+                   for pieces in loss_masses(spec, 2.0 * L, 0).values())
 
     while k * outside(L) > _WINDOW_TAIL:
         L *= _WINDOW_GROWTH
     return AccountantConfig(L, bins=bins, samples_n=samples_n)
 
 
-def _outside(first: int, mass: np.ndarray, m: int) -> float:
-    """The mass below and above a window of ``2m + 1`` cells, from a
-    direction's `prv.loss_masses`."""
-    below = mass[0] if first == 0 else 0.0
-    above = mass[-1] if first + mass.size == 2 * m + 3 else 0.0
-    return float(below + above)
-
-
 def _discretize_directions(spec: MechanismSpec,
                            cfg: AccountantConfig) -> dict[LossDirection, DiscretePRV]:
     """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction:
-    the masses of the cells that can carry any (`prv.loss_masses`),
-    conditioned on the window and placed in a zero-filled grid at offset
-    0.  Each single's ``tail_upper`` is the mass outside the window, read
-    as tails."""
-    m = cfg.half_bins
+    the cell masses of `prv.loss_masses`, conditioned on the window, at
+    offset 0.  Each single's ``tail_upper`` is the mass outside the window,
+    read as tails."""
     singles = {}
-    for direction, (first, mass) in loss_masses(spec, cfg.mesh_h, m).items():
-        probs = np.zeros(2 * m + 1)
-        lo, hi = max(first, 1), min(first + mass.size, 2 * m + 2)
-        inside = mass[lo - first:hi - first]
-        total = float(inside.sum())
+    for direction, pieces in loss_masses(spec, cfg.mesh_h,
+                                         cfg.half_bins).items():
+        cells = pieces[1:-1]
+        total = float(cells.sum())
         _check_window(total, cfg)
-        probs[lo - 1:hi - 1] = inside / total     # conditioned on the window
+        cells /= total                  # conditioned on the window
         singles[direction] = DiscretePRV(
-            probs=probs, mesh_h=cfg.mesh_h, compositions=1,
-            tail_upper=_outside(first, mass, m), acceptance=total)
+            probs=cells, mesh_h=cfg.mesh_h, compositions=1,
+            tail_upper=float(pieces[0] + pieces[-1]), acceptance=total)
     return singles
+
+
+def _mass_beyond(prv: DiscretePRV, level: float) -> float:
+    """The mass of ``prv`` where ``|support()| >= level > 0``, summed over
+    the grid's two end slices in support order, bitwise the sum over that
+    mask, without building the support."""
+    def y(i: int) -> float:         # support()[i + m], bitwise
+        return i * prv.mesh_h + prv.offset
+
+    index = range(-prv.half_bins, prv.half_bins + 1)
+    low = bisect.bisect_right(index, -level, key=y)
+    high = bisect.bisect_left(index, level, key=y)
+    return float(np.concatenate([prv.probs[:low], prv.probs[high:]]).sum())
 
 
 def _epsilon_within_window(composed, delta: float) -> float:
@@ -791,8 +796,7 @@ def account(spec: MechanismSpec, *,
         composed[direction] = full
 
         tail_single = float(one.tail_upper)
-        y = full.support()
-        grid_tail = float(full.probs[np.abs(y) >= cfg.trunc_L - t].sum())
+        grid_tail = _mass_beyond(full, cfg.trunc_L - t)
         tail_sum = min(1.0, grid_tail + k * tail_single)
         bounds[direction] = error_bounds(cfg, k, tail_single, tail_sum)
 

@@ -10,15 +10,13 @@ Under this convention ``beta = 1`` is Laplace with scale ``sigma`` and
 the exponent as |x|**beta / nu with ``nu = sigma**beta``, so ``sigma =
 nu**(1/beta)``.
 
-Every GG tail probability in the package comes from the regularized
-incomplete gammas: `cdf` and `calibrate.tail_weight` read `_upper_tail` at
-full precision in both tails, and `prv.loss_cdf` reads its saturating form
-`_upper_tails`, which at ``beta != 2`` rounds every tail below ``P(Z >=
-x1)`` (see `_saturation`) down to 0.0, as float64 already rounds its
-complement up to 1.0.  The accountant's grid takes its cell masses from
-`_masses_between`: the density's integral between two points, by a 3-node
-Gauss-Legendre rule on short cells and by incomplete gammas on the rest, so
-each mass keeps its own relative precision.
+Every GG tail probability in the package comes from one routine,
+`_incomplete`, the regularized incomplete gammas.  `cdf`,
+`calibrate.tail_weight` and `prv.loss_cdf` read its upper gamma through
+`_upper_tail`, at full precision in both tails.  The accountant's grid takes
+its cell masses from `_masses_between`: the density's integral between two
+points, by a 3-node Gauss-Legendre rule on short cells and by incomplete
+gammas on the rest, so each mass keeps its own relative precision.
 
 Sampling at ``beta = 2`` scales one block of standard normals by
 ``sigma / sqrt(2)``.  Every other shape uses the exact gamma transform
@@ -51,10 +49,10 @@ SIGMA_MAX = 1e12
 # and 1 - P(Z >= x) rounds to exactly 1.0 once x**beta >= _TAIL_ONE (the
 # tail falls below 2**-54 before 37).  Both sit well past those points, so
 # a point a few ulp short of a threshold still gives the saturated value.
-# The loss CDFs (`_upper_tails`) also take P(Z >= x) as 0.0 from _TAIL_ONE
-# on, and the accountant's grid solves no noise crossing past it: the tail
-# there is at most 0.5 e**-45 = 1.5e-20 (beta = 1; 4e-22 at beta = 3),
-# below the round-off of the first FFT composition.
+# The loss laws of `prv` solve no noise crossing past x1 = _TAIL_ONE**(1 /
+# beta) (`prv._loss_cut`) and take every tail there as exactly 0 or 1: the
+# tail they drop is at most 0.5 e**-45 = 1.5e-20 (beta = 1; 4e-22 at beta =
+# 3), below the round-off of the first FFT composition.
 _TAIL_ZERO = 800.0
 _TAIL_ONE = 45.0
 # The density's log normalizer is at most about 749 (sigma at the smallest
@@ -162,20 +160,14 @@ def _quadrature(beta: float, center: float, kinks=(), mass: float = 1.0,
 
 
 def _upper_tail(x: np.ndarray, beta: float) -> np.ndarray:
-    """``P(Z >= x)`` for ``Z ~ GG(beta, 1)``, elementwise.  The regularized
-    upper incomplete gamma at ``|x|`` gives the tail directly, so small
-    tails on either side keep their relative precision; at ``beta = 2``
-    (a normal with variance 1/2) it is one ``erfc``."""
-    if beta == 2.0:
-        return 0.5 * special.erfc(x)
+    """``P(Z >= x)`` for ``Z ~ GG(beta, 1)``, elementwise: half of
+    `_incomplete`'s upper gamma at ``|x|``, complemented below 0, so small
+    tails on either side keep their relative precision."""
     # At |x| >= _TAIL_ZERO the tail is 0.0 for every beta >= 1; capping |x|
-    # there keeps |x|**beta finite.  One array serves every step.
-    half = np.abs(x)
-    np.minimum(half, _TAIL_ZERO, out=half)
-    half **= beta
-    special.gammaincc(1.0 / beta, half, out=half)
-    half *= 0.5
-    return np.subtract(1.0, half, out=half, where=x < 0.0)
+    # there keeps |x|**beta finite.
+    half = 0.5 * _incomplete(np.minimum(np.abs(x), _TAIL_ZERO), beta,
+                             lower=False)
+    return np.where(x < 0.0, 1.0 - half, half)
 
 
 def _masses_between(x: np.ndarray, beta: float) -> np.ndarray:
@@ -247,37 +239,6 @@ def _incomplete(x: np.ndarray, beta: float, lower: bool) -> np.ndarray:
         return special.erf(x) if lower else special.erfc(x)
     return (special.gammainc if lower else special.gammaincc)(1.0 / beta,
                                                               x ** beta)
-
-
-def _saturation(beta: float) -> tuple[float, float]:
-    """``(x0, x1)``: `_upper_tail` is exactly 0.0 at ``x >= x0`` and exactly
-    1.0 at ``x <= -x1`` (see `_TAIL_ZERO` and `_TAIL_ONE`).  `_upper_tails`
-    saturates both tails at ``x1``."""
-    return _TAIL_ZERO ** (1.0 / beta), _TAIL_ONE ** (1.0 / beta)
-
-
-def _upper_tails(beta: float, xs: list[np.ndarray]) -> list[np.ndarray]:
-    """``P(Z >= x)`` at each array of ``xs``, where the arrays hold the same
-    ``|x|`` elementwise, with both tails saturated at ``x1`` of
-    `_saturation`: exactly 1.0 at ``x <= -x1``, where `_upper_tail` rounds
-    to 1.0 too, and exactly 0.0 at ``x >= x1``, where it would still resolve
-    a tail of at most ``P(Z >= x1)``.  Rounding that tail down moves its
-    mass to higher loss in every CDF of `prv`, a pessimistic rounding.
-    Everywhere else the values are `_upper_tail`'s, bitwise, from one tail
-    evaluation that serves every array.  At ``beta = 2`` each ``x`` takes
-    one ``erfc`` at full precision, which costs less than the masks would
-    save."""
-    if beta == 2.0:
-        return [_upper_tail(x, beta) for x in xs]
-    x1 = _saturation(beta)[1]
-    live = np.abs(xs[0]) < x1
-    half = _upper_tail(np.abs(xs[0][live]), beta)
-    tails = []
-    for x in xs:
-        tail = np.where(x < 0.0, 1.0, 0.0)
-        tail[live] = np.where(x[live] >= 0.0, half, 1.0 - half)
-        tails.append(tail)
-    return tails
 
 
 def cdf(params: GGParams, x, mu: float = 0.0):

@@ -30,11 +30,13 @@ Conventions, fixed once here and relied on everywhere else:
   and solves one root per edge that can bound any mass, shared by both
   directions (`_edge_crossings`).
 
-* `loss_cdf` takes its tails from `ggdist._upper_tails`.  At ``beta != 2``
-  it takes ``P(Z >= x)`` as 1.0 at ``x <= -x1``, where float64 rounds it to
-  1.0 anyway, and as 0.0 at ``x >= x1``.  The second moves that mass to
-  higher loss, a pessimistic rounding.  A root whose every tail saturates
-  is not solved (`_live_half_gap_root`).
+* `loss_cdf` and `loss_masses` follow one tail rule.  Inside the solved
+  range, where ``|theta|`` stays below `_loss_cut`, every tail is
+  `ggdist._incomplete`'s at full precision.  Past it the crossing is not
+  solved (`_live_half_gap_root`) and each tail is exactly 0 or 1; the tail
+  rounded off is at most ``P(Z >= x1)`` (1.5e-20), with ``x1 =
+  ggdist._TAIL_ONE**(1/beta)``.  Rounding the low-loss end moves its mass
+  to higher loss, a pessimistic rounding.
 
 * Without subsampling the mechanism is symmetric and both directions share
   one distribution; `sample_prv` then returns ``ell`` evaluated on centered
@@ -55,8 +57,8 @@ from typing import Callable
 import numpy as np
 
 from . import ggdist, kernels
-from .errors import InputError, ParameterError, _integer, _real
-from .ggdist import GGParams, _quadrature, _saturation, _upper_tails
+from .errors import InputError, ParameterError, RangeError, _integer, _real
+from .ggdist import GGParams, _quadrature, _upper_tail
 
 MAX_DIMENSIONS = 64
 _ROOT_TOL = 32.0 * float(np.finfo(np.float64).eps)
@@ -227,7 +229,7 @@ def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
         ha = np.where(above, wa, ha)
         la = np.where(above, la, wa)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = wa - res / slope   # a flat slope fails `inside` below
+            newton = wa - res / slope   # a flat slope fails ``inside`` below
         inside = (newton >= la) & (newton <= ha)
         nxt = np.where(inside, newton, la + 0.5 * (ha - la))
         # Rounding in the residual moves the root by about eps (w + c) /
@@ -240,16 +242,17 @@ def _half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
 
 
 def _loss_cut(beta: float, c: float) -> float:
-    """``a_cut``: the base loss at ``-x1`` (`ggdist._saturation`), ``ell(-x1)
-    = (x1 + 2c)**beta - x1**beta`` with ``2c = Delta/sigma``, raised by the
-    relative margin `_CUT_MARGIN`, far above its rounding.
+    """``a_cut``: the base loss at ``-x1``, ``ell(-x1) = (x1 + 2c)**beta -
+    x1**beta`` with ``x1 = ggdist._TAIL_ONE**(1/beta)`` and ``2c =
+    Delta/sigma``, raised by the relative margin `_CUT_MARGIN`, far above
+    its rounding.
 
     The loss is odd about ``c``, so ``|ell| < a_cut`` holds on the noise
     range ``(-x1, x1 + 2c)`` and on no point past it: a crossing at
     ``|theta| >= a_cut`` lies past ``-x1`` or past ``x1 + 2c``.  At ``beta
     = 1`` the cut lies just above the loss's bound ``Delta/sigma``.
     """
-    s = np.float64(_saturation(beta)[1] + c + c)
+    s = np.float64(ggdist._TAIL_ONE ** (1.0 / beta) + c + c)
     # The stable form of `_half_gap_root`'s residual, at w = x1 + c > c.
     # Where 2c swamps x1, log1p(-1) = -inf gives the limit s**beta.
     with np.errstate(over="ignore", divide="ignore"):
@@ -258,15 +261,13 @@ def _loss_cut(beta: float, c: float) -> float:
 
 
 def _live_half_gap_root(beta: float, c: float, a: np.ndarray) -> np.ndarray:
-    """`_half_gap_root`, solved only where a tail it feeds can be live, and
-    ``+inf`` elsewhere.
+    """`_half_gap_root` below `_loss_cut`, and ``+inf`` at and above it.
 
     The crossing is ``z = c - sign(theta) w`` (`_crossing`), and every tail
     it feeds is taken at ``z``, ``-z`` or ``2c - z = c + sign(theta) w``.
-    Each is at least ``w - c`` in size, so each saturates in
-    `ggdist._upper_tails` once ``w >= x1 + c``, which holds at every ``a``
-    at or above `_loss_cut`.  ``w = inf`` gives those tails their saturated
-    values exactly.
+    Each is at least ``w - c`` in size, so each is within ``P(Z >= x1)``
+    (1.5e-20) of 0 or 1 once ``w >= x1 + c``, which holds at every ``a`` at
+    or above the cut.  ``w = inf`` makes those tails exactly 0 or 1.
     """
     live = a < _loss_cut(beta, c)
     w = np.full(a.shape, np.inf)
@@ -328,29 +329,24 @@ def loss_cdf(spec: MechanismSpec,
     * ADD: ``P(ell(Z) <= theta)`` at ``theta = -log((e**-y - 1 + q) / q)``,
       one at and above ``-log(1 - q)``.
 
-    Each tail is `ggdist._upper_tails`': at ``beta != 2`` a tail below
-    ``P(Z >= x1)`` (at most 1.5e-20) reads 0.0, which moves that mass to
-    higher loss, and a root whose every tail saturates is not solved
-    (`_live_half_gap_root`).  Each point is solved on its own; on a grid
-    symmetric about 0, `_edge_crossings` solves the same crossings bitwise
-    for every direction at once.
+    Each tail is `ggdist._upper_tail`'s, at full precision, while
+    ``|theta|`` stays below `_loss_cut`; past the cut it is exactly 0 or 1
+    (`_live_half_gap_root`), the rule `loss_masses` follows too.  Each point
+    is solved on its own; on a grid symmetric about 0, `_edge_crossings`
+    solves the same crossings bitwise for every direction at once.
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
     beta, ratio, q = spec.loss_key
 
-    def tail(x: np.ndarray) -> np.ndarray:
-        [out] = _upper_tails(beta, [x])
-        return out
-
     def values(y: np.ndarray) -> np.ndarray:
-        if q is None:
-            return tail(_crossing(beta, ratio, y, upper=False))
-        if direction is LossDirection.ADD:
-            theta = -_unmix(-y, q)
-            return tail(_crossing(beta, ratio, theta, upper=False))
+        if q is None or direction is LossDirection.ADD:
+            theta = y if q is None else -_unmix(-y, q)
+            return _upper_tail(_crossing(beta, ratio, theta, upper=False),
+                               beta)
         z = _crossing(beta, ratio, -_unmix(y, q), upper=True)
-        return (1.0 - q) * tail(-z) + q * tail(ratio - z)
+        return (1.0 - q) * _upper_tail(-z, beta) \
+            + q * _upper_tail(ratio - z, beta)
 
     def cdf(y):
         out = values(np.atleast_1d(np.asarray(y, dtype=np.float64)))
@@ -394,19 +390,18 @@ def _edge_crossings(spec: MechanismSpec,
 
 
 def loss_masses(spec: MechanismSpec, h: float,
-                m: int) -> dict[LossDirection, tuple[int, np.ndarray]]:
+                m: int) -> dict[LossDirection, np.ndarray]:
     """The law of the single-shot loss on the cells ``((i - 1/2) h, (i +
     1/2) h]``, ``|i| <= m``, for every direction of `directions_for`.
 
     The loss line falls into ``2m + 3`` pieces: the mass at or below ``-(m
     + 1/2) h``, the cells in order, and the mass above ``(m + 1/2) h``.
-    Each direction maps to ``(first, masses)``: ``masses[j]`` is the mass of
-    piece ``first + j``, and every other piece holds none.
+    Each direction maps to one array of those pieces, in that order.
 
     * Only the edges whose noise crossing can lie in ``(-x1, x1 +
-      Delta/sigma)`` (``x1`` of `ggdist._saturation`), where ``|theta|``
-      stays below `_loss_cut`, are solved (`_edge_crossings`).  At ``beta =
-      1`` that is the loss's bounded range.
+      Delta/sigma)``, where ``|theta|`` stays below `_loss_cut`, are solved
+      (`_edge_crossings`); the pieces past them hold none.  At ``beta = 1``
+      that is the loss's bounded range.
     * A piece's mass is the integral, between the noise crossings of its two
       edges, of the density its direction draws from: ``p(u)`` for a plain
       spec and for ADD, ``(1 - q) p(u) + q p(u - Delta/sigma)`` for REMOVE
@@ -424,9 +419,9 @@ def loss_masses(spec: MechanismSpec, h: float,
     else:
         lo_y, hi_y = _directed_loss(np.array([cut, -cut]), q,
                                     LossDirection.REMOVE)
-    # The edges (i - 1/2) h from index `first` to `last` lie in [lo_y, hi_y]
-    # up to rounding, which only moves where the open end pieces start.
-    # A plain spec's edges are symmetric about 0.
+    # The edges (i - 1/2) h from index ``first`` to ``last`` lie in [lo_y,
+    # hi_y] up to rounding, which only moves where the open end pieces
+    # start.  A plain spec's edges are symmetric about 0.
     with np.errstate(over="ignore", invalid="ignore"):
         last = int(math.floor(np.clip(hi_y / h + 0.5, -m - 1, m + 1)))
         first = 1 - last if q is None else \
@@ -434,20 +429,23 @@ def loss_masses(spec: MechanismSpec, h: float,
     y = (np.arange(first, last + 1, dtype=np.float64) - 0.5) * h
     crossings = _edge_crossings(spec, y)
 
-    def pieces(z: np.ndarray, falling: bool, mixed: bool = False):
+    def pieces(z: np.ndarray, start: int, falling: bool,
+               mixed: bool = False) -> np.ndarray:
         # Noise crossings in increasing order, open at both ends.
         x = np.concatenate([[-np.inf], z[::-1] if falling else z, [np.inf]])
         mass = ggdist._masses_between(x, beta)
         if mixed:       # u ~ (1 - q) p(u) + q p(u - Delta/sigma)
             mass *= 1.0 - q
             mass += q * ggdist._masses_between(x - ratio, beta)
-        return mass[::-1] if falling else mass
+        out = np.zeros(2 * m + 3)
+        out[start:start + mass.size] = mass[::-1] if falling else mass
+        return out
 
     remove, add = LossDirection.REMOVE, LossDirection.ADD
     if q is None:
-        return {remove: (first + m, pieces(crossings[remove], True))}
-    return {remove: (first + m, pieces(crossings[remove], False, True)),
-            add: (1 - last + m, pieces(crossings[add], True))}
+        return {remove: pieces(crossings[remove], first + m, True)}
+    return {remove: pieces(crossings[remove], first + m, False, True),
+            add: pieces(crossings[add], 1 - last + m, True)}
 
 
 def loss_moments(spec: MechanismSpec,
@@ -455,7 +453,8 @@ def loss_moments(spec: MechanismSpec,
     """Mean and variance of the single-shot loss in ``direction``.
 
     Quadrature against the GG density in units of sigma (`ggdist._quadrature`),
-    on panels that break at the loss's kinks ``0`` and ``Delta/sigma``.
+    on panels that break at the loss's kinks ``0`` and ``Delta/sigma``.  A
+    loss whose variance overflows float64 raises `RangeError`.
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
@@ -467,11 +466,19 @@ def loss_moments(spec: MechanismSpec,
     us, ws = zip(*(_quadrature(beta, shift, (0.0, ratio), share)
                    for share, shift in parts))
     u, w = np.concatenate(us), np.concatenate(ws)
-    y = _base_loss(spec, u)
-    if q is not None:
-        y = _directed_loss(y, q, direction)
-    mean = float(w @ y)
-    return mean, float(w @ (y - mean) ** 2)
+    # An overflow leaves the variance inf or nan, which raises below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _base_loss(spec, u)
+        if q is not None:
+            y = _directed_loss(y, q, direction)
+        mean = float(w @ y)
+        var = float(w @ (y - mean) ** 2)
+    if not math.isfinite(var):
+        raise RangeError(
+            f"the single-shot loss at beta = {beta:g}, Delta/sigma = "
+            f"{ratio:.6g} reaches {float(np.max(np.abs(y))):.3g} in the "
+            f"{direction.value} direction, so its variance overflows float64")
+    return mean, var
 
 
 def directions_for(spec: MechanismSpec) -> tuple[LossDirection, ...]:

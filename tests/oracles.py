@@ -53,22 +53,21 @@ def sample_inverse_cdf(params: GGParams, rng: np.random.Generator,
 def loss_cdfs_on_grid(spec, edges: np.ndarray) -> dict:
     """`prv.loss_cdf` for every direction of `prv.directions_for` on
     ``edges`` symmetric about 0, from the package's shared crossing solve
-    (`prv._edge_crossings`) and its saturating tails: the tests check the
-    shared solve through it, bitwise against the pointwise CDFs."""
+    (`prv._edge_crossings`) and its tails (`ggdist._upper_tail`): the tests
+    check the shared solve through it, bitwise against the pointwise CDFs."""
     beta, ratio, q = spec.loss_key
     y = np.asarray(edges, dtype=np.float64)
     if y.ndim != 1 or not np.array_equal(y[::-1], -y):
         raise InputError("edges must be a 1-d grid symmetric about 0")
     z = prv._edge_crossings(spec, y)
     if q is None:
-        [cdf] = ggdist._upper_tails(beta, [z[LossDirection.REMOVE]])
-        return {LossDirection.REMOVE: cdf}
+        return {LossDirection.REMOVE:
+                ggdist._upper_tail(z[LossDirection.REMOVE], beta)}
     removed = z[LossDirection.REMOVE]
-    [below] = ggdist._upper_tails(beta, [-removed])
-    [shifted] = ggdist._upper_tails(beta, [ratio - removed])
-    [add] = ggdist._upper_tails(beta, [z[LossDirection.ADD]])
-    return {LossDirection.REMOVE: (1.0 - q) * below + q * shifted,
-            LossDirection.ADD: add}
+    return {LossDirection.REMOVE:
+            (1.0 - q) * ggdist._upper_tail(-removed, beta)
+            + q * ggdist._upper_tail(ratio - removed, beta),
+            LossDirection.ADD: ggdist._upper_tail(z[LossDirection.ADD], beta)}
 
 
 def gg_interval_mass(lo, hi, beta: float, dps: int = 40):

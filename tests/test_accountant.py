@@ -565,6 +565,27 @@ def test_compose_power_matches_numpy_power_at_large_k(rng):
     assert 0.5 * np.abs(got - want).sum() < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_compose_clips_its_own_round_off_at_large_k():
+    # At k = 1e5 the REMOVE direction's inverse FFT dips to about -1.5e-12,
+    # below the -1e-12 that DiscretePRV accepts from callers; compose clips
+    # its own round-off, and the callers' floor stays.
+    from scipy import fft
+    from ggprivacy.accountant import (_auto_config, _discretize_directions,
+                                      _power)
+    k = 100_000
+    spec = MechanismSpec(GGParams(2.0, 0.001), 1.0, 1e-9, k)
+    cfg = _auto_config(spec, k, 10_000, 2 ** 10)
+    one = _discretize_directions(spec, cfg)[LossDirection.REMOVE]
+    raw = fft.irfft(_power(one._spectrum(), k), n=one.probs.size)
+    assert raw.min() < -1e-12
+    with pytest.raises(ParameterError, match="non-negative"):
+        DiscretePRV(probs=np.fft.fftshift(raw), mesh_h=one.mesh_h)
+    assert compose([(one, k)]).probs.min() == 0.0
+    assert account(spec, delta=1e-5, bins=2 ** 10).epsilon == \
+        pytest.approx(1.0e6, rel=0.01)
+
+
 # -- certificate ---------------------------------------------------------------
 
 def test_error_bounds_basic_shape():
@@ -948,6 +969,37 @@ def test_cell_masses_agree_with_cdf_differencing(beta, q):
         ref = discretize_from_cdf(loss_cdf(spec, direction), cfg)
         npt.assert_allclose(one.probs, ref.probs, rtol=0.0, atol=1e-15)
         assert one.offset == ref.offset == 0.0
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.1, 0.25])
+def test_mass_beyond_sums_the_masked_mass_bitwise(offset, rng):
+    # The certificate's grid tail, from the grid's two end slices, is
+    # bitwise the sum over the mask |support()| >= level, at levels on and
+    # between support points.
+    from ggprivacy.accountant import _mass_beyond
+    probs = rng.random(2187)
+    one = DiscretePRV(probs=probs / probs.sum(), mesh_h=0.3, offset=offset)
+    for level in (1e-9, 0.3, 17.0, 0.3 * 1000 + offset, 327.0, 328.0, 1e9):
+        want = float(one.probs[np.abs(one.support()) >= level].sum())
+        assert _mass_beyond(one, level).hex() == want.hex()
+    spec = MechanismSpec(GGParams(3.0, 4.0), 1.0, None, 100)
+    got = account(spec, delta=1e-5, bins=2 ** 12)
+    cfg = got.config
+    full = got.composed[LossDirection.REMOVE]
+    level = cfg.trunc_L - cfg.resolved_t()
+    want = float(full.probs[np.abs(full.support()) >= level].sum())
+    assert _mass_beyond(full, level).hex() == want.hex()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [None, 1e-9, 0.5])
+def test_a_loss_whose_variance_overflows_is_out_of_range(q):
+    # At beta = 64 and Delta/sigma = 1000 the loss reaches about 1e192, so
+    # its variance overflows: a domain error that names that scale, with
+    # no overflow warning first.
+    spec = MechanismSpec(GGParams(64.0, 1e-3), 1.0, q, 10)
+    with pytest.raises(RangeError, match="reaches 1.07e\\+192"):
+        account(spec, delta=1e-5, bins=2 ** 10)
 
 
 def test_ledger_frozen_max_steps():

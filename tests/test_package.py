@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
 import re
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import ggprivacy
 from ggprivacy import (CompositionLedger, DiscretePRV, GGParams,
@@ -25,6 +28,8 @@ from ggprivacy import (CompositionLedger, DiscretePRV, GGParams,
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+# A name in single backquotes, as docstrings and comments cite one.
+_CITED = re.compile(r"(?<!`)`([A-Za-z_][\w.]*)`(?!`)")
 
 
 def test_all_lists_resolvable_public_api_only():
@@ -63,6 +68,59 @@ def test_import_computes_no_quadrature_nodes():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["0"]
+
+
+def _citable() -> tuple[dict[str, list], set[str]]:
+    """The objects each head of a cited name may stand for (the package's
+    modules and their module-level names, ``np`` and ``scipy``), and the
+    members of the package's classes, which a docstring may cite bare."""
+    heads = {"ggprivacy": [ggprivacy], "np": [np], "scipy": [scipy]}
+    members: set[str] = set()
+    for info in pkgutil.iter_modules(ggprivacy.__path__):
+        module = importlib.import_module(f"ggprivacy.{info.name}")
+        heads.setdefault(info.name, []).append(module)
+        for name, obj in vars(module).items():
+            heads.setdefault(name, []).append(obj)
+            if inspect.isclass(obj) and obj.__module__.startswith("ggprivacy"):
+                members |= set(vars(obj))
+                if dataclasses.is_dataclass(obj):
+                    members |= {f.name for f in dataclasses.fields(obj)}
+    return heads, members
+
+
+def _attribute(obj, part: str) -> list:
+    """``obj.part`` as a one-element list, or ``[]`` when it does not
+    exist; a dataclass's fields and a package's submodules count."""
+    if inspect.isclass(obj) and dataclasses.is_dataclass(obj) \
+            and part in {f.name for f in dataclasses.fields(obj)}:
+        return [part]
+    if hasattr(obj, part):
+        return [getattr(obj, part)]
+    if inspect.ismodule(obj):
+        try:
+            return [importlib.import_module(f"{obj.__name__}.{part}")]
+        except ImportError:
+            return []
+    return []
+
+
+def test_every_name_cited_in_the_package_resolves():
+    # A docstring or comment that cites a removed helper, or a local, in
+    # single backquotes fails here; locals take double backquotes.
+    heads, members = _citable()
+    unresolved = []
+    for path in sorted(Path(ggprivacy.__file__).resolve().parent.glob("*.py")):
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for name in _CITED.findall(line):
+                head, *rest = name.split(".")
+                objs = list(heads.get(head, []))
+                if not rest and head in members:
+                    continue
+                for part in rest:
+                    objs = [a for obj in objs for a in _attribute(obj, part)]
+                if not objs:
+                    unresolved.append(f"{path.name}:{lineno}: {name}")
+    assert unresolved == []
 
 
 def test_readme_quick_start_prints_what_it_says(capsys):

@@ -400,10 +400,10 @@ def _symmetric_grids(beta: float,
     """``(edges, saturates)`` pairs of grids symmetric about 0: a uniform
     accountant grid over the bulk of the loss, and two log-spaced grids (of
     even and of odd length, the odd one with 0 at its centre) that reach
-    past the loss at the root ``w = 2 (c + x0)``, so that both ends of every
-    CDF have saturated."""
-    from ggprivacy.ggdist import _saturation
-    far = (2.0 * (ratio + _saturation(beta)[0])) ** beta + 50.0
+    past the loss at the root ``w = 2 (c + x0)``, ``x0 = _TAIL_ZERO**(1 /
+    beta)``, so that both ends of every CDF have saturated."""
+    from ggprivacy.ggdist import _TAIL_ZERO
+    far = (2.0 * (ratio + _TAIL_ZERO ** (1.0 / beta))) ** beta + 50.0
     m = 600
     uniform = (np.arange(-m, m + 2, dtype=np.float64) - 0.5) * 8.0 / (m + 0.5)
     upper = np.geomspace(1e-4, far, 1500)
@@ -416,8 +416,8 @@ def _symmetric_grids(beta: float,
 @pytest.mark.parametrize("q", [None, 1e-3, 0.1, 0.9, 1.0])
 @pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
 def test_loss_cdfs_on_grid_bitwise_equal_pointwise(beta, q, ratio):
-    # The shared, mirrored root solve and the skipped saturated tails change
-    # no bit of any direction's CDF.
+    # The shared, mirrored root solve and the roots skipped past the cut
+    # change no bit of any direction's CDF.
     spec = MechanismSpec(GGParams(beta, 1.0), ratio, q)
     for edges, saturates in _symmetric_grids(beta, ratio):
         got = loss_cdfs_on_grid(spec, edges)
@@ -439,11 +439,11 @@ def test_loss_cdfs_on_grid_needs_a_symmetric_grid():
 
 @pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
 def test_upper_tail_saturation_thresholds(beta):
-    # At beta != 2 the loss CDFs skip every tail past -x1, taking the
-    # saturated value; a scipy whose tails stopped saturating there fails
-    # here instead of moving a CDF.
-    from ggprivacy.ggdist import _TAIL_ONE, _TAIL_ZERO, _saturation, _upper_tail
-    x0, x1 = _saturation(beta)
+    # The loss laws take every tail past the cut, at |x| >= x1, as exactly 0
+    # or 1; a scipy whose tails stopped saturating at -x1 fails here instead
+    # of moving a result.
+    from ggprivacy.ggdist import _TAIL_ONE, _TAIL_ZERO, _upper_tail
+    x0, x1 = _TAIL_ZERO ** (1.0 / beta), _TAIL_ONE ** (1.0 / beta)
     beyond = np.array([1.0, 1.0 + 1e-9, 1.5, 10.0, np.inf])
     npt.assert_array_equal(_upper_tail(x0 * beyond, beta), 0.0)
     npt.assert_array_equal(_upper_tail(-x1 * beyond, beta), 1.0)
@@ -455,28 +455,6 @@ def test_upper_tail_saturation_thresholds(beta):
                        beta)[0] == 1.0
     # Inside the thresholds the tail is still resolved.
     assert 0.0 < _upper_tail(np.array([0.8 * x1]), beta)[0] < 1.0
-
-
-@pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
-def test_loss_cdf_tails_saturate_at_x1_on_both_sides(beta):
-    # The loss CDFs' tails are exactly 1.0 at x <= -x1 and, but for the
-    # one erfc of beta = 2, exactly 0.0 at x >= x1; inside they are
-    # _upper_tail's, bitwise.
-    from ggprivacy.ggdist import _saturation, _upper_tail, _upper_tails
-    x1 = _saturation(beta)[1]
-    x = x1 * np.array([0.0, 0.3, 0.999, 1.0, 1.0 + 1e-9, 2.0, np.inf])
-    inside = np.abs(x) < x1
-    for xs in ([x, -x], [-x, x]):
-        tails = _upper_tails(beta, xs)
-        for arr, tail in zip(xs, tails):
-            full = _upper_tail(arr, beta)
-            npt.assert_array_equal(tail[inside], full[inside])
-            npt.assert_array_equal(tail[~inside & (arr < 0.0)], 1.0)
-            past = tail[~inside & (arr > 0.0)]
-            if beta == 2.0:
-                npt.assert_array_equal(past, full[~inside & (arr > 0.0)])
-            else:
-                npt.assert_array_equal(past, 0.0)
 
 
 def _full_precision_tails(spec: MechanismSpec, direction: LossDirection,
@@ -513,26 +491,24 @@ def _full_precision_cdf(spec: MechanismSpec, direction: LossDirection,
 @pytest.mark.parametrize("q", [None, 0.1])
 @pytest.mark.parametrize("beta", [1.0, 1.5, 3.0, 4.0])
 def test_loss_cdf_tails_round_down_only_past_saturation(beta, q, ratio):
-    # Against every root solved and every tail at full precision: the loss
-    # CDFs agree bitwise wherever each tail they read is resolved, and
-    # elsewhere lie below by at most P(Z >= x1) <= 1.5e-20.  A lower CDF
-    # moves mass to higher loss, a pessimistic rounding.  At beta = 1 every
-    # finite crossing lies in [0, ratio], inside x1 = 45, so nothing moves.
-    from ggprivacy.ggdist import _saturation, _upper_tail
-    x1 = _saturation(beta)[1]
-    moved = _upper_tail(np.array([x1]), beta)[0]
+    # Against every root solved: the loss CDFs agree bitwise wherever their
+    # root is solved, below the cut, and past it lie below by at most
+    # P(Z >= x1) <= 1.5e-20.  A lower CDF moves mass to higher loss, a
+    # pessimistic rounding.  At beta = 1 no root is solved and nothing moves.
+    from ggprivacy import prv
+    from ggprivacy.ggdist import _TAIL_ONE, _upper_tail
+    moved = _upper_tail(np.array([_TAIL_ONE ** (1.0 / beta)]), beta)[0]
     assert 0.0 < moved <= 1.5e-20
     spec = MechanismSpec(GGParams(beta, 1.0), ratio, q)
     bitten = 0
     for edges, _ in _symmetric_grids(beta, ratio):
         got = loss_cdfs_on_grid(spec, edges)
+        crossings = prv._edge_crossings(spec, edges)
         for direction, cdf in got.items():
             want = _full_precision_cdf(spec, direction, edges)
-            resolved = np.ones(edges.shape, dtype=bool)
-            for _, x in _full_precision_tails(spec, direction, edges):
-                resolved &= np.abs(x) < x1
-            npt.assert_array_equal(cdf[resolved].view(np.int64),
-                                   want[resolved].view(np.int64))
+            solved = np.isfinite(crossings[direction])
+            npt.assert_array_equal(cdf[solved].view(np.int64),
+                                   want[solved].view(np.int64))
             gap = want - cdf
             assert np.all(gap >= 0.0) and np.all(gap <= moved)
             bitten += np.count_nonzero(gap)
@@ -566,7 +542,7 @@ def test_auto_window_is_the_full_precision_window(beta, ratio, q, k,
             below = _full_precision_cdf(spec, d, -edge)[0]
             above = sum(weight * _upper_tail(-x, beta)[0] for weight, x
                         in _full_precision_tails(spec, d, edge))
-            pieces[d] = (0, np.array([below, 1.0 - below - above, above]))
+            pieces[d] = np.array([below, 1.0 - below - above, above])
         return pieces
 
     monkeypatch.setattr(accountant, "loss_masses", full_precision)
@@ -580,10 +556,10 @@ def test_roots_are_solved_only_below_the_cut(beta, q, monkeypatch):
     # _half_gap_root sees only |theta| below the cut at w = x1 + c, and the
     # grids hold entries above it.
     from ggprivacy import prv
-    from ggprivacy.ggdist import _saturation
+    from ggprivacy.ggdist import _TAIL_ONE
     ratio = 1.0
     c = 0.5 * ratio
-    w_c = _saturation(beta)[1] + c
+    w_c = _TAIL_ONE ** (1.0 / beta) + c
     cut = (w_c + c) ** beta - (w_c - c) ** beta
     seen = []
     solve = prv._half_gap_root
@@ -625,7 +601,7 @@ def test_loss_cut_where_the_ratio_swamps_x1(beta):
 
 
 def _oracle_pieces(spec: MechanismSpec, direction: LossDirection, h: float,
-                   m: int, first: int, mass: np.ndarray) -> list[int]:
+                   m: int, mass: np.ndarray) -> list[int]:
     """The pieces of `loss_masses` that the oracle test checks: the two open
     end pieces and the four smallest, the three largest (the atoms at beta
     = 1), the ones that hold the image of a density kink, the one with the
@@ -633,11 +609,10 @@ def _oracle_pieces(spec: MechanismSpec, direction: LossDirection, h: float,
     from ggprivacy import prv
     beta, ratio, q = spec.loss_key
     live = np.flatnonzero(mass > 0.0)
-    chosen = {int(live[0]), int(live[-1])}
-    chosen |= set(np.argsort(np.where(mass > 0.0, mass, np.inf))[:4].tolist())
-    chosen |= set(np.argsort(mass)[-3:].tolist())
-    chosen |= set(np.linspace(live[0], live[-1], 8).astype(int).tolist())
-    pieces = {first + j for j in chosen}
+    pieces = {int(live[0]), int(live[-1])}
+    pieces |= set(np.argsort(np.where(mass > 0.0, mass, np.inf))[:4].tolist())
+    pieces |= set(np.argsort(mass)[-3:].tolist())
+    pieces |= set(np.linspace(live[0], live[-1], 8).astype(int).tolist())
     # The loss at the kinks u = 0 and u = Delta/sigma.
     kinks = prv._base_loss(spec, np.array([0.0, ratio]))
     if q is not None:
@@ -666,18 +641,32 @@ def test_loss_masses_match_a_multiprecision_oracle(beta, q):
     cfg = accountant._auto_config(spec, 10, 10_000, 2 ** 12)
     h, m = cfg.mesh_h, cfg.half_bins
     smallest = 1.0
-    for direction, (first, mass) in loss_masses(spec, h, m).items():
-        pieces = _oracle_pieces(spec, direction, h, m, first, mass)
+    for direction, mass in loss_masses(spec, h, m).items():
+        pieces = _oracle_pieces(spec, direction, h, m, mass)
         want = np.array(loss_piece_masses(spec, direction, h, m, pieces))
-        got = np.zeros(len(pieces))
-        inside = [(i, p - first) for i, p in enumerate(pieces)
-                  if 0 <= p - first < mass.size]
-        for i, j in inside:
-            got[i] = mass[j]
-        npt.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+        npt.assert_allclose(mass[pieces], want, rtol=1e-10, atol=0.0)
         smallest = min(smallest, want[want > 0.0].min())
     if beta == 3.0:
         assert smallest < 1e-30
+
+
+@pytest.mark.parametrize("q,direction", [(None, LossDirection.REMOVE),
+                                         (0.1, LossDirection.ADD)])
+@pytest.mark.parametrize("beta", [1.5, 3.0, 8.0])
+def test_loss_masses_and_loss_cdf_share_one_tail_rule(beta, q, direction):
+    # The first piece with mass holds the whole tail below its upper edge,
+    # so it is the CDF there, resolved to full precision by both: 1.3e-23,
+    # 7.7e-44 and 1.1e-311 for the plain specs.
+    from ggprivacy import accountant
+    spec = MechanismSpec(GGParams(beta, 1.0), 1.0, q, 10)
+    cfg = accountant._auto_config(spec, 10, 10_000, 2 ** 12)
+    h, m = cfg.mesh_h, cfg.half_bins
+    mass = loss_masses(spec, h, m)[direction]
+    t = int(np.flatnonzero(mass > 0.0)[0])
+    edge = (t - m - 0.5) * h
+    assert 0.0 < mass[t] < 1e-20
+    assert loss_cdf(spec, direction)(edge) == pytest.approx(mass[t],
+                                                            rel=1e-13)
 
 
 def test_loss_moments_gaussian_closed_form():
