@@ -12,19 +12,25 @@ distribution with FFT powers (circular, i.e. modulo the window), and read
   that can carry mass are solved and integrated, from one root solve for
   every direction (on half the edges for a plain spec; REMOVE's solve,
   reversed, serves ADD); the rest of the grid is zero.
-* `DiscretePRV` clips and normalizes the masses it is given: the
-  discretizers hand it masses conditioned on the window, `compose` its
-  inverse FFT with the round-off below 0 already clipped, since at large
-  ``k`` that passes the -1e-12 `DiscretePRV` accepts.
+* `DiscretePRV` clips, into a copy, and normalizes the masses a caller
+  gives it.  The accountant's own builders hand theirs over
+  (`DiscretePRV._adopt`), to be normalized in place with no second pass
+  over them and no copy: `_discretize_directions` its masses conditioned
+  on the window, `compose` its inverse FFT after its drift check, both
+  with the round-off below 0 already clipped, since at large ``k`` the
+  FFT's passes the -1e-12 that `DiscretePRV` accepts.
 * The cell count is rounded up to a fast FFT length, an odd number whose
   prime factors all lie in {3, 5, 7}, and powers are taken by repeated
   squaring, so composing ``k`` copies costs ``O(log k)`` spectrum products
   and one inverse FFT.
-* The window is sized from the exact loss moments (`prv.loss_moments`),
-  then widened until ``k`` times the exact single-shot mass outside it is
-  at most 1e-12 in each direction, so a rare inclusion with a large loss
-  is not renormalized away.  The masses below and above the window are
-  read as tails at the noise crossings of its ends.
+* The window is sized from the exact loss moments (`prv.loss_moments`,
+  one quadrature per noise law for both directions), then widened until
+  ``k`` times the exact single-shot mass outside it is at most 1e-12 in
+  each direction, so a rare inclusion with a large loss is not
+  renormalized away.  The masses below and above the window are read as
+  tails at the noise crossings of its ends.  A window that already covers
+  the loss's solved reach, past which every such tail is exactly 0, skips
+  that check.
 * Queries read two suffix tables over the positive support ``y_i``: the
   mass ``S1[i]`` at or above ``y_i`` and the sum ``T[i]`` of those masses
   scaled by ``exp(-(y_j - y_i))``, so ``delta(eps) = S1[i] - exp(eps -
@@ -35,7 +41,9 @@ distribution with FFT powers (circular, i.e. modulo the window), and read
 `account` and `CompositionLedger` share that path: both discretize through
 `_discretize_directions`, compose through `compose` and read epsilon
 through `_epsilon_within_window`, which refuses an answer that the window
-caps.  The ledger's `max_steps` searches on its own grid.  Nothing on the
+caps; both refuse a ``delta`` below `_DELTA_FLOOR` (1e-11), where FFT
+round-off sets epsilon.  The ledger's `max_steps` searches on its own grid.
+`AccountResult.curve` is built on its first read.  Nothing on the
 path samples.  The paper's sampled estimator, `discretize_from_samples` fed
 by `prv.sample_prv`, stays as its reproduction and as a cross-check.
 
@@ -64,6 +72,7 @@ certificate (ROADMAP item 1).
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import hashlib
 import json
 import math
@@ -78,8 +87,8 @@ from . import kernels
 from .errors import (AccountingInconsistencyError, BudgetExhaustedError,
                      ConfigError, GridMismatchError, ParameterError,
                      RangeError, TruncationError, _integer, _real)
-from .prv import (LossDirection, MechanismSpec, directions_for, loss_masses,
-                  loss_moments)
+from .prv import (LossDirection, MechanismSpec, _loss_moments, _solved_edges,
+                  directions_for, loss_masses)
 # perfbench/spans.py patches sample_prv and discretize_from_samples here.
 # Nothing in this module calls sample_prv; the import goes once the
 # benchmark's tracer stops patching it (ROADMAP item 1).
@@ -94,6 +103,10 @@ _WINDOW_GROWTH = 1.25
 _SAMPLE_CHUNK = 2_500_000
 _MIN_ACCEPTANCE = 0.10
 _MASS_DRIFT_TOL = 1e-9
+# The smallest delta `account` and `CompositionLedger` answer.  FFT round-off
+# moves epsilon by at most 1.0e-4 at delta = 1e-11 and by up to 3.2e-3 at
+# 1e-12 (beta = 2 against the Gaussian closed form, 531 441 cells).
+_DELTA_FLOOR = 1e-11
 # `_suffix_sums` blocks: a span of 32 keeps p_j exp(-(j - i) h) within one
 # block normal for p_j above 1e-294, and 1024-cell blocks cost ~2e3 exps.
 _BLOCK_SPAN = 32.0
@@ -233,10 +246,12 @@ class DiscretePRV:
     ``probs[j]`` is the mass of grid index ``i = j - m`` whose loss value is
     ``i * mesh_h + offset``.  The exact discretizations carry offset 0 and
     the sampled estimator one in [0, mesh_h / 2]; composition adds offsets,
-    so composed ones may exceed that half-cell range.  Construction is the
-    one place masses are clipped at 0 and normalized, so ``probs`` may carry
-    rounding error: entries down to -1e-12 and a total within
-    `_MASS_DRIFT_TOL` of 1.
+    so composed ones may exceed that half-cell range.  Construction clips
+    the masses it is given at 0, into a copy, and normalizes them, so
+    ``probs`` may carry rounding error: entries down to -1e-12 and a total
+    within `_MASS_DRIFT_TOL` of 1.  The accountant's own builders, `compose`
+    and `_discretize_directions`, clip their masses themselves and hand them
+    over through `_adopt`, which only normalizes them.
     """
 
     probs: np.ndarray
@@ -268,6 +283,26 @@ class DiscretePRV:
             raise ParameterError(f"offset must be >= 0, got {self.offset!r}")
         object.__setattr__(self, "compositions",
                            _integer("compositions", self.compositions, 1))
+
+    @classmethod
+    def _adopt(cls, probs: np.ndarray, **fields) -> "DiscretePRV":
+        """A `DiscretePRV` over ``probs``, an array that no one else holds,
+        already at least 0, of odd length and within `_MASS_DRIFT_TOL` of a
+        total of 1: normalized in place, as construction would normalize
+        its copy, bitwise, with no second pass.  A mass that is not finite
+        leaves the total not finite, which raises
+        `AccountingInconsistencyError`."""
+        total = probs.sum()
+        if not math.isfinite(total):
+            raise AccountingInconsistencyError(
+                f"masses must be finite; they sum to {total!r}")
+        probs /= total
+        probs.flags.writeable = False
+        fields["probs"] = probs
+        self = cls.__new__(cls)
+        for f in dataclasses.fields(cls):
+            object.__setattr__(self, f.name, fields.get(f.name, f.default))
+        return self
 
     @property
     def half_bins(self) -> int:
@@ -529,7 +564,8 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
     redistributed.  After a check that the inverse FFT's total has not
     drifted (`AccountingInconsistencyError`), its round-off below 0 is
     clipped here, since at large ``k`` it can pass the -1e-12 that
-    `DiscretePRV` accepts from callers, and `DiscretePRV` normalizes it.  A
+    `DiscretePRV` accepts from callers, and `DiscretePRV._adopt` normalizes
+    it in place.  A
     single item with multiplicity 1 is returned unchanged.  Each
     multiplicity is an integer of at least 1.
     """
@@ -564,8 +600,8 @@ def compose(items: Sequence[tuple[DiscretePRV, int]]) -> DiscretePRV:
         raise AccountingInconsistencyError(
             f"FFT composition lost probability mass: sum = {total!r}")
     np.maximum(probs, 0.0, out=probs)
-    return DiscretePRV(probs=probs, mesh_h=first.mesh_h, offset=offset,
-                       compositions=total_k)
+    return DiscretePRV._adopt(probs, mesh_h=first.mesh_h, offset=offset,
+                              compositions=total_k)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +696,11 @@ class PrivacyCurve:
 
 @dataclass
 class AccountResult:
-    """Everything `account` learned about one mechanism invocation pattern."""
+    """Everything `account` learned about one mechanism invocation pattern.
+
+    ``curve`` is built from ``composed`` on its first read, then kept: the
+    solver and the ledger never read it.
+    """
 
     epsilon: float
     delta: float
@@ -668,10 +708,27 @@ class AccountResult:
     delta_conservative: float
     eta: float
     tau: float
-    curve: PrivacyCurve
     config: AccountantConfig
     composed: dict[LossDirection, DiscretePRV]
     seed: int
+    _spec: MechanismSpec = field(repr=False)
+    _curve_points: int = field(repr=False)
+    _curve: PrivacyCurve | None = field(default=None, init=False, repr=False,
+                                        compare=False)
+
+    @property
+    def curve(self) -> PrivacyCurve:
+        """``delta(epsilon)`` at ``curve_points`` points of [0, L], the
+        largest over the directions, with the certificate."""
+        if self._curve is None:
+            eps = np.linspace(0.0, self.config.trunc_L, self._curve_points)
+            delta = np.maximum.reduce([np.asarray(prv.delta_at(eps))
+                                       for prv in self.composed.values()])
+            delta = np.minimum.accumulate(delta)  # iron out last-ulp wobble
+            self._curve = PrivacyCurve(
+                epsilon=eps, delta=delta, eta=self.eta, tau=self.tau,
+                config=self.config.to_dict(), mechanism=self._spec.to_dict())
+        return self._curve
 
 
 def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
@@ -687,27 +744,42 @@ def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
     (`prv.loss_masses`), each to its own relative precision, down to the
     1.5e-20 past which the noise's tails are read into the pieces next to
     them.  That is far below ``_WINDOW_TAIL / k`` for any ``k`` under about
-    6e7, so there the loop meets `_WINDOW_TAIL` itself."""
+    6e7, so there the loop meets `_WINDOW_TAIL` itself.
+
+    A window that already covers the loss's solved reach, so that
+    `prv.loss_masses` would solve neither ``-L`` nor ``L``
+    (`prv._solved_edges`), has nothing outside it, and skips the loop."""
     L = 1e-6
-    for direction in directions_for(spec):
-        mean, var = loss_moments(spec, direction)
+    for mean, var in _loss_moments(spec, directions_for(spec)).values():
         L = max(L, abs(k * mean) + _WINDOW_SPREAD * math.sqrt(k * var))
 
     def outside(L: float) -> float:
         return max(float(pieces[0] + pieces[-1])
                    for pieces in loss_masses(spec, 2.0 * L, 0).values())
 
-    while k * outside(L) > _WINDOW_TAIL:
-        L *= _WINDOW_GROWTH
+    first, last = _solved_edges(spec, 2.0 * L, 0)
+    if first <= last:
+        while k * outside(L) > _WINDOW_TAIL:
+            L *= _WINDOW_GROWTH
     return AccountantConfig(L, bins=bins, samples_n=samples_n)
+
+
+def _check_delta(delta: float) -> None:
+    """`RangeError` for a ``delta`` below `_DELTA_FLOOR`, before any grid is
+    built."""
+    if not delta >= _DELTA_FLOOR:
+        raise RangeError(
+            f"delta must be at least {_DELTA_FLOOR:g}, the smallest delta "
+            f"the accountant answers (below it FFT round-off, not the loss, "
+            f"sets epsilon); got {delta!r}")
 
 
 def _discretize_directions(spec: MechanismSpec,
                            cfg: AccountantConfig) -> dict[LossDirection, DiscretePRV]:
     """The single-shot loss of ``spec`` on ``cfg``'s grid, per direction:
-    the cell masses of `prv.loss_masses`, conditioned on the window, at
-    offset 0.  Each single's ``tail_upper`` is the mass outside the window,
-    read as tails."""
+    the cell masses of `prv.loss_masses`, conditioned on the window and
+    clipped at 0 in place, at offset 0.  Each single's ``tail_upper`` is the
+    mass outside the window, read as tails."""
     singles = {}
     for direction, pieces in loss_masses(spec, cfg.mesh_h,
                                          cfg.half_bins).items():
@@ -715,8 +787,9 @@ def _discretize_directions(spec: MechanismSpec,
         total = float(cells.sum())
         _check_window(total, cfg)
         cells /= total                  # conditioned on the window
-        singles[direction] = DiscretePRV(
-            probs=cells, mesh_h=cfg.mesh_h, compositions=1,
+        np.maximum(cells, 0.0, out=cells)
+        singles[direction] = DiscretePRV._adopt(
+            cells, mesh_h=cfg.mesh_h,
             tail_upper=float(pieces[0] + pieces[-1]), acceptance=total)
     return singles
 
@@ -766,8 +839,9 @@ def account(spec: MechanismSpec, *,
     reported.  ``rng`` is validated and reported as `AccountResult.seed`;
     the result does not depend on it.  ``rng`` and ``samples_n`` stay while
     `perfbench/workloads.py` passes them, and go with the certificate
-    (ROADMAP item 1).  A ``delta`` whose epsilon falls in the window's top
-    cell raises `RangeError` (`_epsilon_within_window`).
+    (ROADMAP item 1).  A ``delta`` below `_DELTA_FLOOR` raises `RangeError`
+    before any grid is built, and so does one whose epsilon falls in the
+    window's top cell (`_epsilon_within_window`).
 
     The reported ``epsilon`` / ``delta`` is a point estimate.  When ``eta
     >= 1`` or ``tau >= epsilon`` the certificate is vacuous, as it is at the
@@ -783,7 +857,8 @@ def account(spec: MechanismSpec, *,
                 f"epsilon must be finite and >= 0, got {epsilon!r}")
     if delta is not None:
         delta = _real("delta", delta)
-    _integer("curve_points", curve_points, 2)
+        _check_delta(delta)
+    curve_points = _integer("curve_points", curve_points, 2)
     seed = _seed(rng)
 
     k = spec.compositions
@@ -810,19 +885,12 @@ def account(spec: MechanismSpec, *,
         eps_est = float(epsilon)
         delta_est = max(float(prv.delta_at(epsilon)) for prv in composed.values())
 
-    eps_grid = np.linspace(0.0, cfg.trunc_L, curve_points)
-    delta_grid = np.maximum.reduce([np.asarray(prv.delta_at(eps_grid))
-                                    for prv in composed.values()])
-    delta_grid = np.minimum.accumulate(delta_grid)  # iron out last-ulp wobble
-    curve = PrivacyCurve(epsilon=eps_grid, delta=delta_grid, eta=eta, tau=tau,
-                         config=cfg.to_dict(), mechanism=spec.to_dict())
-
     return AccountResult(
         epsilon=eps_est, delta=delta_est,
         epsilon_conservative=eps_est + tau,
         delta_conservative=min(1.0, delta_est + eta),
-        eta=eta, tau=tau, curve=curve, config=cfg, composed=composed,
-        seed=seed)
+        eta=eta, tau=tau, config=cfg, composed=composed, seed=seed,
+        _spec=spec, _curve_points=curve_points)
 
 
 # ---------------------------------------------------------------------------
@@ -861,6 +929,7 @@ class CompositionLedger:
 
     def epsilon_at(self, k: int, delta: float) -> float:
         key = (_integer("k", k, 1), float(delta))
+        _check_delta(key[1])
         if key not in self._eps_cache:
             self._eps_cache[key] = _epsilon_within_window(
                 self.composed(k).values(), delta)
@@ -874,8 +943,11 @@ class CompositionLedger:
         k_cap, then takes regula falsi steps between them until it brackets
         the budget (`_last_within`).  Every probe lands in ``evaluations``.
         A probe the window caps (`RangeError`) reads as the lowest epsilon
-        it can stand for; a budget at or above that raises the error.
+        it can stand for; a budget at or above that raises the error.  A
+        ``delta`` below `_DELTA_FLOOR` raises `RangeError` before any probe.
         """
+        _check_delta(float(delta))
+
         def probe(k: int) -> float:
             try:
                 eps = self.epsilon_at(k, delta)

@@ -131,7 +131,8 @@ def _legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def _quadrature(beta: float, center: float, kinks=(), mass: float = 1.0,
+def _quadrature(beta: float, center: float, kinks=(),
+                mass: float | np.ndarray = 1.0,
                 nodes: int = _QUAD_NODES) -> tuple[np.ndarray, np.ndarray]:
     """Nodes ``u`` and weights ``w`` with ``w @ f(u)`` approximating the
     integral of ``f`` against ``mass`` times the GG(beta, 1) density centered
@@ -142,7 +143,9 @@ def _quadrature(beta: float, center: float, kinks=(), mass: float = 1.0,
     at ``center``, the density's kink, and at each of ``f``'s ``kinks``
     inside the span.  At a beta that is not an integer, the density is not
     analytic at ``center`` even from one side, so the panels that end there
-    converge only algebraically in ``nodes``.
+    converge only algebraically in ``nodes``.  ``mass`` may be a column of
+    masses, shape ``(n, 1)``; ``w`` then holds one row of weights per mass,
+    each bitwise the weights of that mass alone.
     """
     reach = _QUAD_REACH ** (1.0 / beta)
     cuts = sorted({center - reach, center, center + reach}

@@ -389,6 +389,33 @@ def _edge_crossings(spec: MechanismSpec,
                                          w=None if w is None else w[::-1])}
 
 
+def _solved_edges(spec: MechanismSpec, h: float, m: int) -> tuple[int, int]:
+    """``first, last``: the indices ``i`` of the edges ``(i - 1/2) h``,
+    ``-m <= i <= m + 1``, that `loss_masses` solves, those inside the loss's
+    solved reach; none when ``first > last``.
+
+    The reach is ``[-a_cut, a_cut]`` (`_loss_cut`) for a plain spec and its
+    REMOVE image under `_directed_loss` for a subsampled one; ADD's is its
+    negation, on the same edges reversed.  Past it every tail is exactly 0
+    or 1, so with no edge solved the pieces below and above the grid are
+    exactly 0.  The edges lie in the reach up to rounding, which only moves
+    where the open end pieces start.  A plain spec's edges are symmetric
+    about 0.
+    """
+    beta, ratio, q = spec.loss_key
+    cut = _loss_cut(beta, 0.5 * ratio)
+    if q is None:
+        hi_y = cut
+    else:
+        lo_y, hi_y = _directed_loss(np.array([cut, -cut]), q,
+                                    LossDirection.REMOVE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = int(math.floor(np.clip(hi_y / h + 0.5, -m - 1, m + 1)))
+        first = 1 - last if q is None else \
+            int(math.ceil(np.clip(lo_y / h + 0.5, -m, m + 2)))
+    return first, last
+
+
 def loss_masses(spec: MechanismSpec, h: float,
                 m: int) -> dict[LossDirection, np.ndarray]:
     """The law of the single-shot loss on the cells ``((i - 1/2) h, (i +
@@ -400,8 +427,8 @@ def loss_masses(spec: MechanismSpec, h: float,
 
     * Only the edges whose noise crossing can lie in ``(-x1, x1 +
       Delta/sigma)``, where ``|theta|`` stays below `_loss_cut`, are solved
-      (`_edge_crossings`); the pieces past them hold none.  At ``beta = 1``
-      that is the loss's bounded range.
+      (`_solved_edges`, `_edge_crossings`); the pieces past them hold none.
+      At ``beta = 1`` that is the loss's bounded range.
     * A piece's mass is the integral, between the noise crossings of its two
       edges, of the density its direction draws from: ``p(u)`` for a plain
       spec and for ADD, ``(1 - q) p(u) + q p(u - Delta/sigma)`` for REMOVE
@@ -413,19 +440,7 @@ def loss_masses(spec: MechanismSpec, h: float,
       end, at most ``P(Z >= x1)`` (1.5e-20), to lower loss.
     """
     beta, ratio, q = spec.loss_key
-    cut = _loss_cut(beta, 0.5 * ratio)
-    if q is None:
-        hi_y = cut
-    else:
-        lo_y, hi_y = _directed_loss(np.array([cut, -cut]), q,
-                                    LossDirection.REMOVE)
-    # The edges (i - 1/2) h from index ``first`` to ``last`` lie in [lo_y,
-    # hi_y] up to rounding, which only moves where the open end pieces
-    # start.  A plain spec's edges are symmetric about 0.
-    with np.errstate(over="ignore", invalid="ignore"):
-        last = int(math.floor(np.clip(hi_y / h + 0.5, -m - 1, m + 1)))
-        first = 1 - last if q is None else \
-            int(math.ceil(np.clip(lo_y / h + 0.5, -m, m + 2)))
+    first, last = _solved_edges(spec, h, m)
     y = (np.arange(first, last + 1, dtype=np.float64) - 0.5) * h
     crossings = _edge_crossings(spec, y)
 
@@ -458,27 +473,47 @@ def loss_moments(spec: MechanismSpec,
     """
     if not isinstance(direction, LossDirection):
         raise ParameterError(f"direction must be a LossDirection, got {direction!r}")
+    return _loss_moments(spec, (direction,))[direction]
+
+
+def _loss_moments(spec: MechanismSpec, directions
+                  ) -> dict[LossDirection, tuple[float, float]]:
+    """`loss_moments` in each of ``directions``, checked in that order, from
+    one quadrature per noise law.  Every direction draws the noise of ``Q``
+    with its own mass (``1 - q`` for REMOVE's ``M = (1 - q) Q + q P``, 1
+    otherwise), so ``Q``'s nodes, density and base loss serve them all; only
+    REMOVE adds ``P``'s part."""
     beta, ratio, q = spec.loss_key
-    if q is None or direction is LossDirection.ADD:
-        parts = ((1.0, 0.0),)               # outputs drawn from Q
-    else:
-        parts = ((1.0 - q, 0.0), (q, ratio))   # from M = (1 - q) Q + q P
-    us, ws = zip(*(_quadrature(beta, shift, (0.0, ratio), share)
-                   for share, shift in parts))
-    u, w = np.concatenate(us), np.concatenate(ws)
+    kinks = (0.0, ratio)
+    shares = [1.0 - q if q is not None and d is LossDirection.REMOVE else 1.0
+              for d in directions]
+    u, rows = _quadrature(beta, 0.0, kinks, np.array(shares)[:, None])
+    out = {}
     # An overflow leaves the variance inf or nan, which raises below.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _base_loss(spec, u)
-        if q is not None:
-            y = _directed_loss(y, q, direction)
-        mean = float(w @ y)
-        var = float(w @ (y - mean) ** 2)
-    if not math.isfinite(var):
-        raise RangeError(
-            f"the single-shot loss at beta = {beta:g}, Delta/sigma = "
-            f"{ratio:.6g} reaches {float(np.max(np.abs(y))):.3g} in the "
-            f"{direction.value} direction, so its variance overflows float64")
-    return mean, var
+        ell = _base_loss(spec, u)
+        removed = None if q is None else \
+            _directed_loss(ell, q, LossDirection.REMOVE)
+        for direction, w in zip(directions, rows):
+            if q is None:
+                y = ell
+            elif direction is LossDirection.ADD:
+                y = -removed
+            else:                           # from M = (1 - q) Q + q P
+                u_p, w_p = _quadrature(beta, ratio, kinks, q)
+                y = np.concatenate([removed, _directed_loss(
+                    _base_loss(spec, u_p), q, LossDirection.REMOVE)])
+                w = np.concatenate([w, w_p])
+            mean = float(w @ y)
+            var = float(w @ (y - mean) ** 2)
+            if not math.isfinite(var):
+                raise RangeError(
+                    f"the single-shot loss at beta = {beta:g}, Delta/sigma = "
+                    f"{ratio:.6g} reaches {float(np.max(np.abs(y))):.3g} in "
+                    f"the {direction.value} direction, so its variance "
+                    f"overflows float64")
+            out[direction] = (mean, var)
+    return out
 
 
 def directions_for(spec: MechanismSpec) -> tuple[LossDirection, ...]:

@@ -70,6 +70,47 @@ def loss_cdfs_on_grid(spec, edges: np.ndarray) -> dict:
             LossDirection.ADD: ggdist._upper_tail(z[LossDirection.ADD], beta)}
 
 
+def separate_loss_moments(spec, direction) -> tuple[float, float]:
+    """`prv.loss_moments` with one quadrature per part of each direction's
+    law, so REMOVE and ADD each evaluate ``Q``'s part on their own: the rule
+    that `accountant._auto_config`'s shared quadrature must match bitwise."""
+    beta, ratio, q = spec.loss_key
+    if q is None or direction is LossDirection.ADD:
+        parts = ((1.0, 0.0),)
+    else:
+        parts = ((1.0 - q, 0.0), (q, ratio))
+    us, ws = zip(*(ggdist._quadrature(beta, shift, (0.0, ratio), share)
+                   for share, shift in parts))
+    u, w = np.concatenate(us), np.concatenate(ws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = prv._base_loss(spec, u)
+        if q is not None:
+            y = prv._directed_loss(y, q, direction)
+        mean = float(w @ y)
+        return mean, float(w @ (y - mean) ** 2)
+
+
+def auto_window(spec, k: int) -> tuple[float, float, int]:
+    """The window half-width that `accountant._auto_config` sizes for ``k``
+    compositions, by the rule with no shortcut: ``L`` from the moments of
+    `separate_loss_moments`, then the tail check at every ``L``, whether or
+    not ``L`` covers the loss's solved reach.  Returns the moments' ``L``,
+    the final ``L`` and the number of widenings."""
+    from ggprivacy import accountant
+    L = 1e-6
+    for direction in prv.directions_for(spec):
+        mean, var = separate_loss_moments(spec, direction)
+        L = max(L, abs(k * mean)
+                + accountant._WINDOW_SPREAD * math.sqrt(k * var))
+    start, widened = L, 0
+    while k * max(float(p[0] + p[-1]) for p in
+                  prv.loss_masses(spec, 2.0 * L, 0).values()) \
+            > accountant._WINDOW_TAIL:
+        L *= accountant._WINDOW_GROWTH
+        widened += 1
+    return start, L, widened
+
+
 def gg_interval_mass(lo, hi, beta: float, dps: int = 40):
     """``P(lo <= Z <= hi)`` for ``Z ~ GG(beta, 1)`` and ``lo <= hi`` (either
     may be infinite), as an mpmath number at ``dps`` digits: differences

@@ -129,6 +129,9 @@ def within_ulps(expected: float, ulps: int = 8):
     dict(probs=[0.5, 0.5]),                      # even length
     dict(probs=[0.2, 0.2, 0.2]),                 # mass 0.6
     dict(probs=[0.5, 0.6, -0.1]),                # negative
+    dict(probs=[0.5, 0.5 + 2e-12, -2e-12]),      # below the -1e-12 allowed
+    dict(probs=[0.5, np.nan, 0.5]),
+    dict(probs=[0.5, np.inf, 0.5]),
     dict(probs=[0.2, 0.5, 0.3], mesh_h=0.0),
     dict(probs=[0.2, 0.5, 0.3], offset=-0.1),
 ])
@@ -637,21 +640,41 @@ def test_account_requires_exactly_one_target():
 
 
 def test_an_epsilon_the_window_caps_raises():
-    # beta = 2, sigma = 4, k = 100 on the default grid: the window is L =
-    # 48.68 and delta at the second-highest support point is 6.42e-24, FFT
-    # round-off.  The
-    # exact epsilon is 42.63 at delta = 1e-25 and 52.90 at 1e-40; the grid
-    # read 48.676, its top cell, both times.
+    # beta = 2, sigma = 4, k = 100: the exact epsilon is 34.80 at delta =
+    # 1e-16, 42.63 at 1e-25 and 52.90 at 1e-40.  The default grid read
+    # 46.905 at 1e-16 (FFT round-off) and its top cell, 48.676, below; a
+    # ledger at 2^16 bins read 41.26 at 1e-40.  Every delta below the floor
+    # now raises, naming it, before any probe.
+    from ggprivacy.accountant import _DELTA_FLOOR
+    assert _DELTA_FLOOR == 1e-11
     spec = MechanismSpec(GGParams(2.0, 4.0), 1.0, None, 100)
     ledger = CompositionLedger(spec, k_cap=100, bins=DEFAULT_BINS)
-    for read in (lambda d: account(spec, delta=d).epsilon,
-                 lambda d: ledger.epsilon_at(100, d)):
-        for delta in (1e-25, 1e-40):
-            with pytest.raises(RangeError, match="6.42e-24"):
+    coarse = CompositionLedger(spec, k_cap=100)
+    reads = (lambda d: account(spec, delta=d).epsilon,
+             lambda d: ledger.epsilon_at(100, d),
+             lambda d: coarse.epsilon_at(100, d),
+             lambda d: coarse.max_steps(20.0, d))
+    for read in reads:
+        for delta in (9.9e-12, 1e-12, 1e-16, 1e-25, 1e-40, 0.0, -1.0,
+                      math.nan):
+            with pytest.raises(RangeError, match="at least 1e-11"):
                 read(delta)
-        # Far below 1e-12, but below the top cell: the rest of ROADMAP item
-        # 3 owns that floor.
-        assert 40.0 < read(1e-16) < 48.0
+    assert coarse.evaluations == []
+    # The Baseline table's delta = 1e-14 cells, off by up to 0.97 in epsilon.
+    for sigma, k in ((90.0, 1000), (20.0, 100), (2.0, 1000)):
+        with pytest.raises(RangeError, match="at least 1e-11"):
+            account(MechanismSpec(GGParams(2.0, sigma), 1.0, None, k),
+                    delta=1e-14)
+    # At the floor the grid answers within 1e-4 of the closed form.
+    exact = gauss_epsilon(_DELTA_FLOOR, 4.0 / math.sqrt(2.0 * 100))
+    for read in reads[:3]:
+        assert read(_DELTA_FLOOR) == pytest.approx(exact, abs=1e-4)
+    # Above the floor the window still caps: at 2^13 bins the window sized
+    # for k_cap = 30000 caps epsilon(k_cap) at delta = 1e-5.
+    capped = CompositionLedger(MechanismSpec(GGParams(1.0, 1.0), 1.0, 0.25),
+                               k_cap=30000, bins=2 ** 13)
+    with pytest.raises(RangeError, match="the window of L = 1225.7"):
+        capped.epsilon_at(30000, 1e-5)
 
 
 def test_entry_points_take_no_window():
@@ -706,7 +729,7 @@ def test_account_checks_curve_points_before_sampling(points, monkeypatch):
     def no_work(*args):
         raise AssertionError("discretized before checking curve_points")
 
-    for name in ("loss_moments", "loss_masses", "sample_prv"):
+    for name in ("_loss_moments", "loss_masses", "sample_prv"):
         monkeypatch.setattr(accountant, name, no_work)
     with pytest.raises(ParameterError, match="curve_points"):
         account(GAUSS, delta=1e-5, curve_points=points)
@@ -1050,6 +1073,149 @@ def test_auto_window_tail_bound_at_large_k(k):
     assert k * upper(L) <= _WINDOW_TAIL
     for direction in (LossDirection.REMOVE, LossDirection.ADD):
         assert k * loss_cdf(spec, direction)(-L) <= _WINDOW_TAIL
+
+
+def _solved_reach(spec) -> float:
+    """The largest ``|loss|`` that `prv.loss_masses` solves a crossing for,
+    in either direction: ``a_cut``, or its REMOVE image under the mixture."""
+    from ggprivacy import prv
+    beta, ratio, q = spec.loss_key
+    cut = prv._loss_cut(beta, 0.5 * ratio)
+    if q is None:
+        return cut
+    lo, hi = prv._directed_loss(np.array([cut, -cut]), q, LossDirection.REMOVE)
+    return max(-float(lo), float(hi))
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.01, 1.5, 2.0, 3.0, 8.0])
+def test_auto_window_is_the_rule_without_shortcuts_bitwise(beta):
+    # _auto_config shares Q's quadrature between the two directions and
+    # skips the tail check where L covers the solved reach; neither may move
+    # a window by one bit.  Past the reach the mass outside is exactly 0.
+    import itertools
+    from ggprivacy import prv
+    from ggprivacy.accountant import _auto_config
+    from oracles import auto_window, separate_loss_moments
+    covered = widened = 0
+    for sigma, q, k in itertools.product(
+            (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 50.0),
+            (None, 1e-9, 1e-4, 0.01, 0.5), (1, 37, 10 ** 5)):
+        spec = MechanismSpec(GGParams(beta, sigma), 1.0, q, k)
+        for d in prv.directions_for(spec):
+            assert [v.hex() for v in prv.loss_moments(spec, d)] == \
+                [v.hex() for v in separate_loss_moments(spec, d)]
+        start, L, steps = auto_window(spec, k)
+        assert _auto_config(spec, k, 10_000, 2 ** 10).trunc_L.hex() == L.hex()
+        widened += steps > 0
+        covered += start >= _solved_reach(spec)
+        for window in (start, L):
+            if window >= _solved_reach(spec):
+                for pieces in prv.loss_masses(spec, 2.0 * window, 0).values():
+                    assert pieces[0] == 0.0 and pieces[-1] == 0.0
+    assert covered > 0 and widened > 0
+
+
+@pytest.mark.parametrize("beta, sigma, q, k, widened", [
+    (1.5, 0.3, 1e-4, 1, 22), (1.5, 0.3, 1e-3, 10, 9),
+])
+def test_a_window_that_widens_keeps_the_tail_loop(beta, sigma, q, k, widened,
+                                                  monkeypatch):
+    # A window short of the reach runs the tail check at every L it tries:
+    # one loss_masses call per widening, one for the L it keeps, and one for
+    # the grid.
+    from ggprivacy import accountant
+    from oracles import auto_window
+    spec = MechanismSpec(GGParams(beta, sigma), 1.0, q, k)
+    start, L, steps = auto_window(spec, k)
+    assert steps == widened and start < _solved_reach(spec)
+    calls = []
+    real = accountant.loss_masses
+    monkeypatch.setattr(accountant, "loss_masses",
+                        lambda *a: calls.append(a) or real(*a))
+    assert account(spec, delta=1e-5, bins=2 ** 12).config.trunc_L == L
+    assert len(calls) == widened + 2
+
+
+@pytest.mark.parametrize("beta, sigma, q, k", [
+    (2.0, 1.0, None, 1), (3.0, 4.0, None, 100),
+    (1.5, 0.4684041871018325, 0.1, 50),                 # calibrate's answer
+    (1.0, 1.0, 0.05, 400),
+])
+def test_a_covered_window_discretizes_once(beta, sigma, q, k, monkeypatch):
+    # A window that covers the loss's solved reach has nothing outside it:
+    # account and the ledger call loss_masses once each, for the grid.
+    from ggprivacy import accountant
+    spec = MechanismSpec(GGParams(beta, sigma), 1.0, q, k)
+    calls = []
+    real = accountant.loss_masses
+    monkeypatch.setattr(accountant, "loss_masses",
+                        lambda *a: calls.append(a) or real(*a))
+    cfg = account(spec, delta=1e-5, bins=2 ** 12).config
+    assert cfg.trunc_L >= _solved_reach(spec)
+    assert len(calls) == 1
+    CompositionLedger(spec, k_cap=k, bins=2 ** 12)
+    assert len(calls) == 2
+
+
+def test_account_builds_its_curve_on_first_read(monkeypatch):
+    # The solver and the ledger never read the 129-point curve, so account
+    # does not build it; the first read builds the curve account once built,
+    # bitwise, and later reads return it.
+    spec = MechanismSpec(GGParams(1.5, 2.0), 1.0, 0.1, 10)
+    sizes = []
+    real = DiscretePRV.delta_at
+    monkeypatch.setattr(DiscretePRV, "delta_at",
+                        lambda self, e: sizes.append(np.size(e)) or real(self, e))
+    result = account(spec, delta=1e-5, bins=2 ** 12)
+    assert 129 not in sizes
+    curve = result.curve
+    assert sizes.count(129) == 2 and result.curve is curve
+    eps = np.linspace(0.0, result.config.trunc_L, 129)
+    delta = np.minimum.accumulate(np.maximum.reduce(
+        [real(prv, eps) for prv in result.composed.values()]))
+    assert curve.epsilon.tobytes() == eps.tobytes()
+    assert curve.delta.tobytes() == delta.tobytes()
+    assert (curve.eta, curve.tau) == (result.eta, result.tau)
+    assert curve.config == result.config.to_dict()
+    assert curve.mechanism == spec.to_dict()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_adopted_masses_must_be_finite(bad):
+    from ggprivacy import AccountingInconsistencyError
+    with pytest.raises(AccountingInconsistencyError, match="finite"):
+        DiscretePRV._adopt(np.array([0.5, bad, 0.5]), mesh_h=1.0)
+
+
+def test_public_construction_copies_what_it_is_given():
+    given = np.array([0.25, 0.5, 0.25 - 1e-13, -1e-13])[:3]
+    prv = hand_prv(given)
+    assert not np.shares_memory(prv.probs, given)
+    assert given.flags.writeable and given[2] == 0.25 - 1e-13
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+def test_adopted_masses_match_public_construction_bitwise(beta, monkeypatch):
+    # compose and _discretize_directions hand their own masses over without
+    # a second check or copy; on README's grids the masses are bitwise those
+    # that public construction gives.
+    from ggprivacy import accountant
+    spec = MechanismSpec(GGParams(beta, 4.0), 1.0, None, 100)
+    adopted = account(spec, delta=1e-5)
+    monkeypatch.setattr(DiscretePRV, "_adopt", classmethod(
+        lambda cls, probs, **fields: cls(probs=probs, **fields)))
+    public = account(spec, delta=1e-5)
+    assert adopted.epsilon.hex() == public.epsilon.hex()
+    for d, prv in adopted.composed.items():
+        assert prv.probs.tobytes() == public.composed[d].probs.tobytes()
+        assert not prv.probs.flags.writeable
+    singles = accountant._discretize_directions(spec, adopted.config)
+    monkeypatch.undo()
+    for d, one in accountant._discretize_directions(
+            spec, adopted.config).items():
+        assert one.probs.tobytes() == singles[d].probs.tobytes()
+        assert (one.tail_upper, one.acceptance, one.compositions) == \
+            (singles[d].tail_upper, singles[d].acceptance, 1)
 
 
 @pytest.mark.parametrize("q", [None, 0.1])
