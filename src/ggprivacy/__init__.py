@@ -2,8 +2,8 @@
 
 The package covers the full loop: the noise family itself (`ggdist`), its
 privacy-loss random variables and their exact CDFs (`prv`), an accountant
-that discretizes those CDFs and composes them with FFTs, reporting the
-paper's finite-sample error certificates alongside (`accountant`),
+that discretizes those CDFs and composes them with FFTs, keeping the
+paper's sampled estimator and its error certificate (`accountant`),
 calibration of noise scales to privacy targets (`calibrate`), ready-made
 mechanisms including private argmax and clipped noisy SGD (`mechanisms`),
 vote-histogram utility studies (`simulate`), and a CLI (`ggprivacy ...`).

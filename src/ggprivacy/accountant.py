@@ -47,26 +47,23 @@ round-off sets epsilon.  The ledger's `max_steps` searches on its own grid.
 path samples.  The paper's sampled estimator, `discretize_from_samples` fed
 by `prv.sample_prv`, stays as its reproduction and as a cross-check.
 
-Alongside the point estimates the accountant evaluates the paper's
-finite-sample error certificate ``(eta, tau)``: the true delta at
-``epsilon (+/-) tau`` lies within ``eta`` of the reported curve.  Its
-formula is unchanged and still charges the sampling terms for
-``samples_n`` draws, which the exact discretization does not make, so it
-only errs on the conservative side.  It is dominated by its worst-case
-discretization terms and is much looser than the observed accuracy: at the
-defaults it is vacuous (``eta >= 1`` or ``tau >= epsilon``), and the
-reported epsilon is then a point estimate.  Both the raw estimate and the
-conservative (estimate + certificate) values are reported.
+`account` also evaluates the paper's finite-sample error certificate
+``(eta, tau)`` (`error_bounds`): the true delta at ``epsilon (+/-) tau``
+lies within ``eta`` of the reported curve.  It charges sampling error for
+``samples_n`` draws that the exact discretization does not make, so it only
+errs on the conservative side, and it is dominated by its worst-case
+discretization terms: at the defaults it is vacuous (``eta >= 1`` or ``tau
+>= epsilon``).  The reported epsilon is a point estimate.  A grid
+(`AccountantConfig`) is ``(L, cells)`` and carries no certificate size.
 
 Determinism: `account`, `CompositionLedger` and the calibration built on
-them are deterministic functions of their spec and sizes; they depend on
+them are deterministic functions of their spec and grid; they depend on
 the spec only through `MechanismSpec.loss_key` ``(beta, Delta/sigma, q)``.
-The ledger takes neither a seed nor a sample count.  `account` still takes
-``rng`` as an ``int`` seed or ``None`` (the documented default
-``DEFAULT_SEED``), validates it and reports it as `AccountResult.seed`, but
-no result depends on it; its ``samples_n`` sizes only the certificate.
-Both stay while `perfbench/workloads.py` passes them, and go with the
-certificate (ROADMAP item 1).
+The ledger takes neither a seed nor a sample count.  `account` still
+validates ``rng`` (an ``int`` seed or ``None``), though no result depends
+on it, and takes ``samples_n``, which sizes only ``eta`` and ``tau``.
+`perfbench/workloads.py` passes both and reads ``eta`` and ``tau``; they go
+with the certificate (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -97,6 +94,7 @@ from .prv import sample_prv  # noqa: F401
 DEFAULT_SEED = 61803398
 DEFAULT_BINS = 2 ** 19
 DEFAULT_SAMPLES = 5_000_000
+_MIN_SAMPLES = 10_000
 _WINDOW_SPREAD = 12.0
 _WINDOW_TAIL = 1e-12   # bound on k x the single-shot mass outside [-L, L]
 _WINDOW_GROWTH = 1.25
@@ -126,13 +124,11 @@ def derive_rng(seed: int | None, *context) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-def _seed(rng) -> int:
-    """The int seed that ``rng`` (an int or None) names."""
-    if rng is None:
-        return DEFAULT_SEED
-    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
-        return int(rng)
-    raise ParameterError(f"rng must be an int seed or None, got {rng!r}")
+def _check_seed(rng) -> None:
+    """`ParameterError` unless ``rng`` is an int seed or None."""
+    if rng is not None and (isinstance(rng, bool)
+                            or not isinstance(rng, (int, np.integer))):
+        raise ParameterError(f"rng must be an int seed or None, got {rng!r}")
 
 
 def _fast_fft_cells(n: int) -> int:
@@ -174,7 +170,7 @@ def _grid_cells(bins) -> int:
 
 @dataclass(frozen=True)
 class AccountantConfig:
-    """Grid and certificate sizes for the discretized accountant.
+    """The discretized accountant's grid, ``(L, cells)``.
 
     A request of ``bins`` asks for ``2 (bins // 2) + 1`` cells; the grid
     built has the smallest odd count at least that large whose prime
@@ -182,33 +178,20 @@ class AccountantConfig:
     531441), and ``bins`` stores that count, so ``AccountantConfig(L,
     cfg.bins)`` builds the same grid.  With ``m = bins // 2`` the ``2m + 1``
     cells span [-trunc_L, trunc_L], so ``trunc_L = (m + 1/2) * mesh_h``.
-    ``samples_n`` is the sample count of the paper's sampled estimator
-    (`discretize_from_samples`) and of the error certificate, which assumes
-    it.  ``hoeffding_s`` / ``sampling_t`` are the free parameters of the
-    certificate; ``None`` resolves them at accounting time to
-    ``10 h sqrt(k)`` and ``10 L / sqrt(n)``.
+    The sample count and free parameters of the paper's sampled estimator
+    and certificate are arguments of `discretize_from_samples` and
+    `error_bounds`, the two functions that use them.
     """
 
     trunc_L: float
     bins: int = DEFAULT_BINS
-    samples_n: int = DEFAULT_SAMPLES
-    hoeffding_s: float | None = None
-    sampling_t: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.trunc_L) and self.trunc_L > 0):
-            raise ConfigError(f"trunc_L must be positive, got {self.trunc_L!r}")
-        cells = _grid_cells(self.bins)
-        if not isinstance(self.samples_n, (int, np.integer)) or self.samples_n < 10_000:
-            raise ConfigError(
-                f"samples_n must be an integer >= 10000, got {self.samples_n!r}")
-        for name in ("hoeffding_s", "sampling_t"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ConfigError(f"{name} must be positive when given, got {v!r}")
-        object.__setattr__(self, "trunc_L", float(self.trunc_L))
-        object.__setattr__(self, "bins", cells)
-        object.__setattr__(self, "samples_n", int(self.samples_n))
+        trunc_L = _real("trunc_L", self.trunc_L)
+        if not (math.isfinite(trunc_L) and trunc_L > 0):
+            raise ConfigError(f"trunc_L must be positive, got {trunc_L!r}")
+        object.__setattr__(self, "trunc_L", trunc_L)
+        object.__setattr__(self, "bins", _grid_cells(self.bins))
 
     @property
     def half_bins(self) -> int:
@@ -218,25 +201,9 @@ class AccountantConfig:
     def mesh_h(self) -> float:
         return 2.0 * self.trunc_L / self.bins
 
-    def resolved_s(self, compositions: int) -> float:
-        if self.hoeffding_s is not None:
-            return self.hoeffding_s
-        return 10.0 * self.mesh_h * math.sqrt(compositions)
-
-    def resolved_t(self) -> float:
-        if self.sampling_t is not None:
-            return self.sampling_t
-        return 10.0 * self.trunc_L / math.sqrt(self.samples_n)
-
     def to_dict(self) -> dict:
-        return {
-            "trunc_L": self.trunc_L,
-            "cells": self.bins,
-            "mesh_h": self.mesh_h,
-            "samples_n": self.samples_n,
-            "hoeffding_s": self.hoeffding_s,
-            "sampling_t": self.sampling_t,
-        }
+        return {"trunc_L": self.trunc_L, "cells": self.bins,
+                "mesh_h": self.mesh_h}
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,10 +244,13 @@ class DiscretePRV:
         p /= p.sum()
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
-        if not (math.isfinite(self.mesh_h) and self.mesh_h > 0):
-            raise ParameterError(f"mesh_h must be positive, got {self.mesh_h!r}")
-        if not (math.isfinite(self.offset) and self.offset >= 0):
-            raise ParameterError(f"offset must be >= 0, got {self.offset!r}")
+        mesh_h, offset = _real("mesh_h", self.mesh_h), _real("offset", self.offset)
+        if not (math.isfinite(mesh_h) and mesh_h > 0):
+            raise ParameterError(f"mesh_h must be positive, got {mesh_h!r}")
+        if not (math.isfinite(offset) and offset >= 0):
+            raise ParameterError(f"offset must be >= 0, got {offset!r}")
+        object.__setattr__(self, "mesh_h", mesh_h)
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "compositions",
                            _integer("compositions", self.compositions, 1))
 
@@ -367,6 +337,7 @@ class DiscretePRV:
     def epsilon_at(self, delta: float) -> float:
         """Smallest epsilon in [0, L] with delta(epsilon) <= delta, up to rounding:
         the closed-form root on the segment that ends at the first D[i] <= delta."""
+        delta = _real("delta", delta)
         if not (0.0 < delta <= 1.0):
             d0 = self.delta_at(0.0)
             raise RangeError(
@@ -438,9 +409,10 @@ def _index_mean(q: np.ndarray) -> float:
 
 
 def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.ndarray],
-                            cfg: AccountantConfig,
-                            rng: np.random.Generator) -> DiscretePRV:
-    """Estimate a `DiscretePRV` from ``2 * samples_n`` accepted draws.
+                            cfg: AccountantConfig, rng: np.random.Generator,
+                            samples_n: int) -> DiscretePRV:
+    """The paper's sampled estimator: a `DiscretePRV` on ``cfg``'s grid from
+    ``2 * samples_n`` accepted draws (``samples_n`` an integer >= 10000).
 
     Rejection-samples ``sample_fn(rng, count)`` into [-L, L]; the first
     ``samples_n`` accepted values feed the bin masses, the second half
@@ -450,7 +422,7 @@ def discretize_from_samples(sample_fn: Callable[[np.random.Generator, int], np.n
     """
     if not isinstance(rng, np.random.Generator):
         raise ParameterError(f"rng must be a numpy Generator, got {rng!r}")
-    n = cfg.samples_n
+    n = _integer("samples_n", samples_n, _MIN_SAMPLES)
     need = 2 * n
     L, h, m = cfg.trunc_L, cfg.mesh_h, cfg.half_bins
     chunk = min(need, _SAMPLE_CHUNK)
@@ -619,19 +591,33 @@ class ErrorBounds:
     sampling_t: float
 
 
+def _sampling_t(cfg: AccountantConfig, samples_n: int) -> float:
+    """The certificate's default sampling slack, ``10 L / sqrt(n)``."""
+    return 10.0 * cfg.trunc_L / math.sqrt(samples_n)
+
+
 def error_bounds(cfg: AccountantConfig, compositions: int, tail_single: float,
-                 tail_sum: float) -> ErrorBounds:
-    """Finite-sample certificate for ``compositions`` of one mechanism.
+                 tail_sum: float, samples_n: int,
+                 hoeffding_s: float | None = None,
+                 sampling_t: float | None = None) -> ErrorBounds:
+    """The paper's finite-sample certificate for ``compositions`` of one
+    mechanism estimated from ``samples_n`` draws on ``cfg``'s grid.
 
     ``tail_single`` bounds the per-draw probability of falling outside the
     window; ``tail_sum`` bounds the composed loss exceeding L - t.  The
-    remaining terms cover binning (Hoeffding over the sub-cell jitter),
-    empirical-CDF error, and the mesh itself.
+    remaining terms cover binning (Hoeffding over the sub-cell jitter, with
+    slack ``hoeffding_s``, by default ``10 h sqrt(k)``), empirical-CDF error
+    (slack ``sampling_t``, by default ``10 L / sqrt(n)``), and the mesh
+    itself.
     """
-    k = int(compositions)
-    L, h, n = cfg.trunc_L, cfg.mesh_h, cfg.samples_n
-    s = cfg.resolved_s(k)
-    t = cfg.resolved_t()
+    k = _integer("compositions", compositions, 1)
+    n = _integer("samples_n", samples_n, _MIN_SAMPLES)
+    for name, v in (("hoeffding_s", hoeffding_s), ("sampling_t", sampling_t)):
+        if v is not None and not (math.isfinite(_real(name, v)) and v > 0):
+            raise ParameterError(f"{name} must be positive when given, got {v!r}")
+    L, h = cfg.trunc_L, cfg.mesh_h
+    s = 10.0 * h * math.sqrt(k) if hoeffding_s is None else hoeffding_s
+    t = _sampling_t(cfg, n) if sampling_t is None else sampling_t
     root = math.sqrt(L / (n * h))
 
     eta = (2.0 * k * tail_single
@@ -653,12 +639,10 @@ def error_bounds(cfg: AccountantConfig, compositions: int, tail_single: float,
 
 @dataclass
 class PrivacyCurve:
-    """A sampled (epsilon, delta) trade-off curve with its certificate."""
+    """An (epsilon, delta) trade-off curve sampled at points of epsilon."""
 
     epsilon: np.ndarray
     delta: np.ndarray
-    eta: float
-    tau: float
     config: dict
     mechanism: dict
 
@@ -680,8 +664,6 @@ class PrivacyCurve:
         return json.dumps({
             "epsilon": self.epsilon.tolist(),
             "delta": self.delta.tolist(),
-            "eta": self.eta,
-            "tau": self.tau,
             "config": self.config,
             "mechanism": self.mechanism,
         }, indent=indent)
@@ -690,7 +672,6 @@ class PrivacyCurve:
     def from_json(cls, text: str) -> "PrivacyCurve":
         raw = json.loads(text)
         return cls(epsilon=np.asarray(raw["epsilon"]), delta=np.asarray(raw["delta"]),
-                   eta=float(raw["eta"]), tau=float(raw["tau"]),
                    config=dict(raw["config"]), mechanism=dict(raw["mechanism"]))
 
 
@@ -698,19 +679,19 @@ class PrivacyCurve:
 class AccountResult:
     """Everything `account` learned about one mechanism invocation pattern.
 
-    ``curve`` is built from ``composed`` on its first read, then kept: the
-    solver and the ledger never read it.
+    ``epsilon`` and ``delta`` are point estimates.  ``eta`` and ``tau`` are
+    the paper's certificate for the sampled estimator (`error_bounds`),
+    vacuous at the defaults; they stay while `perfbench/workloads.py` reads
+    them (ROADMAP item 1).  ``curve`` is built from ``composed`` on its first
+    read, then kept: the solver and the ledger never read it.
     """
 
     epsilon: float
     delta: float
-    epsilon_conservative: float
-    delta_conservative: float
     eta: float
     tau: float
     config: AccountantConfig
     composed: dict[LossDirection, DiscretePRV]
-    seed: int
     _spec: MechanismSpec = field(repr=False)
     _curve_points: int = field(repr=False)
     _curve: PrivacyCurve | None = field(default=None, init=False, repr=False,
@@ -719,20 +700,19 @@ class AccountResult:
     @property
     def curve(self) -> PrivacyCurve:
         """``delta(epsilon)`` at ``curve_points`` points of [0, L], the
-        largest over the directions, with the certificate."""
+        largest over the directions."""
         if self._curve is None:
             eps = np.linspace(0.0, self.config.trunc_L, self._curve_points)
             delta = np.maximum.reduce([np.asarray(prv.delta_at(eps))
                                        for prv in self.composed.values()])
             delta = np.minimum.accumulate(delta)  # iron out last-ulp wobble
-            self._curve = PrivacyCurve(
-                epsilon=eps, delta=delta, eta=self.eta, tau=self.tau,
-                config=self.config.to_dict(), mechanism=self._spec.to_dict())
+            self._curve = PrivacyCurve(epsilon=eps, delta=delta,
+                                       config=self.config.to_dict(),
+                                       mechanism=self._spec.to_dict())
         return self._curve
 
 
-def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
-                 bins: int) -> AccountantConfig:
+def _auto_config(spec: MechanismSpec, k: int, bins: int) -> AccountantConfig:
     """Size the window for ``k`` compositions from the exact moments of the
     single-shot loss: L = |k mean| + 12 sqrt(k) std, the widest direction.
 
@@ -761,7 +741,7 @@ def _auto_config(spec: MechanismSpec, k: int, samples_n: int,
     if first <= last:
         while k * outside(L) > _WINDOW_TAIL:
             L *= _WINDOW_GROWTH
-    return AccountantConfig(L, bins=bins, samples_n=samples_n)
+    return AccountantConfig(L, bins)
 
 
 def _check_delta(delta: float) -> None:
@@ -832,21 +812,17 @@ def account(spec: MechanismSpec, *,
     """Account a mechanism spec end to end.
 
     Exactly one of ``epsilon`` / ``delta`` must be given; the other is
-    computed.  The window is sized from the exact loss moments
-    (`_auto_config`) on a grid of ``bins`` cells; ``samples_n`` is the
-    sample count the certificate assumes.  Subsampled mechanisms are
-    accounted in both adjacency directions and the worse direction is
-    reported.  ``rng`` is validated and reported as `AccountResult.seed`;
-    the result does not depend on it.  ``rng`` and ``samples_n`` stay while
-    `perfbench/workloads.py` passes them, and go with the certificate
-    (ROADMAP item 1).  A ``delta`` below `_DELTA_FLOOR` raises `RangeError`
-    before any grid is built, and so does one whose epsilon falls in the
-    window's top cell (`_epsilon_within_window`).
+    computed, as a point estimate.  The window is sized from the exact loss
+    moments (`_auto_config`) on a grid of ``bins`` cells.  Subsampled
+    mechanisms are accounted in both adjacency directions and the worse
+    direction is reported.  A ``delta`` below `_DELTA_FLOOR` raises
+    `RangeError` before any grid is built, and so does one whose epsilon
+    falls in the window's top cell (`_epsilon_within_window`).
 
-    The reported ``epsilon`` / ``delta`` is a point estimate.  When ``eta
-    >= 1`` or ``tau >= epsilon`` the certificate is vacuous, as it is at the
-    defaults, and ``epsilon_conservative`` / ``delta_conservative`` bound
-    nothing.
+    ``samples_n`` (an integer >= 10000) sizes only the certificate
+    ``(eta, tau)`` (`error_bounds`), vacuous at the defaults.  ``rng`` is
+    validated, and no result depends on it.  Both stay while
+    `perfbench/workloads.py` passes them (ROADMAP item 1).
     """
     if (epsilon is None) == (delta is None):
         raise ParameterError("provide exactly one of epsilon= or delta=")
@@ -859,24 +835,21 @@ def account(spec: MechanismSpec, *,
         delta = _real("delta", delta)
         _check_delta(delta)
     curve_points = _integer("curve_points", curve_points, 2)
-    seed = _seed(rng)
+    samples_n = _integer("samples_n", samples_n, _MIN_SAMPLES)
+    _check_seed(rng)
 
     k = spec.compositions
-    cfg = _auto_config(spec, k, samples_n, bins)
-    t = cfg.resolved_t()
+    cfg = _auto_config(spec, k, bins)
+    t = _sampling_t(cfg, samples_n)
     composed: dict[LossDirection, DiscretePRV] = {}
-    bounds: dict[LossDirection, ErrorBounds] = {}
+    eta = tau = 0.0
     for direction, one in _discretize_directions(spec, cfg).items():
-        full = compose([(one, k)])
-        composed[direction] = full
-
+        full = composed[direction] = compose([(one, k)])
         tail_single = float(one.tail_upper)
-        grid_tail = _mass_beyond(full, cfg.trunc_L - t)
-        tail_sum = min(1.0, grid_tail + k * tail_single)
-        bounds[direction] = error_bounds(cfg, k, tail_single, tail_sum)
-
-    eta = max(b.eta for b in bounds.values())
-    tau = max(b.tau for b in bounds.values())
+        tail_sum = min(1.0, _mass_beyond(full, cfg.trunc_L - t)
+                       + k * tail_single)
+        bounds = error_bounds(cfg, k, tail_single, tail_sum, samples_n)
+        eta, tau = max(eta, bounds.eta), max(tau, bounds.tau)
 
     if delta is not None:
         eps_est = _epsilon_within_window(composed.values(), delta)
@@ -886,11 +859,8 @@ def account(spec: MechanismSpec, *,
         delta_est = max(float(prv.delta_at(epsilon)) for prv in composed.values())
 
     return AccountResult(
-        epsilon=eps_est, delta=delta_est,
-        epsilon_conservative=eps_est + tau,
-        delta_conservative=min(1.0, delta_est + eta),
-        eta=eta, tau=tau, config=cfg, composed=composed, seed=seed,
-        _spec=spec, _curve_points=curve_points)
+        epsilon=eps_est, delta=delta_est, eta=eta, tau=tau, config=cfg,
+        composed=composed, _spec=spec, _curve_points=curve_points)
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +875,7 @@ class CompositionLedger:
     ``k`` with `compose` (the single's rFFT is cached on it); the spec's
     ``compositions`` is not read.  The window is sized for ``k_cap``, so
     ``composed(k_cap)`` is `account`'s result at ``k_cap`` compositions and
-    the same sizes.  It draws nothing and reads no certificate, so it
+    the same ``bins``.  It draws nothing and reads no certificate, so it
     takes no seed and no sample count.  Built for training loops that need
     "how many more steps fit in the budget" (`max_steps`).
     ``evaluations`` lists every probe `max_steps` made, in the order made,
@@ -916,7 +886,7 @@ class CompositionLedger:
                  bins: int = 2 ** 16):
         self.k_cap = _integer("k_cap", k_cap, 1)
         self.spec = spec
-        self.cfg = _auto_config(spec, self.k_cap, DEFAULT_SAMPLES, bins)
+        self.cfg = _auto_config(spec, self.k_cap, bins)
         self._singles = _discretize_directions(spec, self.cfg)
         self._eps_cache: dict[tuple[int, float], float] = {}
         self.evaluations: list[tuple[int, float]] = []
@@ -928,11 +898,11 @@ class CompositionLedger:
                 for direction, one in self._singles.items()}
 
     def epsilon_at(self, k: int, delta: float) -> float:
-        key = (_integer("k", k, 1), float(delta))
+        key = (_integer("k", k, 1), _real("delta", delta))
         _check_delta(key[1])
         if key not in self._eps_cache:
             self._eps_cache[key] = _epsilon_within_window(
-                self.composed(k).values(), delta)
+                self.composed(k).values(), key[1])
         return self._eps_cache[key]
 
     def max_steps(self, epsilon: float, delta: float) -> int:
@@ -944,9 +914,13 @@ class CompositionLedger:
         the budget (`_last_within`).  Every probe lands in ``evaluations``.
         A probe the window caps (`RangeError`) reads as the lowest epsilon
         it can stand for; a budget at or above that raises the error.  A
-        ``delta`` below `_DELTA_FLOOR` raises `RangeError` before any probe.
+        NaN budget raises `ParameterError`, and a ``delta`` below
+        `_DELTA_FLOOR` `RangeError`, before any probe.
         """
-        _check_delta(float(delta))
+        epsilon, delta = _real("epsilon", epsilon), _real("delta", delta)
+        if math.isnan(epsilon):
+            raise ParameterError("epsilon must be a number, got nan")
+        _check_delta(delta)
 
         def probe(k: int) -> float:
             try:

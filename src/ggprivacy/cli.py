@@ -33,8 +33,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__, ggdist
-from .accountant import (DEFAULT_BINS, DEFAULT_SAMPLES, DEFAULT_SEED,
-                         account, derive_rng)
+from .accountant import DEFAULT_BINS, DEFAULT_SEED, account, derive_rng
 from .calibrate import (DEFAULT_TOLERANCE, FamilyResult, PrivacyTarget,
                         _cutoff_list, equivalent_family, family_from_csv,
                         family_to_csv, solve_sigma, tail_weight,
@@ -280,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sensitivity", type=float, default=1.0)
     _add_target_args(sub)
     _add_accountant_args(sub)
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                     help="sample count the error certificate assumes "
-                          "(default %(default)s)")
     sub.add_argument("--curve-points", type=int, default=129)
     _add_common(sub)
 
@@ -396,20 +392,13 @@ def _cmd_epsilon(args, sub) -> int:
         sub.error("provide exactly one of --epsilon / --delta")
     spec = _mechanism_from(args)
     result = account(spec, epsilon=args.epsilon, delta=args.delta,
-                     curve_points=args.curve_points,
-                     samples_n=args.samples, bins=args.bins)
+                     curve_points=args.curve_points, bins=args.bins)
     if args.delta is not None:
-        print(f"epsilon = {result.epsilon:.6f} at delta = {args.delta:g}")
+        print(f"epsilon = {result.epsilon:.6f} at delta = {args.delta:g} "
+              "(point estimate)")
     else:
-        print(f"delta = {result.delta:.6e} at epsilon = {args.epsilon:g}")
-    terms = f"eta = {result.eta:.3e}, tau = {result.tau:.3f}"
-    if result.eta >= 1.0 or result.tau >= result.epsilon:
-        estimate = "epsilon" if args.delta is not None else "delta"
-        print(f"certificate: vacuous ({terms}), so {estimate} is a point "
-              "estimate")
-    else:
-        print(f"conservative: epsilon <= {result.epsilon_conservative:.6f}, "
-              f"delta <= {result.delta_conservative:.6e} ({terms})")
+        print(f"delta = {result.delta:.6e} at epsilon = {args.epsilon:g} "
+              "(point estimate)")
     if args.out is not None:
         _emit(result.curve.to_json(indent=2) + "\n", args)
     return 0

@@ -53,7 +53,7 @@ from oracles import convolve_direct, gaussian_prv_cdf
 SEED = 61803398
 
 # Solver runs share these accountant settings: a 2^16-bin grid keeps each
-# probe well under a second, and samples_n sizes the reported certificate.
+# probe well under a second; samples_n sizes only account's certificate.
 ACCT = dict(samples_n=2_000_000, bins=2 ** 16)
 
 
@@ -156,14 +156,15 @@ CERTIFICATE_CASES = [
 
 
 def certificate_mp(cfg: AccountantConfig, k: int, tail_single: float,
-                   tail_sum: float) -> tuple[float, float]:
+                   tail_sum: float, samples_n: int, hoeffding_s: float | None,
+                   sampling_t: float | None) -> tuple[float, float]:
     """The certificate algebra redone in 50-digit arithmetic."""
     with mpmath.workdps(50):
         L, h = mpmath.mpf(cfg.trunc_L), mpmath.mpf(cfg.mesh_h)
-        n = mpmath.mpf(cfg.samples_n)
-        s = (mpmath.mpf(cfg.hoeffding_s) if cfg.hoeffding_s is not None
+        n = mpmath.mpf(samples_n)
+        s = (mpmath.mpf(hoeffding_s) if hoeffding_s is not None
              else 10 * h * mpmath.sqrt(k))
-        t = (mpmath.mpf(cfg.sampling_t) if cfg.sampling_t is not None
+        t = (mpmath.mpf(sampling_t) if sampling_t is not None
              else 10 * L / mpmath.sqrt(n))
         root = mpmath.sqrt(L / (n * h))
         eta = (2 * k * mpmath.mpf(tail_single)
@@ -182,10 +183,9 @@ def test_criterion_05_error_bound_oracle():
     recomputation agrees to the same tolerance."""
     for (L, bins, n, k, s_in, t_in, t_single, t_sum,
          eta_frozen, tau_frozen) in CERTIFICATE_CASES:
-        cfg = AccountantConfig(L, bins, samples_n=n,
-                               hoeffding_s=s_in, sampling_t=t_in)
-        got = error_bounds(cfg, k, t_single, t_sum)
-        eta_mp, tau_mp = certificate_mp(cfg, k, t_single, t_sum)
+        cfg = AccountantConfig(L, bins)
+        got = error_bounds(cfg, k, t_single, t_sum, n, s_in, t_in)
+        eta_mp, tau_mp = certificate_mp(cfg, k, t_single, t_sum, n, s_in, t_in)
         assert got.eta == pytest.approx(eta_frozen, rel=1e-12)
         assert got.tau == pytest.approx(tau_frozen, rel=1e-12)
         assert got.eta == pytest.approx(eta_mp, rel=1e-12)

@@ -31,7 +31,7 @@ from ggprivacy import (
     discretize_from_samples,
     error_bounds,
 )
-from ggprivacy.accountant import DEFAULT_BINS
+from ggprivacy.accountant import DEFAULT_BINS, DEFAULT_SAMPLES
 from ggprivacy.prv import laplace_prv_cdf
 from oracles import convolve_direct, gaussian_prv_cdf
 
@@ -69,8 +69,9 @@ def test_config_grid_alignment_enforced():
     m = cfg.half_bins
     assert m == 514
     assert (m + 0.5) * cfg.mesh_h == pytest.approx(10.0, rel=1e-12)
-    with pytest.raises(ConfigError):
-        AccountantConfig(10.0, 2 ** 10, samples_n=100)
+    # A grid is (L, cells): the sampled estimator's sizes are not its fields.
+    with pytest.raises(TypeError, match="samples_n"):
+        AccountantConfig(10.0, 2 ** 10, samples_n=10 ** 6)
     with pytest.raises(ConfigError):
         AccountantConfig(10.0, bins=1)
 
@@ -105,13 +106,24 @@ def test_config_cell_cap_applies_to_the_rounded_grid():
     assert AccountantConfig(1.0, 66_430_125).bins == 66_430_125
 
 
-def test_config_resolved_free_parameters():
-    cfg = AccountantConfig(30.0, 2 ** 15, samples_n=10 ** 6)
-    assert cfg.resolved_s(4) == pytest.approx(10.0 * cfg.mesh_h * 2.0, rel=1e-15)
-    assert cfg.resolved_t() == pytest.approx(0.3, rel=1e-15)
-    explicit = AccountantConfig(30.0, 2 ** 15, samples_n=10 ** 6,
-                                hoeffding_s=0.1, sampling_t=0.2)
-    assert explicit.resolved_s(4) == 0.1 and explicit.resolved_t() == 0.2
+def test_error_bounds_resolves_free_parameters():
+    cfg = AccountantConfig(30.0, 2 ** 15)
+    auto = error_bounds(cfg, 4, 0.0, 0.0, 10 ** 6)
+    assert auto.hoeffding_s == pytest.approx(10.0 * cfg.mesh_h * 2.0, rel=1e-15)
+    assert auto.sampling_t == pytest.approx(0.3, rel=1e-15)
+    explicit = error_bounds(cfg, 4, 0.0, 0.0, 10 ** 6, hoeffding_s=0.1,
+                            sampling_t=0.2)
+    assert (explicit.hoeffding_s, explicit.sampling_t) == (0.1, 0.2)
+    for n in (9_999, 1e6, True):
+        with pytest.raises(ParameterError, match="samples_n"):
+            error_bounds(cfg, 4, 0.0, 0.0, n)
+    for free in (dict(hoeffding_s=0.0), dict(hoeffding_s=math.nan),
+                 dict(sampling_t=-0.2), dict(sampling_t=math.inf),
+                 dict(sampling_t=True)):
+        with pytest.raises(ParameterError, match=next(iter(free))):
+            error_bounds(cfg, 4, 0.0, 0.0, 10 ** 6, **free)
+    with pytest.raises(ParameterError, match="compositions"):
+        error_bounds(cfg, 2.5, 0.0, 0.0, 10 ** 6)
 
 
 # -- DiscretePRV ---------------------------------------------------------------
@@ -347,9 +359,9 @@ def test_index_mean_is_the_grid_mean(m):
 
 
 def test_discretize_from_samples_normal_oracle():
-    cfg = AccountantConfig(12.0, 2 ** 12, samples_n=20_000)
+    cfg = AccountantConfig(12.0, 2 ** 12)
     prv = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
-                                  derive_rng(1, "disc"))
+                                  derive_rng(1, "disc"), 20_000)
     assert prv.probs.sum() == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= prv.offset <= cfg.mesh_h / 2.0
     assert prv.acceptance == 1.0
@@ -360,31 +372,32 @@ def test_discretize_from_samples_normal_oracle():
 
 
 def test_discretize_from_samples_is_deterministic():
-    cfg = AccountantConfig(8.0, 2 ** 10, samples_n=15_000)
+    cfg = AccountantConfig(8.0, 2 ** 10)
     a = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
-                                derive_rng(2, "disc"))
+                                derive_rng(2, "disc"), 15_000)
     b = discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
-                                derive_rng(2, "disc"))
+                                derive_rng(2, "disc"), 15_000)
     npt.assert_array_equal(a.probs, b.probs)
     assert a.offset == b.offset
 
 
 def test_discretize_rejects_hopeless_truncation():
-    cfg = AccountantConfig(0.05, 2 ** 3, samples_n=20_000)
+    cfg = AccountantConfig(0.05, 2 ** 3)
     with pytest.raises(TruncationError):
         discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg,
-                                derive_rng(3, "disc"))
+                                derive_rng(3, "disc"), 20_000)
 
 
 @pytest.mark.parametrize("rng", [None, 3])
 def test_discretize_from_samples_takes_only_a_generator(rng):
-    cfg = AccountantConfig(8.0, 2 ** 10, samples_n=15_000)
+    cfg = AccountantConfig(8.0, 2 ** 10)
     with pytest.raises(ParameterError, match="rng"):
-        discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg, rng)
+        discretize_from_samples(lambda r, c: r.normal(0.5, 1.0, c), cfg, rng,
+                                15_000)
 
 
 def test_discretize_from_cdf_gaussian():
-    cfg = AccountantConfig(12.0, 2 ** 14, samples_n=20_000)
+    cfg = AccountantConfig(12.0, 2 ** 14)
     prv = discretize_from_cdf(lambda x: gaussian_prv_cdf(x, 1.0, 1.0), cfg)
     assert prv.probs.sum() == pytest.approx(1.0, abs=1e-9)
     for eps in (0.5, 1.0, 2.0):
@@ -394,7 +407,7 @@ def test_discretize_from_cdf_gaussian():
 
 
 def test_discretize_from_cdf_laplace_atoms():
-    cfg = AccountantConfig(2.0, 2 ** 12, samples_n=20_000)
+    cfg = AccountantConfig(2.0, 2 ** 12)
     prv = discretize_from_cdf(lambda x: laplace_prv_cdf(x, 1.0, 1.0), cfg)
     y = prv.support()
     # The endpoint atoms land in single cells.
@@ -417,7 +430,7 @@ def test_sampled_and_cdf_discretizations_agree(beta, q, k):
     from ggprivacy.prv import directions_for, loss_cdf, sample_prv
 
     spec = MechanismSpec(GGParams(beta, 2.0), 1.0, q, k)
-    cfg = _auto_config(spec, k, 50_000, 2 ** 12)
+    cfg = _auto_config(spec, k, 2 ** 12)
 
     def epsilon(singles):
         return max(compose([(one, k)]).epsilon_at(1e-3) for one in singles)
@@ -426,7 +439,7 @@ def test_sampled_and_cdf_discretizations_agree(beta, q, k):
                     for d in directions_for(spec))
     sampled = [epsilon(discretize_from_samples(
                    lambda r, c: sample_prv(spec, d, r, c), cfg,
-                   derive_rng(seed, "cross-check", d.value))
+                   derive_rng(seed, "cross-check", d.value), 50_000)
                    for d in directions_for(spec))
                for seed in range(8)]
     assert abs(exact - np.mean(sampled)) <= 4.0 * np.std(sampled, ddof=1)
@@ -578,7 +591,7 @@ def test_compose_clips_its_own_round_off_at_large_k():
                                       _power)
     k = 100_000
     spec = MechanismSpec(GGParams(2.0, 0.001), 1.0, 1e-9, k)
-    cfg = _auto_config(spec, k, 10_000, 2 ** 10)
+    cfg = _auto_config(spec, k, 2 ** 10)
     one = _discretize_directions(spec, cfg)[LossDirection.REMOVE]
     raw = fft.irfft(_power(one._spectrum(), k), n=one.probs.size)
     assert raw.min() < -1e-12
@@ -592,14 +605,29 @@ def test_compose_clips_its_own_round_off_at_large_k():
 # -- certificate ---------------------------------------------------------------
 
 def test_error_bounds_basic_shape():
-    cfg = AccountantConfig(30.0, 2 ** 15, samples_n=10 ** 6)
-    small = error_bounds(cfg, 1, 0.0, 1e-6)
+    cfg = AccountantConfig(30.0, 2 ** 15)
+    small = error_bounds(cfg, 1, 0.0, 1e-6, 10 ** 6)
     assert 0.0 < small.eta <= 1.0 and small.tau > 0.0
-    assert small.hoeffding_s == cfg.resolved_s(1)
-    assert small.sampling_t == cfg.resolved_t()
     # More tail mass can only worsen the certificate.
-    worse = error_bounds(cfg, 1, 1e-3, 1e-2)
+    worse = error_bounds(cfg, 1, 1e-3, 1e-2, 10 ** 6)
     assert worse.eta >= small.eta
+
+
+@pytest.mark.parametrize("samples_n", [DEFAULT_SAMPLES, 10 ** 12])
+def test_account_certificate_is_error_bounds_bitwise(samples_n):
+    # On README's spec and grid, account's (eta, tau) is error_bounds called
+    # with the same sample count, the singles' tails and the composed grid's
+    # mass past L - t, t at its default 10 L / sqrt(n).
+    from ggprivacy.accountant import _discretize_directions, _mass_beyond
+    spec = MechanismSpec(GGParams(1.0, 4.0), 1.0, None, 100)
+    got = account(spec, delta=1e-5, samples_n=samples_n)
+    cfg = got.config
+    t = 10.0 * cfg.trunc_L / math.sqrt(samples_n)
+    (direction, one), = _discretize_directions(spec, cfg).items()
+    tail_sum = min(1.0, _mass_beyond(got.composed[direction], cfg.trunc_L - t)
+                   + 100 * one.tail_upper)
+    want = error_bounds(cfg, 100, one.tail_upper, tail_sum, samples_n)
+    assert (got.eta.hex(), got.tau.hex()) == (want.eta.hex(), want.tau.hex())
 
 
 # -- privacy curve -------------------------------------------------------------
@@ -607,25 +635,23 @@ def test_error_bounds_basic_shape():
 def test_privacy_curve_json_round_trip():
     curve = PrivacyCurve(epsilon=np.asarray([0.0, 1.0, 2.0]),
                          delta=np.asarray([0.5, 0.2, 0.1]),
-                         eta=0.01, tau=0.5, config={"trunc_L": 2.0},
-                         mechanism={"beta": 2.0})
+                         config={"trunc_L": 2.0}, mechanism={"beta": 2.0})
     raw = json.loads(curve.to_json())
-    assert set(raw) == {"epsilon", "delta", "eta", "tau", "config", "mechanism"}
+    assert set(raw) == {"epsilon", "delta", "config", "mechanism"}
     back = PrivacyCurve.from_json(curve.to_json())
     npt.assert_array_equal(back.epsilon, curve.epsilon)
     npt.assert_array_equal(back.delta, curve.delta)
-    assert back.eta == curve.eta and back.tau == curve.tau
+    assert (back.config, back.mechanism) == (curve.config, curve.mechanism)
 
 
 def test_privacy_curve_validation():
     with pytest.raises(ParameterError):
         PrivacyCurve(epsilon=np.asarray([0.0, 0.0, 1.0]),
-                     delta=np.asarray([0.5, 0.2, 0.1]),
-                     eta=0.0, tau=0.0, config={}, mechanism={})
+                     delta=np.asarray([0.5, 0.2, 0.1]), config={},
+                     mechanism={})
     with pytest.raises(ParameterError):
         PrivacyCurve(epsilon=np.asarray([0.0, 1.0]),
-                     delta=np.asarray([1.5, 0.2]),
-                     eta=0.0, tau=0.0, config={}, mechanism={})
+                     delta=np.asarray([1.5, 0.2]), config={}, mechanism={})
 
 
 # -- account() -----------------------------------------------------------------
@@ -713,11 +739,10 @@ def test_bounded_loss_leaves_no_mass_outside_the_window(sigma, q):
     # range: the single-shot mass outside it, which the certificate charges,
     # is exactly 0.  So account charges each single the mass its binning
     # left outside, with no separate case for a bounded range.
-    from ggprivacy.accountant import (DEFAULT_SAMPLES, _auto_config,
-                                      _discretize_directions)
+    from ggprivacy.accountant import _auto_config, _discretize_directions
     for k in (1, 10, 100):
         spec = MechanismSpec(GGParams(1.0, sigma), 1.0, q, k)
-        cfg = _auto_config(spec, k, DEFAULT_SAMPLES, 2 ** 12)
+        cfg = _auto_config(spec, k, 2 ** 12)
         for one in _discretize_directions(spec, cfg).values():
             assert one.tail_upper == 0.0
 
@@ -737,7 +762,8 @@ def test_account_checks_curve_points_before_sampling(points, monkeypatch):
 
 def test_accounting_draws_nothing(monkeypatch):
     # account, the ledger and calibration discretize the exact loss CDF: no
-    # noise is drawn, and the seed changes nothing.
+    # noise is drawn, and the seed, an int, a numpy integer or None,
+    # changes nothing.
     from ggprivacy import accountant, calibrate, ggdist
 
     def no_draws(*args):
@@ -747,8 +773,9 @@ def test_accounting_draws_nothing(monkeypatch):
     monkeypatch.setattr(accountant, "sample_prv", no_draws)
     small = dict(samples_n=30_000, bins=2 ** 12)
     spec = MechanismSpec(GGParams(1.5, 2.0), 1.0, 0.1, 5)
-    a, b = (account(spec, delta=1e-5, rng=seed, **small) for seed in (1, 2))
-    assert a.epsilon.hex() == b.epsilon.hex() and (a.seed, b.seed) == (1, 2)
+    a, b, c = (account(spec, delta=1e-5, rng=seed, **small)
+               for seed in (1, np.int64(2), None))
+    assert a.epsilon.hex() == b.epsilon.hex() == c.epsilon.hex()
     CompositionLedger(spec, k_cap=5, bins=2 ** 12).max_steps(1.0, 1e-5)
     calibrate.solve_sigma(2.0, calibrate.PrivacyTarget(2.0, 1e-5), tolerance=0.2,
                           **small)
@@ -763,18 +790,10 @@ def test_account_and_ledger_take_only_an_int_seed(rng):
         CompositionLedger(GAUSS, rng=rng)
 
 
-def test_account_reports_its_int_seed():
-    small = dict(samples_n=30_000, bins=2 ** 12)
-    assert account(GAUSS, delta=1e-5, **small).seed == 61803398
-    assert account(GAUSS, delta=1e-5, rng=np.int64(5), **small).seed == 5
-
-
 def test_account_gaussian_close_to_analytic():
     result = account(GAUSS, delta=1e-5, samples_n=100_000, bins=2 ** 15)
     assert result.epsilon == pytest.approx(gauss_epsilon(1e-5), abs=0.12)
     assert result.delta == 1e-5
-    assert result.epsilon_conservative == result.epsilon + result.tau
-    assert result.delta_conservative <= 1.0
     assert 0.0 < result.eta <= 1.0
     # The reported curve is a valid non-increasing trade-off.
     assert np.all(np.diff(result.curve.delta) <= 0.0)
@@ -932,6 +951,15 @@ def test_ledger_validates_k_cap(k_cap):
         CompositionLedger(GAUSS, k_cap=k_cap)
 
 
+def test_ledger_refuses_a_nan_budget(ledger):
+    # NaN compares false with every epsilon, so it passed the single-step
+    # check and budgeted one step; it is refused before any probe.
+    before = len(ledger.evaluations)
+    with pytest.raises(ParameterError, match="^epsilon must be a number"):
+        ledger.max_steps(float("nan"), 1e-5)
+    assert len(ledger.evaluations) == before
+
+
 def test_ledger_budget_exhausted():
     spec = MechanismSpec(GGParams(2.0, 0.5), 1.0)
     tiny = CompositionLedger(spec, k_cap=4, bins=2 ** 12)
@@ -987,7 +1015,7 @@ def test_cell_masses_agree_with_cdf_differencing(beta, q):
     from ggprivacy.accountant import _auto_config, _discretize_directions
     from ggprivacy.prv import loss_cdf
     spec = MechanismSpec(GGParams(beta, 2.0), 1.0, q, 5)
-    cfg = _auto_config(spec, 5, 30_000, 2 ** 12)
+    cfg = _auto_config(spec, 5, 2 ** 12)
     for direction, one in _discretize_directions(spec, cfg).items():
         ref = discretize_from_cdf(loss_cdf(spec, direction), cfg)
         npt.assert_allclose(one.probs, ref.probs, rtol=0.0, atol=1e-15)
@@ -999,7 +1027,7 @@ def test_mass_beyond_sums_the_masked_mass_bitwise(offset, rng):
     # The certificate's grid tail, from the grid's two end slices, is
     # bitwise the sum over the mask |support()| >= level, at levels on and
     # between support points.
-    from ggprivacy.accountant import _mass_beyond
+    from ggprivacy.accountant import _mass_beyond, _sampling_t
     probs = rng.random(2187)
     one = DiscretePRV(probs=probs / probs.sum(), mesh_h=0.3, offset=offset)
     for level in (1e-9, 0.3, 17.0, 0.3 * 1000 + offset, 327.0, 328.0, 1e9):
@@ -1009,7 +1037,7 @@ def test_mass_beyond_sums_the_masked_mass_bitwise(offset, rng):
     got = account(spec, delta=1e-5, bins=2 ** 12)
     cfg = got.config
     full = got.composed[LossDirection.REMOVE]
-    level = cfg.trunc_L - cfg.resolved_t()
+    level = cfg.trunc_L - _sampling_t(cfg, DEFAULT_SAMPLES)
     want = float(full.probs[np.abs(full.support()) >= level].sum())
     assert _mass_beyond(full, level).hex() == want.hex()
 
@@ -1068,7 +1096,7 @@ def test_auto_window_tail_bound_at_large_k(k):
         t = (r * r + s) / (2.0 * r)
         return 0.5 * ((1.0 - q) * special.erfc(t) + q * special.erfc(t - r))
 
-    L = _auto_config(spec, k, 10_000, 2 ** 12).trunc_L
+    L = _auto_config(spec, k, 2 ** 12).trunc_L
     assert k * upper(L / 1.25) > _WINDOW_TAIL        # the window widened
     assert k * upper(L) <= _WINDOW_TAIL
     for direction in (LossDirection.REMOVE, LossDirection.ADD):
@@ -1105,7 +1133,7 @@ def test_auto_window_is_the_rule_without_shortcuts_bitwise(beta):
             assert [v.hex() for v in prv.loss_moments(spec, d)] == \
                 [v.hex() for v in separate_loss_moments(spec, d)]
         start, L, steps = auto_window(spec, k)
-        assert _auto_config(spec, k, 10_000, 2 ** 10).trunc_L.hex() == L.hex()
+        assert _auto_config(spec, k, 2 ** 10).trunc_L.hex() == L.hex()
         widened += steps > 0
         covered += start >= _solved_reach(spec)
         for window in (start, L):
@@ -1175,7 +1203,6 @@ def test_account_builds_its_curve_on_first_read(monkeypatch):
         [real(prv, eps) for prv in result.composed.values()]))
     assert curve.epsilon.tobytes() == eps.tobytes()
     assert curve.delta.tobytes() == delta.tobytes()
-    assert (curve.eta, curve.tau) == (result.eta, result.tau)
     assert curve.config == result.config.to_dict()
     assert curve.mechanism == spec.to_dict()
 

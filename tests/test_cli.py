@@ -16,8 +16,6 @@ from ggprivacy.errors import ParameterError
 from ggprivacy.simulate import histograms_to_csv, build_histogram
 
 FAST_ACCT = ["--bins", "8192"]
-# epsilon alone takes --samples: it prints the certificate that assumes it.
-EPSILON_ACCT = ["--samples", "50000", *FAST_ACCT]
 
 SUBCOMMANDS = ["sample", "epsilon", "solve-sigma", "family", "tail-weight",
                "simulate-argmax", "pate-label", "train", "replay"]
@@ -184,42 +182,25 @@ def test_config_without_subcommand_is_usage_error(tmp_path):
 
 # -- epsilon ------------------------------------------------------------------------
 
-def test_epsilon_reports_estimate_and_conservative(capsys):
-    # At these sizes eta = 1: the certificate line says it is vacuous.
-    rc = main(["epsilon", "--beta", "2", "--sigma", repr(math.sqrt(2)),
-               "--delta", "1e-5", *EPSILON_ACCT])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "epsilon = " in out and "conservative:" not in out
-    assert re.search(r"^certificate: vacuous \(eta = 1\.000e\+00, tau = .*\), "
-                     r"so epsilon is a point estimate$", out, re.M)
-    value = float(out.split("epsilon = ")[1].split()[0])
-    assert 0.5 < value < 10.0
-
-
 @pytest.mark.parametrize("target,estimate", [("--delta", "epsilon"),
                                              ("--epsilon", "delta")])
-def test_epsilon_prints_the_certificate_only_when_it_binds(capsys, target,
-                                                           estimate):
-    # One composition, with the certificate assuming 1e12 samples: eta is
-    # about 5e-4 and tau about 0.03 at epsilon(1e-5) = 6.57.
-    args = ["epsilon", "--beta", "2", "--sigma", "1", "--bins", "16384"]
-    value = "1e-5" if target == "--delta" else "6.5"
-    assert main([*args, target, value, "--samples", str(10 ** 12)]) == 0
-    out = capsys.readouterr().out
-    assert re.search(r"^conservative: epsilon <= \S+, delta <= \S+ "
-                     r"\(eta = 5\.\d+e-04, tau = 0\.028\)$", out, re.M)
-    assert "vacuous" not in out
-    # Ten subsampled compositions: eta = 0.63 < 1, but tau = 1.9 exceeds
-    # epsilon, which is about 0.8 at delta = 1e-5.
-    value = "1e-5" if target == "--delta" else "0.5"
-    assert main(["epsilon", "--beta", "1.5", "--sigma", "2", "--compositions",
-                 "10", "--sample-rate", "0.1", "--bins", "4096", target,
-                 value]) == 0
-    out = capsys.readouterr().out
-    assert re.search(r"^certificate: vacuous \(eta = 6\.349e-01, tau = 1\.945\), "
-                     rf"so {estimate} is a point estimate$", out, re.M)
-    assert "conservative:" not in out
+def test_epsilon_labels_a_point_estimate(capsys, target, estimate):
+    # epsilon prints one line, its answer labelled a point estimate, and no
+    # certificate, plain or subsampled.
+    other = {"epsilon": "delta", "delta": "epsilon"}[estimate]
+    for spec, value in ((["--sigma", repr(math.sqrt(2))], ("1e-5", "4.0")),
+                        (["--sigma", "2", "--compositions", "10",
+                          "--sample-rate", "0.1"], ("1e-5", "0.5"))):
+        value = value[target == "--epsilon"]
+        assert main(["epsilon", "--beta", "2", *spec, target, value,
+                     *FAST_ACCT]) == 0
+        line = re.fullmatch(rf"{estimate} = (\S+) at {other} = "
+                            rf"{float(value):g} \(point estimate\)\n",
+                            capsys.readouterr().out)
+        assert line
+        answer = float(line.group(1))
+        assert (0.5 < answer < 10.0 if estimate == "epsilon"
+                else 0.0 < answer < 1e-2)
 
 
 def test_epsilon_requires_exactly_one_target(capsys):
@@ -243,16 +224,17 @@ def test_epsilon_curve_points_below_two_exits_one(capsys):
 def test_epsilon_out_writes_curve_and_manifest(tmp_path, capsys):
     out = tmp_path / "curve.json"
     rc = main(["epsilon", "--beta", "2", "--sigma", "1.5", "--delta", "1e-4",
-               "--out", str(out), *EPSILON_ACCT])
+               "--out", str(out), *FAST_ACCT])
     assert rc == 0
     assert "wrote" in capsys.readouterr().out
     curve = json.loads(out.read_text())
-    assert set(curve) == {"epsilon", "delta", "eta", "tau", "config", "mechanism"}
+    assert set(curve) == {"epsilon", "delta", "config", "mechanism"}
+    assert set(curve["config"]) == {"trunc_L", "cells", "mesh_h"}
     manifest = json.loads((tmp_path / "curve.json.manifest.json").read_text())
     assert manifest["command"] == "epsilon"
     # epsilon draws nothing, so its manifest records no seed.
     assert "seed" not in manifest and "seed" not in manifest["arguments"]
-    assert manifest["arguments"]["samples"] == 50000
+    assert "samples" not in manifest["arguments"]
     assert manifest["outputs"] == [{
         "name": "curve.json",
         "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}]
@@ -262,7 +244,7 @@ def test_epsilon_out_writes_curve_and_manifest(tmp_path, capsys):
 def test_replay_reproduces_outputs_bytewise(tmp_path, capsys):
     out = tmp_path / "curve.json"
     assert main(["epsilon", "--beta", "2", "--sigma", "1.5", "--delta", "1e-4",
-                 "--out", str(out), *EPSILON_ACCT]) == 0
+                 "--out", str(out), *FAST_ACCT]) == 0
     original = out.read_bytes()
     manifest_path = tmp_path / "curve.json.manifest.json"
     original_manifest = manifest_path.read_bytes()
@@ -280,7 +262,7 @@ def test_replay_reproduces_outputs_bytewise(tmp_path, capsys):
 def test_replay_fails_on_hash_mismatch(tmp_path, capsys, edit, problem):
     out = tmp_path / "curve.json"
     assert main(["epsilon", "--beta", "2", "--sigma", "1.5", "--delta", "1e-4",
-                 "--out", str(out), *EPSILON_ACCT]) == 0
+                 "--out", str(out), *FAST_ACCT]) == 0
     manifest_path = tmp_path / "curve.json.manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["outputs"] = [edit(manifest["outputs"][0])]
@@ -378,11 +360,13 @@ SOLVE_ARGS = {"beta": 1.5, "epsilon": 2.0, "delta": 1e-5, "bins": 8192,
     ({"command": "solve-sigma",
       "arguments": {**SOLVE_ARGS, "samples": 5000000}, "outputs": ["o.txt"]},
      "'samples'"),
+    ({"command": "epsilon", "arguments": {**EPSILON_ARGS, "samples": 5000000},
+      "outputs": ["o.txt"]}, "'samples'"),
     ({"command": "sample", "arguments": {**SAMPLE_ARGS, "beta": [2.0, 3.0]},
       "outputs": ["o.txt"]}, "'beta'"),
 ], ids=["not-json", "no-command", "outputs-string", "arguments-list",
         "text-for-int", "float-for-int", "unknown-key", "window-key",
-        "seed-key", "samples-key", "list-for-one"])
+        "seed-key", "samples-key", "epsilon-samples-key", "list-for-one"])
 def test_replay_rejects_malformed_manifest_before_running(
         tmp_path, capsys, monkeypatch, manifest, field):
     monkeypatch.chdir(tmp_path)
@@ -397,13 +381,13 @@ def test_replay_rejects_malformed_manifest_before_running(
 
 @pytest.mark.parametrize("command,flag", [
     ("epsilon", "--seed"), ("solve-sigma", "--seed"), ("family", "--seed"),
-    ("tail-weight", "--seed"), ("solve-sigma", "--samples"),
-    ("family", "--samples"), ("tail-weight", "--samples"),
-    ("simulate-argmax", "--samples")])
+    ("tail-weight", "--seed"), ("epsilon", "--samples"),
+    ("solve-sigma", "--samples"), ("family", "--samples"),
+    ("tail-weight", "--samples"), ("simulate-argmax", "--samples")])
 def test_commands_take_no_seed_or_sample_count_they_would_not_use(
         capsys, command, flag):
-    # The accountant and calibration commands draw nothing, and only
-    # epsilon prints the certificate that a sample count sizes.
+    # The accountant and calibration commands draw nothing, and no command
+    # prints the certificate that a sample count sizes.
     with pytest.raises(SystemExit) as exc:
         main([command, flag, "3"])
     assert exc.value.code == 2

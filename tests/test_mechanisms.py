@@ -453,6 +453,15 @@ def test_train_halts_at_budget(rng):
     assert result.epsilon <= cfg.target_epsilon
 
 
+def test_train_refuses_a_nan_budget(rng):
+    # The ledger refuses the NaN budget: no step is trained, where one was.
+    model, data = small_problem(rng)
+    cfg = TrainConfig(batch_size=30, epochs=4, target_epsilon=float("nan"),
+                      ledger_bins=2 ** 12)
+    with pytest.raises(ParameterError, match="^epsilon must be a number"):
+        train_noisy_sgd(model, data, cfg, np.random.default_rng(9))
+
+
 def test_train_accounts_the_noise_it_adds_at_any_clip_norm(rng):
     # Clip norm C adds GG(beta, sigma * C) to a sum of sensitivity C, so the
     # ledger must account that spec, not (sigma, C).

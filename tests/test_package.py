@@ -19,8 +19,8 @@ import pytest
 import scipy
 
 import ggprivacy
-from ggprivacy import (CompositionLedger, DiscretePRV, GGParams,
-                       LogisticModel, LossDirection, MechanismSpec,
+from ggprivacy import (AccountantConfig, CompositionLedger, DiscretePRV,
+                       GGParams, LogisticModel, LossDirection, MechanismSpec,
                        ParameterError, PrivacyTarget, TrainConfig, account,
                        build_histogram, compose, gg_mechanism, lbeta_clip,
                        multidim_prv_sample, sample, sample_prv, sgg_mechanism,
@@ -125,18 +125,18 @@ def test_every_name_cited_in_the_package_resolves():
 
 def test_readme_quick_start_prints_what_it_says(capsys):
     # The first block of the README's quick start runs as written; its
-    # printed epsilon rounds to the annotated value, and tau and
-    # epsilon_conservative round to the figures in the text below it.
+    # printed epsilon rounds to the annotated value, and eta and tau match
+    # the figures in the text below it.
     quick = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
     block = quick.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(block, "README.md quick start", "exec"), {})
-    epsilon, (_, tau), conservative = (
+    epsilon, (eta, tau) = (
         line.split() for line in capsys.readouterr().out.splitlines())
     want = re.search(r"-> ([0-9.]+)", block).group(1)
     decimals = len(want.split(".")[1])
     assert f"{float(epsilon[0]):.{decimals}f}" == want
+    assert f"`η = {float(eta)}`" in quick
     assert f"`τ ≈ {round(float(tau))}`" in quick
-    assert f"`ε_conservative ≈ {round(float(conservative[0]))}`" in quick
 
 
 def test_every_readme_python_block_runs(capsys):
@@ -257,6 +257,18 @@ REALS = {  # (call with the number v, the name the error must give, a valid v)
     "train.target_delta": (
         lambda v: _train(batch_size=5, target_epsilon=8.0, target_delta=v),
         "target_delta", 1e-5),
+    "AccountantConfig.trunc_L": (lambda v: AccountantConfig(v, 2 ** 10),
+                                 "trunc_L", 1.0),
+    "DiscretePRV.mesh_h": (
+        lambda v: DiscretePRV(np.array([0.25, 0.5, 0.25]), v), "mesh_h", 1.0),
+    "DiscretePRV.offset": (lambda v: _prv(offset=v), "offset", 1.0),
+    "DiscretePRV.epsilon_at": (lambda v: _prv().epsilon_at(v), "delta", 0.5),
+    "ledger.epsilon_at": (lambda v: _ledger().epsilon_at(2, v), "delta",
+                          1e-5),
+    "ledger.max_steps.epsilon": (lambda v: _ledger().max_steps(v, 1e-5),
+                                 "epsilon", 50.0),
+    "ledger.max_steps.delta": (lambda v: _ledger().max_steps(50.0, v),
+                               "delta", 1e-5),
 }
 
 

@@ -531,7 +531,7 @@ def test_auto_window_is_the_full_precision_window(beta, ratio, q, k,
     from ggprivacy import accountant
     from ggprivacy.ggdist import _upper_tail
     spec = MechanismSpec(GGParams(beta, 1.0), ratio, q, k)
-    L = accountant._auto_config(spec, k, 10_000, 2 ** 12).trunc_L
+    L = accountant._auto_config(spec, k, 2 ** 12).trunc_L
 
     def full_precision(spec, h, m):
         # The pieces below, inside and above [-h/2, h/2] (m = 0).
@@ -546,7 +546,7 @@ def test_auto_window_is_the_full_precision_window(beta, ratio, q, k,
         return pieces
 
     monkeypatch.setattr(accountant, "loss_masses", full_precision)
-    assert accountant._auto_config(spec, k, 10_000, 2 ** 12).trunc_L == L
+    assert accountant._auto_config(spec, k, 2 ** 12).trunc_L == L
 
 
 @pytest.mark.parametrize("q", [None, 0.1])
@@ -638,7 +638,7 @@ def test_loss_masses_match_a_multiprecision_oracle(beta, q):
     # noise units.
     from ggprivacy import accountant
     spec = MechanismSpec(GGParams(beta, 1.0), 1.0, q, 10)
-    cfg = accountant._auto_config(spec, 10, 10_000, 2 ** 12)
+    cfg = accountant._auto_config(spec, 10, 2 ** 12)
     h, m = cfg.mesh_h, cfg.half_bins
     smallest = 1.0
     for direction, mass in loss_masses(spec, h, m).items():
@@ -659,7 +659,7 @@ def test_loss_masses_and_loss_cdf_share_one_tail_rule(beta, q, direction):
     # 7.7e-44 and 1.1e-311 for the plain specs.
     from ggprivacy import accountant
     spec = MechanismSpec(GGParams(beta, 1.0), 1.0, q, 10)
-    cfg = accountant._auto_config(spec, 10, 10_000, 2 ** 12)
+    cfg = accountant._auto_config(spec, 10, 2 ** 12)
     h, m = cfg.mesh_h, cfg.half_bins
     mass = loss_masses(spec, h, m)[direction]
     t = int(np.flatnonzero(mass > 0.0)[0])
