@@ -182,6 +182,20 @@ def test_config_without_subcommand_is_usage_error(tmp_path):
 
 # -- epsilon ------------------------------------------------------------------------
 
+def test_epsilon_reports_estimate_and_conservative(capsys):
+    # The estimate is reported; no conservative line or certificate follows,
+    # since the command no longer assumes a sample count to certify.
+    rc = main(["epsilon", "--beta", "2", "--sigma", repr(math.sqrt(2)),
+               "--delta", "1e-5", *FAST_ACCT])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("epsilon = ")
+    for word in ("conservative", "certificate", "eta", "tau"):
+        assert word not in out
+    value = float(out.split("epsilon = ")[1].split()[0])
+    assert 0.5 < value < 10.0
+
+
 @pytest.mark.parametrize("target,estimate", [("--delta", "epsilon"),
                                              ("--epsilon", "delta")])
 def test_epsilon_labels_a_point_estimate(capsys, target, estimate):
