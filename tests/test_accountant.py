@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -31,6 +36,7 @@ from ggprivacy import (
     discretize_from_samples,
     error_bounds,
 )
+from ggprivacy import accountant
 from ggprivacy.accountant import DEFAULT_BINS, DEFAULT_SAMPLES
 from ggprivacy.prv import laplace_prv_cdf
 from oracles import convolve_direct, gaussian_prv_cdf
@@ -1267,3 +1273,73 @@ def test_discretizing_solves_each_root_once(beta, q, monkeypatch):
     assert len(sizes) == (0 if beta in (1.0, 2.0) else 1)
     if q is None and sizes:
         assert sizes[0] <= cfg.half_bins + 1
+
+
+_FAULTS_ACROSS_A_SECOND_ACCOUNT = """
+import resource
+from ggprivacy import GGParams, MechanismSpec, account
+spec = MechanismSpec(GGParams(3.0, 4.0), 1.0, None, 100)
+account(spec, delta=1e-5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+account(spec, delta=1e-5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's")
+def test_a_second_account_call_reuses_the_first_calls_pages():
+    # Importing the package pins glibc's mmap and trim thresholds, so the
+    # grid arrays a call frees stay in the heap for the next call.  Under
+    # glibc's dynamic rule, the second call on README's beta = 3 spec at the
+    # default grid faulted in 7 378 to 9 007 pages.  It must run in a fresh
+    # process: any earlier free of a larger mmapped chunk raises glibc's
+    # dynamic thresholds, and then the pages would stay without the pin.
+    import resource
+    src = str(Path(accountant.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", _FAULTS_ACROSS_A_SECOND_ACCOUNT], env=env,
+        check=True, capture_output=True, text=True, timeout=120).stdout
+    one_grid_array = accountant._grid_cells(DEFAULT_BINS) * 8
+    assert int(out) < one_grid_array / resource.getpagesize()
+
+
+class _FakeMallopt:
+    def __init__(self, answer):
+        self.answer, self.calls = answer, []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.answer
+
+
+def _fake_libc(monkeypatch, handle):
+    def cdll(name):
+        assert name is None
+        if isinstance(handle, Exception):
+            raise handle
+        return handle
+    monkeypatch.setattr(accountant.ctypes, "CDLL", cdll)
+
+
+@pytest.mark.parametrize("handle", [OSError("no libc"), TypeError("None"),
+                                    object()],
+                         ids=["cdll-raises", "cdll-refuses-none",
+                              "no-mallopt"])
+def test_malloc_pin_returns_quietly_without_mallopt(handle, monkeypatch):
+    _fake_libc(monkeypatch, handle)
+    assert accountant._pin_malloc_thresholds() is None
+
+
+@pytest.mark.parametrize("answer", [1, 0])
+def test_malloc_pin_sets_the_trim_threshold_only_after_the_mmap_one(
+        answer, monkeypatch):
+    # Any successful mallopt turns glibc's dynamic rule off, so a trim
+    # threshold set alone would leave every large array mmapped.
+    mallopt = _FakeMallopt(answer)
+    _fake_libc(monkeypatch, type("Libc", (), {"mallopt": mallopt})())
+    accountant._pin_malloc_thresholds()
+    mmap = (-3, 32 * 2 ** 20)
+    assert mallopt.calls == ([mmap, (-1, 64 * 2 ** 20)] if answer else [mmap])

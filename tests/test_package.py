@@ -263,6 +263,9 @@ REALS = {  # (call with the number v, the name the error must give, a valid v)
         lambda v: DiscretePRV(np.array([0.25, 0.5, 0.25]), v), "mesh_h", 1.0),
     "DiscretePRV.offset": (lambda v: _prv(offset=v), "offset", 1.0),
     "DiscretePRV.epsilon_at": (lambda v: _prv().epsilon_at(v), "delta", 0.5),
+    "DiscretePRV.delta_at": (lambda v: _prv().delta_at(v), "epsilon", 1.0),
+    "DiscretePRV.delta_at.array": (lambda v: _prv().delta_at([v, v]),
+                                   "epsilon", 1.0),
     "ledger.epsilon_at": (lambda v: _ledger().epsilon_at(2, v), "delta",
                           1e-5),
     "ledger.max_steps.epsilon": (lambda v: _ledger().max_steps(v, 1e-5),
