@@ -35,7 +35,7 @@ from .prv import (LossDirection, MechanismSpec, directions_for,
                   laplace_prv_cdf, loss_cdf, loss_function,
                   multidim_prv_sample, sample_prv, subsampled_loss_function)
 from .simulate import (PateAccuracy, ResultRow, SimConfig, UtilityPoint,
-                       VoteHistogram, auc_over_runner_up, build_histogram,
+                       VoteHistograms, auc_over_runner_up,
                        exact_two_class_utility, hardmax_utility,
                        histograms_from_csv, histograms_to_csv,
                        make_histograms, normalized_auc, pate_label_accuracy,
@@ -68,8 +68,8 @@ __all__ = [
     "loss_cdf", "loss_function", "multidim_prv_sample",
     "sample_prv", "subsampled_loss_function",
     # simulate
-    "PateAccuracy", "ResultRow", "SimConfig", "UtilityPoint", "VoteHistogram",
-    "auc_over_runner_up", "build_histogram", "exact_two_class_utility",
+    "PateAccuracy", "ResultRow", "SimConfig", "UtilityPoint", "VoteHistograms",
+    "auc_over_runner_up", "exact_two_class_utility",
     "hardmax_utility", "histograms_from_csv", "histograms_to_csv",
     "make_histograms", "normalized_auc", "pate_label_accuracy",
     "results_to_csv",

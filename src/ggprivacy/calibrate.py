@@ -255,13 +255,6 @@ def solve_sigma(beta: float, target: PrivacyTarget, *, rng=None,
     `perfbench/workloads.py` passes them, and go with the certificate
     (ROADMAP item 1).
     """
-    return _solve_sigma(beta, target, rng, tolerance, sensitivity, samples_n,
-                        bins, 1.0)
-
-
-def _solve_sigma(beta, target, rng, tolerance, sensitivity, samples_n, bins,
-                 start: float) -> SolveResult:
-    """`solve_sigma` with the coarse stage's walk starting at ``s = start``."""
     sensitivity = _real("sensitivity", sensitivity)
     if not (math.isfinite(sensitivity) and sensitivity > 0):
         raise ParameterError(
@@ -283,7 +276,7 @@ def _solve_sigma(beta, target, rng, tolerance, sensitivity, samples_n, bins,
 
     caller = grid(bins)
     coarse = grid(_COARSE_BINS)
-    goal = target.epsilon
+    goal, start = target.epsilon, 1.0
     if coarse.cells < caller.cells:
         try:
             _search(coarse, start, goal - 0.125 * tolerance, 0.25 * tolerance,
@@ -322,17 +315,13 @@ def equivalent_family(betas, target: PrivacyTarget, *,
                       tolerance: float = DEFAULT_TOLERANCE,
                       bins: int = DEFAULT_BINS) -> FamilyResult:
     """Solve sigma for every shape in ``betas`` at one shared target, in
-    increasing beta; each solve starts its search from the sigma solved for
-    the shape before it."""
+    increasing beta."""
     beta_list = [float(b) for b in np.atleast_1d(np.asarray(betas, dtype=np.float64))]
     if not beta_list:
         raise ParameterError("betas must be non-empty")
     points = []
-    start = 1.0
     for beta in sorted(beta_list):
-        solved = _solve_sigma(beta, target, None, tolerance, 1.0,
-                              DEFAULT_SAMPLES, bins, start)
-        start = solved.sigma
+        solved = solve_sigma(beta, target, tolerance=tolerance, bins=bins)
         points.append(FamilyPoint(beta=beta, sigma=solved.sigma,
                                   epsilon=solved.epsilon))
     sigmas = [p.sigma for p in points]

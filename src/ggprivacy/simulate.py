@@ -5,6 +5,9 @@ controlled: the runner-up holds a fraction ``1 - r`` of the winner's votes,
 with ``r`` the runner-up gap ratio swept over a grid.  Utility is the
 Monte-Carlo frequency with which the noisy argmax returns the true (largest)
 class; for two classes an exact quadrature value is available as an oracle.
+
+A study's histograms are one `VoteHistograms` block, an ``(H, N)`` array of
+vote counts with each row's true label and gap ratio beside it.
 """
 
 from __future__ import annotations
@@ -55,51 +58,68 @@ class SimConfig:
         object.__setattr__(self, "runner_up_grid", grid)
 
 
-@dataclass(frozen=True)
-class VoteHistogram:
+@dataclass(frozen=True, eq=False)
+class VoteHistograms:
+    """``H >= 1`` vote histograms over ``N >= 2`` classes, as one block:
+    ``counts``, an ``(H, N)`` array of non-negative integer votes, each
+    row's true class in ``[0, N)`` and each row's gap ratio, NaN where none
+    is known (the default).  Construction checks the block once and keeps
+    read-only int64, int64 and float64 copies.  Counts and labels must
+    have an integer dtype: a float, even a whole one, a bool or text
+    raises `ParameterError` naming the field."""
+
     counts: np.ndarray
-    true_label: int
-    runner_up: float | None = None
+    true_labels: np.ndarray
+    runner_up: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
-        _check_counts(c, 1, self.true_label)
-        c.flags.writeable = False
-        object.__setattr__(self, "counts", c)
+        counts = _array("counts", self.counts, 2, "iu", np.int64)
+        labels = _array("true_labels", self.true_labels, 1, "iu", np.int64)
+        ratios = (np.full(len(counts), np.nan) if self.runner_up is None else
+                  _array("runner_up", self.runner_up, 1, "iuf", np.float64))
+        H, N = counts.shape
+        if H < 1 or N < 2 or np.any(counts < 0):
+            raise ParameterError(f"counts must be an (H, N) block of non-"
+                                 f"negative integers with H >= 1 and N >= 2, "
+                                 f"got shape {counts.shape}")
+        if labels.shape != (H,) or np.any((labels < 0) | (labels >= N)):
+            raise ParameterError(
+                f"true_labels must be {H} class indices in [0, {N - 1}]")
+        if ratios.shape != (H,):
+            raise ParameterError(f"runner_up must hold {H} gap ratios")
+        for name, array in (("counts", counts), ("true_labels", labels),
+                            ("runner_up", ratios)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    @classmethod
-    def _rows_of(cls, rows: np.ndarray, true_label: int,
-                 runner_up: float | None) -> list[VoteHistogram]:
-        """One histogram per row of the int64 block ``rows``.  The checks of
-        `__post_init__` run once on the whole block, which is then frozen;
-        each histogram holds a read-only row view of it and skips
-        `__post_init__`."""
-        _check_counts(rows, 2, true_label)
-        rows.flags.writeable = False
-        new, put = object.__new__, object.__setattr__
-        hists = []
-        for row in rows:
-            hist = new(cls)
-            put(hist, "counts", row)
-            put(hist, "true_label", true_label)
-            put(hist, "runner_up", runner_up)
-            hists.append(hist)
-        return hists
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
-def _check_counts(counts: np.ndarray, ndim: int, true_label: int) -> None:
-    """`VoteHistogram`'s invariants on an ``ndim``-d array of counts (one
-    histogram, or a block of them by row): at least two non-negative counts
-    per histogram, and ``true_label`` one of the classes."""
-    if counts.ndim != ndim or counts.shape[-1] < 2 or np.any(counts < 0):
-        raise ParameterError("counts must be a 1-d array of >= 2 "
-                             "non-negative integers")
-    if not 0 <= true_label < counts.shape[-1]:
-        raise ParameterError(f"true_label {true_label} out of range")
+def _array(name: str, value, ndim: int, kinds: str, dtype) -> np.ndarray:
+    """A ``dtype`` copy of the ``ndim``-d array ``value``.  A ragged value,
+    or one whose dtype kind is not in ``kinds`` (so a bool or text for any
+    ``kinds`` of numbers), raises a `ParameterError` that names ``name``."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        raise ParameterError(f"{name} is ragged ({exc})") from exc
+    if array.dtype.kind not in kinds or array.ndim != ndim:
+        raise ParameterError(f"{name} must be a {ndim}-d array of "
+                             f"{'integers' if kinds == 'iu' else 'reals'}, "
+                             f"got {array.ndim}-d {array.dtype}")
+    return array.astype(dtype)
+
+
+def _check_block(hists) -> None:
+    """A `ParameterError` unless ``hists`` is a `VoteHistograms`."""
+    if not isinstance(hists, VoteHistograms):
+        raise ParameterError(
+            f"hists must be a VoteHistograms, got {type(hists).__name__}")
 
 
 def _pinned_head(num_classes: int, total_votes: int, r: float) -> list[int]:
-    """The counts no draw sets (see `build_histogram`): the whole two-class
+    """The counts no draw sets (see `make_histograms`): the whole two-class
     split, ``[x0, x1]`` for three classes, ``[x0, x1, x2]`` from four."""
     V, N = total_votes, num_classes
     if N == 2:
@@ -129,28 +149,28 @@ def _pinned_head(num_classes: int, total_votes: int, r: float) -> list[int]:
 
 
 def _histograms_at(num_classes: int, total_votes: int, runner_up: float,
-                   count: int, rng: np.random.Generator) -> list[VoteHistogram]:
-    """``count`` histograms at one gap ratio (see `build_histogram`).
+                   count: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``(count, N)`` int64 counts of the histograms at one gap ratio
+    (see `make_histograms`).
 
-    Up to four classes nothing is drawn: one histogram serves every slot.
-    With more, the middle counts of all ``count`` histograms are drawn as one
+    Up to four classes nothing is drawn: every row is the pinned head.
+    With more, the middle counts of all ``count`` rows are drawn as one
     ``(count, N - 4)`` block, and only the rejected rows are drawn again,
     each row at most ``_MAX_ATTEMPTS`` times.  A ratio that no draw can
     place raises `ConstructionError` before drawing.
     """
-    if not 0.0 < runner_up < 1.0:
-        raise ParameterError(f"runner_up must lie in (0, 1), got {runner_up!r}")
-    V, N, r = total_votes, num_classes, float(runner_up)
+    V, N, r = total_votes, num_classes, runner_up
     head = _pinned_head(N, V, r)
     if N == 2:
-        return [VoteHistogram(np.asarray(head), 0, r)] * count
+        return np.tile(np.asarray(head, dtype=np.int64), (count, 1))
     x1, x2, rest = head[1], head[-1], V - sum(head)
     middle = max(N - 4, 0)
     # The middle counts can sum to any integer in [0, middle * x2], so some
     # draw leaves the last class in [0, x1] exactly when this holds.
     if rest >= 0 and rest - middle * x2 <= x1:
         if not middle:
-            return [VoteHistogram(np.asarray(head + [rest]), 0, r)] * count
+            return np.tile(np.asarray(head + [rest], dtype=np.int64),
+                           (count, 1))
         rows = np.empty((count, N), dtype=np.int64)
         rows[:, :3] = head
         pending = np.arange(count)
@@ -163,43 +183,37 @@ def _histograms_at(num_classes: int, total_votes: int, runner_up: float,
             rows[placed, -1] = last[ok]
             pending = pending[~ok]
             if not pending.size:
-                return VoteHistogram._rows_of(rows, 0, r)
+                return rows
     raise ConstructionError(
         f"could not place {V} votes over {N} classes at runner_up={r:g} "
         f"within {_MAX_ATTEMPTS} attempts")
 
 
-def build_histogram(num_classes: int, total_votes: int, runner_up: float,
-                    rng: np.random.Generator) -> VoteHistogram:
-    """One histogram with a controlled winner/runner-up margin.
+def make_histograms(cfg: SimConfig, rng: np.random.Generator) -> VoteHistograms:
+    """The full sweep: ``histograms_per_r`` histograms at every grid ratio,
+    in grid order, each row's ``runner_up`` its ratio ``r``.
 
-    Two classes are split deterministically: ``x0 = round(V / (2 - r))``,
-    ``x1 = V - x0`` (so ``x1 ~= (1 - r) x0``).  With more classes the top
-    three counts are pinned (``x1 = floor((1-r) x0)``, ``x2 = floor(0.95
-    x1)``), middle classes draw uniformly from ``[0, x2]``, and the last
-    class absorbs the remainder; draws whose remainder falls outside
-    ``[0, x1]`` are rejected and retried.  The winner is always class 0;
-    a tie (possible as r -> 0) still counts class 0 as the true label.
-    """
-    return _histograms_at(_integer("num_classes", num_classes, 2),
-                          _integer("total_votes", total_votes, 1),
-                          runner_up, 1, rng)[0]
-
-
-def make_histograms(cfg: SimConfig, rng: np.random.Generator) -> list[VoteHistogram]:
-    """The full sweep: ``histograms_per_r`` instances at every grid ratio.
+    Every histogram has ``V = total_votes`` votes and a controlled
+    winner/runner-up margin.  Two classes are split deterministically:
+    ``x0 = round(V / (2 - r))``, ``x1 = V - x0`` (so ``x1 ~= (1 - r) x0``).
+    With more classes the top three counts are pinned (``x1 = floor((1-r)
+    x0)``, ``x2 = floor(0.95 x1)``), middle classes draw uniformly from
+    ``[0, x2]``, and the last class absorbs the remainder; draws whose
+    remainder falls outside ``[0, x1]`` are rejected and retried.  The
+    winner is always class 0; a tie (possible as r -> 0) still counts class
+    0 as the true label.
 
     Up to four classes each ratio's histogram is built once and repeated,
     and ``rng`` is not touched.  With five or more, each ratio draws the
     middle counts of all its histograms as one block and redraws only the
-    rejected rows, so the stream differs from `build_histogram` called once
-    per histogram.
+    rejected rows.
     """
-    out = []
-    for r in cfg.runner_up_grid:
-        out.extend(_histograms_at(cfg.num_classes, cfg.total_votes, r,
-                                  cfg.histograms_per_r, rng))
-    return out
+    counts = np.concatenate([
+        _histograms_at(cfg.num_classes, cfg.total_votes, r,
+                       cfg.histograms_per_r, rng)
+        for r in cfg.runner_up_grid])
+    return VoteHistograms(counts, np.zeros(len(counts), dtype=np.int64),
+                          np.repeat(cfg.runner_up_grid, cfg.histograms_per_r))
 
 
 @dataclass(frozen=True)
@@ -207,18 +221,6 @@ class UtilityPoint:
     runner_up: float | None
     value: float
     stderr: float
-
-
-def _stacked(hists: list[VoteHistogram], where: str
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The counts of ``hists`` as one float64 ``(H, N)`` block and their
-    true labels.  Histograms with different class counts raise a
-    `ParameterError` that says so, naming ``where`` they met."""
-    if len({h.counts.size for h in hists}) != 1:
-        raise ParameterError(
-            f"all histograms {where} must share one class count")
-    return (np.stack([h.counts for h in hists]).astype(np.float64),
-            np.asarray([h.true_label for h in hists]))
 
 
 def _argmax_hits(counts: np.ndarray, true: np.ndarray,
@@ -274,13 +276,15 @@ def _noisy_argmax_hits(jobs: list[tuple[GGParams, np.ndarray, np.ndarray]],
     return hits
 
 
-def hardmax_utility(hists: list[VoteHistogram], noise: GGParams, trials: int,
+def hardmax_utility(hists: VoteHistograms, noise: GGParams, trials: int,
                     rng: np.random.Generator) -> list[UtilityPoint]:
     """Monte-Carlo P(noisy argmax == true label), grouped by gap ratio.
 
-    Every histogram in a group gets ``trials`` independent noisings; the
-    reported standard error is sqrt(v(1-v) / (trials * group size)).  The
-    histograms of one group must share one class count.
+    The rows of ``hists`` are grouped by their ``runner_up``, keeping
+    block order within a group; the rows whose ratio is NaN form one group,
+    reported with ``runner_up=None``.  Every histogram in a group gets
+    ``trials`` independent noisings; the reported standard error is
+    sqrt(v(1-v) / (trials * group size)).
 
     Group ``i``, in order of first appearance in ``hists``, draws its noise
     from the ``i``-th child of ``rng.spawn(len(groups))``, spawned once
@@ -292,19 +296,21 @@ def hardmax_utility(hists: list[VoteHistogram], noise: GGParams, trials: int,
     histograms of ``N`` classes.
     """
     trials = _integer("trials", trials, 1)
-    if not hists:
-        raise ParameterError("hists must be non-empty")
-    groups: dict[float | None, list[VoteHistogram]] = {}
-    for hist in hists:
-        groups.setdefault(hist.runner_up, []).append(hist)
-    jobs = [(noise, *_stacked(group, f"with runner_up={key!r}"))
-            for key, group in groups.items()]
+    _check_block(hists)
+    keys, first, group_of = np.unique(hists.runner_up, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)
+    counts = hists.counts.astype(np.float64)
+    jobs = [(noise, counts[rows], hists.true_labels[rows])
+            for rows in (group_of == g for g in order)]
 
     points = []
-    for key, hits in zip(groups, _noisy_argmax_hits(jobs, trials, rng)):
+    for g, hits in zip(order, _noisy_argmax_hits(jobs, trials, rng)):
+        key = float(keys[g])
         value = float(hits.mean())
         stderr = math.sqrt(max(value * (1.0 - value), 0.0) / hits.size)
-        points.append(UtilityPoint(runner_up=key, value=value, stderr=stderr))
+        points.append(UtilityPoint(runner_up=None if math.isnan(key) else key,
+                                   value=value, stderr=stderr))
     return points
 
 
@@ -349,7 +355,7 @@ class PateAccuracy:
     stderr: float
 
 
-def pate_label_accuracy(hists: list[VoteHistogram], noises: list[GGParams],
+def pate_label_accuracy(hists: VoteHistograms, noises: list[GGParams],
                         trials: int, rng: np.random.Generator) -> list[PateAccuracy]:
     """Label accuracy of the noisy argmax over teacher-vote histograms.
 
@@ -365,12 +371,11 @@ def pate_label_accuracy(hists: list[VoteHistogram], noises: list[GGParams],
     ``N`` classes.  The result does not depend on the thread count.
     """
     trials = _integer("trials", trials, 2)
-    if not hists:
-        raise ParameterError("hists must be non-empty")
+    _check_block(hists)
     noises = list(noises)
     if not noises:
         raise ParameterError("noises must be non-empty")
-    counts, true = _stacked(hists, "labelled together")
+    counts, true = hists.counts.astype(np.float64), hists.true_labels
     rows = []
     hits_per_noise = _noisy_argmax_hits(
         [(noise, counts, true) for noise in noises], trials, rng)
@@ -388,23 +393,20 @@ def pate_label_accuracy(hists: list[VoteHistogram], noises: list[GGParams],
 # ---------------------------------------------------------------------------
 
 
-def histograms_to_csv(hists: list[VoteHistogram]) -> str:
+def histograms_to_csv(hists: VoteHistograms) -> str:
     """Header ``class_0,...,class_{N-1},true_label``; one histogram per row."""
-    if not hists:
-        raise ParameterError("hists must be non-empty")
-    n = hists[0].counts.size
+    _check_block(hists)
     buf = io.StringIO()
-    buf.write(",".join([f"class_{i}" for i in range(n)] + ["true_label"]) + "\n")
-    for h in hists:
-        if h.counts.size != n:
-            raise ParameterError("all histograms must share one class count")
-        buf.write(",".join(str(int(c)) for c in h.counts)
-                  + f",{int(h.true_label)}\n")
+    buf.write(",".join([f"class_{i}" for i in range(hists.counts.shape[1])]
+                       + ["true_label"]) + "\n")
+    for counts, label in zip(hists.counts.tolist(), hists.true_labels.tolist()):
+        buf.write(",".join(map(str, counts)) + f",{label}\n")
     return buf.getvalue()
 
 
-def histograms_from_csv(path) -> list[VoteHistogram]:
-    """Parse the histogram CSV; `IngestionError` names the offending row."""
+def histograms_from_csv(path) -> VoteHistograms:
+    """Parse the histogram CSV into one block, with no gap ratios;
+    `IngestionError` names the offending row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(i, row) for i, row in enumerate(reader, start=1)
@@ -417,7 +419,10 @@ def histograms_from_csv(path) -> list[VoteHistogram]:
     if n < 2 or [c.strip() for c in header] != expected:
         raise IngestionError(
             f"row {header_num}: header must read class_0,...,class_k,true_label")
-    hists = []
+    if len(rows) == 1:
+        raise IngestionError(f"row {header_num}: no histogram rows follow "
+                             "the header")
+    table = []
     for row_num, row in rows[1:]:
         if len(row) != n + 1:
             raise IngestionError(f"row {row_num}: expected {n + 1} columns, "
@@ -428,13 +433,14 @@ def histograms_from_csv(path) -> list[VoteHistogram]:
             raise IngestionError(f"row {row_num}: non-integer entry ({exc})") \
                 from exc
         counts, label = values[:-1], values[-1]
-        if any(c < 0 for c in counts):
-            raise IngestionError(f"row {row_num}: negative vote count")
+        if any(not 0 <= c < 2 ** 63 for c in counts):
+            raise IngestionError(f"row {row_num}: vote count outside [0, 2^63)")
         if not 0 <= label < n:
             raise IngestionError(f"row {row_num}: true_label {label} out of "
                                  f"range [0, {n - 1}]")
-        hists.append(VoteHistogram(np.asarray(counts, dtype=np.int64), label))
-    return hists
+        table.append(values)
+    block = np.asarray(table, dtype=np.int64)
+    return VoteHistograms(block[:, :-1], block[:, -1])
 
 
 @dataclass(frozen=True)

@@ -219,18 +219,6 @@ def test_solve_sigma_hands_off_when_the_coarse_grid_jumps_over_its_band():
     assert again.epsilon == got.epsilon
 
 
-def test_equivalent_family_starts_each_shape_from_the_last_sigma(monkeypatch):
-    from ggprivacy import calibrate
-
-    calls = []
-    monkeypatch.setattr(calibrate, "account", biased_account(calls, 0.0))
-    fam = equivalent_family([1.0, 2.0, 3.0], PrivacyTarget(2.0, 1e-5),
-                            tolerance=0.05, bins=2 ** 16)
-    firsts = [next(sigma for b, sigma, _ in calls if b == beta)
-              for beta in (1.0, 2.0, 3.0)]
-    assert firsts == [1.0] + [p.sigma for p in fam.points[:-1]]
-
-
 def test_solve_sigma_validation():
     with pytest.raises(ParameterError):
         solve_sigma(2.0, PrivacyTarget(2.0, 1e-5), tolerance=0.0, **FAST)

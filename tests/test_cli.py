@@ -13,7 +13,7 @@ import pytest
 from ggprivacy.cli import (_SUBCOMMANDS, _apply_config_defaults,
                            build_parser, main, parse_grid)
 from ggprivacy.errors import ParameterError
-from ggprivacy.simulate import histograms_to_csv, build_histogram
+from ggprivacy.simulate import SimConfig, histograms_to_csv, make_histograms
 
 FAST_ACCT = ["--bins", "8192"]
 
@@ -474,7 +474,7 @@ def test_simulate_argmax_small_sweep(tmp_path, capsys):
 def test_pate_label_with_sigma_grid(tmp_path, capsys, rng):
     hists = tmp_path / "hists.csv"
     hists.write_text(histograms_to_csv(
-        [build_histogram(3, 300, 0.2, rng) for _ in range(4)]))
+        make_histograms(SimConfig(3, 300, (0.2,), 4), rng)))
     out = tmp_path / "pate.csv"
     rc = main(["pate-label", "--histograms", str(hists), "--betas", "1,2",
                "--sigmas", "5,5", "--trials", "6", "--seed", "2",
@@ -492,7 +492,7 @@ def test_pate_label_with_sigma_grid(tmp_path, capsys, rng):
 def test_pate_label_with_family_csv(tmp_path, capsys, rng):
     hists = tmp_path / "hists.csv"
     hists.write_text(histograms_to_csv(
-        [build_histogram(2, 300, 0.2, rng) for _ in range(3)]))
+        make_histograms(SimConfig(2, 300, (0.2,), 3), rng)))
     family = tmp_path / "family.csv"
     family.write_text("beta,sigma\n1,4\n2,6\n")
     rc = main(["pate-label", "--histograms", str(hists),
@@ -509,7 +509,8 @@ def test_pate_label_with_family_csv(tmp_path, capsys, rng):
 def test_pate_label_bad_family_csv_exits_one(tmp_path, capsys, rng, rows,
                                              problem):
     hists = tmp_path / "hists.csv"
-    hists.write_text(histograms_to_csv([build_histogram(2, 300, 0.2, rng)]))
+    hists.write_text(histograms_to_csv(
+        make_histograms(SimConfig(2, 300, (0.2,), 1), rng)))
     family = tmp_path / "family.csv"
     family.write_text(rows)
     out = tmp_path / "pate.csv"

@@ -21,8 +21,8 @@ import scipy
 import ggprivacy
 from ggprivacy import (AccountantConfig, CompositionLedger, DiscretePRV,
                        GGParams, LogisticModel, LossDirection, MechanismSpec,
-                       ParameterError, PrivacyTarget, TrainConfig, account,
-                       build_histogram, compose, gg_mechanism, lbeta_clip,
+                       ParameterError, PrivacyTarget, SimConfig, TrainConfig,
+                       account, compose, gg_mechanism, lbeta_clip,
                        multidim_prv_sample, sample, sample_prv, sgg_mechanism,
                        solve_sigma, train_noisy_sgd)
 
@@ -189,10 +189,10 @@ COUNTS = {  # (call with the count v, the name the error must give)
                           "k_cap"),
     "ledger.composed": (lambda v: _ledger().composed(v), "k"),
     "ledger.epsilon_at": (lambda v: _ledger().epsilon_at(v, 1e-5), "k"),
-    "build_histogram.num_classes": (
-        lambda v: build_histogram(v, 100, 0.1, _rng()), "num_classes"),
-    "build_histogram.total_votes": (
-        lambda v: build_histogram(2, v, 0.1, _rng()), "total_votes"),
+    "SimConfig.num_classes": (lambda v: SimConfig(num_classes=v),
+                              "num_classes"),
+    "SimConfig.total_votes": (lambda v: SimConfig(total_votes=v),
+                              "total_votes"),
     "train.batch_size": (lambda v: _train(batch_size=v), "batch_size"),
     "train.epochs": (lambda v: _train(batch_size=5, epochs=v), "epochs"),
     "compose": (lambda v: compose([(_prv(), v)]), "multiplicity"),

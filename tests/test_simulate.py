@@ -17,9 +17,8 @@ from ggprivacy.simulate import (
     ResultRow,
     SimConfig,
     UtilityPoint,
-    VoteHistogram,
+    VoteHistograms,
     auc_over_runner_up,
-    build_histogram,
     exact_two_class_utility,
     hardmax_utility,
     histograms_from_csv,
@@ -65,31 +64,74 @@ def test_sim_config_keeps_numpy_integers_as_ints():
     assert type(cfg.trials) is int and cfg.trials == 7
 
 
+def _sweep(num_classes, total_votes, ratios, rng):
+    """One histogram per entry of ``ratios``, in order, as one block: each
+    row is make_histograms on a one-ratio, one-histogram SimConfig."""
+    parts = [make_histograms(SimConfig(num_classes, total_votes, (r,), 1), rng)
+             for r in ratios]
+    return VoteHistograms(np.concatenate([p.counts for p in parts]),
+                          np.concatenate([p.true_labels for p in parts]),
+                          np.concatenate([p.runner_up for p in parts]))
+
+
+def _take(hists, rows):
+    return VoteHistograms(hists.counts[rows], hists.true_labels[rows],
+                          hists.runner_up[rows])
+
+
 def test_vote_histogram_validation():
     with pytest.raises(ParameterError):
-        VoteHistogram(np.asarray([5]), 0)
+        VoteHistograms(np.asarray([[5]]), [0])
     with pytest.raises(ParameterError):
-        VoteHistogram(np.asarray([5, -1]), 0)
+        VoteHistograms(np.asarray([[5, -1]]), [0])
     with pytest.raises(ParameterError):
-        VoteHistogram(np.asarray([5, 3]), 2)
-    hist = VoteHistogram(np.asarray([5, 3]), 0)
+        VoteHistograms(np.asarray([[5, 3]]), [2])
+    hist = VoteHistograms(np.asarray([[5, 3]]), [0])
     with pytest.raises(ValueError):
-        hist.counts[0] = 9
+        hist.counts[0, 0] = 9
+
+
+@pytest.mark.parametrize("counts,labels,ratios,name", [
+    ([[5.7, 3]], [0], None, "counts"),
+    ([[5.0, 3.0]], [0], None, "counts"),
+    ([[True, False]], [0], None, "counts"),
+    ([["5", "3"]], [0], None, "counts"),
+    ([[5, 3], [4]], [0, 0], None, "counts"),
+    ([5, 3], [0], None, "counts"),
+    (np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64), None,
+     "counts"),
+    ([[5, 3, -1]], [0], None, "counts"),
+    ([[5, 3]], [True], None, "true_labels"),
+    ([[5, 3]], [1.0], None, "true_labels"),
+    ([[5, 3]], ["0"], None, "true_labels"),
+    ([[5, 3]], [[0]], None, "true_labels"),
+    ([[5, 3]], [0, 0], None, "true_labels"),
+    ([[5, 3]], [2], None, "true_labels"),
+    ([[5, 3]], [-1], None, "true_labels"),
+    ([[5, 3]], [0], [True], "runner_up"),
+    ([[5, 3]], [0], ["0.1"], "runner_up"),
+    ([[5, 3]], [0], [0.1, 0.2], "runner_up"),
+], ids=["fraction", "whole-float", "bool", "text", "ragged", "1-d",
+        "no-rows", "negative", "label-bool", "label-float", "label-text",
+        "label-2-d", "label-count", "label-high", "label-negative",
+        "ratio-bool", "ratio-text", "ratio-count"])
+def test_vote_histograms_refuse_bad_input(counts, labels, ratios, name):
+    with pytest.raises(ParameterError, match=f"^{name} "):
+        VoteHistograms(counts, labels, ratios)
 
 
 def test_two_class_split_is_deterministic(rng):
-    hist = build_histogram(2, 1000, 0.2, rng)
-    assert hist.counts.tolist() == [556, 444]
-    assert hist.true_label == 0 and hist.runner_up == 0.2
+    hist = _sweep(2, 1000, [0.2], rng)
+    assert hist.counts.tolist() == [[556, 444]]
+    assert hist.true_labels.tolist() == [0] and hist.runner_up.tolist() == [0.2]
     with pytest.raises(ParameterError):
-        build_histogram(2, 1000, 0.0, rng)
+        _sweep(2, 1000, [0.0], rng)
 
 
 @pytest.mark.parametrize("num_classes", [3, 4, 10, 25])
 def test_multiclass_histogram_invariants(num_classes, rng):
     for r in (0.02, 0.1, 0.3):
-        hist = build_histogram(num_classes, 1000, r, rng)
-        c = hist.counts
+        (c,) = _sweep(num_classes, 1000, [r], rng).counts
         assert c.size == num_classes and c.sum() == 1000
         assert np.all(c >= 0)
         # Class 0 is the strict winner; class 1 holds the target margin.
@@ -103,14 +145,15 @@ def test_three_class_impossible_split_raises(rng):
     # to 0, and the leftover vote exceeds it; with no middle classes there
     # is nothing to retry.
     with pytest.raises(ConstructionError):
-        build_histogram(3, 4, 0.8, rng)
+        _sweep(3, 4, [0.8], rng)
 
 
 def test_make_histograms_covers_grid(rng):
     cfg = SimConfig(num_classes=3, runner_up_grid=(0.05, 0.1), histograms_per_r=4)
     hists = make_histograms(cfg, rng)
-    assert len(hists) == 8
-    assert [h.runner_up for h in hists] == [0.05] * 4 + [0.1] * 4
+    assert len(hists) == 8 and hists.counts.shape == (8, 3)
+    assert hists.runner_up.tolist() == [0.05] * 4 + [0.1] * 4
+    assert hists.true_labels.tolist() == [0] * 8
 
 
 @pytest.mark.parametrize("num_classes", [2, 3, 4])
@@ -122,11 +165,10 @@ def test_make_histograms_without_middle_classes_draws_nothing(num_classes):
     hists = make_histograms(cfg, rng)
     assert rng.bit_generator.state == state
     for i, r in enumerate(cfg.runner_up_grid):
-        block = hists[5 * i:5 * (i + 1)]
-        assert all(h is block[0] for h in block)
-        want = build_histogram(num_classes, 1000, r, np.random.default_rng(0))
-        assert block[0].counts.tolist() == want.counts.tolist()
-        assert block[0].runner_up == r
+        block = hists.counts[5 * i:5 * (i + 1)]
+        want = _sweep(num_classes, 1000, [r], np.random.default_rng(0))
+        assert block.tolist() == want.counts.tolist() * 5
+        assert hists.runner_up[5 * i:5 * (i + 1)].tolist() == [r] * 5
 
 
 @pytest.mark.parametrize("num_classes", [5, 10, 25])
@@ -135,36 +177,35 @@ def test_make_histograms_block_rows_meet_the_invariants(num_classes, rng):
     cfg = SimConfig(num_classes=num_classes, runner_up_grid=grid,
                     histograms_per_r=50)
     hists = make_histograms(cfg, rng)
-    assert [h.runner_up for h in hists] == [r for r in grid for _ in range(50)]
-    for hist in hists:
-        c, r = hist.counts, hist.runner_up
+    assert hists.runner_up.tolist() == [r for r in grid for _ in range(50)]
+    for c, r in zip(hists.counts, hists.runner_up):
         assert c.size == num_classes and c.sum() == 1000
         assert np.all(c >= 0)
         assert c[0] > c[1] >= np.max(c[1:])
         assert c[1] == math.floor(c[0] * (1.0 - r))
         assert c[-1] <= c[1]
     # The middle counts are drawn, not repeated.
-    assert len({h.counts.tobytes() for h in hists}) > len(grid)
-    # The rows skip VoteHistogram's per-row checks, yet are what it builds:
-    # read-only int64 rows that it accepts as they are.
-    for hist in hists:
-        assert hist.counts.dtype == np.int64 and hist.counts.ndim == 1
-        assert not hist.counts.flags.writeable
-        with pytest.raises(ValueError):
-            hist.counts[0] = 0
-        again = VoteHistogram(hist.counts, hist.true_label, hist.runner_up)
-        assert np.array_equal(again.counts, hist.counts)
+    assert len({c.tobytes() for c in hists.counts}) > len(grid)
 
 
 def test_histogram_block_is_checked_once():
-    rows = np.asarray([[5, 3, 1], [4, 4, 0]], dtype=np.int64)
-    hists = VoteHistogram._rows_of(rows, 0, 0.1)
-    assert [h.counts.tolist() for h in hists] == rows.tolist()
-    assert not rows.flags.writeable
-    for bad, label in ((np.asarray([[5, -1, 1]]), 0), (rows[:, :1].copy(), 0),
-                       (np.asarray([[5, 3, 1]]), 3), (np.asarray([5, 3]), 0)):
-        with pytest.raises(ParameterError):
-            VoteHistogram._rows_of(bad, label, None)
+    rows = np.asarray([[5, 3, 1], [4, 4, 0]], dtype=np.int32)
+    labels, ratios = np.asarray([0, 1]), [0.1, 0.2]
+    hists = VoteHistograms(rows, labels, ratios)
+    assert len(hists) == 2
+    assert [a.dtype for a in (hists.counts, hists.true_labels,
+                              hists.runner_up)] == [np.int64, np.int64,
+                                                    np.float64]
+    # The block holds read-only copies: the caller's arrays stay writeable,
+    # and writing to them does not reach the block.
+    for array in (hists.counts, hists.true_labels, hists.runner_up):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    rows[0, 0], labels[0] = 9, 2
+    assert hists.counts.tolist() == [[5, 3, 1], [4, 4, 0]]
+    assert hists.true_labels.tolist() == [0, 1]
+    assert np.isnan(VoteHistograms(rows, labels).runner_up).all()
 
 
 def test_make_histograms_raises_when_a_ratio_cannot_be_placed(rng):
@@ -180,7 +221,7 @@ def test_make_histograms_raises_when_a_ratio_cannot_be_placed(rng):
 # -- Monte-Carlo utility ------------------------------------------------------------
 
 def test_hardmax_utility_groups_and_stderr(rng):
-    hists = [build_histogram(2, 1000, r, rng) for r in (0.05, 0.05, 0.2)]
+    hists = _sweep(2, 1000, [0.05, 0.05, 0.2], rng)
     points = hardmax_utility(hists, GGParams(2.0, 20.0), trials=40, rng=rng)
     assert {p.runner_up for p in points} == {0.05, 0.2}
     by_r = {p.runner_up: p for p in points}
@@ -191,7 +232,7 @@ def test_hardmax_utility_groups_and_stderr(rng):
 
 
 def test_hardmax_utility_vanishing_noise_is_exact(rng):
-    hists = [build_histogram(4, 1000, 0.1, rng) for _ in range(5)]
+    hists = _sweep(4, 1000, [0.1] * 5, rng)
     (point,) = hardmax_utility(hists, GGParams(2.0, 1e-9), trials=10, rng=rng)
     assert point.value == 1.0 and point.stderr == 0.0
 
@@ -200,30 +241,59 @@ def test_hardmax_utility_validation(rng):
     with pytest.raises(ParameterError):
         hardmax_utility([], GGParams(2.0, 1.0), 10, rng)
     with pytest.raises(ParameterError):
-        hardmax_utility([VoteHistogram(np.asarray([3, 1]), 0)],
+        hardmax_utility(VoteHistograms([[3, 1]], [0]),
                         GGParams(2.0, 1.0), 0, rng)
 
 
 def test_hardmax_utility_rejects_mixed_class_counts_in_a_group(rng):
-    # The groups before and after the mixed one are fine: the check on all
-    # of them runs before any child stream is spawned.
-    mixed = [VoteHistogram(np.asarray([5, 1]), 0, 0.05),
-             VoteHistogram(np.asarray([5, 1]), 0, 0.1),
-             VoteHistogram(np.asarray([5, 1, 0]), 0, 0.1),
-             VoteHistogram(np.asarray([5, 1]), 0, 0.2)]
+    # Rows of two class counts make no block, and their arrays are not one;
+    # neither reaches a child stream.
+    rows = [np.asarray([5, 1]), np.asarray([5, 1, 0])]
     state = _spawn_state(rng)
-    with pytest.raises(ParameterError, match="share one class count"):
-        hardmax_utility(mixed, GGParams(2.0, 1.0), 3, rng)
+    with pytest.raises(ParameterError, match="^counts "):
+        VoteHistograms(rows, [0, 0], [0.1, 0.1])
+    with pytest.raises(ParameterError, match="^hists "):
+        hardmax_utility(rows, GGParams(2.0, 1.0), 3, rng)
     assert _spawn_state(rng) == state
-    mixed = mixed[1:3]
-    # Different class counts in different groups are fine.
-    mixed[1] = VoteHistogram(np.asarray([5, 1, 0]), 0, 0.2)
-    assert len(hardmax_utility(mixed, GGParams(2.0, 1.0), 3, rng)) == 2
+
+
+@pytest.mark.parametrize("bad", [
+    [], (np.asarray([[5, 1]]), np.asarray([0])), np.asarray([[5, 1]])],
+    ids=["empty-list", "tuple-of-arrays", "array"])
+def test_studies_take_only_a_histogram_block(bad, rng):
+    state = _spawn_state(rng)
+    for call in (lambda: hardmax_utility(bad, GGParams(2.0, 1.0), 3, rng),
+                 lambda: pate_label_accuracy(bad, [GGParams(2.0, 1.0)], 3,
+                                             rng),
+                 lambda: histograms_to_csv(bad)):
+        with pytest.raises(ParameterError, match="^hists must be a "
+                                                 "VoteHistograms"):
+            call()
+    assert _spawn_state(rng) == state
+
+
+@pytest.mark.parametrize("ratios,keys", [
+    ([0.2, 0.1, 0.2], [0.2, 0.1]),
+    ([math.nan, 0.1, math.nan], [None, 0.1]),
+], ids=["ratios", "unknown-first"])
+def test_hardmax_utility_groups_in_order_of_first_appearance(ratios, keys):
+    hists = VoteHistograms([[30, 25, 5], [28, 27, 5], [31, 20, 9]], [0, 1, 0],
+                           ratios)
+    noise = GGParams(1.5, 4.0)
+    points = hardmax_utility(hists, noise, 50, np.random.default_rng(3))
+    assert [p.runner_up for p in points] == keys
+    # Group i scores on child i of the spawned streams, its rows in block
+    # order.
+    counts = hists.counts.astype(np.float64)
+    jobs = [(noise, counts[rows], hists.true_labels[rows])
+            for rows in ([0, 2], [1])]
+    want = _serial_hits(jobs, 50, np.random.default_rng(3))
+    assert [p.value for p in points] == [float(h.mean()) for h in want]
 
 
 @pytest.mark.parametrize("bad", [0, 2.5, 15.0, True, np.float64(3.0)])
 def test_study_trials_fail_fast_before_spawning(bad, rng):
-    hists = [VoteHistogram(np.asarray([5, 1]), 0, 0.1)]
+    hists = VoteHistograms([[5, 1]], [0], [0.1])
     state = _spawn_state(rng)
     with pytest.raises(ParameterError, match="trials"):
         hardmax_utility(hists, GGParams(2.0, 1.0), bad, rng)
@@ -238,7 +308,7 @@ def _uneven_groups(rng):
     cfg = SimConfig(num_classes=5, runner_up_grid=tuple(np.linspace(
         0.02, 0.3, 7)), histograms_per_r=7)
     hists = make_histograms(cfg, rng)
-    return [h for i, h in enumerate(hists) if i % 7 <= i // 7]
+    return _take(hists, [i for i in range(len(hists)) if i % 7 <= i // 7])
 
 
 def _serial_hits(jobs, trials, rng):
@@ -261,11 +331,13 @@ def test_studies_do_not_depend_on_the_worker_count(beta, monkeypatch):
     hists = _uneven_groups(np.random.default_rng(5))
     noise = GGParams(beta, 40.0)
     noises = [GGParams(b, s) for b in (1.0, 1.5, 2.0) for s in (30.0, 90.0)]
-    labelled = hists[:9]
+    labelled = _take(hists, slice(9))
     groups = {}
-    for h in hists:
-        groups.setdefault(h.runner_up, []).append(h)
-    jobs = [(noise, *simulate._stacked(g, "")) for g in groups.values()]
+    for i, r in enumerate(hists.runner_up.tolist()):
+        groups.setdefault(r, []).append(i)
+    counts = hists.counts.astype(np.float64)
+    jobs = [(noise, counts[rows], hists.true_labels[rows])
+            for rows in groups.values()]
     serial = [float(h.mean()) for h in _serial_hits(
         jobs, 2000, np.random.default_rng(6))]
     results = []
@@ -306,7 +378,7 @@ def test_a_worker_exception_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
     calls.clear()
     with pytest.raises(RuntimeError, match="boom"):
-        pate_label_accuracy(hists[:4], [GGParams(2.0, 9.0)] * 4, 5,
+        pate_label_accuracy(_take(hists, slice(4)), [GGParams(2.0, 9.0)] * 4, 5,
                             np.random.default_rng(1))
     assert threading.active_count() == before
 
@@ -329,20 +401,20 @@ def test_argmax_hits_match_the_stacked_argmax_with_ties(rng):
 
 def test_hardmax_matches_exact_two_class(rng):
     # MC estimate vs quadrature at a quiet margin.
-    hist = build_histogram(2, 1000, 0.1, rng)
-    gap = float(hist.counts[0] - hist.counts[1])
+    hist = _sweep(2, 1000, [0.1], rng)
+    gap = float(hist.counts[0, 0] - hist.counts[0, 1])
     noise = GGParams(2.0, 60.0)
-    (point,) = hardmax_utility([hist], noise, trials=4000, rng=rng)
+    (point,) = hardmax_utility(hist, noise, trials=4000, rng=rng)
     exact = exact_two_class_utility(gap, noise)
     assert abs(point.value - exact) <= 4.0 * max(point.stderr, 1e-3)
 
 
 @pytest.mark.parametrize("beta", [1.0, 3.0])
 def test_hardmax_matches_exact_two_class_at_other_shapes(beta, rng):
-    hist = build_histogram(2, 1000, 0.1, rng)
-    gap = float(hist.counts[0] - hist.counts[1])
+    hist = _sweep(2, 1000, [0.1], rng)
+    gap = float(hist.counts[0, 0] - hist.counts[0, 1])
     noise = GGParams(beta, 60.0)
-    (point,) = hardmax_utility([hist], noise, trials=4000, rng=rng)
+    (point,) = hardmax_utility(hist, noise, trials=4000, rng=rng)
     exact = exact_two_class_utility(gap, noise)
     assert abs(point.value - exact) <= 4.0 * max(point.stderr, 1e-3)
 
@@ -412,8 +484,7 @@ def test_normalized_auc_scales_to_best():
 # -- teacher-vote labeling ----------------------------------------------------------
 
 def test_pate_label_accuracy_perfect_separation(rng):
-    hists = [VoteHistogram(np.asarray([500, 1, 0]), 0),
-             VoteHistogram(np.asarray([2, 500, 1]), 1)]
+    hists = VoteHistograms([[500, 1, 0], [2, 500, 1]], [0, 1])
     rows = pate_label_accuracy(hists, [GGParams(2.0, 0.5), GGParams(1.0, 0.5)],
                                trials=5, rng=rng)
     assert [(r.beta, r.sigma) for r in rows] == [(2.0, 0.5), (1.0, 0.5)]
@@ -422,10 +493,10 @@ def test_pate_label_accuracy_perfect_separation(rng):
 
 
 def test_pate_label_accuracy_validation(rng):
-    ok = [VoteHistogram(np.asarray([5, 1]), 0)]
+    ok = VoteHistograms([[5, 1]], [0])
     with pytest.raises(ParameterError):
         pate_label_accuracy(ok, [GGParams(2.0, 1.0)], trials=1, rng=rng)
-    mixed = ok + [VoteHistogram(np.asarray([5, 1, 0]), 0)]
+    mixed = [np.asarray([5, 1]), np.asarray([5, 1, 0])]
     with pytest.raises(ParameterError):
         pate_label_accuracy(mixed, [GGParams(2.0, 1.0)], trials=5, rng=rng)
     with pytest.raises(ParameterError):
@@ -433,13 +504,13 @@ def test_pate_label_accuracy_validation(rng):
     state = _spawn_state(rng)
     with pytest.raises(ParameterError, match="noises"):
         pate_label_accuracy(ok, [], trials=5, rng=rng)
-    with pytest.raises(ParameterError, match="class count"):
+    with pytest.raises(ParameterError, match="VoteHistograms"):
         pate_label_accuracy(mixed, [GGParams(2.0, 1.0)], trials=5, rng=rng)
     assert _spawn_state(rng) == state
 
 
 def test_pate_stderr_is_std_over_sqrt_trials(rng):
-    hists = [VoteHistogram(np.asarray([20, 15, 10]), 0) for _ in range(6)]
+    hists = VoteHistograms(np.tile([20, 15, 10], (6, 1)), np.zeros(6, int))
     (row,) = pate_label_accuracy(hists, [GGParams(2.0, 8.0)], trials=30, rng=rng)
     assert 0.0 < row.mean < 1.0
     assert row.stderr == pytest.approx(row.std / math.sqrt(30))
@@ -448,17 +519,30 @@ def test_pate_stderr_is_std_over_sqrt_trials(rng):
 # -- file formats ---------------------------------------------------------------------
 
 def test_histogram_csv_round_trip(tmp_path, rng):
-    hists = [build_histogram(3, 200, 0.1, rng) for _ in range(4)]
+    hists = _sweep(3, 200, [0.1] * 4, rng)
     text = histograms_to_csv(hists)
     assert text.splitlines()[0] == "class_0,class_1,class_2,true_label"
     path = tmp_path / "hists.csv"
     path.write_text(text)
     back = histograms_from_csv(path)
     assert len(back) == 4
-    for orig, parsed in zip(hists, back):
-        assert np.array_equal(orig.counts, parsed.counts)
-        assert parsed.true_label == orig.true_label
-        assert parsed.runner_up is None  # ratio is not persisted
+    assert np.array_equal(back.counts, hists.counts)
+    assert np.array_equal(back.true_labels, hists.true_labels)
+    assert np.isnan(back.runner_up).all()  # ratio is not persisted
+
+
+def test_histograms_read_from_csv_score_as_one_group(tmp_path):
+    path = tmp_path / "votes.csv"
+    path.write_text("class_0,class_1,class_2,true_label\n"
+                    "30,8,2,0\n5,25,10,1\n12,11,17,2\n")
+    hists = histograms_from_csv(path)
+    assert hists.true_labels.tolist() == [0, 1, 2]
+    noise = GGParams(2.0, 5.0)
+    (point,) = hardmax_utility(hists, noise, 40, np.random.default_rng(2))
+    assert point.runner_up is None
+    (want,) = _serial_hits([(noise, hists.counts.astype(np.float64),
+                             hists.true_labels)], 40, np.random.default_rng(2))
+    assert point.value == float(want.mean())
 
 
 @pytest.mark.parametrize("body,row", [
@@ -469,6 +553,9 @@ def test_histogram_csv_round_trip(tmp_path, rng):
     ("class_0,class_1,true_label\n3,1.5,0\n", "row 2"),
     ("class_0,class_1,true_label\n3,-1,0\n", "row 2"),
     ("class_0,class_1,true_label\n3,1,0\n4,2,2\n", "row 3"),
+    ("class_0,class_1,true_label\n", "row 1"),
+    ("class_0,class_1,true_label\n3,1,0\n99999999999999999999,1,0\n",
+     "row 3"),
 ])
 def test_histogram_csv_names_offending_row(tmp_path, body, row):
     path = tmp_path / "bad.csv"
